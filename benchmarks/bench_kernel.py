@@ -102,8 +102,8 @@ def main():
             cy = results[("compiled", wname)]
             print(f"{wname:<22} {py:>12.1f} {cy:>12.1f} {cy / py:>8.1f}x")
     if _ckernel is None:
-        print("\ncompiled kernel not built; run `pip install -e .` with a "
-              "C compiler available")
+        print("\ncompiled kernel not loaded: PLAYMINE_PURE is set, or the build "
+              "on import failed (its warning above gives the reason)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .board import RewardConfig
@@ -20,12 +19,11 @@ from .conformance import (
     write_report_csv,
 )
 from .discovery import alpha_miner, inductive_miner, tree_to_net
-from .episodes import derive_seed, play_episode
 from .eventlog import build_event_log, export_episode_table, export_log, import_log
 from .explain import Explainer, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
 from .search import SearchConfig
-from .trial import TrialSpec, run_trial
+from .trial import TrialSpec, run_episodes, run_trial
 
 
 def export_dot(net: PetriNet, path) -> None:
@@ -66,19 +64,16 @@ def _cmd_play(args) -> int:
                        minimax_depth=args.minimax_depth,
                        pruning_enabled=args.pruning,
                        reward=_reward_config(args))
-    feature = "bfs" if args.bfs_feature else "direction"
-    red, white = [], []
-    for episode_id in range(1, args.episodes + 1):
-        ep_cfg = replace(cfg, rng_seed=derive_seed(args.seed, "play", episode_id))
-        ep = play_episode(ep_cfg, episode_id=episode_id,
-                          pieces_per_side=args.pieces, feature=feature,
-                          max_turns=args.max_turns)
-        export_episode_table(ep.red_trace, out / f"red_episode{episode_id}.csv")
-        export_episode_table(ep.white_trace, out / f"white_episode{episode_id}.csv")
-        red.append((episode_id, ep.red_trace))
-        white.append((episode_id, ep.white_trace))
+    episodes = run_episodes(cfg, (args.seed, "play"), args.episodes, args.pieces,
+                            args.max_turns, "bfs" if args.bfs_feature else "direction",
+                            args.workers)
+    for ep in episodes:
+        export_episode_table(ep.red_trace, out / f"red_episode{ep.episode_id}.csv")
+        export_episode_table(ep.white_trace, out / f"white_episode{ep.episode_id}.csv")
         outcome = "draw" if ep.winner is None else f"{ep.winner.name.lower()} won"
-        print(f"episode {episode_id} finished after {ep.turns} turns: {outcome}")
+        print(f"episode {ep.episode_id} finished after {ep.turns} turns: {outcome}")
+    red = [(ep.episode_id, ep.red_trace) for ep in episodes]
+    white = [(ep.episode_id, ep.white_trace) for ep in episodes]
     for color, traces in (("red", red), ("white", white)):
         log = build_event_log(traces)
         export_log(log, out / f"{color}_eventlog.{args.format}", args.format)

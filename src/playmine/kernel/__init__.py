@@ -1,22 +1,105 @@
-"""Kernel backend selection.
+"""Kernel backend selection, and the build of the compiled kernel.
 
-Prefers the compiled extension, falls back to the pure-Python twin.  Set
-PLAYMINE_PURE=1 to force the fallback (used by the parity tests and the
-benchmark).
+``_ckernel.c`` is a CPython extension that mirrors ``_pykernel`` function
+for function.  On import it is loaded from
+``__pycache__/_ckernel.<sha256><extension suffix>`` next to this file; the
+hash covers the C source and the compile flags, so an edited source never
+loads a stale binary.  When that file is missing it is compiled once, by the
+interpreter's C compiler in a child process, into a temporary name that is
+then moved into place, so concurrent importers never load a half-written
+file.  Without a compiler, when the compile fails or when the directory is
+not writable, the pure-Python ``_pykernel`` is used and the reason logged.
+Set PLAYMINE_PURE=1 to force the pure kernel.
 """
 
+import hashlib
 import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 from . import _pykernel
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
+CFLAGS = ("-O2", "-shared", "-fPIC")
+COMPILE_TIMEOUT_S = 300
+
+
+def _binary_path() -> str:
+    """Where the extension built from the current source is cached."""
+    digest = hashlib.sha256()
+    with open(SOURCE, "rb") as f:
+        digest.update(f.read())
+    digest.update(" ".join(CFLAGS).encode())
+    return os.path.join(os.path.dirname(SOURCE), "__pycache__",
+                        f"_ckernel.{digest.hexdigest()}{EXTENSION_SUFFIXES[0]}")
+
+
+def compiler() -> list:
+    """The command the build path compiles with: the interpreter's CC."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _build(target: str) -> None:
+    """Compiles the source to ``target`` and deletes the binaries of earlier
+    sources."""
+    import subprocess
+    import sysconfig
+
+    cache = os.path.dirname(target)
+    os.makedirs(cache, exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    cmd = [*compiler(), *CFLAGS, "-I" + sysconfig.get_paths()["include"],
+           SOURCE, "-o", tmp]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, text=True,
+                       errors="replace", timeout=COMPILE_TIMEOUT_S)
+        os.replace(tmp, target)
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.strip().splitlines() or [f"exit code {exc.returncode}"]
+        reason = next((line for line in lines if "error" in line), lines[-1])
+        raise OSError(f"{cmd[0]} failed: {reason}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"{cmd[0]} took longer than {COMPILE_TIMEOUT_S} s") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    for name in os.listdir(cache):
+        if (name.startswith("_ckernel.") and name.endswith(EXTENSION_SUFFIXES[0])
+                and name != os.path.basename(target)):
+            try:
+                os.unlink(os.path.join(cache, name))
+            except FileNotFoundError:  # another importer got there first
+                pass
+
+
+def _load_compiled():
+    path = _binary_path()
+    if not os.path.exists(path):
+        _build(path)
+    name = __name__ + "._ckernel"
+    spec = spec_from_file_location(name, path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
 
 if os.environ.get("PLAYMINE_PURE"):
     _impl = _pykernel
     BACKEND = "python"
 else:
     try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
+        _impl = _load_compiled()
         BACKEND = "compiled"
-    except ImportError:
+    except (OSError, ImportError) as exc:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "compiled kernel unavailable, using the pure-Python kernel: %s", exc)
         _impl = _pykernel
         BACKEND = "python"
 

@@ -5,9 +5,13 @@ A board state is a 64-byte string indexed by ``x * 8 + y``.  Cell encoding:
 bit 6 the side (0 white, 1 red).  White men advance toward x = 7 and crown
 there; red men advance toward x = 0.  Dark squares have even x + y.
 
-The compiled backend (``_ckernel.pyx``) mirrors this module function for
-function and must stay behaviourally identical: move enumeration order and
-tie-breaking are part of the contract.
+The compiled backend (``_ckernel.c``, built on first import by
+``kernel/__init__.py``) mirrors this module function for function and must
+stay behaviourally identical: move enumeration order, tie-breaking, return
+types and the ValueError for a state that is not 64 bytes long are part of
+the contract (``piece_counts`` checks the length for ``evaluate``,
+``winner`` and ``minimax``).  This module is the fallback when no C
+compiler is available and the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ def cell_id(value: int) -> int:
 
 def cell_is_king(value: int) -> bool:
     return bool(value & KING_FLAG)
+
+
+def _check_state(state):
+    if len(state) != 64:
+        raise ValueError("state must be 64 bytes")
 
 
 def _piece_dirs(color, king):
@@ -89,6 +98,7 @@ def gen_moves(state, color, forced, capture_points, crown_points):
     ascending board index.  With ``forced`` set and any capture available only
     capture moves are returned.
     """
+    _check_state(state)
     far_x = 7 if color == WHITE else 0
     out = []
     have_capture = False
@@ -132,6 +142,7 @@ def gen_moves(state, color, forced, capture_points, crown_points):
 
 def side_has_moves(state, color):
     """Cheap mobility test used by the winner check."""
+    _check_state(state)
     for idx in range(64):
         piece = state[idx]
         if piece == 0 or ((piece >> 6) & 1) != color:
@@ -157,6 +168,7 @@ def side_has_moves(state, color):
 
 def piece_counts(state):
     """Returns (white_men, white_kings, red_men, red_kings)."""
+    _check_state(state)
     wm = wk = rm = rk = 0
     for idx in range(64):
         v = state[idx]
@@ -234,6 +246,7 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     yields no move.  Requires mm_depth >= 1 (depth 0 rollouts are random and
     handled by the search layer).
     """
+    _check_state(state)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
     w = 0

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -101,63 +100,6 @@ class PetriNet:
 
 def marking_key(marking: Counter) -> tuple:
     return tuple(sorted((p, n) for p, n in marking.items() if n > 0))
-
-
-def random_firing_trace(net: PetriNet, rng: random.Random,
-                        max_steps: int = 200) -> tuple[list[str], bool]:
-    """Random walk from the initial marking; visible labels plus completion."""
-    marking = Counter(net.initial_marking)
-    labels: list[str] = []
-    for _ in range(max_steps):
-        if marking == net.final_marking:
-            return labels, True
-        enabled = net.enabled_transitions(marking)
-        if not enabled:
-            return labels, False
-        name = enabled[rng.randrange(len(enabled))]
-        t = net.transition(name)
-        if not t.silent:
-            labels.append(t.label)
-        marking = net.fire(marking, name)
-    return labels, marking == net.final_marking
-
-
-def sample_complete_trace(net: PetriNet, rng: random.Random,
-                          max_steps: int = 200, attempts: int = 200) -> list[str]:
-    """Retries random walks until one reaches the final marking."""
-    for _ in range(attempts):
-        labels, done = random_firing_trace(net, rng, max_steps)
-        if done:
-            return labels
-    raise RuntimeError("could not sample a complete firing sequence")
-
-
-def visible_language(net: PetriNet, max_len: int,
-                     max_states: int = 200_000) -> set[tuple[str, ...]]:
-    """All visible label sequences (length <= max_len) reaching the final
-    marking.  Exploration is breadth-first with state deduplication."""
-    start = (marking_key(net.initial_marking), ())
-    final_key = marking_key(net.final_marking)
-    seen = {start}
-    queue = deque([(Counter(net.initial_marking), ())])
-    out: set[tuple[str, ...]] = set()
-    while queue:
-        if len(seen) > max_states:
-            raise RuntimeError("state budget exceeded while enumerating language")
-        marking, seq = queue.popleft()
-        if marking_key(marking) == final_key:
-            out.add(seq)
-        for name in net.enabled_transitions(marking):
-            t = net.transition(name)
-            nseq = seq if t.silent else seq + (t.label,)
-            if len(nseq) > max_len:
-                continue
-            nm = net.fire(marking, name)
-            key = (marking_key(nm), nseq)
-            if key not in seen:
-                seen.add(key)
-                queue.append((nm, nseq))
-    return out
 
 
 def to_dot(net: PetriNet) -> str:

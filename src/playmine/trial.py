@@ -108,17 +108,18 @@ def _episode_task(args):
                         max_turns=max_turns, feature=feature)
 
 
-def _run_cell_episodes(spec: TrialSpec, value) -> list[EpisodeResult]:
-    base_cfg = spec.cell_config(value)
-    feature = "bfs" if spec.bfs_feature else "direction"
-    tasks = []
-    for episode_id in range(1, spec.episodes + 1):
-        seed = derive_seed(spec.seed, spec.trial, spec.sweep_param, value, episode_id)
-        cfg = replace(base_cfg, rng_seed=seed)
-        tasks.append((cfg, episode_id, spec.pieces_per_side, spec.max_turns, feature))
-    if spec.workers == 1:
+def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,
+                 pieces: int, max_turns: int, feature: str,
+                 workers: int) -> list[EpisodeResult]:
+    """Plays episodes 1..``episodes`` in order; episode i is seeded with
+    ``derive_seed(*seed_key, i)``, so the results do not depend on
+    ``workers``."""
+    tasks = [(replace(base_cfg, rng_seed=derive_seed(*seed_key, episode_id)),
+              episode_id, pieces, max_turns, feature)
+             for episode_id in range(1, episodes + 1)]
+    if workers == 1:
         return [_episode_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_episode_task, tasks))
 
 
@@ -130,7 +131,10 @@ MINERS = {
 
 def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResult:
     """Runs one sweep cell: episodes, exports, both miners, both colors."""
-    episodes = _run_cell_episodes(spec, value)
+    episodes = run_episodes(spec.cell_config(value),
+                            (spec.seed, spec.trial, spec.sweep_param, value),
+                            spec.episodes, spec.pieces_per_side, spec.max_turns,
+                            "bfs" if spec.bfs_feature else "direction", spec.workers)
     winners = {"white": 0, "red": 0}
     draws = 0
     for ep in episodes:

@@ -1,4 +1,5 @@
-"""Independent reference implementations used only to check the package.
+"""Independent reference implementations and net samplers used only to
+check the package.
 
 These are deliberately written against different data structures than the
 library (position dicts instead of byte boards, relaxation DP instead of
@@ -6,7 +7,8 @@ best-first search) so a shared bug is unlikely.
 """
 
 import math
-from collections import Counter
+import random
+from collections import Counter, deque
 
 from playmine.board import (
     Color,
@@ -17,7 +19,7 @@ from playmine.board import (
     legal_moves,
     winner,
 )
-from playmine.petri import marking_key
+from playmine.petri import PetriNet, marking_key
 
 ALL_DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -159,3 +161,54 @@ def oracle_alignment_cost(trace, net, token_cap=None):
                 dist[dst] = dist[src] + cost
                 changed = True
     return dist.get((n, marking_key(net.final_marking)), inf)
+
+
+def sample_complete_trace(net: PetriNet, rng: random.Random,
+                          max_steps: int = 200, attempts: int = 200) -> list[str]:
+    """Visible labels of a random firing sequence that reaches the final
+    marking; the random walk is retried until one does."""
+    for _ in range(attempts):
+        marking = Counter(net.initial_marking)
+        labels: list[str] = []
+        for _ in range(max_steps):
+            if marking == net.final_marking:
+                break
+            enabled = net.enabled_transitions(marking)
+            if not enabled:
+                break
+            name = enabled[rng.randrange(len(enabled))]
+            t = net.transition(name)
+            if not t.silent:
+                labels.append(t.label)
+            marking = net.fire(marking, name)
+        if marking == net.final_marking:
+            return labels
+    raise RuntimeError("could not sample a complete firing sequence")
+
+
+def visible_language(net: PetriNet, max_len: int,
+                     max_states: int = 200_000) -> set[tuple[str, ...]]:
+    """All visible label sequences (length <= max_len) reaching the final
+    marking.  Exploration is breadth-first with state deduplication."""
+    start = (marking_key(net.initial_marking), ())
+    final_key = marking_key(net.final_marking)
+    seen = {start}
+    queue = deque([(Counter(net.initial_marking), ())])
+    out: set[tuple[str, ...]] = set()
+    while queue:
+        if len(seen) > max_states:
+            raise RuntimeError("state budget exceeded while enumerating language")
+        marking, seq = queue.popleft()
+        if marking_key(marking) == final_key:
+            out.add(seq)
+        for name in net.enabled_transitions(marking):
+            t = net.transition(name)
+            nseq = seq if t.silent else seq + (t.label,)
+            if len(nseq) > max_len:
+                continue
+            nm = net.fire(marking, name)
+            key = (marking_key(nm), nseq)
+            if key not in seen:
+                seen.add(key)
+                queue.append((nm, nseq))
+    return out

@@ -17,9 +17,9 @@ from playmine.conformance import (
     write_report_csv,
 )
 from playmine.discovery import act, alpha_miner, loop, par, seq, tau, tree_to_net
-from playmine.petri import PetriNet, Transition, sample_complete_trace
+from playmine.petri import PetriNet, Transition
 from helpers import mklog
-from oracles import oracle_alignment_cost
+from oracles import oracle_alignment_cost, sample_complete_trace
 
 
 def chain_net(labels):

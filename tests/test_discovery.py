@@ -18,8 +18,8 @@ from playmine.discovery import (
     tree_to_net,
 )
 from playmine.eventlog import EventLog
-from playmine.petri import visible_language
 from helpers import mklog
+from oracles import visible_language
 
 # the classic workflow-discovery teaching log
 TEXTBOOK = ["ABCD", "ACBD", "ABCD", "ACBD", "AED"]

@@ -173,6 +173,18 @@ class TestCli:
         assert rc == 0
         assert dot_path.read_text().startswith("digraph")
 
+    def test_play_workers_give_identical_files(self, tmp_path):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            rc = main(["play", "--episodes", "3", "--iterations", "6",
+                       "--sim-depth", "3", "--minimax-depth", "0", "--max-turns",
+                       "20", "--seed", "5", "--workers", workers, "--out", str(out)])
+            assert rc == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outs[0]) == 3 * 2 + 2
+        assert outs[0] == outs[1]
+
     def test_explain_command(self, tmp_path, capsys):
         out = tmp_path / "play"
         main(["play", "--episodes", "2", "--iterations", "8", "--sim-depth", "3",
