@@ -4,6 +4,21 @@ Alignments are found with uniform-cost search over the synchronous product
 of trace and net: synchronous and silent-model moves cost 0, log-only and
 visible-model-only moves cost 1, so the first goal state popped carries the
 optimal (minimal) cost.
+
+The search compiles the net once per call and never calls the ``Counter``
+API of ``PetriNet``.  A marking is a tuple of token counts indexed like
+``net.places``.  Each distinct marking is stored once per call and numbered,
+and a state is ``(trace position, marking number)``.  Each transition
+becomes its preset and postset place indices, and each marking's successors
+are computed once per call.
+
+The order in which states are explored is fixed: ties in cost are broken by
+push order, which is, for each transition in ``net.transitions`` order, the
+synchronous move and then the model (or silent) move, with the log move
+last.  Among several optimal alignments, this order picks the one that is
+returned.  It also fixes ``states_explored``, which ``global_statistics.csv``
+reports as ``Num. States`` and ``Approx. mem. used``, so a change to the
+order changes trial outputs even when every cost stays the same.
 """
 
 from __future__ import annotations
@@ -11,13 +26,12 @@ from __future__ import annotations
 import csv
 import heapq
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .eventlog import EventLog
-from .petri import PetriNet, marking_key
+from .petri import PetriNet
 
 
 class ModelUnsoundError(RuntimeError):
@@ -66,29 +80,89 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet,
     Raises ModelUnsoundError when no goal state exists (the final marking is
     unreachable), detected once the bounded search space is exhausted.
     """
+    t0 = time.perf_counter()
     trace = tuple(trace)
     n = len(trace)
     cap = token_cap or _default_token_cap(net, n)
-    start_marking = Counter(net.initial_marking)
-    final_key = marking_key(net.final_marking)
-    start = (0, marking_key(start_marking))
+    index = {p: k for k, p in enumerate(net.places)}
 
-    t0 = time.perf_counter()
+    # per transition: preset and postset indices (arcs form a set, so no
+    # place repeats), token delta, visible label, synchronous move, model or
+    # silent move and its cost
+    steps = []
+    for t in net.transitions:
+        pre = tuple(index[p] for p in net.preset[t.name])
+        post = tuple(index[p] for p in net.postset[t.name])
+        if t.silent:
+            steps.append((pre, post, len(post) - len(pre), None, None,
+                          AlignmentMove(TAU, None, t.name), 0))
+        else:
+            steps.append((pre, post, len(post) - len(pre), t.label,
+                          AlignmentMove(SYNC, t.label, t.name),
+                          AlignmentMove(MODEL, t.label, t.name), 1))
+    log_moves = [AlignmentMove(LOG, a, None) for a in trace]
+
+    # each distinct marking is stored once; a state holds its index here
+    markings: list = []
+    ids: dict = {}
+    successors: dict = {}
+
+    def intern(marking: tuple) -> int:
+        mid = ids.get(marking)
+        if mid is None:
+            mid = ids[marking] = len(markings)
+            markings.append(marking)
+        return mid
+
+    def fire_all(mid: int) -> list:
+        marking = markings[mid]
+        tokens = sum(marking)
+        out = []
+        for pre, post, delta, label, sync, model, model_cost in steps:
+            if tokens + delta > cap:
+                continue
+            for p in pre:
+                if not marking[p]:
+                    break
+            else:
+                nm = list(marking)
+                for p in pre:
+                    nm[p] -= 1
+                for p in post:
+                    nm[p] += 1
+                out.append((intern(tuple(nm)), label, sync, model, model_cost))
+        successors[mid] = out
+        return out
+
+    final = intern(tuple(net.final_marking[p] for p in net.places))
+    start = (0, intern(tuple(net.initial_marking[p] for p in net.places)))
     dist = {start: 0}
     parent: dict = {start: None}
-    markings = {start[1]: start_marking}
+    heappop, heappush = heapq.heappop, heapq.heappush
     heap = [(0, 0, start)]
     tick = 0
     explored = 0
     closed = set()
+
+    def push(nstate, ncost, move):  # ``state`` is the state being expanded
+        nonlocal tick
+        if nstate in closed:
+            return
+        old = dist.get(nstate)
+        if old is None or ncost < old:
+            dist[nstate] = ncost
+            parent[nstate] = (state, move)
+            tick += 1
+            heappush(heap, (ncost, tick, nstate))
+
     while heap:
-        cost, _, state = heapq.heappop(heap)
+        cost, _, state = heappop(heap)
         if state in closed:
             continue
         closed.add(state)
         explored += 1
-        i, mkey = state
-        if i == n and mkey == final_key:
+        i, mid = state
+        if i == n and mid == final:
             moves = []
             cur = state
             while parent[cur] is not None:
@@ -97,34 +171,16 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet,
             moves.reverse()
             return AlignmentResult(tuple(moves), cost, explored,
                                    time.perf_counter() - t0)
-        marking = markings[mkey]
-
-        def push(nstate, ncost, move, nmarking):
-            nonlocal tick
-            if nstate in closed:
-                return
-            if ncost < dist.get(nstate, ncost + 1):
-                dist[nstate] = ncost
-                parent[nstate] = (state, move)
-                markings.setdefault(nstate[1], nmarking)
-                tick += 1
-                heapq.heappush(heap, (ncost, tick, nstate))
-
-        for t in net.transitions:
-            if not net.is_enabled(marking, t.name):
-                continue
-            nm = net.fire(marking, t.name)
-            if sum(nm.values()) > cap:
-                continue
-            nkey = marking_key(nm)
-            if i < n and not t.silent and t.label == trace[i]:
-                push((i + 1, nkey), cost, AlignmentMove(SYNC, t.label, t.name), nm)
-            if t.silent:
-                push((i, nkey), cost, AlignmentMove(TAU, None, t.name), nm)
-            else:
-                push((i, nkey), cost + 1, AlignmentMove(MODEL, t.label, t.name), nm)
+        succ = successors.get(mid)
+        if succ is None:
+            succ = fire_all(mid)
+        event = trace[i] if i < n else None
+        for nid, label, sync, model, model_cost in succ:
+            if label is not None and label == event:
+                push((i + 1, nid), cost, sync)
+            push((i, nid), cost + model_cost, model)
         if i < n:
-            push((i + 1, mkey), cost + 1, AlignmentMove(LOG, trace[i], None), marking)
+            push((i + 1, mid), cost + 1, log_moves[i])
 
     raise ModelUnsoundError("final marking unreachable; cannot align")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import csv
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ EPISODE_COLUMNS = ("last_turn_id", "last_turn_movement", "piece_id",
 XES_NS = "http://www.xes-standard.org/"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionEvent:
     case_id: int
     label: str
@@ -61,7 +62,10 @@ def parse_movement(token: str) -> Movement:
     token = token.strip()
     if token.startswith("("):
         inner = token[1:-1].strip()
-        return tuple(part.strip() for part in inner.split(",")) if inner else ()
+        if not inner:
+            return ()
+        # interned, so parsed views share one copy of each direction word
+        return tuple(sys.intern(part.strip()) for part in inner.split(","))
     if token in ("inf", "-inf"):
         return math.inf if token == "inf" else -math.inf
     return int(token)
@@ -197,9 +201,11 @@ def _import_log_csv(path: Path) -> EventLog:
         header = next(reader)
         if [h.strip() for h in header] != ["task_id", "transition"]:
             raise ValueError(f"unexpected event log header in {path}: {header}")
+        labels: dict[str, str] = {}  # one shared str per distinct label
         for row in reader:
             cid = int(row[0])
-            log.cases.setdefault(cid, []).append(TransitionEvent(cid, row[1]))
+            label = labels.setdefault(row[1], row[1])
+            log.cases.setdefault(cid, []).append(TransitionEvent(cid, label))
     return log
 
 
@@ -221,6 +227,7 @@ def _export_log_xes(log: EventLog, path: Path) -> None:
 def _import_log_xes(path: Path) -> EventLog:
     log = EventLog()
     root = ET.parse(path).getroot()
+    labels: dict[str, str] = {}  # one shared str per distinct label
     for trace_el in root:
         if not trace_el.tag.endswith("trace"):
             continue
@@ -232,7 +239,8 @@ def _import_log_xes(path: Path) -> EventLog:
             elif child.tag.endswith("event"):
                 for attr in child:
                     if attr.get("key") == "concept:name":
-                        events.append(attr.get("value"))
+                        label = attr.get("value")
+                        events.append(labels.setdefault(label, label))
         if cid is None:
             raise ValueError(f"trace without concept:name in {path}")
         log.cases[cid] = [TransitionEvent(cid, label) for label in events]

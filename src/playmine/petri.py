@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     name: str
     label: Optional[str] = None  # None marks a silent transition
@@ -96,10 +96,6 @@ class PetriNet:
     def __repr__(self):
         return (f"PetriNet({len(self.places)} places, {len(self.transitions)} "
                 f"transitions, {len(self.arcs)} arcs)")
-
-
-def marking_key(marking: Counter) -> tuple:
-    return tuple(sorted((p, n) for p, n in marking.items() if n > 0))
 
 
 def to_dot(net: PetriNet) -> str:

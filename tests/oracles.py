@@ -19,7 +19,7 @@ from playmine.board import (
     legal_moves,
     winner,
 )
-from playmine.petri import PetriNet, marking_key
+from playmine.petri import PetriNet
 
 ALL_DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -111,6 +111,11 @@ def oracle_grid_distance(sources, targets):
         return math.inf
     return min(abs(sx - tx) + abs(sy - ty)
                for sx, sy in sources for tx, ty in targets)
+
+
+def marking_key(marking: Counter) -> tuple:
+    """Canonical hashable form of a Counter marking."""
+    return tuple(sorted((p, n) for p, n in marking.items() if n > 0))
 
 
 def oracle_alignment_cost(trace, net, token_cap=None):

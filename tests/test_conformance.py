@@ -1,10 +1,16 @@
+import heapq
+import json
 import random
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from playmine import conformance
+from playmine.board import Color, apply_move, initial_board, legal_moves, winner
 from playmine.conformance import (
     FITTING,
     NON_FITTING,
@@ -16,7 +22,18 @@ from playmine.conformance import (
     shortest_model_path_cost,
     write_report_csv,
 )
-from playmine.discovery import act, alpha_miner, loop, par, seq, tau, tree_to_net
+from playmine.discovery import (
+    act,
+    alpha_miner,
+    inductive_miner,
+    loop,
+    par,
+    seq,
+    tau,
+    tree_to_net,
+)
+from playmine.episodes import StepRecord, abstract_move
+from playmine.eventlog import build_event_log
 from playmine.petri import PetriNet, Transition
 from helpers import mklog
 from oracles import oracle_alignment_cost, sample_complete_trace
@@ -58,6 +75,99 @@ def suite_nets():
     for net in nets:
         assert len([t for t in net.transitions if not t.silent]) <= 6
     return nets
+
+
+def token_cap_net(final):
+    """``p -> t -> {p, q}``: every firing of ``t`` adds a token, so only the
+    token cap bounds the search."""
+    return PetriNet(
+        places=["p", "q"],
+        transitions=[Transition("t", "A")],
+        arcs=[("p", "t"), ("t", "p"), ("t", "q")],
+        initial_marking=Counter({"p": 1}),
+        final_marking=Counter(final),
+    )
+
+
+def random_play_log(rng, color, cases=5, events=8, pieces=3):
+    """Decisions of ``color`` in games of random legal play, one case each."""
+    traces = []
+    while len(traces) < cases:
+        board, side = initial_board(pieces), Color.RED
+        steps, last_id, last_move = [], -1, ()
+        while len(steps) < events and winner(board, side) is None:
+            moves = legal_moves(board, side)
+            move = moves[rng.randrange(len(moves))]
+            movement = abstract_move(move.from_pos, move.to_pos)
+            if side is color:
+                steps.append(StepRecord(last_id, last_move, move.piece_id,
+                                        movement, move.captured_ids, move.reward))
+            last_id, last_move = move.piece_id, movement
+            board = apply_move(board, move)
+            side = side.opponent
+        if len(steps) >= 2:
+            traces.append(steps)
+    return build_event_log(enumerate(traces, start=1))
+
+
+def fitness_alignment_calls(log, net):
+    """``(trace, token_cap)`` of every alignment ``fitness_metrics`` runs,
+    the empty-trace call of ``shortest_model_path_cost`` first."""
+    calls = []
+    align = conformance.optimal_alignment
+
+    def recording(trace, net, token_cap=None):
+        calls.append((tuple(trace), token_cap))
+        return align(trace, net, token_cap)
+
+    conformance.optimal_alignment = recording
+    try:
+        fitness_metrics(log, net)
+    finally:
+        conformance.optimal_alignment = align
+    return calls
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "alignment_golden.json"
+GOLDEN_TRACES = [(), ("A",), ("B", "A"), ("A", "B"), ("A", "C", "B", "D"),
+                 ("A", "B", "A", "B"), ("X", "A", "B", "C", "D")]
+
+
+def golden_cases():
+    """``(case id, trace, net, token cap)`` pinned by the golden file."""
+    for k, net in enumerate(suite_nets()):
+        for trace in GOLDEN_TRACES:
+            yield f"suite{k}/{'.'.join(trace)}", trace, net, None
+    # the final marking holds 3 tokens: reachable at cap 3, not at cap 2
+    net = token_cap_net({"p": 1, "q": 2})
+    for cap in (None, 3, 2):
+        for trace in ((), ("A",), ("A", "A", "A", "A")):
+            yield f"token-cap/{cap}/{'.'.join(trace)}", trace, net, cap
+    rng = random.Random(5)
+    for k in range(3):
+        log = random_play_log(rng, Color.RED if k % 2 else Color.WHITE)
+        net = tree_to_net(inductive_miner(log))
+        calls = fitness_alignment_calls(log, net)
+        for j, (trace, cap) in enumerate(calls):
+            yield f"game{k}/{j}", trace, net, cap
+        # a non-fitting trace: the longest variant backwards
+        longest = max((t for t, _ in calls), key=len)
+        yield f"game{k}/reversed", longest[::-1], net, None
+
+
+def golden_record(trace, net, cap):
+    """``[raw_cost, states_explored, moves]`` or ``"unsound"``; a move is
+    ``kind:transition`` (log moves have no transition)."""
+    try:
+        res = optimal_alignment(trace, net, cap)
+    except ModelUnsoundError:
+        return "unsound"
+    assert res.log_projection == tuple(trace)
+    for m in res.moves:
+        if m.transition is not None:
+            assert m.label == net.transition(m.transition).label
+    return [res.raw_cost, res.states_explored,
+            " ".join(f"{m.kind}:{m.transition or ''}" for m in res.moves)]
 
 
 def all_traces(alphabet, max_len):
@@ -231,3 +341,49 @@ class TestReportCsv:
                         "Raw Fitness Cost", "Move-Model Fitness",
                         "Pre-process time (ms)", "Move-Log Fitness",
                         "Trace Length", "Approx. mem. used (kb)"]
+
+
+class TestExplorationOrder:
+    """Alignments, costs and explored-state counts recorded from the
+    Counter-marking search before markings became integer vectors.
+    ``states_explored`` feeds ``Num. States`` and ``Approx. mem. used`` of
+    ``global_statistics.csv``, so the exploration order is part of the
+    output.  Regenerate only when that order is meant to change:
+    ``PYTHONPATH=src python tests/test_conformance.py``."""
+
+    def test_matches_golden(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        got = {cid: golden_record(trace, net, cap)
+               for cid, trace, net, cap in golden_cases()}
+        assert list(got) == list(golden)
+        for cid, want in golden.items():
+            assert got[cid] == want, cid
+
+    def test_token_cap_bounds_unreachable_search(self, monkeypatch):
+        # t keeps p marked and adds a token to q, so a final marking of q
+        # alone is unreachable and only the token cap ends the search
+        net = token_cap_net({"q": 1})
+        trace = ("A",) * 6
+        cap = 1 + 1 + len(net.places) + len(trace) + 4  # the default cap
+        popped = set()
+
+        def heappop(heap):
+            item = heapq.heappop(heap)
+            popped.add(item[-1])
+            return item
+
+        monkeypatch.setattr(conformance, "heapq", SimpleNamespace(
+            heappop=heappop, heappush=heapq.heappush))
+        with pytest.raises(ModelUnsoundError):
+            optimal_alignment(trace, net)
+        # p + k*q for every k with 1 + k <= cap, at every trace position
+        assert len(popped) == (len(trace) + 1) * cap
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    records = {cid: golden_record(trace, net, cap)
+               for cid, trace, net, cap in golden_cases()}
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(
+        f"{json.dumps(cid)}: {json.dumps(rec)}" for cid, rec in records.items()) + "\n}\n")
+    print(f"wrote {len(records)} cases to {GOLDEN_PATH}")
