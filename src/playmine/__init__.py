@@ -41,7 +41,7 @@ from .eventlog import EventLog, TransitionEvent, build_event_log, export_log, im
 from .explain import Explainer, LayeredView, NoObservationError, layered_view, recommend, why_not
 from .kernel import BACKEND as kernel_backend
 from .petri import PetriNet, Transition
-from .search import SearchConfig, SearchNode, mcts_search, minimax, prune_by_reward
+from .search import SearchConfig, SearchNode, mcts_search, prune_by_reward
 from .trial import TrialSpec, run_trial
 
 __version__ = "0.1.0"
@@ -50,7 +50,7 @@ __all__ = [
     "Color", "ConcreteMove", "GameBoard", "GamePiece", "RewardConfig",
     "RuleViolationError", "apply_move", "evaluate", "initial_board",
     "legal_moves", "winner",
-    "SearchConfig", "SearchNode", "mcts_search", "minimax", "prune_by_reward",
+    "SearchConfig", "SearchNode", "mcts_search", "prune_by_reward",
     "EpisodeResult", "StepRecord", "abstract_move", "bfs_min_distance",
     "play_episode",
     "EventLog", "TransitionEvent", "build_event_log", "export_log", "import_log",

@@ -29,11 +29,6 @@ class Color(Enum):
     def opponent(self) -> "Color":
         return Color.RED if self is Color.WHITE else Color.WHITE
 
-    @property
-    def index(self) -> int:
-        """Reward-vector index: white = 0, red = 1."""
-        return self.value
-
 
 @dataclass(frozen=True)
 class GamePiece:

@@ -18,12 +18,11 @@ from .conformance import (
     fitness_metrics,
     write_report_csv,
 )
-from .discovery import alpha_miner, inductive_miner, tree_to_net
 from .eventlog import build_event_log, export_episode_table, export_log, import_log
 from .explain import Explainer, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
 from .search import SearchConfig
-from .trial import TrialSpec, run_episodes, run_trial
+from .trial import MINERS, TrialSpec, run_episodes, run_trial
 
 
 def export_dot(net: PetriNet, path) -> None:
@@ -82,11 +81,7 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    log = import_log(args.log)
-    if args.miner == "alpha":
-        net = alpha_miner(log)
-    else:
-        net = tree_to_net(inductive_miner(log))
+    net = MINERS[args.miner](import_log(args.log))
     save_net(net, args.out)
     print(f"{args.miner} miner: {net!r} -> {args.out}")
     if args.dot:
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="discover a net from an event log")
     p.add_argument("--log", required=True)
-    p.add_argument("--miner", choices=("alpha", "inductive"), default="inductive")
+    p.add_argument("--miner", choices=tuple(MINERS), default="inductive")
     p.add_argument("--out", required=True)
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_mine)

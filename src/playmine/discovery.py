@@ -27,12 +27,6 @@ class DirectlyFollowsGraph:
     start_activities: Counter
     end_activities: Counter
 
-    def successors(self, a: str) -> set:
-        return {b for (x, b) in self.edges if x == a}
-
-    def predecessors(self, b: str) -> set:
-        return {a for (a, x) in self.edges if x == b}
-
 
 def directly_follows(log: EventLog) -> DirectlyFollowsGraph:
     if not log.cases:

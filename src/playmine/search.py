@@ -1,4 +1,9 @@
-"""Minimax search and the MCTS agent with minimax-guided rollouts.
+"""The MCTS agent with minimax-guided rollouts.
+
+The tree works in the kernel's encoding only: a node holds the 64-byte
+state, the side to move as 0 (white) or 1 (red) and the kernel move tuple
+that entered it.  ``mcts_search`` is the one place that converts, building
+a ``ConcreteMove`` and a ``GameBoard`` for the chosen root child.
 
 One search tree belongs to one worker; independent searches may run in
 parallel processes.  All tie-breaking is first-in-enumeration-order so a
@@ -20,9 +25,9 @@ from .board import (
     GameBoard,
     RewardConfig,
     _to_concrete,
-    moves_with_boards,
-    winner,
 )
+# unused here; perfbench/tracing.py patches both names on this module
+from .board import moves_with_boards, winner  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,64 +54,51 @@ class SearchConfig:
 
 
 class SearchNode:
-    """MCTS tree node: visit count plus a [white, red] reward vector."""
+    """MCTS tree node: visit count plus a [white, red] reward vector.
 
-    __slots__ = ("board", "turn", "terminate", "parent", "children", "visits",
-                 "reward", "fully_expanded", "entry_move", "_pairs", "_next")
+    ``children`` are kept in expansion order, which is the order of
+    ``actions``; ``move`` is the kernel move tuple that entered the node.
+    """
 
-    def __init__(self, board: GameBoard, turn: Color,
-                 parent: Optional["SearchNode"] = None,
-                 entry_move: Optional[ConcreteMove] = None):
-        self.board = board
+    __slots__ = ("state", "turn", "terminate", "parent", "move", "children",
+                 "visits", "reward", "_actions")
+
+    def __init__(self, state: bytes, turn: int,
+                 parent: Optional["SearchNode"] = None, move: Optional[tuple] = None):
+        self.state = state
         self.turn = turn
-        self.terminate = winner(board, turn) is not None
+        self.terminate = kernel.winner(state, turn) != -1
         self.parent = parent
-        self.children: dict[ConcreteMove, SearchNode] = {}
+        self.move = move
+        self.children: list[SearchNode] = []
         self.visits = 0
         self.reward = [0.0, 0.0]
-        self.fully_expanded = False
-        self.entry_move = entry_move
-        self._pairs = None
-        self._next = 0
+        self._actions = None
 
-    def actions(self, cfg: SearchConfig) -> list[tuple[ConcreteMove, GameBoard]]:
-        if self._pairs is None:
-            pairs = moves_with_boards(self.board, self.turn, cfg.reward)
-            if cfg.pruning_enabled and pairs:
-                best = max(m.reward for m, _ in pairs)
-                pairs = [p for p in pairs if p[0].reward == best]
-            self._pairs = pairs
-        return self._pairs
+    def actions(self, cfg: SearchConfig) -> list[tuple]:
+        if self._actions is None:
+            rw = cfg.reward
+            moves = kernel.gen_moves(self.state, self.turn, rw.forced_capture,
+                                     rw.capture_points, rw.crown_points)
+            if cfg.pruning_enabled and moves:
+                moves = prune_by_reward(moves)
+            self._actions = moves
+        return self._actions
 
-
-def minimax(node: SearchNode, depth: int, max_player: bool,
-            cfg: Optional[SearchConfig] = None
-            ) -> tuple[float, Optional[ConcreteMove]]:
-    """Depth-limited minimax from ``node``; ties keep the first move.
-
-    The heuristic value is the material evaluation from the maximizing
-    player's perspective (node.turn when max_player is set).
-    """
-    cfg = cfg or SearchConfig()
-    agent = node.turn if max_player else node.turn.opponent
-    rw = cfg.reward
-    score, kmove = kernel.minimax(node.board.state, node.turn.value, agent.value,
-                                  depth, rw.forced_capture, rw.capture_points,
-                                  rw.crown_points, cfg.king_weight)
-    if kmove is None:
-        return score, None
-    return score, _to_concrete(kmove, node.board.state)
+    @property
+    def fully_expanded(self) -> bool:
+        return bool(self.children) and len(self.children) == len(self._actions)
 
 
 def uct_best_child(node: SearchNode, c: float) -> SearchNode:
     """Argmax of mean reward for the mover plus the exploration bonus."""
     if not node.children:
         raise ValueError("uct_best_child on a node without children")
-    idx = node.turn.index
+    idx = node.turn
     log_n = math.log(node.visits) if node.visits > 0 else 0.0
     best = None
     best_score = -math.inf
-    for child in node.children.values():
+    for child in node.children:
         if child.visits == 0:
             raise ValueError("uct_best_child requires every child visited")
         score = child.reward[idx] / child.visits + c * math.sqrt(log_n / child.visits)
@@ -121,15 +113,12 @@ def expand(node: SearchNode, cfg: Optional[SearchConfig] = None) -> SearchNode:
     cfg = cfg or SearchConfig()
     if node.terminate:
         raise ValueError("cannot expand a terminal node")
-    pairs = node.actions(cfg)
-    if node._next >= len(pairs):
+    moves = node.actions(cfg)
+    if len(node.children) >= len(moves):
         raise ValueError("cannot expand a fully expanded node")
-    move, next_board = pairs[node._next]
-    node._next += 1
-    if node._next == len(pairs):
-        node.fully_expanded = True
-    child = SearchNode(next_board, node.turn.opponent, parent=node, entry_move=move)
-    node.children[move] = child
+    move = moves[len(node.children)]
+    child = SearchNode(move[5], 1 - node.turn, parent=node, move=move)
+    node.children.append(child)
     return child
 
 
@@ -145,15 +134,15 @@ def simulate(node: SearchNode, cfg: SearchConfig,
         return [0, 0]
     rw = cfg.reward
     if cfg.minimax_depth >= 1:
-        w, r = kernel.rollout(node.board.state, node.turn.value,
+        w, r = kernel.rollout(node.state, node.turn,
                               cfg.simulation_depth, cfg.minimax_depth,
                               rw.forced_capture, rw.capture_points,
                               rw.crown_points, cfg.king_weight)
         return [w, r]
     rng = rng or random.Random(cfg.rng_seed)
     delta = [0, 0]
-    state = node.board.state
-    turn = node.turn.value
+    state = node.state
+    turn = node.turn
     for _ in range(cfg.simulation_depth):
         if kernel.winner(state, turn) != -1:
             break
@@ -191,7 +180,7 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
     backup delta, so immediately winning moves keep their value even though
     the rollout from a terminal child is empty.
     """
-    root = SearchNode(board, agent)
+    root = SearchNode(board.state, agent.value)
     if root.terminate or not root.actions(cfg):
         return None
     rng = random.Random(cfg.rng_seed)
@@ -201,30 +190,28 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
             node = uct_best_child(node, cfg.exploration)
         if not node.terminate:
             node = expand(node, cfg)
+        # the leaf is never the root, so it always has an entry move
         delta = simulate(node, cfg, rng)
-        if node.entry_move is not None:
-            delta = list(delta)
-            delta[node.parent.turn.index] += node.entry_move.reward
+        delta[node.parent.turn] += node.move[4]
         backpropagate(node, delta, cfg.discount)
 
-    idx = agent.index
-    best_move = None
-    best_child = None
+    idx = agent.value
+    best = None
     best_mean = -math.inf
-    for move, child in root.children.items():
+    for child in root.children:
         mean = child.reward[idx] / child.visits
         if mean > best_mean:
             best_mean = mean
-            best_move = move
-            best_child = child
-    return best_move, best_move.reward, best_child.board
+            best = child
+    move = best.move
+    return (_to_concrete(move, board.state), move[4],
+            GameBoard(move[5], board.pieces_per_side))
 
 
-def prune_by_reward(moves: list[ConcreteMove]) -> list[ConcreteMove]:
-    """Keeps only the moves sharing the maximal reward, in input order."""
+def prune_by_reward(moves: list[tuple]) -> list[tuple]:
+    """Keeps only the kernel moves sharing the maximal reward (index 4), in
+    input order."""
     if not moves:
         raise ValueError("prune_by_reward requires a non-empty move list")
-    groups: dict[int, list[ConcreteMove]] = {}
-    for m in moves:
-        groups.setdefault(m.reward, []).append(m)
-    return groups[max(groups)]
+    best = max(m[4] for m in moves)
+    return [m for m in moves if m[4] == best]

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from playmine import kernel
 from playmine.board import (
     Color,
     GameBoard,
@@ -36,7 +37,7 @@ from playmine.discovery import (
 from playmine.episodes import abstract_move
 from playmine.eventlog import export_log, import_log
 from playmine.petri import load_net
-from playmine.search import SearchConfig, SearchNode, mcts_search, minimax, prune_by_reward
+from playmine.search import SearchConfig, mcts_search, prune_by_reward
 from playmine.trial import TrialSpec, run_trial
 from helpers import mklog, random_endgame
 from oracles import oracle_alignment_cost, oracle_minimax
@@ -138,12 +139,14 @@ def test_minimax_matches_exhaustive_recursion():
     4-piece endgames, exactly."""
     rng = random.Random(20240808)
     cfg = SearchConfig()
+    rw = cfg.reward
     for i in range(100):
         board = random_endgame(rng, 4)
         color = Color.WHITE if i % 2 == 0 else Color.RED
-        node = SearchNode(board, color)
         for depth in (1, 2, 3):
-            got, _ = minimax(node, depth, True, cfg)
+            got, _ = kernel.minimax(board.state, color.value, color.value, depth,
+                                    rw.forced_capture, rw.capture_points,
+                                    rw.crown_points, cfg.king_weight)
             want = oracle_minimax(board, color, color, depth, cfg.reward)
             assert got == want, (board, color, depth)
     report_pass("minimax equals exhaustive recursion on 100 random 4-piece "
@@ -276,11 +279,10 @@ def test_workflow_net_shape_in_smoke_trial(smoke_trial):
 
 def test_reward_keyed_pruning():
     """Grouping by reward keeps exactly the maximal-reward action group."""
-    from playmine.board import ConcreteMove
 
     def move(name_idx, reward):
-        return ConcreteMove(piece_id=name_idx, from_pos=(0, 0), to_pos=(1, 1),
-                            reward=reward)
+        # a kernel move tuple (from, to, captured_ids, crowned, reward, state)
+        return (name_idx, name_idx + 9, (), False, reward, bytes(64))
 
     table = [(10, 3), (6, 2), (4, 3), (0, 4)]
     moves = []
@@ -291,5 +293,5 @@ def test_reward_keyed_pruning():
             moves.append(move(idx, reward))
     kept = prune_by_reward(moves)
     assert kept == moves[:3]
-    assert all(m.reward == 10 for m in kept)
+    assert all(m[4] == 10 for m in kept)
     report_pass("reward-keyed pruning returns exactly the top-reward group")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from playmine import kernel
 from playmine.board import (
     Color,
     ConcreteMove,
@@ -242,30 +243,37 @@ class TestEvaluate:
         assert evaluate(board, Color.RED) + evaluate(board, Color.WHITE) == 0
 
 
+def side_counts(board):
+    """Pieces per side as [white, red], read from the state's cells."""
+    wm, wk, rm, rk = kernel.piece_counts(board.state)
+    return [wm + wk, rm + rk]
+
+
 class TestGameProperties:
     def _random_game(self, rng):
         board = initial_board(3)
         color = Color.RED
+        counts = side_counts(board)
         for _ in range(120):
             moves = legal_moves(board, color, CFG)
             if not moves:
                 break
             move = moves[rng.randrange(len(moves))]
-            before_own = len(board.pieces(color))
-            before_opp = len(board.pieces(color.opponent))
+            own, opp = color.value, color.opponent.value
+            before_own, before_opp = counts[own], counts[opp]
             board = apply_move(board, move, CFG)
+            counts = side_counts(board)
             # piece conservation under every applied move
-            assert len(board.pieces(color)) == before_own
-            assert len(board.pieces(color.opponent)) == before_opp - len(move.captured_ids)
+            assert counts[own] == before_own
+            assert counts[opp] == before_opp - len(move.captured_ids)
             # reward consistency under the default config
             assert move.reward == 7 * len(move.captured_ids) + 7 * move.crowned
-            # parity: every piece stays on a dark square
-            assert all((p.x + p.y) % 2 == 0 for p in board.pieces())
+            # parity: every piece stays on a dark square (cell index x * 8 + y)
+            assert all(((i >> 3) + (i & 7)) % 2 == 0 for i, v in enumerate(board.state) if v)
             color = color.opponent
 
     def test_random_game_fuzz(self):
-        from playmine.kernel import BACKEND
-        games = 10_000 if BACKEND == "compiled" else 500
+        games = 10_000 if kernel.BACKEND == "compiled" else 500
         rng = random.Random(7)
         for _ in range(games):
             self._random_game(rng)

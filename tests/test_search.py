@@ -1,25 +1,31 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from playmine import kernel
 from playmine.board import (
     Color,
-    ConcreteMove,
     GameBoard,
     GamePiece,
     RewardConfig,
+    _to_concrete,
+    apply_move,
     evaluate,
     initial_board,
     legal_moves,
+    winner,
 )
+from playmine.episodes import play_episode
+from playmine.eventlog import label_for
 from playmine.search import (
     SearchConfig,
     SearchNode,
     backpropagate,
     expand,
     mcts_search,
-    minimax,
     prune_by_reward,
     simulate,
     uct_best_child,
@@ -31,7 +37,20 @@ CFG = SearchConfig(iterations=50, simulation_depth=8, minimax_depth=1, rng_seed=
 
 
 def mv(reward):
-    return ConcreteMove(piece_id=1, from_pos=(0, 0), to_pos=(1, 1), reward=reward)
+    """A kernel move tuple (from, to, captured_ids, crowned, reward, state)."""
+    return (0, 9, (), False, reward, bytes(64))
+
+
+def node(board, color, **kwargs):
+    return SearchNode(board.state, color.value, **kwargs)
+
+
+def minimax(board, color, depth, cfg):
+    """``kernel.minimax`` for ``color`` to move and maximizing."""
+    rw = cfg.reward
+    return kernel.minimax(board.state, color.value, color.value, depth,
+                          rw.forced_capture, rw.capture_points,
+                          rw.crown_points, cfg.king_weight)
 
 
 class TestSearchConfig:
@@ -50,10 +69,10 @@ class TestSearchConfig:
 
 class TestMinimax:
     def test_depth_zero_returns_static_eval(self):
-        node = SearchNode(initial_board(3), Color.RED)
-        score, move = minimax(node, 0, True, CFG)
+        board = initial_board(3)
+        score, move = minimax(board, Color.RED, 0, CFG)
         assert move is None
-        assert score == evaluate(node.board, Color.RED)
+        assert score == evaluate(board, Color.RED)
 
     def test_depth_one_takes_the_capture(self):
         board = GameBoard.from_pieces([
@@ -61,37 +80,31 @@ class TestMinimax:
             GamePiece(Color.RED, 1, 3, 3),
             GamePiece(Color.RED, 2, 6, 6),
         ])
-        node = SearchNode(board, Color.WHITE)
         free = SearchConfig(reward=RewardConfig(forced_capture=False))
-        score, move = minimax(node, 1, True, free)
+        score, move = minimax(board, Color.WHITE, 1, free)
         # exhaustive one-ply enumeration is what the oracle does at depth 1
         assert score == oracle_minimax(board, Color.WHITE, Color.WHITE, 1, free.reward)
-        assert move.captured_ids == (1,)
+        assert move[2] == (1,)
 
     def test_matches_exhaustive_recursion_on_endgames(self):
         rng = random.Random(5)
         for _ in range(25):
             board = random_endgame(rng, 4)
             for color in (Color.WHITE, Color.RED):
-                node = SearchNode(board, color)
                 for depth in (1, 2, 3):
-                    got, _ = minimax(node, depth, True, CFG)
+                    got, _ = minimax(board, color, depth, CFG)
                     want = oracle_minimax(board, color, color, depth, CFG.reward)
                     assert got == want
 
 
 class TestUct:
     def _parent_with_children(self, stats):
-        parent = SearchNode(initial_board(3), Color.WHITE)
-        moves = legal_moves(parent.board, Color.WHITE)
-        for move, (q, n) in zip(moves, stats):
-            child = SearchNode(initial_board(3), Color.RED, parent=parent,
-                               entry_move=move)
+        parent = node(initial_board(3), Color.WHITE)
+        for q, n in stats:
+            child = expand(parent, CFG)
             child.reward = [q, 0.0]
             child.visits = n
-            parent.children[move] = child
         parent.visits = sum(n for _, n in stats)
-        parent.fully_expanded = True
         return parent
 
     def test_pure_exploitation_picks_higher_mean(self):
@@ -117,7 +130,7 @@ class TestUct:
         scores = [q / n + c * math.sqrt(math.log(25) / n) for q, n in stats]
         want = max(range(3), key=lambda i: scores[i])
         best = uct_best_child(parent, c)
-        assert list(parent.children.values()).index(best) == want
+        assert parent.children.index(best) == want
 
     def test_unvisited_child_rejected(self):
         parent = self._parent_with_children([(1.0, 0), (2.0, 3)])
@@ -129,15 +142,15 @@ class TestUct:
         stats = [(4.0, 8), (3.0, 3), (6.0, 14)]
         parent = self._parent_with_children(stats)
         best = uct_best_child(parent, 0.0)
-        for child in parent.children.values():
+        for child in parent.children:
             child.reward = [child.reward[0] * 37.0, child.reward[1] * 37.0]
         assert uct_best_child(parent, 0.0) is best
 
 
 class TestExpand:
     def test_expands_every_move_once(self):
-        root = SearchNode(initial_board(3), Color.RED)
-        k = len(legal_moves(root.board, Color.RED))
+        root = node(initial_board(3), Color.RED)
+        k = len(legal_moves(initial_board(3), Color.RED))
         children = [expand(root, CFG) for _ in range(k)]
         assert root.fully_expanded
         assert len(root.children) == k
@@ -150,35 +163,34 @@ class TestExpand:
             GamePiece(Color.WHITE, 1, 2, 2),
             GamePiece(Color.RED, 1, 3, 3),
         ])
-        root = SearchNode(board, Color.WHITE)
+        root = node(board, Color.WHITE)
         expand(root, CFG)
         assert root.fully_expanded
 
     def test_child_board_is_move_application(self):
-        from playmine.board import apply_move
-        root = SearchNode(initial_board(3), Color.RED)
+        board = initial_board(3)
+        root = node(board, Color.RED)
         child = expand(root, CFG)
-        move = child.entry_move
-        assert child.board == apply_move(root.board, move)
+        move = _to_concrete(child.move, root.state)
+        assert child.state == apply_move(board, move).state
+        assert child.turn == Color.WHITE.value
 
     def test_terminal_node_rejected(self):
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
-        node = SearchNode(board, Color.RED)
-        assert node.terminate
+        leaf = node(board, Color.RED)
+        assert leaf.terminate
         with pytest.raises(ValueError):
-            expand(node, CFG)
+            expand(leaf, CFG)
 
 
 class TestSimulate:
     def test_terminal_node_yields_zero(self):
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
-        node = SearchNode(board, Color.RED)
-        assert simulate(node, CFG) == [0, 0]
+        assert simulate(node(board, Color.RED), CFG) == [0, 0]
 
     def test_zero_depth_rollout(self):
-        node = SearchNode(initial_board(3), Color.RED)
         cfg = SearchConfig(simulation_depth=0)
-        assert simulate(node, cfg) == [0, 0]
+        assert simulate(node(initial_board(3), Color.RED), cfg) == [0, 0]
 
     def test_immediate_white_capture_single_step(self):
         board = GameBoard.from_pieces([
@@ -186,23 +198,22 @@ class TestSimulate:
             GamePiece(Color.RED, 1, 3, 3),
             GamePiece(Color.RED, 2, 7, 7),
         ])
-        node = SearchNode(board, Color.WHITE)
         cfg = SearchConfig(simulation_depth=1, minimax_depth=1)
-        assert simulate(node, cfg) == [7, 0]
+        assert simulate(node(board, Color.WHITE), cfg) == [7, 0]
 
     def test_random_rollout_mode_is_seeded(self):
-        node = SearchNode(initial_board(3), Color.RED)
+        start = node(initial_board(3), Color.RED)
         cfg = SearchConfig(simulation_depth=6, minimax_depth=0, rng_seed=3)
-        first = simulate(node, cfg, random.Random(3))
-        second = simulate(node, cfg, random.Random(3))
+        first = simulate(start, cfg, random.Random(3))
+        second = simulate(start, cfg, random.Random(3))
         assert first == second
 
 
 class TestBackpropagate:
     def _path(self, length):
-        nodes = [SearchNode(initial_board(3), Color.RED)]
+        nodes = [node(initial_board(3), Color.RED)]
         for _ in range(length - 1):
-            child = SearchNode(initial_board(3), Color.WHITE, parent=nodes[-1])
+            child = node(initial_board(3), Color.WHITE, parent=nodes[-1])
             nodes.append(child)
         return nodes
 
@@ -261,21 +272,19 @@ class TestMctsSearch:
     def test_visit_accounting(self):
         root_board = initial_board(3)
         cfg = SearchConfig(iterations=37, simulation_depth=4, minimax_depth=1)
-        root = SearchNode(root_board, Color.RED)
+        root = node(root_board, Color.RED)
         # run through the public entry and mirror the count on a fresh root
         assert mcts_search(root_board, Color.RED, cfg) is not None
         rng = random.Random(cfg.rng_seed)
         for _ in range(cfg.iterations):
-            node = root
-            while not node.terminate and node.fully_expanded:
-                node = uct_best_child(node, cfg.exploration)
-            if not node.terminate:
-                node = expand(node, cfg)
-            delta = simulate(node, cfg, rng)
-            if node.entry_move is not None:
-                delta = list(delta)
-                delta[node.parent.turn.index] += node.entry_move.reward
-            backpropagate(node, delta, cfg.discount)
+            leaf = root
+            while not leaf.terminate and leaf.fully_expanded:
+                leaf = uct_best_child(leaf, cfg.exploration)
+            if not leaf.terminate:
+                leaf = expand(leaf, cfg)
+            delta = simulate(leaf, cfg, rng)
+            delta[leaf.parent.turn] += leaf.move[4]
+            backpropagate(leaf, delta, cfg.discount)
         assert root.visits == cfg.iterations
 
     def test_deterministic_for_fixed_config(self):
@@ -315,8 +324,8 @@ class TestPruneByReward:
         for _ in range(100):
             moves = [mv(rng.choice([0, 4, 6, 10])) for _ in range(rng.randrange(1, 12))]
             kept = prune_by_reward(moves)
-            top = max(m.reward for m in moves)
-            assert all(m.reward == top for m in kept)
+            top = max(m[4] for m in moves)
+            assert all(m[4] == top for m in kept)
             assert all(m in moves for m in kept)
 
     def test_pruned_search_only_expands_top_reward_moves(self):
@@ -329,8 +338,122 @@ class TestPruneByReward:
         cfg = SearchConfig(iterations=30, simulation_depth=4, minimax_depth=1,
                            pruning_enabled=True,
                            reward=RewardConfig(forced_capture=False))
-        root = SearchNode(board, Color.WHITE)
-        actions = [m for m, _ in root.actions(cfg)]
+        actions = node(board, Color.WHITE).actions(cfg)
         top = max(m.reward for m in legal_moves(board, Color.WHITE, cfg.reward))
         assert actions
-        assert all(m.reward == top for m in actions)
+        assert all(m[4] == top for m in actions)
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "search_golden.json"
+GOLDEN_ITERATIONS = 24
+GOLDEN_SIM_DEPTH = 5
+
+
+def golden_positions():
+    """``(name, board)``: three seeded positions per size, reached from the
+    opening by 6-23 plies (3 a side) or 4-17 plies (12 a side) of random
+    legal play, and one hand-set position where crowning moves exist."""
+    rng = random.Random(4)
+    for pieces, plies in ((3, (6, 14, 22)), (12, (4, 10, 16))):
+        for k, base in enumerate(plies):
+            while True:
+                board, side = initial_board(pieces), Color.RED
+                for _ in range(base + rng.randrange(2)):
+                    moves = legal_moves(board, side)
+                    if winner(board, side) is not None:
+                        break
+                    board = apply_move(board, moves[rng.randrange(len(moves))])
+                    side = side.opponent
+                else:
+                    break
+            yield f"{pieces}x{k}", board
+    # both sides have a man one step from crowning and a capture on offer
+    yield "3xcrown", GameBoard.from_pieces([
+        GamePiece(Color.WHITE, 1, 6, 2), GamePiece(Color.WHITE, 2, 3, 3),
+        GamePiece(Color.WHITE, 3, 0, 6),
+        GamePiece(Color.RED, 1, 1, 5), GamePiece(Color.RED, 2, 4, 4),
+        GamePiece(Color.RED, 3, 7, 7),
+    ], pieces_per_side=3)
+
+
+def golden_search_cases():
+    """``(case id, board, colour, config)`` over both colours, minimax depth
+    0-2, pruning on/off and forced capture on/off; every case has its own
+    rng seed, which the depth-0 random rollouts read."""
+    seed = 0
+    for name, board in golden_positions():
+        for color in (Color.WHITE, Color.RED):
+            for depth in (0, 1, 2):
+                for pruning in (False, True):
+                    for forced in (True, False):
+                        seed += 1
+                        cfg = SearchConfig(
+                            iterations=GOLDEN_ITERATIONS,
+                            simulation_depth=GOLDEN_SIM_DEPTH,
+                            minimax_depth=depth, pruning_enabled=pruning,
+                            rng_seed=seed,
+                            reward=RewardConfig(forced_capture=forced))
+                        cid = (f"{name}/{color.name.lower()}/d{depth}/"
+                               f"{'prune' if pruning else 'all'}/"
+                               f"{'forced' if forced else 'free'}")
+                        yield cid, board, color, cfg
+
+
+def golden_search_record(board, color, cfg):
+    """``[piece_id, from, to, captured_ids, crowned, reward, next state hex]``
+    of the chosen move, or None when ``color`` has no move."""
+    result = mcts_search(board, color, cfg)
+    if result is None:
+        return None
+    move, reward, after = result
+    assert reward == move.reward
+    return [move.piece_id, list(move.from_pos), list(move.to_pos),
+            list(move.captured_ids), move.crowned, reward, after.state.hex()]
+
+
+def golden_episode_records():
+    """Trace labels of two smoke-setting episodes (100 iterations, sim depth
+    10), one with minimax depth 1 rollouts and one with seeded random ones."""
+    out = {}
+    for episode_id, depth in ((1, 1), (2, 0)):
+        cfg = SearchConfig(iterations=100, simulation_depth=10,
+                           minimax_depth=depth, rng_seed=episode_id)
+        ep = play_episode(cfg, episode_id=episode_id)
+        out[f"episode/{episode_id}"] = {
+            "red": [label_for(s) for s in ep.red_trace],
+            "white": [label_for(s) for s in ep.white_trace],
+            "winner": None if ep.winner is None else ep.winner.name.lower(),
+            "turns": ep.turns,
+        }
+    return out
+
+
+def golden_records():
+    records = {cid: golden_search_record(board, color, cfg)
+               for cid, board, color, cfg in golden_search_cases()}
+    records.update(golden_episode_records())
+    return records
+
+
+class TestGolden:
+    """The chosen move, reward and next state of ``mcts_search`` and two
+    episodes' traces, recorded before the search tree moved to kernel
+    tuples.  Tie-breaking (first child wins), the entry-move reward in the
+    backup and the seeded depth-0 rollouts all show in these.  Regenerate
+    only when the search is meant to change:
+    ``PYTHONPATH=src python tests/test_search.py``."""
+
+    def test_matches_golden(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        got = golden_records()
+        assert list(got) == list(golden)
+        for cid, want in golden.items():
+            assert got[cid] == want, cid
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    records = golden_records()
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(
+        f"{json.dumps(cid)}: {json.dumps(rec)}" for cid, rec in records.items()) + "\n}\n")
+    print(f"wrote {len(records)} cases to {GOLDEN_PATH}")
