@@ -2,8 +2,9 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Times the three hot entry points (move generation, depth-limited minimax,
-full rollouts) on the opening position and a bag of random midgame
-positions, then prints a side-by-side table with speedups.
+full rollouts at smoke and at paper settings) on the opening position and a
+bag of random midgame positions, then prints a side-by-side table with
+speedups.
 
 Usage: python benchmarks/bench_kernel.py [--seconds 1.0]
 """
@@ -73,8 +74,12 @@ def build_workloads(kernel, states):
     def roll():
         kernel.rollout(opening, 1, 10, 1, True, 7, 7, 0.5)
 
+    def roll_paper():
+        # the paper's rollout settings: sim depth 30, minimax depth 3
+        kernel.rollout(opening, 1, 30, 3, True, 7, 7, 0.5)
+
     return [("gen_moves x80", gen), ("minimax depth3 x10", mm),
-            ("rollout sim10/mm1", roll)]
+            ("rollout sim10/mm1", roll), ("rollout sim30/mm3", roll_paper)]
 
 
 def main():

@@ -189,20 +189,24 @@ def _to_concrete(kmove, state: bytes) -> ConcreteMove:
     )
 
 
+def _kernel_moves(board: GameBoard, color: Color, cfg: Optional[RewardConfig]):
+    cfg = cfg or RewardConfig()
+    return kernel.gen_moves(board.state, color.value, cfg.forced_capture,
+                            cfg.capture_points, cfg.crown_points)
+
+
 def moves_with_boards(board: GameBoard, color: Color,
                       cfg: Optional[RewardConfig] = None
                       ) -> list[tuple[ConcreteMove, GameBoard]]:
-    """Legal moves paired with their resulting boards (shared hot path)."""
-    cfg = cfg or RewardConfig()
-    kmoves = kernel.gen_moves(board.state, color.value, cfg.forced_capture,
-                              cfg.capture_points, cfg.crown_points)
+    """Legal moves paired with their resulting boards."""
     pps = board.pieces_per_side
-    return [(_to_concrete(m, board.state), GameBoard(m[5], pps)) for m in kmoves]
+    return [(_to_concrete(m, board.state), GameBoard(m[5], pps))
+            for m in _kernel_moves(board, color, cfg)]
 
 
 def legal_moves(board: GameBoard, color: Color,
                 cfg: Optional[RewardConfig] = None) -> list[ConcreteMove]:
-    return [m for m, _ in moves_with_boards(board, color, cfg)]
+    return [_to_concrete(m, board.state) for m in _kernel_moves(board, color, cfg)]
 
 
 def apply_move(board: GameBoard, move: ConcreteMove,
@@ -211,9 +215,12 @@ def apply_move(board: GameBoard, move: ConcreteMove,
     piece = board.piece_at(*move.from_pos)
     if piece is None:
         raise RuleViolationError(f"no piece at {move.from_pos}")
-    for cand, nxt in moves_with_boards(board, piece.color, cfg):
-        if cand == move:
-            return nxt
+    frm = (move.from_pos[0] << 3) | move.from_pos[1]
+    to = (move.to_pos[0] << 3) | move.to_pos[1]
+    for kmove in _kernel_moves(board, piece.color, cfg):
+        # only a move between the same squares can be equal
+        if kmove[0] == frm and kmove[1] == to and _to_concrete(kmove, board.state) == move:
+            return GameBoard(kmove[5], board.pieces_per_side)
     raise RuleViolationError(f"illegal move: {move}")
 
 

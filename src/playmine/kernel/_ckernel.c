@@ -1,4 +1,5 @@
-/* Compiled twin of _pykernel: move generation, minimax and rollouts.
+/* Compiled twin of _pykernel: move generation, alpha-beta minimax and
+ * rollouts.
  *
  * Same 64-byte board encoding, same scan and enumeration order, same
  * first-in-order tie-breaking and the same Python return values as
@@ -258,32 +259,47 @@ winner(const unsigned char *state, long to_move)
     return -1;
 }
 
-/* Plain depth-limited minimax, scored from the agent's side; ties keep the
- * first move in gen order.  When `best` is given the chosen move is copied
- * there and *found says whether there was one. */
+/* Depth-limited fail-soft alpha-beta (Knuth & Moore, 1975), scored from
+ * the agent's side; the root is searched on the open window (-inf, +inf).
+ * A move replaces the best one only on a strict improvement, so a root
+ * child that only ties the best fails low: the chosen move is the first
+ * co-optimal one in gen order and the root score is exact.  A node whose
+ * side has no legal move is terminal and scored by evaluate, like a depth-0
+ * leaf; that is the same test as winner() != -1, since side_has_moves makes
+ * the step and first-jump tests gen makes.  When `best` is given the chosen
+ * move is copied there and *found says whether there was one. */
 static double
 minimax(Call *c, const unsigned char *state, long to_move, long agent,
-        long depth, Move *best, int *found)
+        long depth, double alpha, double beta, Move *best, int *found)
 {
     if (found != NULL)
         *found = 0;
-    if (depth == 0 || winner(state, to_move) != -1)
+    if (depth == 0)
         return evaluate(state, agent, c->kw);
     Py_ssize_t base = c->n, n = gen(c, state, (int)to_move);
     if (n < 0)
         return 0.0;
+    if (n == 0)
+        return evaluate(state, agent, c->kw);
     int maximizing = to_move == agent;
     double best_score = maximizing ? -INFINITY : INFINITY;
     Py_ssize_t best_i = -1;
     unsigned char child[64];
     for (Py_ssize_t i = 0; i < n; i++) {
         memcpy(child, c->moves[base + i].state, 64);
-        double score = minimax(c, child, 1 - to_move, agent, depth - 1, NULL, NULL);
+        double score = minimax(c, child, 1 - to_move, agent, depth - 1, alpha, beta,
+                               NULL, NULL);
         if (c->failed)
             break;
         if (maximizing ? score > best_score : score < best_score) {
             best_score = score;
             best_i = i;
+            if (maximizing && score > alpha)
+                alpha = score;
+            else if (!maximizing && score < beta)
+                beta = score;
+            if (alpha >= beta)
+                break;
         }
     }
     if (best != NULL && best_i >= 0) {
@@ -410,7 +426,8 @@ py_minimax(PyObject *self, PyObject *args)
         return NULL;
     Move best;
     int found;
-    double score = minimax(&c, BOARD(state), to_move, agent, depth, &best, &found);
+    double score = minimax(&c, BOARD(state), to_move, agent, depth, -INFINITY, INFINITY,
+                           &best, &found);
     PyMem_Free(c.moves);
     if (c.failed)
         return NULL;
@@ -437,12 +454,11 @@ py_rollout(PyObject *self, PyObject *args)
     unsigned char cur[64];
     long turn = to_move;
     memcpy(cur, state, 64);
+    /* a side with no legal move has lost, and minimax finds no move */
     for (long steps = 0; steps < sim_depth; steps++) {
-        if (winner(cur, turn) != -1)
-            break;
         Move best;
         int found;
-        minimax(&c, cur, turn, turn, mm_depth, &best, &found);
+        minimax(&c, cur, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
         if (c.failed || !found)
             break;
         if (turn == WHITE)

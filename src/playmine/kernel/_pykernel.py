@@ -10,8 +10,9 @@ The compiled backend (``_ckernel.c``, built on first import by
 stay behaviourally identical: move enumeration order, tie-breaking, return
 types and the ValueError for a state that is not 64 bytes long are part of
 the contract (``piece_counts`` checks the length for ``evaluate``,
-``winner`` and ``minimax``).  This module is the fallback when no C
-compiler is available and the reference the parity tests compare against.
+``winner`` and depth-0 ``minimax``, ``gen_moves`` for deeper ``minimax``).
+This module is the fallback when no C compiler is available and the
+reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -206,45 +207,61 @@ def winner(state, to_move):
 
 
 def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, king_weight):
-    """Plain depth-limited minimax; score is from the agent's perspective.
+    """Depth-limited alpha-beta minimax; score is from the agent's perspective.
 
-    Ties keep the first move in gen_moves order.  A no-move position is
-    already terminal via winner(), so the +-inf branch is defensive only.
+    Returns ``(score, move)``, the move being None at depth 0 and when the
+    side to move has no legal move.  Fail-soft alpha-beta (Knuth & Moore,
+    1975) with the root searched on the open window: a move replaces the
+    best one only on a strict improvement, so a root child that only ties
+    the best fails low, the chosen move is the first co-optimal one in
+    gen_moves order and the root score is exact, as in a full-width search.
+    A node whose side has no legal move is terminal and scored by evaluate,
+    like a depth-0 leaf; that is the same test as winner() != -1, whose
+    mobility check makes the step and first-jump tests gen_moves makes.
     """
-    if depth == 0 or winner(state, to_move) != -1:
-        return evaluate(state, agent, king_weight), None
-    moves = gen_moves(state, to_move, forced, capture_points, crown_points)
-    maximizing = to_move == agent
-    if not moves:
-        return (-INF if maximizing else INF), None
-    nxt = 1 - to_move
-    best = None
-    if maximizing:
-        best_score = -INF
-        for mv in moves:
-            score, _ = minimax(mv[5], nxt, agent, depth - 1, forced,
-                               capture_points, crown_points, king_weight)
-            if score > best_score:
-                best_score = score
-                best = mv
-    else:
-        best_score = INF
-        for mv in moves:
-            score, _ = minimax(mv[5], nxt, agent, depth - 1, forced,
-                               capture_points, crown_points, king_weight)
-            if score < best_score:
-                best_score = score
-                best = mv
-    return best_score, best
+    def search(state, to_move, depth, alpha, beta):
+        if depth == 0:
+            return evaluate(state, agent, king_weight), None
+        moves = gen_moves(state, to_move, forced, capture_points, crown_points)
+        if not moves:
+            return evaluate(state, agent, king_weight), None
+        nxt = 1 - to_move
+        best = None
+        if to_move == agent:
+            best_score = -INF
+            for mv in moves:
+                score = search(mv[5], nxt, depth - 1, alpha, beta)[0]
+                if score > best_score:
+                    best_score = score
+                    best = mv
+                    if score > alpha:
+                        alpha = score
+                    if alpha >= beta:
+                        break
+        else:
+            best_score = INF
+            for mv in moves:
+                score = search(mv[5], nxt, depth - 1, alpha, beta)[0]
+                if score < best_score:
+                    best_score = score
+                    best = mv
+                    if score < beta:
+                        beta = score
+                    if alpha >= beta:
+                        break
+        return best_score, best
+
+    return search(state, to_move, depth, -INF, INF)
 
 
 def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_points, king_weight):
     """Minimax-guided playout; returns accumulated (white, red) rewards.
 
     Each step the side to move plays its own depth-``mm_depth`` minimax best
-    move.  Stops on terminal, after ``sim_depth`` steps, or when minimax
-    yields no move.  Requires mm_depth >= 1 (depth 0 rollouts are random and
-    handled by the search layer).
+    move.  Stops after ``sim_depth`` steps or when minimax yields no move,
+    which is when the side to move has lost (see ``winner``).  Requires
+    mm_depth >= 1 (depth 0 rollouts are random and handled by the search
+    layer).
     """
     _check_state(state)
     if mm_depth < 1:
@@ -255,8 +272,6 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     turn = to_move
     cur = state
     while steps < sim_depth:
-        if winner(cur, turn) != -1:
-            break
         _, mv = minimax(cur, turn, turn, mm_depth, forced,
                         capture_points, crown_points, king_weight)
         if mv is None:

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from playmine.board import (
     Color,
     GameBoard,
+    GamePiece,
     RewardConfig,
     apply_move,
     evaluate,
@@ -103,6 +104,32 @@ def oracle_minimax(board: GameBoard, to_move: Color, agent: Color, depth: int,
         for m in moves
     ]
     return max(values) if to_move is agent else min(values)
+
+
+def oracle_best_move(board: GameBoard, to_move: Color, agent: Color, depth: int,
+                     cfg: RewardConfig, king_weight: float = 0.5):
+    """The move full-width minimax picks: the first move, in the kernel's
+    documented order (pieces by ascending square, each piece's captures
+    before its steps), whose exhaustive ``oracle_minimax`` child value is
+    the best.  Returns an ``oracle_moves`` tuple, or None with no move."""
+    # oracle_moves lists every capture before every step; a stable sort by
+    # origin keeps each piece's captures first
+    moves = sorted(oracle_moves(board, to_move, cfg), key=lambda m: m[1])
+    if depth < 1 or not moves:
+        return None
+    values = []
+    for piece_id, origin, land, captured_ids, crowns, _reward in moves:
+        pieces = [p for p in board.pieces()
+                  if (p.x, p.y) != origin
+                  and not (p.color is not to_move and p.id in captured_ids)]
+        mover = board.piece_at(*origin)
+        pieces.append(GamePiece(to_move, piece_id, land[0], land[1],
+                                mover.king or crowns))
+        child = GameBoard.from_pieces(pieces, board.pieces_per_side)
+        values.append(oracle_minimax(child, to_move.opponent, agent, depth - 1,
+                                     cfg, king_weight))
+    best = max(values) if to_move is agent else min(values)
+    return moves[values.index(best)]
 
 
 def oracle_grid_distance(sources, targets):

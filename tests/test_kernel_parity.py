@@ -27,12 +27,12 @@ FULL = _positions(60, seed=7, n_pieces=24)
 KINGS = [_all_kings(s) for s in _positions(60, seed=8, n_pieces=24)]
 
 
-def _board(white, red):
-    """State with white and red kings on the given squares."""
+def _board(white, red, king=True):
+    """State with white and red kings (or men) on the given squares."""
     cells = bytearray(64)
     for color, squares in ((pk.WHITE, white), (pk.RED, red)):
         for i, (x, y) in enumerate(squares, start=1):
-            cells[(x << 3) | y] = pk.encode_cell(color, i, True)
+            cells[(x << 3) | y] = pk.encode_cell(color, i, king)
     return bytes(cells)
 
 
@@ -105,6 +105,35 @@ def test_capture_lattices_identical():
                     == compiled.rollout(state, 0, 10, 2, forced, 7, 7, 0.5))
     assert max(len(m[2]) for m in compiled.gen_moves(LONGEST_CHAIN, 0, True, 7, 7)) == 9
     assert len(compiled.gen_moves(CROWDED, 0, False, 7, 7)) == 45
+
+
+def _one_side_only(state, color):
+    return bytes(v if v and pk.cell_color(v) == color else 0 for v in state)
+
+
+# men: white (0, 0)'s only move is to take (1, 1); with (2, 2) taken too,
+# white has a piece and no move
+ONLY_JUMP = _board([(0, 0)], [(1, 1)], king=False)
+BLOCKED = _board([(0, 0)], [(1, 1), (2, 2)], king=False)
+
+
+@pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
+def test_winner_decided_iff_no_legal_move(backend):
+    """minimax and rollout stop on "no legal move" instead of calling winner:
+    winner(s, c) != -1 exactly when gen_moves(s, c) is empty, forced or not."""
+    no_pieces = [_one_side_only(s, c) for s in STATES[:60] + FULL[:20] for c in (0, 1)]
+    boards = STATES + FULL + KINGS + no_pieces + [ONLY_JUMP, BLOCKED, LONGEST_CHAIN, CROWDED]
+    decided = only_jumps = 0
+    for state in boards:
+        for color in (0, 1):
+            for forced in (True, False):
+                moves = backend.gen_moves(state, color, forced, 7, 7)
+                assert (backend.winner(state, color) != -1) == (not moves), (state, color)
+                decided += not moves
+                only_jumps += bool(moves) and not forced and all(m[2] for m in moves)
+    assert decided >= 2 * len(no_pieces) and only_jumps >= 1
+    assert backend.winner(BLOCKED, pk.WHITE) == pk.RED
+    assert [m[:2] for m in backend.gen_moves(ONLY_JUMP, pk.WHITE, False, 7, 7)] == [(0, 18)]
 
 
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])

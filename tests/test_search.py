@@ -20,6 +20,7 @@ from playmine.board import (
 )
 from playmine.episodes import play_episode
 from playmine.eventlog import label_for
+from playmine.kernel import _pykernel
 from playmine.search import (
     SearchConfig,
     SearchNode,
@@ -31,7 +32,7 @@ from playmine.search import (
     uct_best_child,
 )
 from helpers import random_endgame
-from oracles import oracle_minimax
+from oracles import as_oracle_shape, oracle_best_move, oracle_minimax
 
 CFG = SearchConfig(iterations=50, simulation_depth=8, minimax_depth=1, rng_seed=1)
 
@@ -95,6 +96,29 @@ class TestMinimax:
                     got, _ = minimax(board, color, depth, CFG)
                     want = oracle_minimax(board, color, color, depth, CFG.reward)
                     assert got == want
+
+    @pytest.mark.parametrize("backend", [_pykernel, kernel], ids=["python", "kernel"])
+    def test_move_is_first_co_optimal_one(self, backend):
+        """The chosen move, not only the score, is full-width minimax's:
+        the first co-optimal move in gen order, with the root maximizing
+        and minimizing and forced capture on and off."""
+        rng = random.Random(11)
+        for _ in range(12):
+            board = random_endgame(rng, 5)
+            for color in (Color.WHITE, Color.RED):
+                for agent in (color, color.opponent):
+                    for forced in (True, False):
+                        rw = RewardConfig(forced_capture=forced)
+                        for depth in (1, 2, 3):
+                            score, move = backend.minimax(
+                                board.state, color.value, agent.value, depth, forced,
+                                rw.capture_points, rw.crown_points, CFG.king_weight)
+                            got = move and as_oracle_shape(_to_concrete(move, board.state))
+                            case = (board, color, agent, forced, depth)
+                            assert got == oracle_best_move(board, color, agent, depth,
+                                                           rw, CFG.king_weight), case
+                            assert score == oracle_minimax(board, color, agent, depth,
+                                                           rw, CFG.king_weight), case
 
 
 class TestUct:
