@@ -212,12 +212,12 @@ def legal_moves(board: GameBoard, color: Color,
 def apply_move(board: GameBoard, move: ConcreteMove,
                cfg: Optional[RewardConfig] = None) -> GameBoard:
     """Returns the board after ``move``; the input board is unmodified."""
-    piece = board.piece_at(*move.from_pos)
-    if piece is None:
-        raise RuleViolationError(f"no piece at {move.from_pos}")
     frm = (move.from_pos[0] << 3) | move.from_pos[1]
+    cell = board.state[frm]
+    if cell == 0:
+        raise RuleViolationError(f"no piece at {move.from_pos}")
     to = (move.to_pos[0] << 3) | move.to_pos[1]
-    for kmove in _kernel_moves(board, piece.color, cfg):
+    for kmove in _kernel_moves(board, Color(kernel.cell_color(cell)), cfg):
         # only a move between the same squares can be equal
         if kmove[0] == frm and kmove[1] == to and _to_concrete(kmove, board.state) == move:
             return GameBoard(kmove[5], board.pieces_per_side)
@@ -225,7 +225,8 @@ def apply_move(board: GameBoard, move: ConcreteMove,
 
 
 def winner(board: GameBoard, to_move: Color) -> Optional[Color]:
-    """Opponent of ``to_move`` if that side has no pieces or no moves."""
+    """Opponent of ``to_move`` if that side has no legal move (which
+    includes having no pieces), else None: the side to move loses."""
     w = kernel.winner(board.state, to_move.value)
     return None if w == -1 else Color(w)
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .board import Color, GameBoard, RewardConfig, initial_board, winner
+from .board import Color, GameBoard, initial_board, winner
 from .search import SearchConfig, mcts_search
 
 # A movement feature: direction-word tuple, or a distance delta in bfs mode.
@@ -100,8 +100,7 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-def play_episode(cfg: SearchConfig, reward_cfg: Optional[RewardConfig] = None,
-                 episode_id: int = 0, pieces_per_side: int = 3,
+def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 3,
                  max_turns: int = MAX_TURNS_DEFAULT,
                  feature: str = "direction") -> EpisodeResult:
     """Plays one self-play game, red first; returns both traces.
@@ -112,8 +111,6 @@ def play_episode(cfg: SearchConfig, reward_cfg: Optional[RewardConfig] = None,
     """
     if feature not in ("direction", "bfs"):
         raise ValueError(f"unknown feature mode: {feature}")
-    if reward_cfg is not None:
-        cfg = replace(cfg, reward=reward_cfg)
     board = initial_board(pieces_per_side)
     traces = {Color.RED: [], Color.WHITE: []}
     last_id = -1

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .conformance import FITTING, FitnessReport, classify_fitting, fitness_metrics
 from .discovery import inductive_miner, tree_to_net
-from .eventlog import EventLog, parse_label, parse_movement
+from .eventlog import EventLog, _split_top_level, parse_label, parse_movement
 from .petri import PetriNet
 
 LOOKAHEAD_DEFAULT = 2
@@ -196,23 +196,10 @@ def why_not(view: LayeredView, layer: int, context: tuple, alternative: tuple,
 def parse_context_string(text: str) -> tuple:
     """Parses "(3,(left,down))" style context/action strings."""
     body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
+    parts = _split_top_level(body[1:-1])
+    if not (body.startswith("(") and body.endswith(")")) or len(parts) != 2:
         raise ValueError(f"malformed context: {text!r}")
-    depth = 0
-    split_at = -1
-    for i, ch in enumerate(body[1:-1], start=1):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split_at = i
-            break
-    if split_at < 0:
-        raise ValueError(f"malformed context: {text!r}")
-    pid = int(body[1:split_at])
-    move = parse_movement(body[split_at + 1:-1])
-    return pid, move
+    return int(parts[0]), parse_movement(parts[1])
 
 
 class Explainer:

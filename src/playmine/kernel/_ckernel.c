@@ -197,6 +197,10 @@ gen(Call *c, const unsigned char *state, int color)
     return c->n - base;
 }
 
+/* 1 iff gen would find a move for `color`: every legal move starts with a
+ * step to an empty neighbour or a jump over an opponent onto an empty
+ * square, so this stops at the first piece that can make one, without
+ * building a move.  A side with no pieces has no move. */
 static int
 side_has_moves(const unsigned char *state, long color)
 {
@@ -247,16 +251,12 @@ evaluate(const unsigned char *state, long color, double king_weight)
 }
 
 /* -1 while undecided, else the winning color: the side to move loses when
- * it has no pieces or no legal moves. */
+ * it has no legal move, which includes having no pieces; that is the
+ * terminal test of minimax and rollout. */
 static long
 winner(const unsigned char *state, long to_move)
 {
-    long c[4];
-    piece_counts(state, c);
-    long mine = to_move == WHITE ? c[0] + c[1] : c[2] + c[3];
-    if (mine == 0 || !side_has_moves(state, to_move))
-        return 1 - to_move;
-    return -1;
+    return side_has_moves(state, to_move) ? -1 : 1 - to_move;
 }
 
 /* Depth-limited fail-soft alpha-beta (Knuth & Moore, 1975), scored from
@@ -265,9 +265,8 @@ winner(const unsigned char *state, long to_move)
  * child that only ties the best fails low: the chosen move is the first
  * co-optimal one in gen order and the root score is exact.  A node whose
  * side has no legal move is terminal and scored by evaluate, like a depth-0
- * leaf; that is the same test as winner() != -1, since side_has_moves makes
- * the step and first-jump tests gen makes.  When `best` is given the chosen
- * move is copied there and *found says whether there was one. */
+ * leaf; that is the same test as winner() != -1.  When `best` is given the
+ * chosen move is copied there and *found says whether there was one. */
 static double
 minimax(Call *c, const unsigned char *state, long to_move, long agent,
         long depth, double alpha, double beta, Move *best, int *found)

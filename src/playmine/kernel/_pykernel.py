@@ -9,8 +9,9 @@ The compiled backend (``_ckernel.c``, built on first import by
 ``kernel/__init__.py``) mirrors this module function for function and must
 stay behaviourally identical: move enumeration order, tie-breaking, return
 types and the ValueError for a state that is not 64 bytes long are part of
-the contract (``piece_counts`` checks the length for ``evaluate``,
-``winner`` and depth-0 ``minimax``, ``gen_moves`` for deeper ``minimax``).
+the contract (``piece_counts`` checks the length for ``evaluate`` and
+depth-0 ``minimax``, ``side_has_moves`` for ``winner``, ``gen_moves`` for
+deeper ``minimax``).
 This module is the fallback when no C compiler is available and the
 reference the parity tests compare against.
 """
@@ -142,7 +143,13 @@ def gen_moves(state, color, forced, capture_points, crown_points):
 
 
 def side_has_moves(state, color):
-    """Cheap mobility test used by the winner check."""
+    """True iff ``gen_moves`` for ``color`` would be non-empty.
+
+    Every legal move starts with a step to an empty neighbour or a jump
+    over an opponent onto an empty square, so it stops at the first piece
+    that can make one, without building a move; a side with no pieces has
+    no move.
+    """
     _check_state(state)
     for idx in range(64):
         piece = state[idx]
@@ -197,13 +204,10 @@ def evaluate(state, color, king_weight):
 def winner(state, to_move):
     """-1 while undecided, else the winning color.
 
-    The side to move loses when it has no pieces or no legal moves.
+    The side to move loses when it has no legal move, which includes having
+    no pieces; that is the terminal test of ``minimax`` and ``rollout``.
     """
-    wm, wk, rm, rk = piece_counts(state)
-    mine = wm + wk if to_move == WHITE else rm + rk
-    if mine == 0 or not side_has_moves(state, to_move):
-        return 1 - to_move
-    return -1
+    return -1 if side_has_moves(state, to_move) else 1 - to_move
 
 
 def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, king_weight):
@@ -216,8 +220,7 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
     the best fails low, the chosen move is the first co-optimal one in
     gen_moves order and the root score is exact, as in a full-width search.
     A node whose side has no legal move is terminal and scored by evaluate,
-    like a depth-0 leaf; that is the same test as winner() != -1, whose
-    mobility check makes the step and first-jump tests gen_moves makes.
+    like a depth-0 leaf; that is the same test as winner() != -1.
     """
     def search(state, to_move, depth, alpha, beta):
         if depth == 0:

@@ -5,6 +5,10 @@ state, the side to move as 0 (white) or 1 (red) and the kernel move tuple
 that entered it.  ``mcts_search`` is the one place that converts, building
 a ``ConcreteMove`` and a ``GameBoard`` for the chosen root child.
 
+A node is terminal iff its side to move has no legal move, the same test
+the kernel's minimax and rollout use.  Its move list is generated only when
+selection stops at the node, and expansion needs that list anyway.
+
 One search tree belongs to one worker; independent searches may run in
 parallel processes.  All tie-breaking is first-in-enumeration-order so a
 given (board, config) pair always yields the same move.
@@ -60,14 +64,13 @@ class SearchNode:
     ``actions``; ``move`` is the kernel move tuple that entered the node.
     """
 
-    __slots__ = ("state", "turn", "terminate", "parent", "move", "children",
-                 "visits", "reward", "_actions")
+    __slots__ = ("state", "turn", "parent", "move", "children", "visits",
+                 "reward", "_actions")
 
     def __init__(self, state: bytes, turn: int,
                  parent: Optional["SearchNode"] = None, move: Optional[tuple] = None):
         self.state = state
         self.turn = turn
-        self.terminate = kernel.winner(state, turn) != -1
         self.parent = parent
         self.move = move
         self.children: list[SearchNode] = []
@@ -108,14 +111,11 @@ def uct_best_child(node: SearchNode, c: float) -> SearchNode:
     return best
 
 
-def expand(node: SearchNode, cfg: Optional[SearchConfig] = None) -> SearchNode:
+def expand(node: SearchNode, cfg: SearchConfig) -> SearchNode:
     """Adds exactly one child for the next untried move and returns it."""
-    cfg = cfg or SearchConfig()
-    if node.terminate:
-        raise ValueError("cannot expand a terminal node")
     moves = node.actions(cfg)
     if len(node.children) >= len(moves):
-        raise ValueError("cannot expand a fully expanded node")
+        raise ValueError("no untried move to expand")
     move = moves[len(node.children)]
     child = SearchNode(move[5], 1 - node.turn, parent=node, move=move)
     node.children.append(child)
@@ -128,10 +128,9 @@ def simulate(node: SearchNode, cfg: SearchConfig,
 
     With minimax_depth = 0 the rollout picks uniformly random moves instead.
     Returns the accumulated [white, red] reward vector; the entry move into
-    ``node`` itself is not included.
+    ``node`` itself is not included; from a node with no legal move it is
+    [0, 0].
     """
-    if node.terminate:
-        return [0, 0]
     rw = cfg.reward
     if cfg.minimax_depth >= 1:
         w, r = kernel.rollout(node.state, node.turn,
@@ -144,8 +143,6 @@ def simulate(node: SearchNode, cfg: SearchConfig,
     state = node.state
     turn = node.turn
     for _ in range(cfg.simulation_depth):
-        if kernel.winner(state, turn) != -1:
-            break
         moves = kernel.gen_moves(state, turn, rw.forced_capture,
                                  rw.capture_points, rw.crown_points)
         if not moves:
@@ -181,14 +178,14 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
     the rollout from a terminal child is empty.
     """
     root = SearchNode(board.state, agent.value)
-    if root.terminate or not root.actions(cfg):
+    if not root.actions(cfg):
         return None
     rng = random.Random(cfg.rng_seed)
     for _ in range(cfg.iterations):
         node = root
-        while not node.terminate and node.fully_expanded:
+        while node.fully_expanded:
             node = uct_best_child(node, cfg.exploration)
-        if not node.terminate:
+        if node.actions(cfg):
             node = expand(node, cfg)
         # the leaf is never the root, so it always has an entry move
         delta = simulate(node, cfg, rng)

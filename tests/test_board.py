@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -243,6 +244,10 @@ class TestEvaluate:
         assert evaluate(board, Color.RED) + evaluate(board, Color.WHITE) == 0
 
 
+# the 32 light cells (x + y odd) of the state, indexed x * 8 + y
+LIGHT_CELLS = operator.itemgetter(*(i for i in range(64) if ((i >> 3) + (i & 7)) % 2))
+
+
 def side_counts(board):
     """Pieces per side as [white, red], read from the state's cells."""
     wm, wk, rm, rk = kernel.piece_counts(board.state)
@@ -268,8 +273,8 @@ class TestGameProperties:
             assert counts[opp] == before_opp - len(move.captured_ids)
             # reward consistency under the default config
             assert move.reward == 7 * len(move.captured_ids) + 7 * move.crowned
-            # parity: every piece stays on a dark square (cell index x * 8 + y)
-            assert all(((i >> 3) + (i & 7)) % 2 == 0 for i, v in enumerate(board.state) if v)
+            # parity: every piece stays on a dark square, so light cells stay empty
+            assert not any(LIGHT_CELLS(board.state))
             color = color.opponent
 
     def test_random_game_fuzz(self):

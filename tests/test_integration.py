@@ -1,6 +1,7 @@
 """Cross-module behaviour on real self-play data and odd configurations."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,9 +37,9 @@ class TestFullBoard:
 
 class TestNonDefaultRewards:
     def test_custom_points_flow_into_labels(self):
-        reward_cfg = RewardConfig(capture_points=5, crown_points=3,
-                                  forced_capture=False)
-        ep = play_episode(FAST, reward_cfg, episode_id=2, max_turns=60)
+        cfg = replace(FAST, reward=RewardConfig(capture_points=5, crown_points=3,
+                                                forced_capture=False))
+        ep = play_episode(cfg, episode_id=2, max_turns=60)
         for rec in ep.red_trace + ep.white_trace:
             expected = 5 * len(rec.captured)
             assert rec.reward in (expected, expected + 3)

@@ -202,7 +202,7 @@ class TestExpand:
     def test_terminal_node_rejected(self):
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
         leaf = node(board, Color.RED)
-        assert leaf.terminate
+        assert leaf.actions(CFG) == []
         with pytest.raises(ValueError):
             expand(leaf, CFG)
 
@@ -210,7 +210,9 @@ class TestExpand:
 class TestSimulate:
     def test_terminal_node_yields_zero(self):
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
-        assert simulate(node(board, Color.RED), CFG) == [0, 0]
+        for depth in (0, 1):  # random and minimax rollouts
+            cfg = SearchConfig(simulation_depth=8, minimax_depth=depth)
+            assert simulate(node(board, Color.RED), cfg) == [0, 0]
 
     def test_zero_depth_rollout(self):
         cfg = SearchConfig(simulation_depth=0)
@@ -280,18 +282,41 @@ class TestMctsSearch:
         ])
         assert mcts_search(board, Color.RED, CFG) is None
 
+    # white's jump takes red's last piece, which ends the game
+    WINNING_CAPTURE = GameBoard.from_pieces([
+        GamePiece(Color.WHITE, 1, 2, 2),
+        GamePiece(Color.WHITE, 2, 4, 0),
+        GamePiece(Color.RED, 1, 3, 3),
+    ])
+
     def test_selects_immediate_winning_capture(self):
         # quiet alternatives exist, yet the game-ending jump must win out
-        board = GameBoard.from_pieces([
-            GamePiece(Color.WHITE, 1, 2, 2),
-            GamePiece(Color.WHITE, 2, 4, 0),
-            GamePiece(Color.RED, 1, 3, 3),
-        ])
+        board = self.WINNING_CAPTURE
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1,
                            reward=RewardConfig(forced_capture=False), rng_seed=9)
         move, reward, after = mcts_search(board, Color.WHITE, cfg)
         assert move.captured_ids == (1,)
         assert not after.pieces(Color.RED)
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("pruning", [False, True])
+    def test_terminal_leaves_need_no_winner_call(self, monkeypatch, depth, pruning):
+        """A node with no legal move is terminal by its empty move list
+        alone: the search reaches such leaves here (the capture ends the
+        game) and picks the same move with ``kernel.winner`` unavailable."""
+        board = self.WINNING_CAPTURE
+        cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=depth,
+                           pruning_enabled=pruning,
+                           reward=RewardConfig(forced_capture=False), rng_seed=9)
+        want = mcts_search(board, Color.WHITE, cfg)
+
+        def no_winner(state, to_move):
+            raise AssertionError("the search must not call kernel.winner")
+
+        monkeypatch.setattr(kernel, "winner", no_winner)
+        got = mcts_search(board, Color.WHITE, cfg)
+        assert got[0] == want[0]
+        assert got[0].captured_ids == (1,)
 
     def test_visit_accounting(self):
         root_board = initial_board(3)
@@ -302,9 +327,9 @@ class TestMctsSearch:
         rng = random.Random(cfg.rng_seed)
         for _ in range(cfg.iterations):
             leaf = root
-            while not leaf.terminate and leaf.fully_expanded:
+            while leaf.fully_expanded:
                 leaf = uct_best_child(leaf, cfg.exploration)
-            if not leaf.terminate:
+            if leaf.actions(cfg):
                 leaf = expand(leaf, cfg)
             delta = simulate(leaf, cfg, rng)
             delta[leaf.parent.turn] += leaf.move[4]
