@@ -40,8 +40,9 @@ from .episodes import EpisodeResult, StepRecord, abstract_move, bfs_min_distance
 from .eventlog import EventLog, TransitionEvent, build_event_log, export_log, import_log
 from .explain import Explainer, LayeredView, NoObservationError, layered_view, recommend, why_not
 from .kernel import BACKEND as kernel_backend
+from .kernel import prune_by_reward
 from .petri import PetriNet, Transition
-from .search import SearchConfig, SearchNode, mcts_search, prune_by_reward
+from .search import SearchConfig, mcts_search
 from .trial import TrialSpec, run_trial
 
 __version__ = "0.1.0"
@@ -50,7 +51,7 @@ __all__ = [
     "Color", "ConcreteMove", "GameBoard", "GamePiece", "RewardConfig",
     "RuleViolationError", "apply_move", "evaluate", "initial_board",
     "legal_moves", "winner",
-    "SearchConfig", "SearchNode", "mcts_search", "prune_by_reward",
+    "SearchConfig", "mcts_search", "prune_by_reward",
     "EpisodeResult", "StepRecord", "abstract_move", "bfs_min_distance",
     "play_episode",
     "EventLog", "TransitionEvent", "build_event_log", "export_log", "import_log",

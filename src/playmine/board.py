@@ -179,14 +179,9 @@ def initial_board(pieces_per_side: int = 3) -> GameBoard:
 
 def _to_concrete(kmove, state: bytes) -> ConcreteMove:
     frm, to, caps, crowned, reward, _new = kmove
-    return ConcreteMove(
-        piece_id=kernel.cell_id(state[frm]),
-        from_pos=(frm >> 3, frm & 7),
-        to_pos=(to >> 3, to & 7),
-        captured_ids=caps,
-        crowned=crowned,
-        reward=reward,
-    )
+    # positional: this runs once per legal move, and keywords cost it more
+    return ConcreteMove(kernel.cell_id(state[frm]), (frm >> 3, frm & 7), (to >> 3, to & 7),
+                        caps, crowned, reward)
 
 
 def _kernel_moves(board: GameBoard, color: Color, cfg: Optional[RewardConfig]):

@@ -21,7 +21,8 @@ from importlib.util import module_from_spec, spec_from_file_location
 from . import _pykernel
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+# no FMA contraction: a fused a * b + c would round differently from Python
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 300
 
 
@@ -113,6 +114,7 @@ encode_cell = _pykernel.encode_cell
 cell_color = _pykernel.cell_color
 cell_id = _pykernel.cell_id
 cell_is_king = _pykernel.cell_is_king
+prune_by_reward = _pykernel.prune_by_reward
 
 gen_moves = _impl.gen_moves
 side_has_moves = _impl.side_has_moves
@@ -121,10 +123,11 @@ evaluate = _impl.evaluate
 winner = _impl.winner
 minimax = _impl.minimax
 rollout = _impl.rollout
+search = _impl.search
 
 __all__ = [
     "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK",
-    "encode_cell", "cell_color", "cell_id", "cell_is_king",
+    "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
     "gen_moves", "side_has_moves", "piece_counts", "evaluate",
-    "winner", "minimax", "rollout",
+    "winner", "minimax", "rollout", "search",
 ]

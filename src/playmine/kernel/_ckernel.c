@@ -1,9 +1,13 @@
-/* Compiled twin of _pykernel: move generation, alpha-beta minimax and
- * rollouts.
+/* Compiled twin of _pykernel: move generation, alpha-beta minimax,
+ * rollouts and the whole MCTS turn (search).
  *
  * Same 64-byte board encoding, same scan and enumeration order, same
  * first-in-order tie-breaking and the same Python return values as
- * _pykernel.py; the parity tests hold the two to identical outputs.
+ * _pykernel.py; the parity tests hold the two to identical outputs.  search
+ * also keeps _pykernel's float operations in their order (see its module
+ * docstring): UCT score reward / visits + c * sqrt(log_n / visits), backup
+ * reward += pow(discount, dist) * delta, final pick by highest mean, each
+ * compared with strict >, so both twins choose bit-identical moves.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
@@ -309,6 +313,182 @@ minimax(Call *c, const unsigned char *state, long to_move, long agent,
     return best_score;
 }
 
+/* Minimax-guided playout: each step the side to move plays its own
+ * depth-mm_depth minimax move, until sim_depth steps or a side with no
+ * legal move.  Adds the rewards to delta[white], delta[red]; 0, or -1 on
+ * error. */
+static int
+rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
+        long mm_depth, long delta[2])
+{
+    unsigned char cur[64];
+    long turn = to_move;
+    memcpy(cur, state, 64);
+    for (long steps = 0; steps < sim_depth; steps++) {
+        Move best;
+        int found;
+        minimax(c, cur, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
+        if (c->failed)
+            return -1;
+        if (!found)
+            break;
+        delta[turn == WHITE ? 0 : 1] += best.reward;
+        memcpy(cur, best.state, 64);
+        turn = 1 - turn;
+    }
+    return 0;
+}
+
+/* ---- UCT search ---- */
+
+/* A search tree node.  The root's `move` holds only its state. */
+typedef struct {
+    Move move;           /* the move that entered the node; move.state is its position */
+    double reward[2];    /* [white, red], discounted as backed up */
+    long visits;
+    Py_ssize_t parent;   /* -1 at the root */
+    Py_ssize_t first;    /* its actions are nodes first .. first + nact - 1 */
+    Py_ssize_t nact;     /* -1 until its actions are generated */
+    Py_ssize_t nkids;    /* how many of its actions are in the tree */
+    int turn;
+} Node;
+
+/* One search call's tree: an arena that grows by whole blocks of child
+ * slots.  Nodes are addressed by index, since growing may move it. */
+typedef struct {
+    Node *nodes;
+    Py_ssize_t n, cap;
+    int pruning;
+} Tree;
+
+/* Generates node i's actions once, reserving their slots as one block;
+ * returns their number, or -1 on error. */
+static Py_ssize_t
+tree_actions(Tree *t, Call *c, Py_ssize_t i)
+{
+    if (t->nodes[i].nact >= 0)
+        return t->nodes[i].nact;
+    Py_ssize_t base = c->n, n = gen(c, t->nodes[i].move.state, t->nodes[i].turn);
+    if (n < 0)
+        return -1;
+    if (t->pruning && n > 0) {
+        /* keep only the moves of the top reward, in order */
+        long top = c->moves[base].reward;
+        for (Py_ssize_t k = 1; k < n; k++)
+            if (c->moves[base + k].reward > top)
+                top = c->moves[base + k].reward;
+        Py_ssize_t j = base;
+        for (Py_ssize_t k = base; k < base + n; k++)
+            if (c->moves[k].reward == top)
+                c->moves[j++] = c->moves[k];
+        n = j - base;
+    }
+    if (t->n + n > t->cap) {
+        Py_ssize_t cap = t->cap ? 2 * t->cap : 64;
+        while (cap < t->n + n)
+            cap *= 2;
+        Node *nodes = PyMem_Realloc(t->nodes, (size_t)cap * sizeof(Node));
+        if (nodes == NULL) {
+            c->n = base;
+            PyErr_NoMemory();
+            return -1;
+        }
+        t->nodes = nodes;
+        t->cap = cap;
+    }
+    int turn = 1 - t->nodes[i].turn;
+    t->nodes[i].first = t->n;
+    t->nodes[i].nact = n;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Node *ch = &t->nodes[t->n++];
+        ch->move = c->moves[base + k];
+        ch->reward[0] = ch->reward[1] = 0.0;
+        ch->visits = 0;
+        ch->parent = i;
+        ch->first = 0;
+        ch->nact = -1;
+        ch->nkids = 0;
+        ch->turn = turn;
+    }
+    c->n = base;
+    return n;
+}
+
+/* The child of node i with the highest UCT score for its side to move; its
+ * children are all visited. */
+static Py_ssize_t
+uct_child(const Tree *t, Py_ssize_t i, double explore)
+{
+    const Node *p = &t->nodes[i];
+    int side = p->turn;
+    double log_n = p->visits > 0 ? log((double)p->visits) : 0.0;
+    double best_score = -INFINITY;
+    Py_ssize_t best = -1;
+    for (Py_ssize_t k = p->first; k < p->first + p->nkids; k++) {
+        const Node *ch = &t->nodes[k];
+        double score = ch->reward[side] / (double)ch->visits
+                       + explore * sqrt(log_n / (double)ch->visits);
+        if (score > best_score) {
+            best_score = score;
+            best = k;
+        }
+    }
+    return best;
+}
+
+/* Adds pow(discount, dist) * delta and one visit to node i and to each
+ * ancestor, dist steps above i. */
+static void
+backup(Tree *t, Py_ssize_t i, const long delta[2], double discount)
+{
+    for (long dist = 0; i >= 0; dist++) {
+        Node *nd = &t->nodes[i];
+        double factor = pow(discount, (double)dist);
+        nd->visits++;
+        nd->reward[0] += factor * (double)delta[0];
+        nd->reward[1] += factor * (double)delta[1];
+        i = nd->parent;
+    }
+}
+
+/* The search's rollout: rollout at mm_depth >= 1, else up to sim_depth
+ * random moves, each the randrange(len(moves))-th; 0, or -1 with an
+ * exception set. */
+static int
+playout(Call *c, const unsigned char *state, long turn, long sim_depth,
+        long mm_depth, PyObject *randrange, long delta[2])
+{
+    if (mm_depth >= 1)
+        return rollout(c, state, turn, sim_depth, mm_depth, delta);
+    unsigned char cur[64];
+    memcpy(cur, state, 64);
+    for (long steps = 0; steps < sim_depth; steps++) {
+        Py_ssize_t base = c->n, n = gen(c, cur, (int)turn);
+        if (n < 0)
+            return -1;
+        if (n == 0)
+            break;
+        PyObject *r = PyObject_CallFunction(randrange, "n", n);
+        Py_ssize_t k = r == NULL ? -1 : PyNumber_AsSsize_t(r, NULL);
+        Py_XDECREF(r);
+        if (k == -1 && PyErr_Occurred()) {
+            c->n = base;
+            return -1;
+        }
+        if (k < 0 || k >= n) {
+            c->n = base;
+            PyErr_SetString(PyExc_ValueError, "randrange result out of range");
+            return -1;
+        }
+        const Move *m = &c->moves[base + k];
+        delta[turn == WHITE ? 0 : 1] += m->reward;
+        memcpy(cur, m->state, 64);
+        c->n = base;
+        turn = 1 - turn;
+    }
+    return 0;
+}
+
 /* ---- Python boundary ---- */
 
 static PyObject *
@@ -440,7 +620,7 @@ py_rollout(PyObject *self, PyObject *args)
 {
     const char *state;
     Py_ssize_t len;
-    long to_move, sim_depth, mm_depth, w = 0, red = 0;
+    long to_move, sim_depth, mm_depth;
     Call c = {0};
     if (!PyArg_ParseTuple(args, "y#lllplld:rollout", &state, &len, &to_move, &sim_depth,
                           &mm_depth, &c.forced, &c.cap_pts, &c.crown_pts, &c.kw)
@@ -450,27 +630,93 @@ py_rollout(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "rollout requires mm_depth >= 1");
         return NULL;
     }
-    unsigned char cur[64];
-    long turn = to_move;
-    memcpy(cur, state, 64);
-    /* a side with no legal move has lost, and minimax finds no move */
-    for (long steps = 0; steps < sim_depth; steps++) {
-        Move best;
-        int found;
-        minimax(&c, cur, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
-        if (c.failed || !found)
-            break;
-        if (turn == WHITE)
-            w += best.reward;
-        else
-            red += best.reward;
-        memcpy(cur, best.state, 64);
-        turn = 1 - turn;
-    }
+    long delta[2] = {0, 0};
+    int rc = rollout(&c, BOARD(state), to_move, sim_depth, mm_depth, delta);
     PyMem_Free(c.moves);
-    if (c.failed)
+    if (rc < 0)
         return NULL;
-    return Py_BuildValue("(ll)", w, red);
+    return Py_BuildValue("(ll)", delta[0], delta[1]);
+}
+
+static PyObject *
+py_search(PyObject *self, PyObject *args)
+{
+    const char *state;
+    Py_ssize_t len, iterations;
+    long side, sim_depth, mm_depth;
+    double explore, discount;
+    PyObject *randrange;
+    Call c = {0};
+    Tree t = {0};
+    if (!PyArg_ParseTuple(args, "y#lnllplldddpO:search", &state, &len, &side, &iterations,
+                          &sim_depth, &mm_depth, &c.forced, &c.cap_pts, &c.crown_pts,
+                          &c.kw, &explore, &discount, &t.pruning, &randrange)
+            || bad_state(len))
+        return NULL;
+    if (iterations < 1) {
+        PyErr_SetString(PyExc_ValueError, "iterations must be >= 1");
+        return NULL;
+    }
+    /* a NaN or infinite score would leave UCT without a child */
+    if (!(explore >= 0 && explore < INFINITY)) {
+        PyErr_SetString(PyExc_ValueError, "exploration must be finite and >= 0");
+        return NULL;
+    }
+    if (!(discount > 0 && discount <= 1)) {
+        PyErr_SetString(PyExc_ValueError, "discount must be in (0, 1]");
+        return NULL;
+    }
+    PyObject *out = NULL;
+    t.nodes = PyMem_Calloc(1, sizeof(Node));
+    if (t.nodes == NULL)
+        return PyErr_NoMemory();
+    t.n = t.cap = 1;
+    memcpy(t.nodes[0].move.state, state, 64);
+    t.nodes[0].parent = -1;
+    t.nodes[0].nact = -1;
+    t.nodes[0].turn = (int)side;
+    Py_ssize_t nact = tree_actions(&t, &c, 0), nodes = 0;
+    if (nact <= 0) {
+        if (nact == 0)
+            out = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (Py_ssize_t it = 0; it < iterations; it++) {
+        if (PyErr_CheckSignals() < 0)
+            goto done;
+        Py_ssize_t i = 0;
+        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact)
+            i = uct_child(&t, i, explore);
+        Py_ssize_t n = tree_actions(&t, &c, i);
+        if (n < 0)
+            goto done;
+        if (n > 0) {
+            i = t.nodes[i].first + t.nodes[i].nkids++;
+            nodes++;
+        }
+        /* the leaf is never the root, so it always has an entry move; the
+         * playout does not grow the arena, so its state may point into it */
+        long delta[2] = {0, 0};
+        if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, mm_depth,
+                    randrange, delta) < 0)
+            goto done;
+        delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
+        backup(&t, i, delta, discount);
+    }
+    Py_ssize_t best = -1;
+    double best_mean = -INFINITY;
+    for (Py_ssize_t k = t.nodes[0].first; k < t.nodes[0].first + t.nodes[0].nkids; k++) {
+        double mean = t.nodes[k].reward[t.nodes[0].turn] / (double)t.nodes[k].visits;
+        if (mean > best_mean) {
+            best_mean = mean;
+            best = k;
+        }
+    }
+    out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
+done:
+    PyMem_Free(t.nodes);
+    PyMem_Free(c.moves);
+    return out;
 }
 
 static PyMethodDef methods[] = {
@@ -491,6 +737,10 @@ static PyMethodDef methods[] = {
     {"rollout", py_rollout, METH_VARARGS,
      "rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, "
      "crown_points, king_weight) -> (white_reward, red_reward)"},
+    {"search", py_search, METH_VARARGS,
+     "search(state, side, iterations, sim_depth, mm_depth, forced, capture_points, "
+     "crown_points, king_weight, exploration, discount, pruning, randrange) -> "
+     "(move, nodes) or None when side has no legal move"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,9 +14,25 @@ depth-0 ``minimax``, ``side_has_moves`` for ``winner``, ``gen_moves`` for
 deeper ``minimax``).
 This module is the fallback when no C compiler is available and the
 reference the parity tests compare against.
+
+``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
+(``rollout``, or random moves at minimax depth 0) and the discounted backup,
+repeated ``iterations`` times.  Both twins keep the same float operations in
+the same order, so they choose bit-identical moves:
+
+* UCT score ``reward / visits + c * sqrt(log_n / visits)`` with
+  ``log_n = log(parent visits)`` (0.0 at 0 visits), compared with strict
+  ``>`` so the first child in move order wins ties;
+* backup ``reward += discount ** dist * delta`` on both sides, where
+  ``delta`` is the rollout's rewards plus the leaf's entry-move reward on
+  the side that played it;
+* final pick: the root child of highest mean reward for the side to move,
+  again with strict ``>``.
 """
 
 from __future__ import annotations
+
+from math import log, sqrt
 
 WHITE = 0
 RED = 1
@@ -287,3 +303,169 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
         turn = 1 - turn
         steps += 1
     return w, r
+
+
+def prune_by_reward(moves):
+    """Keeps only the kernel moves sharing the maximal reward (index 4), in
+    input order."""
+    if not moves:
+        raise ValueError("prune_by_reward requires a non-empty move list")
+    best = max(m[4] for m in moves)
+    return [m for m in moves if m[4] == best]
+
+
+def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
+             king_weight, randrange):
+    """The search's rollout from (state, turn): ``[white, red]`` rewards.
+
+    At mm_depth >= 1 this is ``rollout``; below, each of up to ``sim_depth``
+    steps plays ``moves[randrange(len(moves))]``, one call per step, and an
+    index outside the move list is a ValueError.  [0, 0] from a position
+    whose side to move has no legal move.
+    """
+    if mm_depth >= 1:
+        return list(rollout(state, turn, sim_depth, mm_depth, forced,
+                            capture_points, crown_points, king_weight))
+    delta = [0, 0]
+    for _ in range(sim_depth):
+        moves = gen_moves(state, turn, forced, capture_points, crown_points)
+        if not moves:
+            break
+        k = randrange(len(moves))
+        if not 0 <= k < len(moves):
+            raise ValueError("randrange result out of range")
+        mv = moves[k]
+        delta[turn] += mv[4]
+        state = mv[5]
+        turn = 1 - turn
+    return delta
+
+
+class _Tree:
+    """The search tree as one arena of numbered nodes, laid out as in
+    ``_ckernel.c``; node 0 is the root.
+
+    Node i holds ``state[i]`` with ``turn[i]`` to move, was entered by
+    ``move[i]`` (None at the root) from ``parent[i]`` (-1 at the root) and
+    has ``visits[i]`` and a ``reward[i]`` of [white, red].  Its actions are
+    generated once, when selection first stops at it, as the ``nact[i]``
+    consecutive nodes from ``first[i]`` on (``nact[i]`` is -1 before); the
+    first ``nkids[i]`` of them are in the tree.
+    """
+
+    def __init__(self, state, side, forced, capture_points, crown_points, pruning):
+        self.rules = (forced, capture_points, crown_points)
+        self.pruning = pruning
+        self.state = [state]
+        self.turn = [side]
+        self.move = [None]
+        self.parent = [-1]
+        self.visits = [0]
+        self.reward = [[0.0, 0.0]]
+        self.first = [0]
+        self.nact = [-1]
+        self.nkids = [0]
+
+    def actions(self, i):
+        """The number of node i's actions: its legal moves, with pruning
+        only those of the top reward; generated on the first call."""
+        if self.nact[i] < 0:
+            moves = gen_moves(self.state[i], self.turn[i], *self.rules)
+            if self.pruning and moves:
+                moves = prune_by_reward(moves)
+            n = len(moves)
+            self.first[i] = len(self.move)
+            self.nact[i] = n
+            self.state += [mv[5] for mv in moves]
+            self.turn += [1 - self.turn[i]] * n
+            self.move += moves
+            self.parent += [i] * n
+            self.visits += [0] * n
+            self.reward += [[0.0, 0.0] for _ in moves]
+            self.first += [0] * n
+            self.nact += [-1] * n
+            self.nkids += [0] * n
+        return self.nact[i]
+
+    def expand(self, i):
+        """Adds node i's next untried action to the tree; returns its index."""
+        if self.nkids[i] >= self.actions(i):
+            raise ValueError("no untried move to expand")
+        self.nkids[i] += 1
+        return self.first[i] + self.nkids[i] - 1
+
+    def uct_child(self, i, c):
+        """The child of node i with the highest UCT score for its side to
+        move (see the module docstring); every child must be visited."""
+        side = self.turn[i]
+        log_n = log(self.visits[i]) if self.visits[i] > 0 else 0.0
+        best = -1
+        best_score = -INF
+        for k in range(self.first[i], self.first[i] + self.nkids[i]):
+            visits = self.visits[k]
+            if visits == 0:
+                raise ValueError("UCT selection requires every child visited")
+            score = self.reward[k][side] / visits + c * sqrt(log_n / visits)
+            if score > best_score:
+                best_score = score
+                best = k
+        return best
+
+    def backup(self, i, delta, discount):
+        """Adds ``discount ** dist * delta`` and one visit to node i and to
+        each ancestor, ``dist`` steps above i."""
+        dist = 0
+        while i >= 0:
+            factor = discount ** dist
+            self.visits[i] += 1
+            reward = self.reward[i]
+            reward[0] += factor * delta[0]
+            reward[1] += factor * delta[1]
+            i = self.parent[i]
+            dist += 1
+
+
+def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
+           crown_points, king_weight, exploration, discount, pruning, randrange):
+    """One MCTS turn for ``side``: ``(move, nodes)``, or None when ``side``
+    has no legal move.
+
+    Each iteration descends by UCT through fully expanded nodes, expands the
+    next untried action of the node it stops at (unless that node has no
+    legal move, which makes it terminal), plays ``_playout`` from the leaf
+    and backs up its rewards plus the leaf's entry-move reward.  ``move`` is
+    the root child of highest mean reward for ``side``, as ``gen_moves``
+    returns it; ``nodes`` is the number of nodes the iterations expanded.
+    ``randrange(n)`` draws the random moves of minimax-depth-0 rollouts.
+    """
+    _check_state(state)
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if not 0 <= exploration < INF:
+        raise ValueError("exploration must be finite and >= 0")
+    if not 0 < discount <= 1:
+        raise ValueError("discount must be in (0, 1]")
+    tree = _Tree(state, side, forced, capture_points, crown_points, pruning)
+    if not tree.actions(0):
+        return None
+    nodes = 0
+    for _ in range(iterations):
+        i = 0
+        while tree.nkids[i] and tree.nkids[i] == tree.nact[i]:
+            i = tree.uct_child(i, exploration)
+        if tree.actions(i):
+            i = tree.expand(i)
+            nodes += 1
+        # the leaf is never the root, so it always has an entry move
+        delta = _playout(tree.state[i], tree.turn[i], sim_depth, mm_depth, forced,
+                         capture_points, crown_points, king_weight, randrange)
+        delta[1 - tree.turn[i]] += tree.move[i][4]
+        tree.backup(i, delta, discount)
+    best = -1
+    best_mean = -INF
+    for k in range(tree.first[0], tree.first[0] + tree.nkids[0]):
+        mean = tree.reward[k][side] / tree.visits[k]
+        if mean > best_mean:
+            best_mean = mean
+            best = k
+    return tree.move[best], nodes

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from playmine import kernel
+from playmine import kernel, prune_by_reward
 from playmine.board import (
     Color,
     GameBoard,
@@ -37,7 +37,7 @@ from playmine.discovery import (
 from playmine.episodes import abstract_move
 from playmine.eventlog import export_log, import_log
 from playmine.petri import load_net
-from playmine.search import SearchConfig, mcts_search, prune_by_reward
+from playmine.search import SearchConfig, mcts_search
 from playmine.trial import TrialSpec, run_trial
 from helpers import mklog, random_endgame
 from oracles import oracle_alignment_cost, oracle_minimax

@@ -1,6 +1,8 @@
 """The compiled and pure-Python kernels must agree move for move."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -149,6 +151,7 @@ def test_state_of_wrong_length_is_rejected(backend, length):
         lambda: backend.minimax(state, 0, 0, 0, True, 7, 7, 0.5),
         lambda: backend.minimax(state, 0, 0, 2, True, 7, 7, 0.5),
         lambda: backend.rollout(state, 0, 0, 1, True, 7, 7, 0.5),
+        lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8, False, None),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="64 bytes"):
@@ -157,3 +160,114 @@ def test_state_of_wrong_length_is_rejected(backend, length):
 
 def test_selected_backend_matches_environment():
     assert kernel.BACKEND in ("compiled", "python")
+
+
+def _jump_only(n, seed=13):
+    """``(state, side)`` pairs whose side to move can only capture, even with
+    capture not forced."""
+    rng = random.Random(seed)
+    out = [(ONLY_JUMP, pk.WHITE), (LONGEST_CHAIN, pk.WHITE)]
+    while len(out) < n:
+        state = random_board(rng, n_pieces=rng.randrange(6, 20)).state
+        for color in (0, 1):
+            moves = pk.gen_moves(state, color, False, 7, 7)
+            if moves and all(m[2] for m in moves):
+                out.append((state, color))
+    return out[:n]
+
+
+def _movable(states, n):
+    """The first ``n`` (state, side) pairs, sides alternating, whose side to
+    move has a legal move."""
+    pairs = [(s, k % 2) for k, s in enumerate(states)]
+    return [(s, side) for s, side in pairs if pk.side_has_moves(s, side)][:n]
+
+
+# (state, side to move): random, 12 a side, all kings, jump-only
+SEARCH_POSITIONS = (_movable(STATES, 2) + _movable(FULL, 2) + _movable(KINGS, 2)
+                    + _jump_only(3))
+EXPLORATION = (0.0, 1 / math.sqrt(2), 2.0)
+DISCOUNT = (0.5, 0.8, 1.0)
+
+
+def _search(backend, state, side, iterations, depth, pruning, c, discount, seed=0,
+            sim_depth=3):
+    return backend.search(state, side, iterations, sim_depth, depth, True, 7, 7, 0.5,
+                          c, discount, pruning, random.Random(seed).randrange)
+
+
+def test_search_identical():
+    """(move, nodes) of both twins' search over minimax depth 0-2 (0 being
+    seeded random rollouts), pruning on and off, every exploration and
+    discount at 1 and 2 iterations, and at 300 iterations with the
+    (exploration, discount) pairs rotating over positions; on one position
+    of each kind the 300-iteration searches cover every depth and pruning."""
+    pairs = list(product(EXPLORATION, DISCOUNT))
+    searched = 0
+    for n, (state, side) in enumerate(SEARCH_POSITIONS):
+        for depth, pruning in product((0, 1, 2), (False, True)):
+            grid = [(it, c, g) for it in (1, 2) for c, g in pairs]
+            if n % 2 == 0 or depth < 2:
+                grid.append((300, *pairs[(n + depth + 3 * pruning) % len(pairs)]))
+            for iterations, c, discount in grid:
+                case = (n, depth, pruning, iterations, c, discount)
+                want = _search(pk, state, side, iterations, depth, pruning, c, discount, n)
+                got = _search(compiled, state, side, iterations, depth, pruning, c, discount, n)
+                assert got == want, case
+                assert got is not None and 1 <= got[1] <= iterations, case
+                searched += 1
+    assert searched > 1000
+
+
+@pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
+def test_search_rejects_bad_input(backend):
+    state = STATES[0]
+    with pytest.raises(ValueError, match="64 bytes"):
+        _search(backend, state[:63], 0, 10, 1, False, 0.5, 0.8)
+    for iterations, c, discount in ((0, 0.5, 0.8), (-1, 0.5, 0.8), (10, -0.5, 0.8),
+                                    (10, math.inf, 0.8), (10, math.nan, 0.8),
+                                    (10, 0.5, 0.0), (10, 0.5, 1.5), (10, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            _search(backend, state, 0, iterations, 1, False, c, discount)
+
+
+class _Boom(Exception):
+    pass
+
+
+def _boom(n):
+    raise _Boom(n)
+
+
+@pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
+def test_search_randrange_errors(backend):
+    """Depth-0 rollouts call ``randrange``: its exception propagates and an
+    index outside the move list is a ValueError; at depth >= 1 it is never
+    called."""
+    state, side = SEARCH_POSITIONS[0]
+    with pytest.raises(_Boom):
+        backend.search(state, side, 5, 3, 0, True, 7, 7, 0.5, 0.5, 0.8, False, _boom)
+    for bad in (lambda n: n, lambda n: -1):
+        with pytest.raises(ValueError, match="out of range"):
+            backend.search(state, side, 5, 3, 0, True, 7, 7, 0.5, 0.5, 0.8, False, bad)
+    assert backend.search(state, side, 5, 3, 1, True, 7, 7, 0.5, 0.5, 0.8, False, _boom)
+
+
+def test_search_randrange_calls_identical():
+    """Both twins call ``randrange`` once per random step, with the same
+    move-list lengths in the same order."""
+    calls = {}
+    for backend in (pk, compiled):
+        calls[backend] = lengths = []
+        for state, side in SEARCH_POSITIONS:
+            backend.search(state, side, 20, 4, 0, True, 7, 7, 0.5, 0.5, 0.8, False,
+                           lambda n: lengths.append(n) or (len(lengths) * 7919) % n)
+    assert calls[pk] == calls[compiled]
+    assert len(calls[pk]) > 100
+
+
+def test_search_with_no_legal_move_is_none():
+    for backend in (pk, compiled):
+        assert _search(backend, BLOCKED, pk.WHITE, 10, 1, False, 0.5, 0.8) is None
+        assert _search(backend, _one_side_only(STATES[0], 1), pk.WHITE, 10, 0, True,
+                       0.5, 0.8) is None

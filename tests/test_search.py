@@ -20,17 +20,8 @@ from playmine.board import (
 )
 from playmine.episodes import play_episode
 from playmine.eventlog import label_for
-from playmine.kernel import _pykernel
-from playmine.search import (
-    SearchConfig,
-    SearchNode,
-    backpropagate,
-    expand,
-    mcts_search,
-    prune_by_reward,
-    simulate,
-    uct_best_child,
-)
+from playmine.kernel import _pykernel, prune_by_reward
+from playmine.search import SearchConfig, mcts_search
 from helpers import random_endgame
 from oracles import as_oracle_shape, oracle_best_move, oracle_minimax
 
@@ -42,8 +33,26 @@ def mv(reward):
     return (0, 9, (), False, reward, bytes(64))
 
 
-def node(board, color, **kwargs):
-    return SearchNode(board.state, color.value, **kwargs)
+def tree(board, color, cfg=CFG):
+    """The pure twin's search tree with ``board`` at its root (node 0) and
+    ``color`` to move."""
+    rw = cfg.reward
+    return _pykernel._Tree(board.state, color.value, rw.forced_capture,
+                           rw.capture_points, rw.crown_points, cfg.pruning_enabled)
+
+
+def fully_expanded(t, i):
+    """The test the search descends by: every action of node i is a child."""
+    return t.nkids[i] > 0 and t.nkids[i] == t.nact[i]
+
+
+def playout(state, turn, cfg, rng=None):
+    """The pure twin's rollout for the search, [white, red] rewards."""
+    rw = cfg.reward
+    rng = rng or random.Random(cfg.rng_seed)
+    return _pykernel._playout(state, turn, cfg.simulation_depth, cfg.minimax_depth,
+                              rw.forced_capture, rw.capture_points, rw.crown_points,
+                              cfg.king_weight, rng.randrange)
 
 
 def minimax(board, color, depth, cfg):
@@ -62,6 +71,7 @@ class TestSearchConfig:
         {"discount": 0.0},
         {"discount": 1.5},
         {"exploration": -0.1},
+        {"exploration": math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -123,88 +133,88 @@ class TestMinimax:
 
 class TestUct:
     def _parent_with_children(self, stats):
-        parent = node(initial_board(3), Color.WHITE)
+        t = tree(initial_board(3), Color.WHITE)
         for q, n in stats:
-            child = expand(parent, CFG)
-            child.reward = [q, 0.0]
-            child.visits = n
-        parent.visits = sum(n for _, n in stats)
-        return parent
+            child = t.expand(0)
+            t.reward[child] = [q, 0.0]
+            t.visits[child] = n
+        t.visits[0] = sum(n for _, n in stats)
+        return t
 
     def test_pure_exploitation_picks_higher_mean(self):
-        parent = self._parent_with_children([(2.0, 10), (9.0, 10)])
-        best = uct_best_child(parent, 0.0)
-        assert best.reward[0] == 9.0
+        t = self._parent_with_children([(2.0, 10), (9.0, 10)])
+        best = t.uct_child(0, 0.0)
+        assert t.reward[best][0] == 9.0
 
     def test_exploration_prefers_less_visited(self):
-        parent = self._parent_with_children([(5.0, 10), (1.0, 2)])
-        best = uct_best_child(parent, 1 / math.sqrt(2))
+        t = self._parent_with_children([(5.0, 10), (1.0, 2)])
+        best = t.uct_child(0, 1 / math.sqrt(2))
         mean_a = 5.0 / 10
         mean_b = 1.0 / 2
         c = 1 / math.sqrt(2)
         ucb_a = mean_a + c * math.sqrt(math.log(12) / 10)
         ucb_b = mean_b + c * math.sqrt(math.log(12) / 2)
         assert ucb_b > ucb_a
-        assert best.visits == 2
+        assert t.visits[best] == 2
 
     def test_matches_hand_computed_argmax(self):
         stats = [(4.0, 8), (3.0, 3), (6.0, 14)]
-        parent = self._parent_with_children(stats)
+        t = self._parent_with_children(stats)
         c = 0.4
         scores = [q / n + c * math.sqrt(math.log(25) / n) for q, n in stats]
         want = max(range(3), key=lambda i: scores[i])
-        best = uct_best_child(parent, c)
-        assert parent.children.index(best) == want
+        best = t.uct_child(0, c)
+        assert best - t.first[0] == want
 
     def test_unvisited_child_rejected(self):
-        parent = self._parent_with_children([(1.0, 0), (2.0, 3)])
-        parent.visits = 3
+        t = self._parent_with_children([(1.0, 0), (2.0, 3)])
+        t.visits[0] = 3
         with pytest.raises(ValueError):
-            uct_best_child(parent, 0.5)
+            t.uct_child(0, 0.5)
 
     def test_scaling_invariance_at_c_zero(self):
         stats = [(4.0, 8), (3.0, 3), (6.0, 14)]
-        parent = self._parent_with_children(stats)
-        best = uct_best_child(parent, 0.0)
-        for child in parent.children:
-            child.reward = [child.reward[0] * 37.0, child.reward[1] * 37.0]
-        assert uct_best_child(parent, 0.0) is best
+        t = self._parent_with_children(stats)
+        best = t.uct_child(0, 0.0)
+        for child in range(t.first[0], t.first[0] + t.nkids[0]):
+            t.reward[child] = [t.reward[child][0] * 37.0, t.reward[child][1] * 37.0]
+        assert t.uct_child(0, 0.0) == best
 
 
 class TestExpand:
     def test_expands_every_move_once(self):
-        root = node(initial_board(3), Color.RED)
+        t = tree(initial_board(3), Color.RED)
         k = len(legal_moves(initial_board(3), Color.RED))
-        children = [expand(root, CFG) for _ in range(k)]
-        assert root.fully_expanded
-        assert len(root.children) == k
-        assert len(set(id(c) for c in children)) == k
+        children = [t.expand(0) for _ in range(k)]
+        assert fully_expanded(t, 0)
+        assert t.nkids[0] == k
+        assert len(set(children)) == k
         with pytest.raises(ValueError):
-            expand(root, CFG)
+            t.expand(0)
 
     def test_single_move_immediately_fully_expanded(self):
         board = GameBoard.from_pieces([
             GamePiece(Color.WHITE, 1, 2, 2),
             GamePiece(Color.RED, 1, 3, 3),
         ])
-        root = node(board, Color.WHITE)
-        expand(root, CFG)
-        assert root.fully_expanded
+        t = tree(board, Color.WHITE)
+        t.expand(0)
+        assert fully_expanded(t, 0)
 
     def test_child_board_is_move_application(self):
         board = initial_board(3)
-        root = node(board, Color.RED)
-        child = expand(root, CFG)
-        move = _to_concrete(child.move, root.state)
-        assert child.state == apply_move(board, move).state
-        assert child.turn == Color.WHITE.value
+        t = tree(board, Color.RED)
+        child = t.expand(0)
+        move = _to_concrete(t.move[child], board.state)
+        assert t.state[child] == apply_move(board, move).state
+        assert t.turn[child] == Color.WHITE.value
 
     def test_terminal_node_rejected(self):
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
-        leaf = node(board, Color.RED)
-        assert leaf.actions(CFG) == []
+        t = tree(board, Color.RED)
+        assert t.actions(0) == 0
         with pytest.raises(ValueError):
-            expand(leaf, CFG)
+            t.expand(0)
 
 
 class TestSimulate:
@@ -212,11 +222,11 @@ class TestSimulate:
         board = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2)])
         for depth in (0, 1):  # random and minimax rollouts
             cfg = SearchConfig(simulation_depth=8, minimax_depth=depth)
-            assert simulate(node(board, Color.RED), cfg) == [0, 0]
+            assert playout(board.state, Color.RED.value, cfg) == [0, 0]
 
     def test_zero_depth_rollout(self):
         cfg = SearchConfig(simulation_depth=0)
-        assert simulate(node(initial_board(3), Color.RED), cfg) == [0, 0]
+        assert playout(initial_board(3).state, Color.RED.value, cfg) == [0, 0]
 
     def test_immediate_white_capture_single_step(self):
         board = GameBoard.from_pieces([
@@ -225,42 +235,42 @@ class TestSimulate:
             GamePiece(Color.RED, 2, 7, 7),
         ])
         cfg = SearchConfig(simulation_depth=1, minimax_depth=1)
-        assert simulate(node(board, Color.WHITE), cfg) == [7, 0]
+        assert playout(board.state, Color.WHITE.value, cfg) == [7, 0]
 
     def test_random_rollout_mode_is_seeded(self):
-        start = node(initial_board(3), Color.RED)
+        state = initial_board(3).state
         cfg = SearchConfig(simulation_depth=6, minimax_depth=0, rng_seed=3)
-        first = simulate(start, cfg, random.Random(3))
-        second = simulate(start, cfg, random.Random(3))
+        first = playout(state, Color.RED.value, cfg, random.Random(3))
+        second = playout(state, Color.RED.value, cfg, random.Random(3))
         assert first == second
 
 
 class TestBackpropagate:
     def _path(self, length):
-        nodes = [node(initial_board(3), Color.RED)]
+        t = tree(initial_board(3), Color.RED)
+        path = [0]
         for _ in range(length - 1):
-            child = node(initial_board(3), Color.WHITE, parent=nodes[-1])
-            nodes.append(child)
-        return nodes
+            path.append(t.expand(path[-1]))
+        return t, path
 
     def test_undiscounted(self):
-        nodes = self._path(3)
-        backpropagate(nodes[-1], [7, 0], 1.0)
-        for node in nodes:
-            assert node.reward == [7.0, 0.0]
-            assert node.visits == 1
+        t, path = self._path(3)
+        t.backup(path[-1], [7, 0], 1.0)
+        for i in path:
+            assert t.reward[i] == [7.0, 0.0]
+            assert t.visits[i] == 1
 
     def test_geometric_discount_by_distance(self):
-        nodes = self._path(2)
-        backpropagate(nodes[-1], [10, 0], 0.8)
-        assert nodes[-1].reward == [10.0, 0.0]
-        assert nodes[0].reward == [8.0, 0.0]
+        t, path = self._path(2)
+        t.backup(path[-1], [10, 0], 0.8)
+        assert t.reward[path[-1]] == [10.0, 0.0]
+        assert t.reward[path[0]] == [8.0, 0.0]
 
     def test_zero_delta_still_counts_visits(self):
-        nodes = self._path(4)
-        backpropagate(nodes[-1], [0, 0], 0.8)
-        assert all(n.visits == 1 for n in nodes)
-        assert all(n.reward == [0.0, 0.0] for n in nodes)
+        t, path = self._path(4)
+        t.backup(path[-1], [0, 0], 0.8)
+        assert all(t.visits[i] == 1 for i in path)
+        assert all(t.reward[i] == [0.0, 0.0] for i in path)
 
 
 class TestMctsSearch:
@@ -303,17 +313,20 @@ class TestMctsSearch:
     def test_terminal_leaves_need_no_winner_call(self, monkeypatch, depth, pruning):
         """A node with no legal move is terminal by its empty move list
         alone: the search reaches such leaves here (the capture ends the
-        game) and picks the same move with ``kernel.winner`` unavailable."""
+        game) and the pure twin picks the same move with its ``winner`` and
+        ``side_has_moves`` unavailable."""
         board = self.WINNING_CAPTURE
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=depth,
                            pruning_enabled=pruning,
                            reward=RewardConfig(forced_capture=False), rng_seed=9)
         want = mcts_search(board, Color.WHITE, cfg)
 
-        def no_winner(state, to_move):
-            raise AssertionError("the search must not call kernel.winner")
+        def no_winner(*args):
+            raise AssertionError("the search must not ask who won")
 
-        monkeypatch.setattr(kernel, "winner", no_winner)
+        monkeypatch.setattr(kernel, "search", _pykernel.search)
+        monkeypatch.setattr(_pykernel, "winner", no_winner)
+        monkeypatch.setattr(_pykernel, "side_has_moves", no_winner)
         got = mcts_search(board, Color.WHITE, cfg)
         assert got[0] == want[0]
         assert got[0].captured_ids == (1,)
@@ -321,20 +334,27 @@ class TestMctsSearch:
     def test_visit_accounting(self):
         root_board = initial_board(3)
         cfg = SearchConfig(iterations=37, simulation_depth=4, minimax_depth=1)
-        root = node(root_board, Color.RED)
-        # run through the public entry and mirror the count on a fresh root
+        t = tree(root_board, Color.RED, cfg)
+        # run through the public entry and mirror the count on a fresh tree
         assert mcts_search(root_board, Color.RED, cfg) is not None
         rng = random.Random(cfg.rng_seed)
         for _ in range(cfg.iterations):
-            leaf = root
-            while leaf.fully_expanded:
-                leaf = uct_best_child(leaf, cfg.exploration)
-            if leaf.actions(cfg):
-                leaf = expand(leaf, cfg)
-            delta = simulate(leaf, cfg, rng)
-            delta[leaf.parent.turn] += leaf.move[4]
-            backpropagate(leaf, delta, cfg.discount)
-        assert root.visits == cfg.iterations
+            leaf = 0
+            while fully_expanded(t, leaf):
+                leaf = t.uct_child(leaf, cfg.exploration)
+            if t.actions(leaf):
+                leaf = t.expand(leaf)
+            delta = playout(t.state[leaf], t.turn[leaf], cfg, rng)
+            delta[1 - t.turn[leaf]] += t.move[leaf][4]
+            t.backup(leaf, delta, cfg.discount)
+        assert t.visits[0] == cfg.iterations
+        rw = cfg.reward
+        _, nodes = kernel.search(root_board.state, Color.RED.value, cfg.iterations,
+                                 cfg.simulation_depth, cfg.minimax_depth,
+                                 rw.forced_capture, rw.capture_points, rw.crown_points,
+                                 cfg.king_weight, cfg.exploration, cfg.discount,
+                                 cfg.pruning_enabled, random.Random(cfg.rng_seed).randrange)
+        assert nodes == sum(t.nkids)
 
     def test_deterministic_for_fixed_config(self):
         rng = random.Random(11)
@@ -387,7 +407,9 @@ class TestPruneByReward:
         cfg = SearchConfig(iterations=30, simulation_depth=4, minimax_depth=1,
                            pruning_enabled=True,
                            reward=RewardConfig(forced_capture=False))
-        actions = node(board, Color.WHITE).actions(cfg)
+        t = tree(board, Color.WHITE, cfg)
+        n = t.actions(0)
+        actions = t.move[t.first[0]:t.first[0] + n]
         top = max(m.reward for m in legal_moves(board, Color.WHITE, cfg.reward))
         assert actions
         assert all(m[4] == top for m in actions)
@@ -446,6 +468,47 @@ def golden_search_cases():
                                f"{'prune' if pruning else 'all'}/"
                                f"{'forced' if forced else 'free'}")
                         yield cid, board, color, cfg
+    # 500 iterations grow a tree deep enough for the exploration constant
+    # and the discount to steer selection and the backup
+    wide = {"3x1", "12x1", "3xcrown"}
+    for name, board in golden_positions():
+        if name not in wide:
+            continue
+        for color in (Color.WHITE, Color.RED):
+            for depth in (0, 1):
+                for c, discount in ((0.0, 0.5), (2.0, 1.0), (1.3, 0.9)):
+                    seed += 1
+                    cfg = SearchConfig(iterations=500,
+                                       simulation_depth=GOLDEN_SIM_DEPTH,
+                                       minimax_depth=depth, exploration=c,
+                                       discount=discount, rng_seed=seed)
+                    yield (f"{name}/{color.name.lower()}/d{depth}/c{c}/g{discount}/i500",
+                           board, color, cfg)
+    # positions where a UCT score regrouped as (reward + c * sqrt(log_n *
+    # visits)) / visits, or a backup factor multiplied up instead of
+    # discount ** dist, chooses another move: they pin the float operations
+    # and their order, found by running both variants on random positions
+    for k, (state, pieces, color, iterations, depth, c, discount, rng_seed) in enumerate((
+            ("0100000000000000000000000000000000000200030000000000000000000000"
+             "0000430000000000000000000000000000000000000042000000000000000041",
+             3, Color.RED, 500, 0, 2.0, 0.95, 504),
+            ("0100020003000400000500060007000809000a0000000c0000000000000b0000"
+             "4c004b000000000000000000004a004948004700460045000044004300420041",
+             12, Color.WHITE, 500, 0, 1.3, 0.9, 710),
+            ("010002000300040000000000000700080900000000000c000000000000060000"
+             "4c000000000000000000004b0000004948004700000000000044004300420041",
+             12, Color.WHITE, 500, 0, 1.3, 0.8, 350),
+            ("0100000000000000000000000000000000000000000000000000000200000000"
+             "0000000000000300000000430000000000000000420000000000000000000000",
+             3, Color.WHITE, 500, 0, 2.0, 0.9, 243),
+            ("0000000063000000000000000000000000000000000003000000000000000000"
+             "0000000000000000000000000000000000000000420041000000000000000000",
+             3, Color.RED, 500, 1, 2.0, 0.9, 516))):
+        cfg = SearchConfig(iterations=iterations, simulation_depth=GOLDEN_SIM_DEPTH,
+                           minimax_depth=depth, exploration=c, discount=discount,
+                           rng_seed=rng_seed)
+        yield (f"rounding{k}/{color.name.lower()}/d{depth}/c{c}/g{discount}/i{iterations}",
+               GameBoard(bytes.fromhex(state), pieces), color, cfg)
 
 
 def golden_search_record(board, color, cfg):
@@ -484,15 +547,27 @@ def golden_records():
     return records
 
 
+@pytest.fixture(params=["python", "compiled"])
+def search_twin(request, monkeypatch):
+    """Routes ``kernel.search``, and so ``mcts_search``, to one kernel twin."""
+    if request.param == "python":
+        impl = _pykernel
+    else:
+        impl = pytest.importorskip("playmine.kernel._ckernel",
+                                   reason="compiled kernel not built")
+    monkeypatch.setattr(kernel, "search", impl.search)
+
+
 class TestGolden:
     """The chosen move, reward and next state of ``mcts_search`` and two
-    episodes' traces, recorded before the search tree moved to kernel
-    tuples.  Tie-breaking (first child wins), the entry-move reward in the
-    backup and the seeded depth-0 rollouts all show in these.  Regenerate
-    only when the search is meant to change:
-    ``PYTHONPATH=src python tests/test_search.py``."""
+    episodes' traces, on both kernel twins.  Recorded before the search
+    tree moved to kernel tuples; the 500-iteration cases before the search
+    moved into the kernel.  Tie-breaking (first child wins), the UCT and
+    backup arithmetic, the entry-move reward in the backup and the seeded
+    depth-0 rollouts all show in these.  Regenerate only when the search is
+    meant to change: ``PYTHONPATH=src python tests/test_search.py``."""
 
-    def test_matches_golden(self):
+    def test_matches_golden(self, search_twin):
         golden = json.loads(GOLDEN_PATH.read_text())
         got = golden_records()
         assert list(got) == list(golden)
