@@ -170,7 +170,7 @@ def import_episode_table(path) -> list[StepRecord]:
     records = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header
         if tuple(header) != EPISODE_COLUMNS:
             raise ValueError(f"unexpected episode table header in {path}: {header}")
         for row in reader:
@@ -198,7 +198,7 @@ def _import_log_csv(path: Path) -> EventLog:
     log = EventLog()
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header
         if [h.strip() for h in header] != ["task_id", "transition"]:
             raise ValueError(f"unexpected event log header in {path}: {header}")
         labels: dict[str, str] = {}  # one shared str per distinct label

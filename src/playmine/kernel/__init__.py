@@ -1,7 +1,10 @@
 """Kernel backend selection, and the build of the compiled kernel.
 
-``_ckernel.c`` is a CPython extension that mirrors ``_pykernel`` function
-for function.  On import it is loaded from
+``_ckernel.c`` is a CPython extension with twins of the four ``_pykernel``
+ops the search spends its time in: ``gen_moves``, ``minimax``, ``rollout``
+and ``search``.  The other ops (``side_has_moves``, ``piece_counts``,
+``evaluate``, ``winner``) and the constants are ``_pykernel``'s on every
+backend.  On import the extension is loaded from
 ``__pycache__/_ckernel.<sha256><extension suffix>`` next to this file; the
 hash covers the C source and the compile flags, so an edited source never
 loads a stale binary.  When that file is missing it is compiled once, by the
@@ -115,12 +118,12 @@ cell_color = _pykernel.cell_color
 cell_id = _pykernel.cell_id
 cell_is_king = _pykernel.cell_is_king
 prune_by_reward = _pykernel.prune_by_reward
+side_has_moves = _pykernel.side_has_moves
+piece_counts = _pykernel.piece_counts
+evaluate = _pykernel.evaluate
+winner = _pykernel.winner
 
 gen_moves = _impl.gen_moves
-side_has_moves = _impl.side_has_moves
-piece_counts = _impl.piece_counts
-evaluate = _impl.evaluate
-winner = _impl.winner
 minimax = _impl.minimax
 rollout = _impl.rollout
 search = _impl.search

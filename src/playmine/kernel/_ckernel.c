@@ -1,5 +1,6 @@
-/* Compiled twin of _pykernel: move generation, alpha-beta minimax,
- * rollouts and the whole MCTS turn (search).
+/* Compiled twin of the four hot _pykernel ops: gen_moves, alpha-beta
+ * minimax, rollout and search (the whole MCTS turn).  The other ops,
+ * winner among them, are _pykernel's on every backend.
  *
  * Same 64-byte board encoding, same scan and enumeration order, same
  * first-in-order tie-breaking and the same Python return values as
@@ -17,7 +18,6 @@
 #include <string.h>
 
 #define WHITE 0
-#define RED 1
 #define KING_FLAG 0x20
 #define RED_FLAG 0x40
 #define ID_MASK 0x1F
@@ -201,66 +201,18 @@ gen(Call *c, const unsigned char *state, int color)
     return c->n - base;
 }
 
-/* 1 iff gen would find a move for `color`: every legal move starts with a
- * step to an empty neighbour or a jump over an opponent onto an empty
- * square, so this stops at the first piece that can make one, without
- * building a move.  A side with no pieces has no move. */
-static int
-side_has_moves(const unsigned char *state, long color)
-{
-    for (int idx = 0; idx < 64; idx++) {
-        unsigned char piece = state[idx];
-        if (piece == 0 || ((piece >> 6) & 1) != color)
-            continue;
-        int x = idx >> 3, y = idx & 7, king = (piece & KING_FLAG) != 0;
-        int d0 = (king || color == WHITE) ? 0 : 2;
-        int d1 = (king || color != WHITE) ? 4 : 2;
-        for (int d = d0; d < d1; d++) {
-            int nx = x + DXS[d], ny = y + DYS[d];
-            if (nx < 0 || nx > 7 || ny < 0 || ny > 7)
-                continue;
-            unsigned char nv = state[(nx << 3) | ny];
-            if (nv == 0)
-                return 1;
-            if (((nv >> 6) & 1) != color) {
-                int lx = x + 2 * DXS[d], ly = y + 2 * DYS[d];
-                if (lx >= 0 && lx <= 7 && ly >= 0 && ly <= 7
-                        && state[(lx << 3) | ly] == 0)
-                    return 1;
-            }
-        }
-    }
-    return 0;
-}
-
-/* counts: white men, white kings, red men, red kings */
-static void
-piece_counts(const unsigned char *state, long counts[4])
-{
-    counts[0] = counts[1] = counts[2] = counts[3] = 0;
-    for (int idx = 0; idx < 64; idx++) {
-        unsigned char v = state[idx];
-        if (v != 0)
-            counts[((v & RED_FLAG) ? 2 : 0) + ((v & KING_FLAG) ? 1 : 0)]++;
-    }
-}
-
+/* Material from `color`'s side: men count 1, kings 1 + king_weight. */
 static double
 evaluate(const unsigned char *state, long color, double king_weight)
 {
-    long c[4];
-    piece_counts(state, c);
+    long c[4] = {0, 0, 0, 0}; /* white men, white kings, red men, red kings */
+    for (int idx = 0; idx < 64; idx++) {
+        unsigned char v = state[idx];
+        if (v != 0)
+            c[((v & RED_FLAG) ? 2 : 0) + ((v & KING_FLAG) ? 1 : 0)]++;
+    }
     double white = (double)(c[0] + c[1] - c[2] - c[3]) + king_weight * (double)(c[1] - c[3]);
     return color == WHITE ? white : -white;
-}
-
-/* -1 while undecided, else the winning color: the side to move loses when
- * it has no legal move, which includes having no pieces; that is the
- * terminal test of minimax and rollout. */
-static long
-winner(const unsigned char *state, long to_move)
-{
-    return side_has_moves(state, to_move) ? -1 : 1 - to_move;
 }
 
 /* Depth-limited fail-soft alpha-beta (Knuth & Moore, 1975), scored from
@@ -269,7 +221,7 @@ winner(const unsigned char *state, long to_move)
  * child that only ties the best fails low: the chosen move is the first
  * co-optimal one in gen order and the root score is exact.  A node whose
  * side has no legal move is terminal and scored by evaluate, like a depth-0
- * leaf; that is the same test as winner() != -1.  When `best` is given the
+ * leaf; that is _pykernel.winner's test.  When `best` is given the
  * chosen move is copied there and *found says whether there was one. */
 static double
 minimax(Call *c, const unsigned char *state, long to_move, long agent,
@@ -509,8 +461,13 @@ box_move(const Move *m)
                          m->reward, PyBytes_FromStringAndSize((const char *)m->state, 64));
 }
 
-/* Every function takes positional arguments; a state is a bytes-like
- * object of 64 bytes. */
+/* Every function takes positional arguments and checks them in _pykernel's
+ * order and words: a bytes-like 64-byte state, sides in {0, 1}, points in
+ * 0..MAX_POINTS (_pykernel.MAX_POINTS says why no reward sum then overflows
+ * a long), then its own limits; a failed check sets ValueError, returns 1. */
+#define MAX_POINTS 2147483647L
+#define SIDE_MSG "side must be 0 (white) or 1 (red)"
+
 static int
 bad_state(Py_ssize_t len)
 {
@@ -518,6 +475,29 @@ bad_state(Py_ssize_t len)
         return 0;
     PyErr_SetString(PyExc_ValueError, "state must be 64 bytes");
     return 1;
+}
+
+/* An int argument in 0..hi into *out; an int past a long is out of range
+ * too, as it is in _pykernel. */
+static int
+bad_int(PyObject *o, long hi, const char *msg, long *out)
+{
+    int overflow;
+    *out = PyLong_AsLongAndOverflow(o, &overflow);
+    if (*out == -1 && PyErr_Occurred())
+        return 1;
+    if (!overflow && *out >= 0 && *out <= hi)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, msg);
+    return 1;
+}
+
+static int
+bad_points(PyObject *cap, PyObject *crown, Call *c)
+{
+    const char *msg = "capture_points and crown_points must be in 0..2147483647";
+    return bad_int(cap, MAX_POINTS, msg, &c->cap_pts)
+           || bad_int(crown, MAX_POINTS, msg, &c->crown_pts);
 }
 
 #define BOARD(s) ((const unsigned char *)(s))
@@ -528,9 +508,12 @@ py_gen_moves(PyObject *self, PyObject *args)
     const char *state;
     Py_ssize_t len;
     long color;
+    PyObject *o_color, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#lpll:gen_moves", &state, &len, &color, &c.forced,
-                          &c.cap_pts, &c.crown_pts) || bad_state(len))
+    if (!PyArg_ParseTuple(args, "y#OpOO:gen_moves", &state, &len, &o_color, &c.forced,
+                          &cap, &crown)
+            || bad_state(len) || bad_int(o_color, 1, SIDE_MSG, &color)
+            || bad_points(cap, crown, &c))
         return NULL;
     PyObject *out = NULL;
     Py_ssize_t n = gen(&c, BOARD(state), (int)color);
@@ -548,61 +531,21 @@ py_gen_moves(PyObject *self, PyObject *args)
 }
 
 static PyObject *
-py_side_has_moves(PyObject *self, PyObject *args)
-{
-    const char *state;
-    Py_ssize_t len;
-    long color;
-    if (!PyArg_ParseTuple(args, "y#l:side_has_moves", &state, &len, &color) || bad_state(len))
-        return NULL;
-    return PyBool_FromLong(side_has_moves(BOARD(state), color));
-}
-
-static PyObject *
-py_piece_counts(PyObject *self, PyObject *args)
-{
-    const char *state;
-    Py_ssize_t len;
-    long c[4];
-    if (!PyArg_ParseTuple(args, "y#:piece_counts", &state, &len) || bad_state(len))
-        return NULL;
-    piece_counts(BOARD(state), c);
-    return Py_BuildValue("(llll)", c[0], c[1], c[2], c[3]);
-}
-
-static PyObject *
-py_evaluate(PyObject *self, PyObject *args)
-{
-    const char *state;
-    Py_ssize_t len;
-    long color;
-    double kw;
-    if (!PyArg_ParseTuple(args, "y#ld:evaluate", &state, &len, &color, &kw) || bad_state(len))
-        return NULL;
-    return PyFloat_FromDouble(evaluate(BOARD(state), color, kw));
-}
-
-static PyObject *
-py_winner(PyObject *self, PyObject *args)
-{
-    const char *state;
-    Py_ssize_t len;
-    long to_move;
-    if (!PyArg_ParseTuple(args, "y#l:winner", &state, &len, &to_move) || bad_state(len))
-        return NULL;
-    return PyLong_FromLong(winner(BOARD(state), to_move));
-}
-
-static PyObject *
 py_minimax(PyObject *self, PyObject *args)
 {
     const char *state;
     Py_ssize_t len;
     long to_move, agent, depth;
+    PyObject *o_to_move, *o_agent, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#lllplld:minimax", &state, &len, &to_move, &agent, &depth,
-                          &c.forced, &c.cap_pts, &c.crown_pts, &c.kw) || bad_state(len))
+    if (!PyArg_ParseTuple(args, "y#OOlpOOd:minimax", &state, &len, &o_to_move, &o_agent,
+                          &depth, &c.forced, &cap, &crown, &c.kw)
+            || bad_state(len) || bad_int(o_to_move, 1, SIDE_MSG, &to_move)
+            || bad_int(o_agent, 1, SIDE_MSG, &agent) || bad_points(cap, crown, &c))
         return NULL;
+    /* the recursion stops only at depth 0 */
+    if (depth < 0)
+        return PyErr_Format(PyExc_ValueError, "minimax requires depth >= 0");
     Move best;
     int found;
     double score = minimax(&c, BOARD(state), to_move, agent, depth, -INFINITY, INFINITY,
@@ -621,15 +564,15 @@ py_rollout(PyObject *self, PyObject *args)
     const char *state;
     Py_ssize_t len;
     long to_move, sim_depth, mm_depth;
+    PyObject *o_to_move, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#lllplld:rollout", &state, &len, &to_move, &sim_depth,
-                          &mm_depth, &c.forced, &c.cap_pts, &c.crown_pts, &c.kw)
-            || bad_state(len))
+    if (!PyArg_ParseTuple(args, "y#OllpOOd:rollout", &state, &len, &o_to_move, &sim_depth,
+                          &mm_depth, &c.forced, &cap, &crown, &c.kw)
+            || bad_state(len) || bad_int(o_to_move, 1, SIDE_MSG, &to_move)
+            || bad_points(cap, crown, &c))
         return NULL;
-    if (mm_depth < 1) {
-        PyErr_SetString(PyExc_ValueError, "rollout requires mm_depth >= 1");
-        return NULL;
-    }
+    if (mm_depth < 1)
+        return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
     long delta[2] = {0, 0};
     int rc = rollout(&c, BOARD(state), to_move, sim_depth, mm_depth, delta);
     PyMem_Free(c.moves);
@@ -645,27 +588,22 @@ py_search(PyObject *self, PyObject *args)
     Py_ssize_t len, iterations;
     long side, sim_depth, mm_depth;
     double explore, discount;
-    PyObject *randrange;
+    PyObject *o_side, *cap, *crown, *randrange;
     Call c = {0};
     Tree t = {0};
-    if (!PyArg_ParseTuple(args, "y#lnllplldddpO:search", &state, &len, &side, &iterations,
-                          &sim_depth, &mm_depth, &c.forced, &c.cap_pts, &c.crown_pts,
-                          &c.kw, &explore, &discount, &t.pruning, &randrange)
-            || bad_state(len))
+    if (!PyArg_ParseTuple(args, "y#OnllpOOdddpO:search", &state, &len, &o_side, &iterations,
+                          &sim_depth, &mm_depth, &c.forced, &cap, &crown, &c.kw, &explore,
+                          &discount, &t.pruning, &randrange)
+            || bad_state(len) || bad_int(o_side, 1, SIDE_MSG, &side)
+            || bad_points(cap, crown, &c))
         return NULL;
-    if (iterations < 1) {
-        PyErr_SetString(PyExc_ValueError, "iterations must be >= 1");
-        return NULL;
-    }
+    if (iterations < 1)
+        return PyErr_Format(PyExc_ValueError, "iterations must be >= 1");
     /* a NaN or infinite score would leave UCT without a child */
-    if (!(explore >= 0 && explore < INFINITY)) {
-        PyErr_SetString(PyExc_ValueError, "exploration must be finite and >= 0");
-        return NULL;
-    }
-    if (!(discount > 0 && discount <= 1)) {
-        PyErr_SetString(PyExc_ValueError, "discount must be in (0, 1]");
-        return NULL;
-    }
+    if (!(explore >= 0 && explore < INFINITY))
+        return PyErr_Format(PyExc_ValueError, "exploration must be finite and >= 0");
+    if (!(discount > 0 && discount <= 1))
+        return PyErr_Format(PyExc_ValueError, "discount must be in (0, 1]");
     PyObject *out = NULL;
     t.nodes = PyMem_Calloc(1, sizeof(Node));
     if (t.nodes == NULL)
@@ -723,14 +661,6 @@ static PyMethodDef methods[] = {
     {"gen_moves", py_gen_moves, METH_VARARGS,
      "gen_moves(state, color, forced, capture_points, crown_points) -> list of "
      "(from_idx, to_idx, captured_ids, crowned, reward, new_state)"},
-    {"side_has_moves", py_side_has_moves, METH_VARARGS,
-     "side_has_moves(state, color) -> bool"},
-    {"piece_counts", py_piece_counts, METH_VARARGS,
-     "piece_counts(state) -> (white_men, white_kings, red_men, red_kings)"},
-    {"evaluate", py_evaluate, METH_VARARGS,
-     "evaluate(state, color, king_weight) -> float"},
-    {"winner", py_winner, METH_VARARGS,
-     "winner(state, to_move) -> -1 while undecided, else the winning color"},
     {"minimax", py_minimax, METH_VARARGS,
      "minimax(state, to_move, agent, depth, forced, capture_points, crown_points, "
      "king_weight) -> (score, move or None)"},
@@ -746,23 +676,12 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernel",
-    "Compiled twin of _pykernel.",
+    "Compiled twin of _pykernel's gen_moves, minimax, rollout and search.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m == NULL)
-        return NULL;
-    if (PyModule_AddIntConstant(m, "WHITE", WHITE) < 0
-            || PyModule_AddIntConstant(m, "RED", RED) < 0
-            || PyModule_AddIntConstant(m, "KING_FLAG", KING_FLAG) < 0
-            || PyModule_AddIntConstant(m, "RED_FLAG", RED_FLAG) < 0
-            || PyModule_AddIntConstant(m, "ID_MASK", ID_MASK) < 0) {
-        Py_DECREF(m);
-        return NULL;
-    }
-    return m;
+    return PyModule_Create(&module);
 }

@@ -6,14 +6,16 @@ bit 6 the side (0 white, 1 red).  White men advance toward x = 7 and crown
 there; red men advance toward x = 0.  Dark squares have even x + y.
 
 The compiled backend (``_ckernel.c``, built on first import by
-``kernel/__init__.py``) mirrors this module function for function and must
-stay behaviourally identical: move enumeration order, tie-breaking, return
-types and the ValueError for a state that is not 64 bytes long are part of
-the contract (``piece_counts`` checks the length for ``evaluate`` and
-depth-0 ``minimax``, ``side_has_moves`` for ``winner``, ``gen_moves`` for
-deeper ``minimax``).
-This module is the fallback when no C compiler is available and the
-reference the parity tests compare against.
+``kernel/__init__.py``) has twins of the four ops the search spends its
+time in, ``gen_moves``, ``minimax``, ``rollout`` and ``search``, and they
+must stay behaviourally identical: move enumeration order, tie-breaking,
+return types and the ValueErrors for bad arguments are part of the
+contract.  Each of the four checks its arguments on entry, in this order:
+a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
+{0, 1}, points in ``0..MAX_POINTS``, then its own limits.
+``side_has_moves``, ``piece_counts``, ``evaluate`` and ``winner`` have no
+twin: every backend uses these.  This module is the fallback when no C
+compiler is available and the reference the parity tests compare against.
 
 ``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
 (``rollout``, or random moves at minimax depth 0) and the discounted backup,
@@ -43,6 +45,15 @@ ID_MASK = 0x1F
 
 INF = float("inf")
 
+# The largest capture_points or crown_points the ops accept.  Rewards come
+# only from captures, each removing a piece, and crowns, each turning a man
+# into a king for good.  A 64-byte state holds at most 64 pieces, so any line
+# of play (a search's entry move and its playout included) earns at most 63
+# captures and 64 crowns: under 2**38 points.  So no reward sum overflows the
+# compiled twin's 64-bit C long, and each is exact as the double that the
+# search's backup turns it into.
+MAX_POINTS = 2**31 - 1
+
 # Diagonal directions; white men use the first two, red men the last two.
 DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -66,6 +77,16 @@ def cell_is_king(value: int) -> bool:
 def _check_state(state):
     if len(state) != 64:
         raise ValueError("state must be 64 bytes")
+
+
+def _check_args(state, sides, capture_points, crown_points):
+    """The checks the compiled twin's ops make, in its order and words."""
+    _check_state(state)
+    for side in sides:
+        if side not in (0, 1):
+            raise ValueError("side must be 0 (white) or 1 (red)")
+    if not (0 <= capture_points <= MAX_POINTS and 0 <= crown_points <= MAX_POINTS):
+        raise ValueError(f"capture_points and crown_points must be in 0..{MAX_POINTS}")
 
 
 def _piece_dirs(color, king):
@@ -116,7 +137,7 @@ def gen_moves(state, color, forced, capture_points, crown_points):
     ascending board index.  With ``forced`` set and any capture available only
     capture moves are returned.
     """
-    _check_state(state)
+    _check_args(state, (color,), capture_points, crown_points)
     far_x = 7 if color == WHITE else 0
     out = []
     have_capture = False
@@ -238,6 +259,10 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
     A node whose side has no legal move is terminal and scored by evaluate,
     like a depth-0 leaf; that is the same test as winner() != -1.
     """
+    _check_args(state, (to_move, agent), capture_points, crown_points)
+    if depth < 0:  # the recursion stops only at depth 0
+        raise ValueError("minimax requires depth >= 0")
+
     def search(state, to_move, depth, alpha, beta):
         if depth == 0:
             return evaluate(state, agent, king_weight), None
@@ -282,7 +307,7 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     mm_depth >= 1 (depth 0 rollouts are random and handled by the search
     layer).
     """
-    _check_state(state)
+    _check_args(state, (to_move,), capture_points, crown_points)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
     w = 0
@@ -438,7 +463,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     returns it; ``nodes`` is the number of nodes the iterations expanded.
     ``randrange(n)`` draws the random moves of minimax-depth-0 rollouts.
     """
-    _check_state(state)
+    _check_args(state, (side,), capture_points, crown_points)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not 0 <= exploration < INF:

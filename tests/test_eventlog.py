@@ -134,6 +134,13 @@ class TestEpisodeTable:
         with pytest.raises(OSError, match="no/such"):
             export_episode_table([], tmp_path / "no" / "such" / "dir.csv")
 
+    @pytest.mark.parametrize("text", ["", "task_id,transition\n"], ids=["empty", "wrong"])
+    def test_empty_file_or_wrong_header_rejected(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unexpected episode table header"):
+            import_episode_table(path)
+
 
 class TestLogIO:
     @pytest.mark.parametrize("fmt", ["csv", "xes"])
@@ -166,6 +173,13 @@ class TestLogIO:
         export_log(log, a, "xes")
         export_log(log, b, "xes")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("text", ["", "case,activity\n1,a\n"], ids=["empty", "wrong"])
+    def test_empty_csv_or_wrong_header_rejected(self, tmp_path, text):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unexpected event log header"):
+            import_log(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """The compiled and pure-Python kernels must agree move for move."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -56,12 +60,15 @@ def test_gen_moves_identical():
 
 
 def test_static_functions_identical():
+    """The compiled evaluate, which only minimax reaches: a depth-0 minimax
+    scores the state with it."""
     for state in STATES + FULL + KINGS:
-        assert pk.piece_counts(state) == compiled.piece_counts(state)
-        for color in (0, 1):
-            assert pk.winner(state, color) == compiled.winner(state, color)
-            assert pk.side_has_moves(state, color) == compiled.side_has_moves(state, color)
-            assert pk.evaluate(state, color, 0.5) == compiled.evaluate(state, color, 0.5)
+        for agent in (0, 1):
+            for king_weight in (0.0, 0.5, 1.5):
+                want = (pk.evaluate(state, agent, king_weight), None)
+                assert pk.minimax(state, 1 - agent, agent, 0, True, 7, 7, king_weight) == want
+                assert compiled.minimax(state, 1 - agent, agent, 0, True, 7, 7,
+                                        king_weight) == want
 
 
 def test_minimax_identical():
@@ -121,8 +128,9 @@ BLOCKED = _board([(0, 0)], [(1, 1), (2, 2)], king=False)
 
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
 def test_winner_decided_iff_no_legal_move(backend):
-    """minimax and rollout stop on "no legal move" instead of calling winner:
-    winner(s, c) != -1 exactly when gen_moves(s, c) is empty, forced or not."""
+    """minimax and rollout stop on "no legal move" instead of calling winner,
+    which every backend takes from _pykernel: winner(s, c) != -1 exactly
+    when the backend's gen_moves(s, c) is empty, forced or not."""
     no_pieces = [_one_side_only(s, c) for s in STATES[:60] + FULL[:20] for c in (0, 1)]
     boards = STATES + FULL + KINGS + no_pieces + [ONLY_JUMP, BLOCKED, LONGEST_CHAIN, CROWDED]
     decided = only_jumps = 0
@@ -130,32 +138,115 @@ def test_winner_decided_iff_no_legal_move(backend):
         for color in (0, 1):
             for forced in (True, False):
                 moves = backend.gen_moves(state, color, forced, 7, 7)
-                assert (backend.winner(state, color) != -1) == (not moves), (state, color)
+                assert (pk.winner(state, color) != -1) == (not moves), (state, color)
                 decided += not moves
                 only_jumps += bool(moves) and not forced and all(m[2] for m in moves)
     assert decided >= 2 * len(no_pieces) and only_jumps >= 1
-    assert backend.winner(BLOCKED, pk.WHITE) == pk.RED
+    assert pk.winner(BLOCKED, pk.WHITE) == pk.RED
     assert [m[:2] for m in backend.gen_moves(ONLY_JUMP, pk.WHITE, False, 7, 7)] == [(0, 18)]
+
+
+def _public(module):
+    return sorted(name for name in vars(module) if not name.startswith("_"))
 
 
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
 @pytest.mark.parametrize("length", [0, 63, 65])
 def test_state_of_wrong_length_is_rejected(backend, length):
+    """Every op that takes a state, on each backend that has it; the
+    compiled module exports no op that this leaves out."""
     state = bytes(length)
-    calls = [
-        lambda: backend.gen_moves(state, 0, True, 7, 7),
-        lambda: backend.side_has_moves(state, 0),
-        lambda: backend.piece_counts(state),
-        lambda: backend.evaluate(state, 0, 0.5),
-        lambda: backend.winner(state, 0),
-        lambda: backend.minimax(state, 0, 0, 0, True, 7, 7, 0.5),
-        lambda: backend.minimax(state, 0, 0, 2, True, 7, 7, 0.5),
-        lambda: backend.rollout(state, 0, 0, 1, True, 7, 7, 0.5),
-        lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8, False, None),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="64 bytes"):
-            call()
+    calls = {
+        "gen_moves": [lambda: backend.gen_moves(state, 0, True, 7, 7)],
+        "side_has_moves": [lambda: backend.side_has_moves(state, 0)],
+        "piece_counts": [lambda: backend.piece_counts(state)],
+        "evaluate": [lambda: backend.evaluate(state, 0, 0.5)],
+        "winner": [lambda: backend.winner(state, 0)],
+        "minimax": [lambda: backend.minimax(state, 0, 0, 0, True, 7, 7, 0.5),
+                    lambda: backend.minimax(state, 0, 0, 2, True, 7, 7, 0.5)],
+        "rollout": [lambda: backend.rollout(state, 0, 0, 1, True, 7, 7, 0.5)],
+        "search": [lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8,
+                                          False, None)],
+    }
+    assert set(_public(compiled)) <= set(calls)
+    for op in calls if backend is pk else _public(compiled):
+        for call in calls[op]:
+            with pytest.raises(ValueError, match="64 bytes"):
+                call()
+
+
+def test_compiled_module_has_only_the_hot_ops():
+    """The compiled twin exports gen_moves, minimax, rollout and search;
+    the other ops and the constants are _pykernel's on every backend."""
+    assert _public(compiled) == ["gen_moves", "minimax", "rollout", "search"]
+    for op in ("side_has_moves", "piece_counts", "evaluate", "winner"):
+        assert getattr(kernel, op) is getattr(pk, op)
+    for op in _public(compiled):
+        assert getattr(kernel, op) is getattr(compiled, op)
+
+
+def _calls(backend, state=STATES[0], side=0, agent=0, capture_points=7, crown_points=7):
+    """One call of each compiled op with the given sides and points."""
+    rules = (True, capture_points, crown_points)
+    return [lambda: backend.gen_moves(state, side, *rules),
+            lambda: backend.minimax(state, side, agent, 2, *rules, 0.5),
+            lambda: backend.rollout(state, side, 4, 1, *rules, 0.5),
+            lambda: backend.search(state, side, 5, 3, 1, *rules, 0.5, 0.5, 0.8, False,
+                                   None)]
+
+
+@pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
+def test_side_and_points_out_of_range_are_rejected(backend):
+    """Both twins raise the same ValueError for a side outside {0, 1}, and
+    for points outside 0..MAX_POINTS, past a C long too."""
+    for bad in (2, -1, 2**32, 2**64, -2**64):
+        for call in _calls(backend, side=bad) + _calls(backend, agent=bad)[1:2]:
+            with pytest.raises(ValueError, match=r"^side must be 0 \(white\) or 1 \(red\)$"):
+                call()
+    for bad in (-1, pk.MAX_POINTS + 1, 2**62, 2**64):
+        for call in _calls(backend, capture_points=bad) + _calls(backend, crown_points=bad):
+            with pytest.raises(ValueError, match=r"^capture_points and crown_points must be "
+                                                 r"in 0\.\.2147483647$"):
+                call()
+    assert pk.MAX_POINTS == 2**31 - 1
+
+
+NEGATIVE_DEPTH = """
+import importlib, sys
+import playmine.kernel
+from playmine.board import initial_board
+twin = importlib.import_module(sys.argv[1])
+try:
+    twin.minimax(initial_board(3).state, 0, 0, -1, True, 7, 7, 0.5)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("twin", [pk, compiled], ids=["python", "compiled"])
+def test_negative_minimax_depth_is_a_value_error(twin):
+    """Run in a child, so that a crash fails this test instead of the run."""
+    src = str(Path(kernel.__file__).parents[2])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NEGATIVE_DEPTH, twin.__name__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout.strip() == "ValueError minimax requires depth >= 0"
+
+
+def test_points_at_the_bound_identical():
+    """At MAX_POINTS every reward sum still fits: the 9-capture chain's
+    reward, rollouts and searches agree with the pure twin's ints."""
+    top = pk.MAX_POINTS
+    moves = compiled.gen_moves(LONGEST_CHAIN, 0, True, top, top)
+    assert moves == pk.gen_moves(LONGEST_CHAIN, 0, True, top, top)
+    assert max(m[4] for m in moves) == 9 * top
+    for state in (LONGEST_CHAIN, CROWDED, *FULL[:4], *KINGS[:4]):
+        for side in (0, 1):
+            want = _calls(pk, state, side, side, top, top)
+            got = _calls(compiled, state, side, side, top, top)
+            assert [call() for call in got] == [call() for call in want]
 
 
 def test_selected_backend_matches_environment():

@@ -2,11 +2,14 @@
 
 The test builds ``_ckernel.c`` with ``-fsanitize=address,undefined`` into a
 temporary directory and runs ``fuzz`` in a child process that preloads the
-sanitizer runtimes: a seeded fuzz of every kernel op against the pure twin
-on random, 12-a-side, all-king, jump-only and wrong-length boards, with
-``search`` also given a ``randrange`` that raises or returns an index out of
-range.  Each op must return what ``_pykernel`` returns or raise the same
-exception; a memory error or undefined behaviour aborts the child.
+sanitizer runtimes: a seeded fuzz of every op the compiled module exports
+against the pure twin on random, 12-a-side, all-king, jump-only and
+wrong-length boards, with negative depths, sides outside {0, 1}, points at
+and past ``MAX_POINTS``, and ``search`` also given a ``randrange`` that
+raises or returns an index out of range.  Each op must return what
+``_pykernel`` returns or raise the same exception; a memory error or
+undefined behaviour aborts the child, and so does an exported op that the
+fuzz has no inputs for.
 
 To fuzz a build by hand (``PYTHONMALLOC=malloc`` lets ASan see the
 kernel's allocations, which pymalloc would otherwise serve)::
@@ -113,38 +116,50 @@ def _randrange(kind, seed):
     return random.Random(seed).randrange
 
 
+BAD_SIDES = (2, -1, 2**32)
+EDGE_POINTS = (pk.MAX_POINTS, pk.MAX_POINTS + 1, 2**63, -1)
+
+
+def _side(rng, side):
+    """``side``, or one of ``BAD_SIDES`` one time in ten."""
+    return rng.choice(BAD_SIDES) if rng.random() < 0.1 else side
+
+
+def _points(rng):
+    """Small points, or one of ``EDGE_POINTS`` one time in ten."""
+    return rng.choice(EDGE_POINTS) if rng.random() < 0.1 else rng.randrange(10)
+
+
 def fuzz(ck, seed):
     """Runs every op of ``ck`` and ``_pykernel`` on the same seeded inputs;
     returns the number of calls compared."""
     rng = random.Random(seed)
+    exported = sorted(name for name in vars(ck) if not name.startswith("_"))
     calls = 0
     for kind, state, side in _positions(rng):
         forced = rng.random() < 0.7
-        cap, crown = rng.randrange(10), rng.randrange(10)
+        cap, crown = _points(rng), _points(rng)
         kw = rng.choice((0.0, 0.5, 1.5))
-        ops = [("gen_moves", (state, side, forced, cap, crown)),
-               ("side_has_moves", (state, side)),
-               ("piece_counts", (state,)),
-               ("evaluate", (state, side, kw)),
-               ("winner", (state, side)),
-               ("minimax", (state, side, rng.randrange(2), rng.randrange(3), forced,
-                            cap, crown, kw)),
-               ("rollout", (state, side, rng.randrange(7), rng.randrange(3), forced,
-                            cap, crown, kw))]
-        for op, args in ops:
+        ops = {"gen_moves": (state, _side(rng, side), forced, cap, crown),
+               "minimax": (state, _side(rng, side), _side(rng, rng.randrange(2)),
+                           rng.randrange(-1, 3), forced, cap, crown, kw),
+               "rollout": (state, _side(rng, side), rng.randrange(7), rng.randrange(-1, 3),
+                           forced, cap, crown, kw)}
+        assert sorted([*ops, "search"]) == exported, f"fuzz ops != exported {exported}"
+        for op, args in ops.items():
             want = _outcome(getattr(pk, op), args)
             got = _outcome(getattr(ck, op), args)
             assert got == want, (kind, op, args, got, want)
             calls += 1
         for _ in range(4):
             iterations = rng.choice((0, 1, 2, 5, 30))
-            depth = rng.randrange(3)
+            depth = rng.randrange(-1, 3)
             explore = rng.choice((0.0, 1 / math.sqrt(2), 2.0, -1.0, math.inf))
             discount = rng.choice((0.5, 0.8, 1.0, 0.0))
             how = rng.choice(("seeded",) * 6 + ("raise", "range"))
             cb_seed = rng.randrange(1000)
-            args = (state, side, iterations, rng.randrange(5), depth, forced, cap, crown, kw,
-                    explore, discount, rng.random() < 0.5)
+            args = (state, _side(rng, side), iterations, rng.randrange(5), depth, forced,
+                    cap, crown, kw, explore, discount, rng.random() < 0.5)
             want = _outcome(pk.search, args + (_randrange(how, cb_seed),))
             got = _outcome(ck.search, args + (_randrange(how, cb_seed),))
             assert got == want, (kind, "search", args, how, got, want)
