@@ -150,30 +150,16 @@ class GameBoard:
 
 
 def initial_board(pieces_per_side: int = 3) -> GameBoard:
-    """Mirrored back-row placement, ids 1..N assigned in fill order."""
+    """Mirrored back-row placement: white on the first N dark cells in
+    index order, ids 1..N from the lowest index, and red on their mirror
+    images (index 63 - i), ids 1..N from the highest."""
     if not 1 <= pieces_per_side <= 12:
         raise ValueError("pieces_per_side must be between 1 and 12")
     cells = bytearray(64)
-    placed = 0
-    for x in range(8):
-        for y in range(8):
-            if placed == pieces_per_side:
-                break
-            if (x + y) % 2 == 0:
-                placed += 1
-                cells[(x << 3) | y] = kernel.encode_cell(kernel.WHITE, placed, False)
-        if placed == pieces_per_side:
-            break
-    placed = 0
-    for x in range(7, -1, -1):
-        for y in range(7, -1, -1):
-            if placed == pieces_per_side:
-                break
-            if (x + y) % 2 == 0:
-                placed += 1
-                cells[(x << 3) | y] = kernel.encode_cell(kernel.RED, placed, False)
-        if placed == pieces_per_side:
-            break
+    darks = (idx for idx in range(64) if ((idx >> 3) + (idx & 7)) % 2 == 0)
+    for piece_id, idx in zip(range(1, pieces_per_side + 1), darks):
+        cells[idx] = kernel.encode_cell(kernel.WHITE, piece_id, False)
+        cells[63 - idx] = kernel.encode_cell(kernel.RED, piece_id, False)
     return GameBoard(bytes(cells), pieces_per_side)
 
 
@@ -221,9 +207,9 @@ def apply_move(board: GameBoard, move: ConcreteMove,
 
 def winner(board: GameBoard, to_move: Color) -> Optional[Color]:
     """Opponent of ``to_move`` if that side has no legal move (which
-    includes having no pieces), else None: the side to move loses."""
-    w = kernel.winner(board.state, to_move.value)
-    return None if w == -1 else Color(w)
+    includes having no pieces), else None: the side to move loses.  The
+    backend's ``gen_moves`` decides, the same test the search ends on."""
+    return None if _kernel_moves(board, to_move, None) else to_move.opponent
 
 
 def evaluate(board: GameBoard, perspective: Color,

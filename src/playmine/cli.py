@@ -113,8 +113,15 @@ def _cmd_check(args) -> int:
 def _cmd_explain(args) -> int:
     log = import_log(args.log)
     explainer = Explainer.from_log(log, lookahead=args.lookahead)
-    context = parse_context_string(args.context)
-    rec = explainer.recommend(args.layer, context)
+    try:  # a layer, context or alternative that is malformed or not in the log
+        context = parse_context_string(args.context)
+        rec = explainer.recommend(args.layer, context)
+        if args.alternative:
+            alt = parse_context_string(args.alternative)
+            report = explainer.why_not(args.layer, context, alt)
+    except (LookupError, ValueError) as exc:
+        print(f"cannot explain: {exc}", file=sys.stderr)
+        return 1
     payload = {
         "layer": args.layer,
         "context": list(context),
@@ -125,8 +132,6 @@ def _cmd_explain(args) -> int:
     }
     print(rec.render())
     if args.alternative:
-        alt = parse_context_string(args.alternative)
-        report = explainer.why_not(args.layer, context, alt)
         print(report.render())
         payload["why_not"] = {
             "alternative": list(alt), "reward": report.alternative_reward,

@@ -201,17 +201,9 @@ def _im(traces: list[Trace]) -> ProcessTree:
         return loop(tau(), *(act(a) for a in alphabet))  # flower fallback
 
     kind, groups = cut
-    if kind == "xor":
-        sublogs = _split_xor(traces, groups)
-        return xor(*(_im(sub) for sub in sublogs))
-    if kind == "seq":
-        sublogs = _split_seq(traces, groups)
-        return seq(*(_im(sub) for sub in sublogs))
-    if kind == "par":
-        sublogs = _split_par(traces, groups)
-        return par(*(_im(sub) for sub in sublogs))
-    sublogs = _split_loop(traces, groups)
-    return loop(*(_im(sub) for sub in sublogs))
+    where = {a: i for i, g in enumerate(groups) for a in g}
+    split = {"xor": _split_xor, "loop": _split_loop}.get(kind, _project)
+    return ProcessTree(kind, children=tuple(_im(sub) for sub in split(traces, where, len(groups))))
 
 
 def _components(nodes: Iterable[str], neighbours) -> list[frozenset]:
@@ -374,47 +366,29 @@ def _loop_cut(dfg: DirectlyFollowsGraph):
     return "loop", groups
 
 
-def _split_xor(traces, groups):
-    where = {}
-    for i, g in enumerate(groups):
-        for a in g:
-            where[a] = i
-    sublogs: list[list[Trace]] = [[] for _ in groups]
+def _split_xor(traces, where, n):
+    sublogs: list[list[Trace]] = [[] for _ in range(n)]
     for t in traces:
         sublogs[where[t[0]]].append(t)
     return sublogs
 
 
-def _split_seq(traces, groups):
-    where = {}
-    for i, g in enumerate(groups):
-        for a in g:
-            where[a] = i
-    sublogs: list[list[Trace]] = [[] for _ in groups]
+def _project(traces, where, n):
+    """Each trace projected onto each group (sequence and parallel cuts)."""
+    sublogs: list[list[Trace]] = [[] for _ in range(n)]
     for t in traces:
-        parts: list[list[str]] = [[] for _ in groups]
+        parts: list[list[str]] = [[] for _ in range(n)]
         for ev in t:
             parts[where[ev]].append(ev)
-        for i, part in enumerate(parts):
-            sublogs[i].append(tuple(part))
+        for sub, part in zip(sublogs, parts):
+            sub.append(tuple(part))
     return sublogs
 
 
-def _split_par(traces, groups):
-    sublogs: list[list[Trace]] = [[] for _ in groups]
-    for t in traces:
-        for i, g in enumerate(groups):
-            sublogs[i].append(tuple(ev for ev in t if ev in g))
-    return sublogs
-
-
-def _split_loop(traces, groups):
-    body = groups[0]
-    where = {}
-    for i, g in enumerate(groups):
-        for a in g:
-            where[a] = i
-    sublogs: list[list[Trace]] = [[] for _ in groups]
+def _split_loop(traces, where, n):
+    """Each trace cut into its maximal runs within one group; a trace that
+    ends in a redo group gets an empty closing body run."""
+    sublogs: list[list[Trace]] = [[] for _ in range(n)]
     for t in traces:
         cur_group = 0
         cur: list[str] = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -66,30 +65,16 @@ def abstract_move(frm: tuple[int, int], to: tuple[int, int]) -> tuple:
 
 def bfs_min_distance(board: GameBoard, sources: Sequence[tuple[int, int]],
                      targets: Sequence[tuple[int, int]]) -> Union[int, float]:
-    """Multi-source 4-neighbour BFS; step count when a target is dequeued."""
-    target_set = set(targets)
-    queue = deque(sources)
-    visited = set()
-    step = 0
-    while queue:
-        for _ in range(len(queue)):
-            x, y = queue.popleft()
-            if (x, y) in target_set:
-                return step
-            for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx <= 7 and 0 <= ny <= 7 and (nx, ny) not in visited:
-                    queue.append((nx, ny))
-                    visited.add((nx, ny))
-        step += 1
-    return math.inf
+    """Multi-source 4-neighbour BFS distance to the nearest target, or inf if
+    there is none; on the 8x8 grid, which has no obstacles (``board`` is not
+    consulted), it equals the least Manhattan distance, computed directly."""
+    return min((abs(sx - tx) + abs(sy - ty) for sx, sy in sources for tx, ty in targets),
+               default=math.inf)
 
 
 def red_white_distance(board: GameBoard) -> Union[int, float]:
     whites = [(p.x, p.y) for p in board.pieces(Color.WHITE)]
     reds = [(p.x, p.y) for p in board.pieces(Color.RED)]
-    if not whites or not reds:
-        return math.inf
     return bfs_min_distance(board, whites, reds)
 
 
@@ -105,9 +90,13 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
                  feature: str = "direction") -> EpisodeResult:
     """Plays one self-play game, red first; returns both traces.
 
-    Hitting ``max_turns`` is recorded as a draw (winner None), kept distinct
-    from decided games.  ``feature`` selects the movement representation:
-    "direction" for direction words, "bfs" for the distance-change integer.
+    The side to move loses when its search finds no legal move.  When the
+    game reaches ``max_turns`` the final board is tested once with
+    ``winner``, so a move that wins on the capping turn still wins; any
+    other game stopped by the cap is recorded as a draw (winner None), kept
+    distinct from decided games.  ``feature`` selects the movement
+    representation: "direction" for direction words, "bfs" for the
+    distance-change integer.
     """
     if feature not in ("direction", "bfs"):
         raise ValueError(f"unknown feature mode: {feature}")
@@ -116,7 +105,6 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
     last_id = -1
     last_movement: Movement = ()
     turn_color = Color.RED
-    game_winner: Optional[Color] = None
     turns = 0
 
     while turns < max_turns:
@@ -145,10 +133,8 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
         board = next_board
         turns += 1
         turn_color = turn_color.opponent
-        decided = winner(board, turn_color)
-        if decided is not None:
-            game_winner = decided
-            break
+    else:  # the cap ended the game, maybe on a winning move
+        game_winner = winner(board, turn_color)
 
     return EpisodeResult(episode_id, traces[Color.RED], traces[Color.WHITE],
                          game_winner, turns)

@@ -165,6 +165,16 @@ def export_episode_table(trace: Sequence[StepRecord], path) -> None:
         raise OSError(f"cannot write episode table {path}: {exc}") from exc
 
 
+def _rows(reader, width: int, path: Path):
+    """The reader's rows; one without ``width`` fields (a blank one has 0)
+    is a ValueError."""
+    for row in reader:
+        if len(row) != width:
+            raise ValueError(f"{path} line {reader.line_num}: expected {width} fields, "
+                             f"got {len(row)}")
+        yield row
+
+
 def import_episode_table(path) -> list[StepRecord]:
     path = Path(path)
     records = []
@@ -173,7 +183,7 @@ def import_episode_table(path) -> list[StepRecord]:
         header = next(reader, [])  # an empty file has no header
         if tuple(header) != EPISODE_COLUMNS:
             raise ValueError(f"unexpected episode table header in {path}: {header}")
-        for row in reader:
+        for row in _rows(reader, len(EPISODE_COLUMNS), path):
             records.append(StepRecord(
                 last_turn_enemy_piece_id=int(row[0]),
                 last_turn_enemy_movement=_parse_movement_cell(row[1]),
@@ -202,7 +212,7 @@ def _import_log_csv(path: Path) -> EventLog:
         if [h.strip() for h in header] != ["task_id", "transition"]:
             raise ValueError(f"unexpected event log header in {path}: {header}")
         labels: dict[str, str] = {}  # one shared str per distinct label
-        for row in reader:
+        for row in _rows(reader, 2, path):
             cid = int(row[0])
             label = labels.setdefault(row[1], row[1])
             log.cases.setdefault(cid, []).append(TransitionEvent(cid, label))

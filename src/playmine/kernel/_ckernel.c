@@ -464,9 +464,13 @@ box_move(const Move *m)
 /* Every function takes positional arguments and checks them in _pykernel's
  * order and words: a bytes-like 64-byte state, sides in {0, 1}, points in
  * 0..MAX_POINTS (_pykernel.MAX_POINTS says why no reward sum then overflows
- * a long), then its own limits; a failed check sets ValueError, returns 1. */
+ * a long), a depth of at most MAX_DEPTH (_pykernel.MAX_DEPTH says why the
+ * recursion stops there), then its own limits; a failed check sets ValueError,
+ * returns 1. */
 #define MAX_POINTS 2147483647L
+#define MAX_DEPTH 64L
 #define SIDE_MSG "side must be 0 (white) or 1 (red)"
+#define DEPTH_MSG "minimax depth must be <= 64"
 
 static int
 bad_state(Py_ssize_t len)
@@ -477,16 +481,18 @@ bad_state(Py_ssize_t len)
     return 1;
 }
 
-/* An int argument in 0..hi into *out; an int past a long is out of range
- * too, as it is in _pykernel. */
+/* An int argument in lo..hi into *out; an int past a long is clamped to
+ * LONG_MIN or LONG_MAX first, so that it compares as it does in _pykernel. */
 static int
-bad_int(PyObject *o, long hi, const char *msg, long *out)
+bad_int(PyObject *o, long lo, long hi, const char *msg, long *out)
 {
     int overflow;
     *out = PyLong_AsLongAndOverflow(o, &overflow);
     if (*out == -1 && PyErr_Occurred())
         return 1;
-    if (!overflow && *out >= 0 && *out <= hi)
+    if (overflow)
+        *out = overflow > 0 ? LONG_MAX : LONG_MIN;
+    if (*out >= lo && *out <= hi)
         return 0;
     PyErr_SetString(PyExc_ValueError, msg);
     return 1;
@@ -496,8 +502,8 @@ static int
 bad_points(PyObject *cap, PyObject *crown, Call *c)
 {
     const char *msg = "capture_points and crown_points must be in 0..2147483647";
-    return bad_int(cap, MAX_POINTS, msg, &c->cap_pts)
-           || bad_int(crown, MAX_POINTS, msg, &c->crown_pts);
+    return bad_int(cap, 0, MAX_POINTS, msg, &c->cap_pts)
+           || bad_int(crown, 0, MAX_POINTS, msg, &c->crown_pts);
 }
 
 #define BOARD(s) ((const unsigned char *)(s))
@@ -512,7 +518,7 @@ py_gen_moves(PyObject *self, PyObject *args)
     Call c = {0};
     if (!PyArg_ParseTuple(args, "y#OpOO:gen_moves", &state, &len, &o_color, &c.forced,
                           &cap, &crown)
-            || bad_state(len) || bad_int(o_color, 1, SIDE_MSG, &color)
+            || bad_state(len) || bad_int(o_color, 0, 1, SIDE_MSG, &color)
             || bad_points(cap, crown, &c))
         return NULL;
     PyObject *out = NULL;
@@ -536,12 +542,13 @@ py_minimax(PyObject *self, PyObject *args)
     const char *state;
     Py_ssize_t len;
     long to_move, agent, depth;
-    PyObject *o_to_move, *o_agent, *cap, *crown;
+    PyObject *o_to_move, *o_agent, *o_depth, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#OOlpOOd:minimax", &state, &len, &o_to_move, &o_agent,
-                          &depth, &c.forced, &cap, &crown, &c.kw)
-            || bad_state(len) || bad_int(o_to_move, 1, SIDE_MSG, &to_move)
-            || bad_int(o_agent, 1, SIDE_MSG, &agent) || bad_points(cap, crown, &c))
+    if (!PyArg_ParseTuple(args, "y#OOOpOOd:minimax", &state, &len, &o_to_move, &o_agent,
+                          &o_depth, &c.forced, &cap, &crown, &c.kw)
+            || bad_state(len) || bad_int(o_to_move, 0, 1, SIDE_MSG, &to_move)
+            || bad_int(o_agent, 0, 1, SIDE_MSG, &agent) || bad_points(cap, crown, &c)
+            || bad_int(o_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &depth))
         return NULL;
     /* the recursion stops only at depth 0 */
     if (depth < 0)
@@ -564,12 +571,13 @@ py_rollout(PyObject *self, PyObject *args)
     const char *state;
     Py_ssize_t len;
     long to_move, sim_depth, mm_depth;
-    PyObject *o_to_move, *cap, *crown;
+    PyObject *o_to_move, *o_mm_depth, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#OllpOOd:rollout", &state, &len, &o_to_move, &sim_depth,
-                          &mm_depth, &c.forced, &cap, &crown, &c.kw)
-            || bad_state(len) || bad_int(o_to_move, 1, SIDE_MSG, &to_move)
-            || bad_points(cap, crown, &c))
+    if (!PyArg_ParseTuple(args, "y#OlOpOOd:rollout", &state, &len, &o_to_move, &sim_depth,
+                          &o_mm_depth, &c.forced, &cap, &crown, &c.kw)
+            || bad_state(len) || bad_int(o_to_move, 0, 1, SIDE_MSG, &to_move)
+            || bad_points(cap, crown, &c)
+            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &mm_depth))
         return NULL;
     if (mm_depth < 1)
         return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
@@ -588,14 +596,15 @@ py_search(PyObject *self, PyObject *args)
     Py_ssize_t len, iterations;
     long side, sim_depth, mm_depth;
     double explore, discount;
-    PyObject *o_side, *cap, *crown, *randrange;
+    PyObject *o_side, *o_mm_depth, *cap, *crown, *randrange;
     Call c = {0};
     Tree t = {0};
-    if (!PyArg_ParseTuple(args, "y#OnllpOOdddpO:search", &state, &len, &o_side, &iterations,
-                          &sim_depth, &mm_depth, &c.forced, &cap, &crown, &c.kw, &explore,
+    if (!PyArg_ParseTuple(args, "y#OnlOpOOdddpO:search", &state, &len, &o_side, &iterations,
+                          &sim_depth, &o_mm_depth, &c.forced, &cap, &crown, &c.kw, &explore,
                           &discount, &t.pruning, &randrange)
-            || bad_state(len) || bad_int(o_side, 1, SIDE_MSG, &side)
-            || bad_points(cap, crown, &c))
+            || bad_state(len) || bad_int(o_side, 0, 1, SIDE_MSG, &side)
+            || bad_points(cap, crown, &c)
+            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &mm_depth))
         return NULL;
     if (iterations < 1)
         return PyErr_Format(PyExc_ValueError, "iterations must be >= 1");

@@ -12,10 +12,12 @@ must stay behaviourally identical: move enumeration order, tie-breaking,
 return types and the ValueErrors for bad arguments are part of the
 contract.  Each of the four checks its arguments on entry, in this order:
 a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
-{0, 1}, points in ``0..MAX_POINTS``, then its own limits.
-``side_has_moves``, ``piece_counts``, ``evaluate`` and ``winner`` have no
-twin: every backend uses these.  This module is the fallback when no C
-compiler is available and the reference the parity tests compare against.
+{0, 1}, points in ``0..MAX_POINTS``, a minimax depth of at most
+``MAX_DEPTH``, then its own limits.  ``side_has_moves``, ``piece_counts``,
+``evaluate`` and ``winner`` have no twin: every backend uses these, and
+``side_has_moves`` asks ``gen_moves``, so each twin has one copy of the
+rules.  This module is the fallback when no C compiler is available and the
+reference the parity tests compare against.
 
 ``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
 (``rollout``, or random moves at minimax depth 0) and the discounted backup,
@@ -54,6 +56,13 @@ INF = float("inf")
 # search's backup turns it into.
 MAX_POINTS = 2**31 - 1
 
+# The largest minimax depth (``mm_depth`` in rollout and search).  Minimax
+# recurses once per ply and kings can shuffle forever, so depth 100,000 blew
+# the C stack and Python's recursion limit.  64 frames fit both, and no depth
+# near 64 finishes: on a 2-core x86-64 host the compiled minimax of the
+# 3-a-side opening takes 16 s at depth 20, about 5 times more per 2 plies.
+MAX_DEPTH = 64
+
 # Diagonal directions; white men use the first two, red men the last two.
 DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -79,7 +88,7 @@ def _check_state(state):
         raise ValueError("state must be 64 bytes")
 
 
-def _check_args(state, sides, capture_points, crown_points):
+def _check_args(state, sides, capture_points, crown_points, depth=0):
     """The checks the compiled twin's ops make, in its order and words."""
     _check_state(state)
     for side in sides:
@@ -87,6 +96,8 @@ def _check_args(state, sides, capture_points, crown_points):
             raise ValueError("side must be 0 (white) or 1 (red)")
     if not (0 <= capture_points <= MAX_POINTS and 0 <= crown_points <= MAX_POINTS):
         raise ValueError(f"capture_points and crown_points must be in 0..{MAX_POINTS}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"minimax depth must be <= {MAX_DEPTH}")
 
 
 def _piece_dirs(color, king):
@@ -180,35 +191,10 @@ def gen_moves(state, color, forced, capture_points, crown_points):
 
 
 def side_has_moves(state, color):
-    """True iff ``gen_moves`` for ``color`` would be non-empty.
-
-    Every legal move starts with a step to an empty neighbour or a jump
-    over an opponent onto an empty square, so it stops at the first piece
-    that can make one, without building a move; a side with no pieces has
-    no move.
-    """
-    _check_state(state)
-    for idx in range(64):
-        piece = state[idx]
-        if piece == 0 or ((piece >> 6) & 1) != color:
-            continue
-        x = idx >> 3
-        y = idx & 7
-        king = bool(piece & KING_FLAG)
-        for dx, dy in _piece_dirs(color, king):
-            nx = x + dx
-            ny = y + dy
-            if nx < 0 or nx > 7 or ny < 0 or ny > 7:
-                continue
-            nv = state[(nx << 3) | ny]
-            if nv == 0:
-                return True
-            if ((nv >> 6) & 1) != color:
-                lx = x + 2 * dx
-                ly = y + 2 * dy
-                if 0 <= lx <= 7 and 0 <= ly <= 7 and state[(lx << 3) | ly] == 0:
-                    return True
-    return False
+    """True iff ``color`` has a legal move, as ``gen_moves`` decides: forced
+    capture and the points change which moves it lists and their rewards,
+    never whether it lists one."""
+    return bool(gen_moves(state, color, False, 0, 0))
 
 
 def piece_counts(state):
@@ -259,7 +245,7 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
     A node whose side has no legal move is terminal and scored by evaluate,
     like a depth-0 leaf; that is the same test as winner() != -1.
     """
-    _check_args(state, (to_move, agent), capture_points, crown_points)
+    _check_args(state, (to_move, agent), capture_points, crown_points, depth)
     if depth < 0:  # the recursion stops only at depth 0
         raise ValueError("minimax requires depth >= 0")
 
@@ -307,7 +293,7 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     mm_depth >= 1 (depth 0 rollouts are random and handled by the search
     layer).
     """
-    _check_args(state, (to_move,), capture_points, crown_points)
+    _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
     w = 0
@@ -463,7 +449,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     returns it; ``nodes`` is the number of nodes the iterations expanded.
     ``randrange(n)`` draws the random moves of minimax-depth-0 rollouts.
     """
-    _check_args(state, (side,), capture_points, crown_points)
+    _check_args(state, (side,), capture_points, crown_points, mm_depth)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not 0 <= exploration < INF:

@@ -26,6 +26,35 @@ CFG = RewardConfig()
 FREE = RewardConfig(forced_capture=False)
 
 
+# initial_board(n).state.hex() for n = 1..12
+OPENINGS = {
+    1: "0100000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000041",
+    2: "0100020000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000420041",
+    3: "0100020003000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000004300420041",
+    4: "0100020003000400000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000044004300420041",
+    5: "0100020003000400000500000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000045000044004300420041",
+    6: "0100020003000400000500060000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000460045000044004300420041",
+    7: "0100020003000400000500060007000000000000000000000000000000000000"
+       "0000000000000000000000000000000000004700460045000044004300420041",
+    8: "0100020003000400000500060007000800000000000000000000000000000000"
+       "0000000000000000000000000000000048004700460045000044004300420041",
+    9: "0100020003000400000500060007000809000000000000000000000000000000"
+       "0000000000000000000000000000004948004700460045000044004300420041",
+    10: "0100020003000400000500060007000809000a00000000000000000000000000"
+        "000000000000000000000000004a004948004700460045000044004300420041",
+    11: "0100020003000400000500060007000809000a000b0000000000000000000000"
+        "00000000000000000000004b004a004948004700460045000044004300420041",
+    12: "0100020003000400000500060007000809000a000b000c000000000000000000"
+        "0000000000000000004c004b004a004948004700460045000044004300420041",
+}
+
+
 class TestInitialBoard:
     def test_standard_opening(self):
         board = initial_board(12)
@@ -52,6 +81,13 @@ class TestInitialBoard:
         white = {(p.x, p.y) for p in board.pieces(Color.WHITE)}
         red = {(p.x, p.y) for p in board.pieces(Color.RED)}
         assert red == {(7 - x, 7 - y) for x, y in white}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_recorded_openings(self, n):
+        """Every opening state, byte for byte, as recorded before the fill
+        became one loop: white ids from the lowest index, red from the
+        highest."""
+        assert initial_board(n).state.hex() == OPENINGS[n]
 
     @pytest.mark.parametrize("n", [0, -1, 13])
     def test_out_of_range_count(self, n):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from playmine.board import Color, RewardConfig, winner as board_winner
+from playmine import episodes
 from playmine.episodes import (
     abstract_move,
     bfs_min_distance,
@@ -65,6 +66,10 @@ class TestBfsDistance:
         board = initial_board(3)
         assert bfs_min_distance(board, [(0, 0)], []) == math.inf
 
+    def test_unreachable_without_sources(self):
+        board = initial_board(3)
+        assert bfs_min_distance(board, [], [(0, 0)]) == math.inf
+
     def test_matches_independent_oracle(self):
         rng = random.Random(17)
         board = initial_board(3)
@@ -114,6 +119,32 @@ class TestPlayEpisode:
         assert ep.draw
         assert ep.winner is None
         assert ep.turns == 3
+
+    def test_win_on_the_capping_move_is_a_win(self):
+        """FAST's episode 0 is won by white's move on turn 42: with the cap
+        at 42 that move still wins, as the final board is tested once, and
+        with the cap at 41 the game is a draw."""
+        ep = play_episode(FAST, episode_id=0, max_turns=200)
+        assert (ep.winner, ep.turns) == (Color.WHITE, 42)
+        capped = play_episode(FAST, episode_id=0, max_turns=42)
+        assert (capped.winner, capped.turns) == (Color.WHITE, 42)
+        assert capped.red_trace == ep.red_trace and capped.white_trace == ep.white_trace
+        short = play_episode(FAST, episode_id=0, max_turns=41)
+        assert (short.winner, short.turns) == (None, 41)
+
+    @pytest.mark.parametrize("max_turns", [3, 42, 200])
+    def test_at_most_one_winner_call(self, monkeypatch, max_turns):
+        """A side with no move is found by its search returning None, so
+        ``winner`` runs only when the turn cap ends the game."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return board_winner(*args)
+
+        monkeypatch.setattr(episodes, "winner", counted)
+        ep = play_episode(FAST, episode_id=0, max_turns=max_turns)
+        assert len(calls) == (1 if ep.turns == max_turns else 0)
 
     def test_context_chains_between_traces(self):
         ep = play_episode(FAST, episode_id=5, max_turns=60)

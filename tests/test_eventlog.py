@@ -141,6 +141,18 @@ class TestEpisodeTable:
         with pytest.raises(ValueError, match="unexpected episode table header"):
             import_episode_table(path)
 
+    @pytest.mark.parametrize("extra,got", [(None, 0), (",7", 7)], ids=["blank", "long"])
+    def test_row_of_wrong_width_rejected(self, tmp_path, extra, got):
+        """A blank row or one with extra fields names its file and line."""
+        path = tmp_path / "table.csv"
+        export_episode_table([StepRecord(-1, (), 2, ("up",), (), 0)] * 2, path)
+        lines = path.read_text().splitlines()
+        row = "" if extra is None else lines[1] + extra
+        path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=f"table.csv line 3: expected 6 fields, "
+                                             f"got {got}$"):
+            import_episode_table(path)
+
 
 class TestLogIO:
     @pytest.mark.parametrize("fmt", ["csv", "xes"])
@@ -179,6 +191,19 @@ class TestLogIO:
         path = tmp_path / "log.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="unexpected event log header"):
+            import_log(path)
+
+    @pytest.mark.parametrize("row,got", [("", 0), ("2,((-1,()),(1,(up)),0)", 6)],
+                             ids=["blank", "unquoted-label"])
+    def test_csv_row_of_wrong_width_rejected(self, tmp_path, row, got):
+        """A blank row, or an unquoted label split into extra fields, names
+        its file and line instead of importing a cut label."""
+        path = tmp_path / "log.csv"
+        export_log(random_log(random.Random(9), cases=2), path, "csv")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=f"log.csv line 3: expected 2 fields, "
+                                             f"got {got}$"):
             import_log(path)
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -235,6 +235,44 @@ def test_negative_minimax_depth_is_a_value_error(twin):
     assert proc.stdout.strip() == "ValueError minimax requires depth >= 0"
 
 
+TOO_DEEP = """
+import importlib, sys
+import playmine.kernel
+from playmine.kernel._pykernel import KING_FLAG, RED_FLAG
+twin = importlib.import_module(sys.argv[1])
+# two lone kings, who can shuffle forever
+state = bytes([1 | KING_FLAG] + [0] * 62 + [1 | KING_FLAG | RED_FLAG])
+for depth in (100000, 2**64, 65):
+    for call in (lambda: twin.minimax(state, 0, 0, depth, True, 7, 7, 0.5),
+                 lambda: twin.rollout(state, 0, 0, depth, True, 7, 7, 0.5),
+                 lambda: twin.search(state, 0, 1, 0, depth, True, 7, 7, 0.5, 0.5, 0.8,
+                                     False, None)):
+        try:
+            call()
+        except ValueError as exc:  # anything else fails the child at once
+            print(exc)
+print(twin.minimax(state, 0, 0, 0, True, 7, 7, 0.5)[0],
+      twin.rollout(state, 0, 0, 64, True, 7, 7, 0.5),
+      twin.search(state, 0, 1, 0, 64, True, 7, 7, 0.5, 0.5, 0.8, False, None)[1])
+"""
+
+
+@pytest.mark.parametrize("twin", [pk, compiled], ids=["python", "compiled"])
+def test_minimax_depth_past_the_bound_is_a_value_error(twin):
+    """Every op that takes a minimax depth refuses one past MAX_DEPTH with
+    the same ValueError, and accepts MAX_DEPTH itself; run in a child, so
+    that a crash fails this test instead of the run."""
+    src = str(Path(kernel.__file__).parents[2])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", TOO_DEEP, twin.__name__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout.splitlines() == ["minimax depth must be <= 64"] * 9 + [
+        "0.0 (0, 0) 1"]
+    assert pk.MAX_DEPTH == 64
+
+
 def test_points_at_the_bound_identical():
     """At MAX_POINTS every reward sum still fits: the 9-capture chain's
     reward, rollouts and searches agree with the pure twin's ints."""

@@ -3,10 +3,11 @@
 The test builds ``_ckernel.c`` with ``-fsanitize=address,undefined`` into a
 temporary directory and runs ``fuzz`` in a child process that preloads the
 sanitizer runtimes: a seeded fuzz of every op the compiled module exports
-against the pure twin on random, 12-a-side, all-king, jump-only and
-wrong-length boards, with negative depths, sides outside {0, 1}, points at
-and past ``MAX_POINTS``, and ``search`` also given a ``randrange`` that
-raises or returns an index out of range.  Each op must return what
+against the pure twin on random, 12-a-side, all-king, jump-only, lost and
+wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
+and past a C long, sides outside {0, 1}, points at and past
+``MAX_POINTS``, and ``search`` also given a ``randrange`` that raises or
+returns an index out of range.  Each op must return what
 ``_pykernel`` returns or raise the same exception; a memory error or
 undefined behaviour aborts the child, and so does an exported op that the
 fuzz has no inputs for.
@@ -81,8 +82,8 @@ def _outcome(fn, args):
 
 
 def _positions(rng):
-    """``(kind, state, side)``: random, 12-a-side, all-king, jump-only and
-    wrong-length boards."""
+    """``(kind, state, side)``: random, 12-a-side, all-king, jump-only,
+    lost (the side to move has no piece) and wrong-length boards."""
     out = []
     for _ in range(40):
         out.append(("random", random_board(rng).state, rng.randrange(2)))
@@ -100,6 +101,11 @@ def _positions(rng):
         if moves and all(m[2] for m in moves):
             out.append(("jumps", state, side))
             jumps += 1
+    for _ in range(10):
+        side = rng.randrange(2)
+        state = random_board(rng).state
+        out.append(("lost", bytes(0 if v and pk.cell_color(v) == side else v
+                                  for v in state), side))
     for length in (0, 1, 63, 65, 128):
         out.append(("length", bytes(rng.randrange(128) for _ in range(length)), 0))
     return out
@@ -118,11 +124,21 @@ def _randrange(kind, seed):
 
 BAD_SIDES = (2, -1, 2**32)
 EDGE_POINTS = (pk.MAX_POINTS, pk.MAX_POINTS + 1, 2**63, -1)
+EDGE_DEPTHS = (pk.MAX_DEPTH + 1, 2**64, -2**64)
 
 
 def _side(rng, side):
     """``side``, or one of ``BAD_SIDES`` one time in ten."""
     return rng.choice(BAD_SIDES) if rng.random() < 0.1 else side
+
+
+def _depth(rng, kind):
+    """A depth from -1 to 2, or one of ``EDGE_DEPTHS`` one time in ten;
+    half the time ``MAX_DEPTH`` on a lost board, where any depth ends at
+    once."""
+    if kind == "lost" and rng.random() < 0.5:
+        return pk.MAX_DEPTH
+    return rng.choice(EDGE_DEPTHS) if rng.random() < 0.1 else rng.randrange(-1, 3)
 
 
 def _points(rng):
@@ -142,8 +158,8 @@ def fuzz(ck, seed):
         kw = rng.choice((0.0, 0.5, 1.5))
         ops = {"gen_moves": (state, _side(rng, side), forced, cap, crown),
                "minimax": (state, _side(rng, side), _side(rng, rng.randrange(2)),
-                           rng.randrange(-1, 3), forced, cap, crown, kw),
-               "rollout": (state, _side(rng, side), rng.randrange(7), rng.randrange(-1, 3),
+                           _depth(rng, kind), forced, cap, crown, kw),
+               "rollout": (state, _side(rng, side), rng.randrange(7), _depth(rng, kind),
                            forced, cap, crown, kw)}
         assert sorted([*ops, "search"]) == exported, f"fuzz ops != exported {exported}"
         for op, args in ops.items():
@@ -153,7 +169,7 @@ def fuzz(ck, seed):
             calls += 1
         for _ in range(4):
             iterations = rng.choice((0, 1, 2, 5, 30))
-            depth = rng.randrange(-1, 3)
+            depth = _depth(rng, kind)
             explore = rng.choice((0.0, 1 / math.sqrt(2), 2.0, -1.0, math.inf))
             discount = rng.choice((0.5, 0.8, 1.0, 0.0))
             how = rng.choice(("seeded",) * 6 + ("raise", "range"))

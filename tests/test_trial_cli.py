@@ -196,6 +196,26 @@ class TestCli:
         assert rc == 0
         assert "Recommendation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("layer,context,message", [
+        ("0", "(-1,())", "layer 0 out of range 1..2"),
+        ("1", "(3,(up))", "no transition with context (3, ('up',)) observed at layer 1"),
+        ("1", "garbage", "malformed context: 'garbage'"),
+    ], ids=["layer", "unobserved", "malformed"])
+    def test_explain_user_error_is_one_line(self, tmp_path, capsys, layer, context, message):
+        """A layer, context or action the log does not hold: one line on
+        stderr and exit code 1, no traceback."""
+        from playmine.eventlog import export_log, format_label
+        from helpers import mklog
+        log_path = tmp_path / "log.csv"
+        trace = (format_label(-1, (), 1, ("left", "up"), 0),
+                 format_label(2, ("right",), 1, ("left",), 7))
+        export_log(mklog([trace]), log_path, "csv")
+        rc = main(["explain", "--log", str(log_path), "--layer", layer,
+                   "--context", context])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"cannot explain: {message}\n"
+
     def test_trial_command(self, tmp_path, capsys):
         out = tmp_path / "trial"
         rc = main(["trial", "--trial", "3", "--profile", "smoke",
