@@ -37,7 +37,7 @@ from .discovery import (
     tree_to_net,
 )
 from .episodes import EpisodeResult, StepRecord, abstract_move, bfs_min_distance, play_episode
-from .eventlog import EventLog, TransitionEvent, build_event_log, export_log, import_log
+from .eventlog import EventLog, build_event_log, export_log, import_log
 from .explain import Explainer, LayeredView, NoObservationError, layered_view, recommend, why_not
 from .kernel import BACKEND as kernel_backend
 from .kernel import prune_by_reward
@@ -54,7 +54,7 @@ __all__ = [
     "SearchConfig", "mcts_search", "prune_by_reward",
     "EpisodeResult", "StepRecord", "abstract_move", "bfs_min_distance",
     "play_episode",
-    "EventLog", "TransitionEvent", "build_event_log", "export_log", "import_log",
+    "EventLog", "build_event_log", "export_log", "import_log",
     "DirectlyFollowsGraph", "ProcessTree", "alpha_miner", "directly_follows",
     "inductive_miner", "tree_to_net",
     "PetriNet", "Transition",

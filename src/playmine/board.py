@@ -120,11 +120,6 @@ class GameBoard:
                                  kernel.cell_is_king(v)))
         return tuple(out)
 
-    @property
-    def cells(self) -> tuple[tuple[Optional[GamePiece], ...], ...]:
-        """Grid indexed cells[x][y]."""
-        return tuple(tuple(self.piece_at(x, y) for y in range(8)) for x in range(8))
-
     def __eq__(self, other):
         if not isinstance(other, GameBoard):
             return NotImplemented

@@ -18,11 +18,11 @@ from .conformance import (
     fitness_metrics,
     write_report_csv,
 )
-from .eventlog import build_event_log, export_episode_table, export_log, import_log
+from .eventlog import import_log
 from .explain import Explainer, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
 from .search import SearchConfig
-from .trial import MINERS, TrialSpec, run_episodes, run_trial
+from .trial import MINERS, TrialSpec, episode_logs, run_episodes, run_trial
 
 
 def export_dot(net: PetriNet, path) -> None:
@@ -32,11 +32,8 @@ def export_dot(net: PetriNet, path) -> None:
         raise OSError(f"cannot write dot file {path}: {exc}") from exc
 
 
-def _add_game_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--sim-depth", type=int, default=10)
-    p.add_argument("--minimax-depth", type=int, default=1)
-    p.add_argument("--episodes", type=int, default=10)
+def _add_game_flags(p: argparse.ArgumentParser, episodes) -> None:
+    p.add_argument("--episodes", type=int, default=episodes)
     p.add_argument("--pieces", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -56,26 +53,25 @@ def _reward_config(args) -> RewardConfig:
 
 
 def _cmd_play(args) -> int:
+    try:
+        cfg = SearchConfig(iterations=args.iterations,
+                           simulation_depth=args.sim_depth,
+                           minimax_depth=args.minimax_depth,
+                           pruning_enabled=args.pruning,
+                           reward=_reward_config(args))
+        if args.episodes < 1 or args.workers < 1:
+            raise ValueError("episodes and workers must be >= 1")
+    except ValueError as exc:  # before any episode runs
+        print(f"playmine play: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = SearchConfig(iterations=args.iterations,
-                       simulation_depth=args.sim_depth,
-                       minimax_depth=args.minimax_depth,
-                       pruning_enabled=args.pruning,
-                       reward=_reward_config(args))
+    out.mkdir(parents=True, exist_ok=True)  # a bad path fails before the games
     episodes = run_episodes(cfg, (args.seed, "play"), args.episodes, args.pieces,
-                            args.max_turns, "bfs" if args.bfs_feature else "direction",
-                            args.workers)
+                            args.max_turns, args.bfs_feature, args.workers)
     for ep in episodes:
-        export_episode_table(ep.red_trace, out / f"red_episode{ep.episode_id}.csv")
-        export_episode_table(ep.white_trace, out / f"white_episode{ep.episode_id}.csv")
         outcome = "draw" if ep.winner is None else f"{ep.winner.name.lower()} won"
         print(f"episode {ep.episode_id} finished after {ep.turns} turns: {outcome}")
-    red = [(ep.episode_id, ep.red_trace) for ep in episodes]
-    white = [(ep.episode_id, ep.white_trace) for ep in episodes]
-    for color, traces in (("red", red), ("white", white)):
-        log = build_event_log(traces)
-        export_log(log, out / f"{color}_eventlog.{args.format}", args.format)
+    episode_logs(episodes, out, (args.format,))
     print(f"wrote episode tables and event logs to {out}")
     return 0
 
@@ -148,20 +144,23 @@ def _cmd_trial(args) -> int:
     builder = TrialSpec.smoke if args.profile == "smoke" else TrialSpec.paper
     overrides = {"workers": args.workers, "seed": args.seed,
                  "pieces_per_side": args.pieces,
-                 "reward": _reward_config(args),
                  "pruning_enabled": args.pruning,
                  "bfs_feature": args.bfs_feature,
                  "max_turns": args.max_turns}
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
-    spec = builder(args.trial, **overrides)
+    try:
+        spec = builder(args.trial, reward=_reward_config(args), **overrides)
+    except ValueError as exc:  # before any episode runs
+        print(f"playmine trial: {exc}", file=sys.stderr)
+        return 2
     summary = run_trial(spec, args.out)
     for cell in summary.cells:
         status = ", ".join(f"{k}={v}" for k, v in sorted(cell.classifications.items()))
         print(f"{spec.sweep_param}={cell.value}: winners {cell.winners}, "
               f"draws {cell.draws} | {status}")
         for err in cell.errors:
-            print(f"  error: {err}", file=sys.stderr)
+            print(f"  error in {spec.sweep_param}={cell.value}: {err}", file=sys.stderr)
     print(f"trial outputs in {args.out}")
     return 0
 
@@ -181,7 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("play", help="run self-play episodes and export logs")
-    _add_game_flags(p)
+    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--sim-depth", type=int, default=10)
+    p.add_argument("--minimax-depth", type=int, default=1)
+    _add_game_flags(p, episodes=10)
     p.add_argument("--format", choices=("csv", "xes"), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_play)
@@ -210,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the machine-readable form")
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("trial", help="run a parameter-sweep trial")
-    _add_game_flags(p)
+    p = sub.add_parser("trial", help="run a parameter-sweep trial at a profile's depths")
+    _add_game_flags(p, episodes=None)  # None: the profile's episode count
     p.add_argument("--trial", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--profile", choices=("smoke", "paper"), default="smoke")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trial)
-    # trial sweeps come from the profile; --episodes overrides the default
-    p.set_defaults(episodes=None)
 
     p = sub.add_parser("render", help="export a saved net as dot")
     p.add_argument("--net", required=True)

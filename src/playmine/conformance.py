@@ -43,8 +43,6 @@ LOG = "log"
 MODEL = "model"
 TAU = "tau"
 
-_COST = {SYNC: 0, TAU: 0, LOG: 1, MODEL: 1}
-
 
 @dataclass(frozen=True)
 class AlignmentMove:

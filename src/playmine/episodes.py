@@ -87,19 +87,17 @@ def derive_seed(base: int, *parts) -> int:
 
 def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 3,
                  max_turns: int = MAX_TURNS_DEFAULT,
-                 feature: str = "direction") -> EpisodeResult:
+                 bfs_feature: bool = False) -> EpisodeResult:
     """Plays one self-play game, red first; returns both traces.
 
     The side to move loses when its search finds no legal move.  When the
     game reaches ``max_turns`` the final board is tested once with
     ``winner``, so a move that wins on the capping turn still wins; any
     other game stopped by the cap is recorded as a draw (winner None), kept
-    distinct from decided games.  ``feature`` selects the movement
-    representation: "direction" for direction words, "bfs" for the
-    distance-change integer.
+    distinct from decided games.  Each move is recorded as its direction
+    words, or with ``bfs_feature`` as the change of the least red-white
+    distance it makes.
     """
-    if feature not in ("direction", "bfs"):
-        raise ValueError(f"unknown feature mode: {feature}")
     board = initial_board(pieces_per_side)
     traces = {Color.RED: [], Color.WHITE: []}
     last_id = -1
@@ -114,12 +112,10 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
             game_winner = turn_color.opponent
             break
         move, reward, next_board = result
-        if feature == "direction":
-            movement: Movement = abstract_move(move.from_pos, move.to_pos)
+        if bfs_feature:
+            movement: Movement = red_white_distance(next_board) - red_white_distance(board)
         else:
-            before = red_white_distance(board)
-            after = red_white_distance(next_board)
-            movement = after - before
+            movement = abstract_move(move.from_pos, move.to_pos)
         traces[turn_color].append(StepRecord(
             last_turn_enemy_piece_id=last_id,
             last_turn_enemy_movement=last_movement,

@@ -26,23 +26,18 @@ EPISODE_COLUMNS = ("last_turn_id", "last_turn_movement", "piece_id",
 XES_NS = "http://www.xes-standard.org/"
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionEvent:
-    case_id: int
-    label: str
-
-
 @dataclass
 class EventLog:
-    cases: dict = field(default_factory=dict)
+    """Maps each case id (an episode id) to its transition labels in turn order."""
+
+    cases: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def alphabet(self) -> set:
-        return {ev.label for events in self.cases.values() for ev in events}
+        return {label for labels in self.cases.values() for label in labels}
 
     def traces(self) -> list[tuple[int, tuple[str, ...]]]:
-        return [(cid, tuple(ev.label for ev in self.cases[cid]))
-                for cid in sorted(self.cases)]
+        return sorted(self.cases.items())
 
     def __len__(self):
         return len(self.cases)
@@ -120,7 +115,7 @@ def build_event_log(traces: Iterable[tuple[int, Sequence[StepRecord]]]) -> Event
     for case_id, steps in traces:
         if case_id in log.cases:
             raise ValueError(f"duplicate case id {case_id}")
-        log.cases[case_id] = [TransitionEvent(case_id, label_for(s)) for s in steps]
+        log.cases[case_id] = tuple(label_for(s) for s in steps)
     return log
 
 
@@ -199,13 +194,13 @@ def _export_log_csv(log: EventLog, path: Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "transition"])
-        for cid in sorted(log.cases):
-            for ev in log.cases[cid]:
-                writer.writerow([cid, ev.label])
+        for cid, labels in log.traces():
+            for label in labels:
+                writer.writerow([cid, label])
 
 
 def _import_log_csv(path: Path) -> EventLog:
-    log = EventLog()
+    cases: dict[int, list[str]] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header
@@ -213,22 +208,20 @@ def _import_log_csv(path: Path) -> EventLog:
             raise ValueError(f"unexpected event log header in {path}: {header}")
         labels: dict[str, str] = {}  # one shared str per distinct label
         for row in _rows(reader, 2, path):
-            cid = int(row[0])
-            label = labels.setdefault(row[1], row[1])
-            log.cases.setdefault(cid, []).append(TransitionEvent(cid, label))
-    return log
+            cases.setdefault(int(row[0]), []).append(labels.setdefault(row[1], row[1]))
+    return EventLog({cid: tuple(trace) for cid, trace in cases.items()})
 
 
 def _export_log_xes(log: EventLog, path: Path) -> None:
     root = ET.Element("log", {"xes.version": "1.0", "xmlns": XES_NS})
-    for cid in sorted(log.cases):
+    for cid, labels in log.traces():
         trace_el = ET.SubElement(root, "trace")
         ET.SubElement(trace_el, "string",
                       {"key": "concept:name", "value": str(cid)})
-        for ev in log.cases[cid]:
+        for label in labels:
             ev_el = ET.SubElement(trace_el, "event")
             ET.SubElement(ev_el, "string",
-                          {"key": "concept:name", "value": ev.label})
+                          {"key": "concept:name", "value": label})
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)
@@ -253,7 +246,7 @@ def _import_log_xes(path: Path) -> EventLog:
                         events.append(labels.setdefault(label, label))
         if cid is None:
             raise ValueError(f"trace without concept:name in {path}")
-        log.cases[cid] = [TransitionEvent(cid, label) for label in events]
+        log.cases[cid] = tuple(events)
     return log
 
 

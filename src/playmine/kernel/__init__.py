@@ -112,6 +112,7 @@ RED = _pykernel.RED
 KING_FLAG = _pykernel.KING_FLAG
 RED_FLAG = _pykernel.RED_FLAG
 ID_MASK = _pykernel.ID_MASK
+MAX_DEPTH = _pykernel.MAX_DEPTH
 
 encode_cell = _pykernel.encode_cell
 cell_color = _pykernel.cell_color
@@ -129,7 +130,7 @@ rollout = _impl.rollout
 search = _impl.search
 
 __all__ = [
-    "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK",
+    "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK", "MAX_DEPTH",
     "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
     "gen_moves", "side_has_moves", "piece_counts", "evaluate",
     "winner", "minimax", "rollout", "search",

@@ -13,11 +13,13 @@ return types and the ValueErrors for bad arguments are part of the
 contract.  Each of the four checks its arguments on entry, in this order:
 a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
 {0, 1}, points in ``0..MAX_POINTS``, a minimax depth of at most
-``MAX_DEPTH``, then its own limits.  ``side_has_moves``, ``piece_counts``,
-``evaluate`` and ``winner`` have no twin: every backend uses these, and
-``side_has_moves`` asks ``gen_moves``, so each twin has one copy of the
-rules.  This module is the fallback when no C compiler is available and the
-reference the parity tests compare against.
+``MAX_DEPTH``, then its own limits.  Those arguments, and the iterations and
+simulation depth that ``search`` and ``rollout`` check before all others,
+must be ints (``True`` is 1), else the op raises C parsing's TypeError.
+``side_has_moves``, ``piece_counts``, ``evaluate`` and ``winner`` have no
+twin: every backend uses these, and ``side_has_moves`` asks ``gen_moves``,
+so each twin has one copy of the rules.  This module is the fallback when no
+C compiler is available and the reference the parity tests compare against.
 
 ``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
 (``rollout``, or random moves at minimax depth 0) and the discounted backup,
@@ -37,6 +39,7 @@ the same order, so they choose bit-identical moves:
 from __future__ import annotations
 
 from math import log, sqrt
+from operator import index
 
 WHITE = 0
 RED = 1
@@ -92,11 +95,12 @@ def _check_args(state, sides, capture_points, crown_points, depth=0):
     """The checks the compiled twin's ops make, in its order and words."""
     _check_state(state)
     for side in sides:
-        if side not in (0, 1):
+        if index(side) not in (0, 1):
             raise ValueError("side must be 0 (white) or 1 (red)")
-    if not (0 <= capture_points <= MAX_POINTS and 0 <= crown_points <= MAX_POINTS):
-        raise ValueError(f"capture_points and crown_points must be in 0..{MAX_POINTS}")
-    if depth > MAX_DEPTH:
+    for points in (capture_points, crown_points):
+        if not 0 <= index(points) <= MAX_POINTS:
+            raise ValueError(f"capture_points and crown_points must be in 0..{MAX_POINTS}")
+    if index(depth) > MAX_DEPTH:
         raise ValueError(f"minimax depth must be <= {MAX_DEPTH}")
 
 
@@ -293,6 +297,7 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     mm_depth >= 1 (depth 0 rollouts are random and handled by the search
     layer).
     """
+    index(sim_depth)
     _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
@@ -449,6 +454,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     returns it; ``nodes`` is the number of nodes the iterations expanded.
     ``randrange(n)`` draws the random moves of minimax-depth-0 rollouts.
     """
+    index(iterations), index(sim_depth)
     _check_args(state, (side,), capture_points, crown_points, mm_depth)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")

@@ -50,8 +50,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.simulation_depth < 0 or self.minimax_depth < 0:
-            raise ValueError("depths must be >= 0")
+        if self.simulation_depth < 0 or not 0 <= self.minimax_depth <= kernel.MAX_DEPTH:
+            raise ValueError(f"depths must be >= 0, the minimax depth <= {kernel.MAX_DEPTH}")
         if not 0 < self.discount <= 1:
             raise ValueError("discount must be in (0, 1]")
         if not 0 <= self.exploration < math.inf:

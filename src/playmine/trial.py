@@ -9,11 +9,11 @@ leaves every other cell's outputs untouched.
 from __future__ import annotations
 
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .board import RewardConfig
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
@@ -70,18 +70,12 @@ class TrialSpec:
 
     @classmethod
     def paper(cls, trial: int, **overrides) -> "TrialSpec":
-        fixed = dict(PAPER_FIXED)
-        fixed.pop(SWEPT_PARAMS[trial])
-        return cls(trial=trial, sweep_values=PAPER_SWEEPS[trial],
-                   **fixed, **{SWEPT_PARAMS[trial]: 0}, **overrides)
+        return cls(trial=trial, sweep_values=PAPER_SWEEPS[trial], **PAPER_FIXED, **overrides)
 
     @classmethod
     def smoke(cls, trial: int, **overrides) -> "TrialSpec":
-        fixed = dict(SMOKE_FIXED)
-        fixed.pop(SWEPT_PARAMS[trial])
         overrides.setdefault("episodes", 10)
-        return cls(trial=trial, sweep_values=SMOKE_SWEEPS[trial],
-                   **fixed, **{SWEPT_PARAMS[trial]: 0}, **overrides)
+        return cls(trial=trial, sweep_values=SMOKE_SWEEPS[trial], **SMOKE_FIXED, **overrides)
 
 
 @dataclass
@@ -102,25 +96,37 @@ class TrialSummary:
     cells: list
 
 
-def _episode_task(args):
-    cfg, episode_id, pieces, max_turns, feature = args
-    return play_episode(cfg, episode_id=episode_id, pieces_per_side=pieces,
-                        max_turns=max_turns, feature=feature)
-
-
 def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,
-                 pieces: int, max_turns: int, feature: str,
+                 pieces: int, max_turns: int, bfs_feature: bool,
                  workers: int) -> list[EpisodeResult]:
-    """Plays episodes 1..``episodes`` in order; episode i is seeded with
-    ``derive_seed(*seed_key, i)``, so the results do not depend on
-    ``workers``."""
-    tasks = [(replace(base_cfg, rng_seed=derive_seed(*seed_key, episode_id)),
-              episode_id, pieces, max_turns, feature)
-             for episode_id in range(1, episodes + 1)]
+    """Plays episodes 1..``episodes`` in order on ``workers`` processes;
+    episode i is seeded with ``derive_seed(*seed_key, i)``, so the results
+    do not depend on ``workers``."""
+    play = partial(play_episode, pieces_per_side=pieces, max_turns=max_turns,
+                   bfs_feature=bfs_feature)
+    ids = range(1, episodes + 1)
+    cfgs = [replace(base_cfg, rng_seed=derive_seed(*seed_key, i)) for i in ids]
     if workers == 1:
-        return [_episode_task(t) for t in tasks]
+        return list(map(play, cfgs, ids))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_episode_task, tasks))
+        return list(pool.map(play, cfgs, ids))
+
+
+def episode_logs(episodes: Sequence[EpisodeResult], out_dir: Optional[Path],
+                 formats: Sequence[str]) -> dict:
+    """The red and white event logs of ``episodes``; with ``out_dir``, also
+    writes each episode's two tables and each log in every one of ``formats``."""
+    traces = {"red": [(ep.episode_id, ep.red_trace) for ep in episodes],
+              "white": [(ep.episode_id, ep.white_trace) for ep in episodes]}
+    logs = {color: build_event_log(pairs) for color, pairs in traces.items()}
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for color, pairs in traces.items():
+            for episode_id, trace in pairs:
+                export_episode_table(trace, out_dir / f"{color}_episode{episode_id}.csv")
+            for fmt in formats:
+                export_log(logs[color], out_dir / f"{color}_eventlog.{fmt}", fmt)
+    return logs
 
 
 MINERS = {
@@ -134,7 +140,7 @@ def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResu
     episodes = run_episodes(spec.cell_config(value),
                             (spec.seed, spec.trial, spec.sweep_param, value),
                             spec.episodes, spec.pieces_per_side, spec.max_turns,
-                            "bfs" if spec.bfs_feature else "direction", spec.workers)
+                            spec.bfs_feature, spec.workers)
     winners = {"white": 0, "red": 0}
     draws = 0
     for ep in episodes:
@@ -142,20 +148,7 @@ def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResu
             draws += 1
         else:
             winners[ep.winner.name.lower()] += 1
-
-    logs = {
-        "red": build_event_log((ep.episode_id, ep.red_trace) for ep in episodes),
-        "white": build_event_log((ep.episode_id, ep.white_trace) for ep in episodes),
-    }
-
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for ep in episodes:
-            export_episode_table(ep.red_trace, out_dir / f"red_episode{ep.episode_id}.csv")
-            export_episode_table(ep.white_trace, out_dir / f"white_episode{ep.episode_id}.csv")
-        for color, log in logs.items():
-            export_log(log, out_dir / f"{color}_eventlog.csv", "csv")
-            export_log(log, out_dir / f"{color}_eventlog.xes", "xes")
+    logs = episode_logs(episodes, out_dir, ("csv", "xes"))
 
     classifications = {}
     reports = {}
@@ -173,7 +166,6 @@ def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResu
                     (out_dir / f"{key}.dot").write_text(to_dot(net))
             except Exception as exc:  # partial failures recorded, run continues
                 errors.append(f"{key}: {exc!r}")
-                print(f"cell {value}: {key} failed: {exc!r}", file=sys.stderr)
 
     if out_dir is not None and reports:
         write_report_csv(reports, out_dir / "global_statistics.csv")

@@ -3,7 +3,7 @@
 import random
 
 from playmine.board import Color, GameBoard, GamePiece
-from playmine.eventlog import EventLog, TransitionEvent
+from playmine.eventlog import EventLog
 
 
 def random_board(rng: random.Random, n_pieces=None, kings=True) -> GameBoard:
@@ -41,7 +41,4 @@ def random_endgame(rng: random.Random, total_pieces=4) -> GameBoard:
 
 def mklog(traces) -> EventLog:
     """EventLog from plain label sequences, case ids 1..n."""
-    log = EventLog()
-    for i, trace in enumerate(traces, start=1):
-        log.cases[i] = [TransitionEvent(i, label) for label in trace]
-    return log
+    return EventLog({i: tuple(trace) for i, trace in enumerate(traces, start=1)})

@@ -160,16 +160,12 @@ class TestPlayEpisode:
             assert cur.last_turn_enemy_movement == prev.move
 
     def test_bfs_feature_mode_records_distance_change(self):
-        ep = play_episode(FAST, episode_id=6, max_turns=30, feature="bfs")
+        ep = play_episode(FAST, episode_id=6, max_turns=30, bfs_feature=True)
         for rec in ep.red_trace + ep.white_trace:
             assert isinstance(rec.move, (int, float))
         # distance recomputed on the post-move board is always >= 0
         board = initial_board(3)
         assert red_white_distance(board) >= 0
-
-    def test_unknown_feature_mode_rejected(self):
-        with pytest.raises(ValueError):
-            play_episode(FAST, episode_id=7, feature="wavelet")
 
 
 class TestSeedDerivation:

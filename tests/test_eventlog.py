@@ -81,7 +81,7 @@ class TestBuildEventLog:
         steps = [random_record(rng) for _ in range(5)]
         log = build_event_log([(9, steps)])
         assert list(log.cases) == [9]
-        assert [ev.label for ev in log.cases[9]] == [label_for(s) for s in steps]
+        assert log.cases[9] == tuple(label_for(s) for s in steps)
 
     def test_empty_input(self):
         assert build_event_log([]).cases == {}

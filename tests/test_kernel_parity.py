@@ -211,6 +211,45 @@ def test_side_and_points_out_of_range_are_rejected(backend):
     assert pk.MAX_POINTS == 2**31 - 1
 
 
+# two lone kings, who can shuffle forever
+LONE_KINGS = bytes([1 | pk.KING_FLAG] + [0] * 62 + [1 | pk.KING_FLAG | pk.RED_FLAG])
+# each compiled op's arguments, and the position of each one that must be an int
+INT_ARGS = {
+    "gen_moves": ((LONE_KINGS, 1, True, 7, 7),
+                  {"color": 1, "capture_points": 3, "crown_points": 4}),
+    "minimax": ((LONE_KINGS, 1, 1, 2, True, 7, 7, 0.5),
+                {"to_move": 1, "agent": 2, "depth": 3, "capture_points": 5,
+                 "crown_points": 6}),
+    "rollout": ((LONE_KINGS, 1, 3, 1, True, 7, 7, 0.5),
+                {"to_move": 1, "sim_depth": 2, "mm_depth": 3, "capture_points": 5,
+                 "crown_points": 6}),
+    "search": ((LONE_KINGS, 1, 5, 3, 1, True, 7, 7, 0.5, 0.5, 0.8, False, None),
+               {"side": 1, "iterations": 2, "sim_depth": 3, "mm_depth": 4,
+                "capture_points": 6, "crown_points": 7}),
+}
+
+
+@pytest.mark.parametrize("op,name", [(op, name) for op, (_, names) in INT_ARGS.items()
+                                     for name in names])
+def test_non_int_argument_is_a_type_error(op, name):
+    """Both twins refuse a float where an int is parsed, with C's TypeError
+    (the pure twin took some, or recursed without end on depth 2.5), and
+    take True as 1."""
+    args, positions = INT_ARGS[op]
+    for value in (2.5, 1.0):
+        bad = list(args)
+        bad[positions[name]] = value
+        for twin in (pk, compiled):
+            with pytest.raises(TypeError,
+                               match="^'float' object cannot be interpreted as an integer$"):
+                getattr(twin, op)(*bad)
+    as_bool, as_int = list(args), list(args)
+    as_bool[positions[name]], as_int[positions[name]] = True, 1
+    want = getattr(pk, op)(*as_int)
+    assert getattr(pk, op)(*as_bool) == want
+    assert getattr(compiled, op)(*as_bool) == want
+
+
 NEGATIVE_DEPTH = """
 import importlib, sys
 import playmine.kernel

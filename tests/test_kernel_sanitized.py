@@ -6,7 +6,8 @@ sanitizer runtimes: a seeded fuzz of every op the compiled module exports
 against the pure twin on random, 12-a-side, all-king, jump-only, lost and
 wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
-``MAX_POINTS``, and ``search`` also given a ``randrange`` that raises or
+``MAX_POINTS``, floats for each side, point, depth, simulation depth and
+iteration count, and ``search`` also given a ``randrange`` that raises or
 returns an index out of range.  Each op must return what
 ``_pykernel`` returns or raise the same exception; a memory error or
 undefined behaviour aborts the child, and so does an exported op that the
@@ -122,9 +123,10 @@ def _randrange(kind, seed):
     return random.Random(seed).randrange
 
 
-BAD_SIDES = (2, -1, 2**32)
-EDGE_POINTS = (pk.MAX_POINTS, pk.MAX_POINTS + 1, 2**63, -1)
-EDGE_DEPTHS = (pk.MAX_DEPTH + 1, 2**64, -2**64)
+# floats too: both twins must refuse them with the same TypeError
+BAD_SIDES = (2, -1, 2**32, 1.0, 0.5)
+EDGE_POINTS = (pk.MAX_POINTS, pk.MAX_POINTS + 1, 2**63, -1, 7.0)
+EDGE_DEPTHS = (pk.MAX_DEPTH + 1, 2**64, -2**64, 1.0, 2.5)
 
 
 def _side(rng, side):
@@ -146,6 +148,12 @@ def _points(rng):
     return rng.choice(EDGE_POINTS) if rng.random() < 0.1 else rng.randrange(10)
 
 
+def _count(rng, choices):
+    """One of ``choices`` (a simulation depth or an iteration count), or the
+    float 2.0 one time in twenty."""
+    return 2.0 if rng.random() < 0.05 else rng.choice(choices)
+
+
 def fuzz(ck, seed):
     """Runs every op of ``ck`` and ``_pykernel`` on the same seeded inputs;
     returns the number of calls compared."""
@@ -159,7 +167,7 @@ def fuzz(ck, seed):
         ops = {"gen_moves": (state, _side(rng, side), forced, cap, crown),
                "minimax": (state, _side(rng, side), _side(rng, rng.randrange(2)),
                            _depth(rng, kind), forced, cap, crown, kw),
-               "rollout": (state, _side(rng, side), rng.randrange(7), _depth(rng, kind),
+               "rollout": (state, _side(rng, side), _count(rng, range(7)), _depth(rng, kind),
                            forced, cap, crown, kw)}
         assert sorted([*ops, "search"]) == exported, f"fuzz ops != exported {exported}"
         for op, args in ops.items():
@@ -168,13 +176,13 @@ def fuzz(ck, seed):
             assert got == want, (kind, op, args, got, want)
             calls += 1
         for _ in range(4):
-            iterations = rng.choice((0, 1, 2, 5, 30))
+            iterations = _count(rng, (0, 1, 2, 5, 30))
             depth = _depth(rng, kind)
             explore = rng.choice((0.0, 1 / math.sqrt(2), 2.0, -1.0, math.inf))
             discount = rng.choice((0.5, 0.8, 1.0, 0.0))
             how = rng.choice(("seeded",) * 6 + ("raise", "range"))
             cb_seed = rng.randrange(1000)
-            args = (state, _side(rng, side), iterations, rng.randrange(5), depth, forced,
+            args = (state, _side(rng, side), iterations, _count(rng, range(5)), depth, forced,
                     cap, crown, kw, explore, discount, rng.random() < 0.5)
             want = _outcome(pk.search, args + (_randrange(how, cb_seed),))
             got = _outcome(ck.search, args + (_randrange(how, cb_seed),))

@@ -68,6 +68,7 @@ class TestSearchConfig:
         {"iterations": 0},
         {"simulation_depth": -1},
         {"minimax_depth": -1},
+        {"minimax_depth": 65},  # past the kernel's MAX_DEPTH
         {"discount": 0.0},
         {"discount": 1.5},
         {"exploration": -0.1},

@@ -1,13 +1,18 @@
+import inspect
 import json
 from collections import Counter
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
-from playmine.cli import export_dot, main
+from playmine import cli, trial
+from playmine.cli import build_parser, export_dot, main
 from playmine.discovery import act, seq, tree_to_net
+from playmine.episodes import EpisodeResult
 from playmine.eventlog import import_log
 from playmine.petri import PetriNet, Transition, load_net
-from playmine.trial import TrialSpec, run_trial
+from playmine.trial import TrialSpec, TrialSummary, run_trial
 
 
 def tiny_spec(**overrides):
@@ -266,3 +271,135 @@ class TestCli:
                    "--dot", str(dot_path)])
         assert rc == 0
         assert dot_path.exists()
+
+
+# (argv tokens, where the value lands, expected value): the path names the
+# called function, then its parameter, then attributes of the argument
+GAME_OPTIONS = {
+    "play": [
+        (("--iterations", "7"), "run_episodes.base_cfg.iterations", 7),
+        (("--sim-depth", "4"), "run_episodes.base_cfg.simulation_depth", 4),
+        (("--minimax-depth", "2"), "run_episodes.base_cfg.minimax_depth", 2),
+        (("--episodes", "3"), "run_episodes.episodes", 3),
+        (("--pieces", "5"), "run_episodes.pieces", 5),
+        (("--seed", "9"), "run_episodes.seed_key", (9, "play")),
+        (("--workers", "2"), "run_episodes.workers", 2),
+        (("--no-forced-capture",), "run_episodes.base_cfg.reward.forced_capture", False),
+        (("--reward-capture", "3"), "run_episodes.base_cfg.reward.capture_points", 3),
+        (("--reward-crown", "4"), "run_episodes.base_cfg.reward.crown_points", 4),
+        (("--pruning",), "run_episodes.base_cfg.pruning_enabled", True),
+        (("--bfs-feature",), "run_episodes.bfs_feature", True),
+        (("--max-turns", "50"), "run_episodes.max_turns", 50),
+        (("--format", "xes"), "episode_logs.formats", ("xes",)),
+        (("--out", "other"), "episode_logs.out_dir", Path("other")),
+    ],
+    "trial": [
+        (("--episodes", "3"), "run_trial.spec.episodes", 3),
+        (("--pieces", "5"), "run_trial.spec.pieces_per_side", 5),
+        (("--seed", "9"), "run_trial.spec.seed", 9),
+        (("--workers", "2"), "run_trial.spec.workers", 2),
+        (("--no-forced-capture",), "run_trial.spec.reward.forced_capture", False),
+        (("--reward-capture", "3"), "run_trial.spec.reward.capture_points", 3),
+        (("--reward-crown", "4"), "run_trial.spec.reward.crown_points", 4),
+        (("--pruning",), "run_trial.spec.pruning_enabled", True),
+        (("--bfs-feature",), "run_trial.spec.bfs_feature", True),
+        (("--max-turns", "50"), "run_trial.spec.max_turns", 50),
+        (("--trial", "3"), "run_trial.spec.trial", 3),
+        (("--profile", "paper"), "run_trial.spec", TrialSpec.paper(1)),
+        (("--out", "other"), "run_trial.out_dir", "other"),
+    ],
+}
+BASE_ARGV = {"play": ["play", "--out", "base"],
+             "trial": ["trial", "--trial", "1", "--out", "base"]}
+PLAYED = [EpisodeResult(1, [], [], None, 0)]
+
+
+def _record_calls(monkeypatch):
+    """Replaces what ``play`` and ``trial`` call with recorders; returns a
+    dict of each call's arguments by parameter name, under its function."""
+    calls = {}
+
+    def recorder(fn, result):
+        def record(*args, **kwargs):
+            calls[fn.__name__] = inspect.signature(fn).bind(*args, **kwargs).arguments
+            return result()
+        return record
+
+    monkeypatch.setattr(cli, "run_episodes", recorder(trial.run_episodes, lambda: PLAYED))
+    monkeypatch.setattr(cli, "episode_logs", recorder(trial.episode_logs, dict))
+    monkeypatch.setattr(cli, "run_trial", recorder(
+        trial.run_trial, lambda: TrialSummary(calls["run_trial"]["spec"], [])))
+    return calls
+
+
+def _subparser(command):
+    return build_parser()._subparsers._group_actions[0].choices[command]
+
+
+class TestCliOptions:
+    @pytest.mark.parametrize(
+        "command,tokens,path,expected",
+        [(command, *row) for command, rows in GAME_OPTIONS.items() for row in rows],
+        ids=[f"{command} {' '.join(row[0])}" for command, rows in GAME_OPTIONS.items()
+             for row in rows])
+    def test_option_reaches_what_it_configures(self, tmp_path, monkeypatch, command, tokens,
+                                               path, expected):
+        monkeypatch.chdir(tmp_path)  # --out is relative
+        calls = _record_calls(monkeypatch)
+        assert main(BASE_ARGV[command] + list(tokens)) == 0
+        fn, param, *attrs = path.split(".")
+        value = calls[fn][param]
+        assert (attrgetter(".".join(attrs))(value) if attrs else value) == expected
+        if command == "play":  # the writer gets the episodes that were played
+            assert calls["episode_logs"]["episodes"] is PLAYED
+
+    @pytest.mark.parametrize("command", GAME_OPTIONS)
+    def test_every_option_is_in_the_table(self, command):
+        sub = _subparser(command)
+        in_table = {sub._option_string_actions[tokens[0]].dest
+                    for tokens, _, _ in GAME_OPTIONS[command]}
+        accepted = {a.dest for a in sub._actions if a.option_strings} - {"help"}
+        assert in_table == accepted
+
+    @pytest.mark.parametrize("flag", ["--iterations", "--sim-depth", "--minimax-depth"])
+    def test_trial_takes_its_depths_from_the_profile(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trial", "--trial", "1", "--out", str(tmp_path), flag, "5"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["play", "--minimax-depth", "65"], "depths must be >= 0, the minimax depth <= 64"),
+        (["play", "--iterations", "0"], "iterations must be >= 1"),
+        (["play", "--episodes", "0"], "episodes and workers must be >= 1"),
+        (["play", "--workers", "0"], "episodes and workers must be >= 1"),
+        (["trial", "--trial", "1", "--episodes", "0"], "episodes and workers must be >= 1"),
+        (["trial", "--trial", "1", "--workers", "0"], "episodes and workers must be >= 1"),
+        (["trial", "--trial", "1", "--reward-crown", "-1"],
+         "reward points must be non-negative"),
+    ], ids=["minimax-depth", "iterations", "play-episodes", "play-workers",
+            "trial-episodes", "trial-workers", "trial-reward"])
+    def test_bad_setting_is_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(trial, "play_episode", no_episode)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"playmine {argv[0]}: {message}\n"
+        assert not out.exists()
+
+    def test_cell_error_is_reported_once(self, tmp_path, capsys):
+        """At these settings the 100-iteration cell's white alpha net is
+        unsound; stderr names that error once, with its cell."""
+        out = tmp_path / "trial"
+        assert main(["trial", "--trial", "1", "--episodes", "1", "--max-turns", "20",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        errors = [(c["value"], e) for c in cells for e in c["errors"]]
+        assert (100, "white-alpha: ModelUnsoundError('final marking unreachable; "
+                     "cannot align')") in errors
+        assert err.splitlines() == [f"  error in iterations={value}: {e}"
+                                    for value, e in errors]
