@@ -48,6 +48,8 @@ class RewardConfig:
     def __post_init__(self):
         if self.capture_points < 0 or self.crown_points < 0:
             raise ValueError("reward points must be non-negative")
+        if max(self.capture_points, self.crown_points) > kernel.MAX_POINTS:
+            raise ValueError(f"reward points must be <= {kernel.MAX_POINTS}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .conformance import (
     fitness_metrics,
     write_report_csv,
 )
+from .episodes import check_game_settings
 from .eventlog import import_log
 from .explain import Explainer, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
@@ -61,6 +62,7 @@ def _cmd_play(args) -> int:
                            reward=_reward_config(args))
         if args.episodes < 1 or args.workers < 1:
             raise ValueError("episodes and workers must be >= 1")
+        check_game_settings(args.pieces, args.max_turns)
     except ValueError as exc:  # before any episode runs
         print(f"playmine play: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,10 @@
  * docstring): UCT score reward / visits + c * sqrt(log_n / visits), backup
  * reward += pow(discount, dist) * delta, final pick by highest mean, each
  * compared with strict >, so both twins choose bit-identical moves.
+ * minimax scores a leaf from material counts carried down the search (a
+ * move changes them only by its captures and its crowning) where _pykernel
+ * counts the leaf's board; the score is the same float expression on the
+ * same counts, so it is bit-identical on every board.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
@@ -35,6 +39,7 @@ static const int DYS[4] = {1, -1, 1, -1};
 
 typedef struct {
     unsigned char frm, to, ncap, crowned;
+    unsigned char kcap; /* how many of the ncap captured pieces were kings */
     long reward;
     unsigned char caps[MAXCAPS];
     unsigned char state[64];
@@ -81,7 +86,7 @@ typedef struct {
 } Chain;
 
 static int
-emit_chain(Call *c, const Chain *ch, int land, int ncap, int crowned)
+emit_chain(Call *c, const Chain *ch, int land, int ncap, int kcap, int crowned)
 {
     Move *m = push(c);
     if (m == NULL)
@@ -89,6 +94,7 @@ emit_chain(Call *c, const Chain *ch, int land, int ncap, int crowned)
     m->frm = (unsigned char)ch->from;
     m->to = (unsigned char)land;
     m->ncap = (unsigned char)ncap;
+    m->kcap = (unsigned char)kcap;
     m->crowned = (unsigned char)crowned;
     m->reward = c->cap_pts * ncap + (crowned ? c->crown_pts : 0);
     memcpy(m->caps, ch->caps, (size_t)ncap);
@@ -97,10 +103,11 @@ emit_chain(Call *c, const Chain *ch, int land, int ncap, int crowned)
     return 0;
 }
 
-/* DFS over jump continuations from (cx, cy); emits every chain that cannot
- * be extended.  Returns 1 if a jump was found, 0 if none, -1 on error. */
+/* DFS over jump continuations from (cx, cy), ncap pieces captured so far,
+ * kcap of them kings; emits every chain that cannot be extended.  Returns 1
+ * if a jump was found, 0 if none, -1 on error. */
 static int
-extend_chains(Call *c, Chain *ch, int cx, int cy, int ncap)
+extend_chains(Call *c, Chain *ch, int cx, int cy, int ncap, int kcap)
 {
     int jumped = 0;
     for (int d = ch->d0; d < ch->d1; d++) {
@@ -117,15 +124,15 @@ extend_chains(Call *c, Chain *ch, int cx, int cy, int ncap)
         jumped = 1;
         ch->work[mid] = 0;
         ch->caps[ncap] = mv & ID_MASK;
-        int rc;
+        int nk = kcap + ((mv & KING_FLAG) != 0), rc;
         if (!ch->king && lx == ch->far_x) {
             /* crowning ends a man's chain */
-            rc = emit_chain(c, ch, land, ncap + 1, 1);
+            rc = emit_chain(c, ch, land, ncap + 1, nk, 1);
         }
         else {
-            rc = extend_chains(c, ch, lx, ly, ncap + 1);
+            rc = extend_chains(c, ch, lx, ly, ncap + 1, nk);
             if (rc == 0)
-                rc = emit_chain(c, ch, land, ncap + 1, 0);
+                rc = emit_chain(c, ch, land, ncap + 1, nk, 0);
         }
         if (rc < 0)
             return -1;
@@ -161,7 +168,7 @@ gen(Call *c, const unsigned char *state, int color)
         memcpy(ch.work, state, 64);
         ch.work[idx] = 0;
         Py_ssize_t before = c->n;
-        if (extend_chains(c, &ch, x, y, 0) < 0)
+        if (extend_chains(c, &ch, x, y, 0, 0) < 0)
             return -1;
         if (c->n > before)
             have_capture = 1;
@@ -180,6 +187,7 @@ gen(Call *c, const unsigned char *state, int color)
             m->frm = (unsigned char)idx;
             m->to = (unsigned char)nidx;
             m->ncap = 0;
+            m->kcap = 0;
             m->crowned = (unsigned char)crowned;
             m->reward = crowned ? c->crown_pts : 0;
             memcpy(m->state, state, 64);
@@ -201,17 +209,39 @@ gen(Call *c, const unsigned char *state, int color)
     return c->n - base;
 }
 
-/* Material from `color`'s side: men count 1, kings 1 + king_weight. */
-static double
-evaluate(const unsigned char *state, long color, double king_weight)
+/* A board's material: its white men, white kings, red men and red kings. */
+static void
+count_material(const unsigned char *state, long mat[4])
 {
-    long c[4] = {0, 0, 0, 0}; /* white men, white kings, red men, red kings */
+    mat[0] = mat[1] = mat[2] = mat[3] = 0;
     for (int idx = 0; idx < 64; idx++) {
         unsigned char v = state[idx];
         if (v != 0)
-            c[((v & RED_FLAG) ? 2 : 0) + ((v & KING_FLAG) ? 1 : 0)]++;
+            mat[((v & RED_FLAG) ? 2 : 0) + ((v & KING_FLAG) ? 1 : 0)]++;
     }
-    double white = (double)(c[0] + c[1] - c[2] - c[3]) + king_weight * (double)(c[1] - c[3]);
+}
+
+/* The material after `color` plays m: the captured men and kings leave,
+ * and a crowning turns one of the mover's men into a king.  It equals
+ * count_material of m->state. */
+static void
+child_material(const long mat[4], const Move *m, long color, long out[4])
+{
+    int own = color == WHITE ? 0 : 2, opp = 2 - own;
+    memcpy(out, mat, 4 * sizeof(long));
+    out[opp] -= m->ncap - m->kcap;
+    out[opp + 1] -= m->kcap;
+    out[own] -= m->crowned;
+    out[own + 1] += m->crowned;
+}
+
+/* Material from `color`'s side: men count 1, kings 1 + king_weight, in
+ * _pykernel.evaluate's float operations. */
+static double
+evaluate(const long mat[4], long color, double king_weight)
+{
+    double white = (double)(mat[0] + mat[1] - mat[2] - mat[3])
+                   + king_weight * (double)(mat[1] - mat[3]);
     return color == WHITE ? white : -white;
 }
 
@@ -222,30 +252,43 @@ evaluate(const unsigned char *state, long color, double king_weight)
  * co-optimal one in gen order and the root score is exact.  A node whose
  * side has no legal move is terminal and scored by evaluate, like a depth-0
  * leaf; that is _pykernel.winner's test.  When `best` is given the
- * chosen move is copied there and *found says whether there was one. */
+ * chosen move is copied there and *found says whether there was one.
+ *
+ * `mat` is the material of `state`, and each child's is derived from it by
+ * child_material, so a leaf is scored by evaluate from counts without
+ * scanning its board: a depth-1 node scores its children that way, with no
+ * copy of their states and no call below it. */
 static double
-minimax(Call *c, const unsigned char *state, long to_move, long agent,
+minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, long agent,
         long depth, double alpha, double beta, Move *best, int *found)
 {
     if (found != NULL)
         *found = 0;
     if (depth == 0)
-        return evaluate(state, agent, c->kw);
+        return evaluate(mat, agent, c->kw);
     Py_ssize_t base = c->n, n = gen(c, state, (int)to_move);
     if (n < 0)
         return 0.0;
     if (n == 0)
-        return evaluate(state, agent, c->kw);
+        return evaluate(mat, agent, c->kw);
     int maximizing = to_move == agent;
     double best_score = maximizing ? -INFINITY : INFINITY;
     Py_ssize_t best_i = -1;
     unsigned char child[64];
+    long child_mat[4];
     for (Py_ssize_t i = 0; i < n; i++) {
-        memcpy(child, c->moves[base + i].state, 64);
-        double score = minimax(c, child, 1 - to_move, agent, depth - 1, alpha, beta,
-                               NULL, NULL);
-        if (c->failed)
-            break;
+        child_material(mat, &c->moves[base + i], to_move, child_mat);
+        double score;
+        if (depth == 1) {
+            score = evaluate(child_mat, agent, c->kw);
+        }
+        else {
+            memcpy(child, c->moves[base + i].state, 64);
+            score = minimax(c, child, child_mat, 1 - to_move, agent, depth - 1, alpha, beta,
+                            NULL, NULL);
+            if (c->failed)
+                break;
+        }
         if (maximizing ? score > best_score : score < best_score) {
             best_score = score;
             best_i = i;
@@ -279,7 +322,9 @@ rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
     for (long steps = 0; steps < sim_depth; steps++) {
         Move best;
         int found;
-        minimax(c, cur, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
+        long mat[4];
+        count_material(cur, mat);
+        minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
         if (c->failed)
             return -1;
         if (!found)
@@ -555,7 +600,9 @@ py_minimax(PyObject *self, PyObject *args)
         return PyErr_Format(PyExc_ValueError, "minimax requires depth >= 0");
     Move best;
     int found;
-    double score = minimax(&c, BOARD(state), to_move, agent, depth, -INFINITY, INFINITY,
+    long mat[4];
+    count_material(BOARD(state), mat);
+    double score = minimax(&c, BOARD(state), mat, to_move, agent, depth, -INFINITY, INFINITY,
                            &best, &found);
     PyMem_Free(c.moves);
     if (c.failed)

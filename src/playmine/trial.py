@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .board import RewardConfig
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
 from .discovery import alpha_miner, inductive_miner, tree_to_net
-from .episodes import EpisodeResult, derive_seed, play_episode
+from .episodes import EpisodeResult, check_game_settings, derive_seed, play_episode
 from .eventlog import build_event_log, export_episode_table, export_log
 from .petri import save_net, to_dot
 from .search import SearchConfig
@@ -53,6 +53,7 @@ class TrialSpec:
             raise ValueError("trial must be 1, 2 or 3")
         if self.episodes < 1 or self.workers < 1:
             raise ValueError("episodes and workers must be >= 1")
+        check_game_settings(self.pieces_per_side, self.max_turns)
 
     @property
     def sweep_param(self) -> str:

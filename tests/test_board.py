@@ -284,34 +284,36 @@ class TestEvaluate:
 LIGHT_CELLS = operator.itemgetter(*(i for i in range(64) if ((i >> 3) + (i & 7)) % 2))
 
 
-def side_counts(board):
+def side_counts(state):
     """Pieces per side as [white, red], read from the state's cells."""
-    wm, wk, rm, rk = kernel.piece_counts(board.state)
+    wm, wk, rm, rk = kernel.piece_counts(state)
     return [wm + wk, rm + rk]
 
 
 class TestGameProperties:
     def _random_game(self, rng):
-        board = initial_board(3)
-        color = Color.RED
-        counts = side_counts(board)
+        """Up to 120 random legal moves from the 3-a-side opening, on the
+        kernel's move tuples."""
+        state = initial_board(3).state
+        color = kernel.RED
+        counts = side_counts(state)
         for _ in range(120):
-            moves = legal_moves(board, color, CFG)
+            moves = kernel.gen_moves(state, color, CFG.forced_capture, CFG.capture_points,
+                                     CFG.crown_points)
             if not moves:
                 break
-            move = moves[rng.randrange(len(moves))]
-            own, opp = color.value, color.opponent.value
+            _, _, captured, crowned, reward, state = moves[rng.randrange(len(moves))]
+            own, opp = color, 1 - color
             before_own, before_opp = counts[own], counts[opp]
-            board = apply_move(board, move, CFG)
-            counts = side_counts(board)
+            counts = side_counts(state)
             # piece conservation under every applied move
             assert counts[own] == before_own
-            assert counts[opp] == before_opp - len(move.captured_ids)
+            assert counts[opp] == before_opp - len(captured)
             # reward consistency under the default config
-            assert move.reward == 7 * len(move.captured_ids) + 7 * move.crowned
+            assert reward == 7 * len(captured) + 7 * crowned
             # parity: every piece stays on a dark square, so light cells stay empty
-            assert not any(LIGHT_CELLS(board.state))
-            color = color.opponent
+            assert not any(LIGHT_CELLS(state))
+            color = opp
 
     def test_random_game_fuzz(self):
         games = 10_000 if kernel.BACKEND == "compiled" else 500

@@ -33,13 +33,20 @@ FULL = _positions(60, seed=7, n_pieces=24)
 KINGS = [_all_kings(s) for s in _positions(60, seed=8, n_pieces=24)]
 
 
+def _pieces(pieces):
+    """State with a piece per (color, x, y, king), ids 1, 2, ... per side."""
+    cells = bytearray(64)
+    ids = {pk.WHITE: 0, pk.RED: 0}
+    for color, x, y, king in pieces:
+        ids[color] += 1
+        cells[(x << 3) | y] = pk.encode_cell(color, ids[color], king)
+    return bytes(cells)
+
+
 def _board(white, red, king=True):
     """State with white and red kings (or men) on the given squares."""
-    cells = bytearray(64)
-    for color, squares in ((pk.WHITE, white), (pk.RED, red)):
-        for i, (x, y) in enumerate(squares, start=1):
-            cells[(x << 3) | y] = pk.encode_cell(color, i, king)
-    return bytes(cells)
+    return _pieces([(pk.WHITE, x, y, king) for x, y in white]
+                   + [(pk.RED, x, y, king) for x, y in red])
 
 
 LATTICE = [(x, y) for x in (1, 3, 5) for y in (1, 3, 5)]
@@ -49,6 +56,15 @@ LONGEST_CHAIN = _board([(0, 0)], LATTICE)
 # 45 white moves, the most a hill-climb over legal positions found
 CROWDED = _board([(1, 7), (3, 7), (5, 7), (7, 1), (7, 3), (7, 5), (7, 7), (4, 2), (4, 4)],
                  LATTICE)
+# men of both sides one chain or step from crowning: white (3, 1) takes the
+# red king on (4, 2) and the red man on (6, 4) and crowns on (7, 5), white
+# (5, 1) takes the king on (6, 2) and crowns on (7, 3), white (6, 6) crowns
+# by a step; red (4, 6) takes the man on (3, 5) and the king on (1, 3) and
+# crowns on (0, 2), red (2, 2) takes the king on (1, 1) and crowns on (0, 0)
+CROWNING = _pieces([(pk.WHITE, 3, 1, False), (pk.WHITE, 5, 1, False), (pk.WHITE, 6, 6, False),
+                    (pk.WHITE, 3, 5, False), (pk.WHITE, 1, 1, True), (pk.WHITE, 1, 3, True),
+                    (pk.RED, 4, 2, True), (pk.RED, 6, 2, True), (pk.RED, 6, 4, False),
+                    (pk.RED, 2, 2, False), (pk.RED, 1, 5, False), (pk.RED, 4, 6, False)])
 
 
 def test_gen_moves_identical():
@@ -60,8 +76,8 @@ def test_gen_moves_identical():
 
 
 def test_static_functions_identical():
-    """The compiled evaluate, which only minimax reaches: a depth-0 minimax
-    scores the state with it."""
+    """A depth-0 minimax scores the state from its counted material, in
+    _pykernel.evaluate's float operations."""
     for state in STATES + FULL + KINGS:
         for agent in (0, 1):
             for king_weight in (0.0, 0.5, 1.5):
@@ -85,6 +101,38 @@ def test_minimax_identical_on_full_and_king_heavy_boards():
             for forced in (True, False):
                 assert (pk.minimax(state, color, 1 - color, 2, forced, 7, 7, 0.5)
                         == compiled.minimax(state, color, 1 - color, 2, forced, 7, 7, 0.5))
+
+
+# boards whose lines of play capture kings and crown men, many mid-chain
+MATERIAL_BOARDS = KINGS[:4] + FULL[:4] + [LONGEST_CHAIN, CROWDED, CROWNING]
+
+
+def test_crowning_board_crowns_by_capturing_kings():
+    for color in (0, 1):
+        moves = pk.gen_moves(CROWNING, color, False, 7, 7)
+        assert any(m[3] and len(m[2]) == 2 for m in moves), color
+        assert any(m[3] and not m[2] for m in moves), color
+
+
+def test_minimax_leaf_scores_identical():
+    """The compiled twin scores leaves from material carried down the
+    search, less each move's captured men and kings, with crowned men
+    turned kings; the pure twin counts each leaf's board.  Scores and moves
+    agree at every depth 1-4 and king weight, forced capture on and off."""
+    for state in MATERIAL_BOARDS:
+        for to_move, agent in ((0, 0), (1, 1), (0, 1)):
+            for depth, king_weight, forced in product((1, 2, 3, 4), (0.0, 0.5, 1.5),
+                                                      (True, False)):
+                args = (state, to_move, agent, depth, forced, 7, 7, king_weight)
+                assert pk.minimax(*args) == compiled.minimax(*args), args
+
+
+def test_rollout_identical_at_minimax_depths_1_and_3():
+    for state in MATERIAL_BOARDS:
+        for color, mm_depth, king_weight, forced in product((0, 1), (1, 3), (0.5, 1.5),
+                                                            (True, False)):
+            args = (state, color, 10, mm_depth, forced, 7, 7, king_weight)
+            assert pk.rollout(*args) == compiled.rollout(*args), args
 
 
 def test_rollout_identical():

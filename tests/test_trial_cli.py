@@ -377,8 +377,16 @@ class TestCliOptions:
         (["trial", "--trial", "1", "--workers", "0"], "episodes and workers must be >= 1"),
         (["trial", "--trial", "1", "--reward-crown", "-1"],
          "reward points must be non-negative"),
+        (["play", "--pieces", "13"], "pieces_per_side must be between 1 and 12"),
+        (["trial", "--trial", "1", "--pieces", "0"], "pieces_per_side must be between 1 and 12"),
+        (["play", "--reward-capture", "2147483648"], "reward points must be <= 2147483647"),
+        (["trial", "--trial", "1", "--reward-crown", "2147483648"],
+         "reward points must be <= 2147483647"),
+        (["play", "--max-turns", "-5"], "max_turns must be >= 1"),
+        (["trial", "--trial", "1", "--max-turns", "0"], "max_turns must be >= 1"),
     ], ids=["minimax-depth", "iterations", "play-episodes", "play-workers",
-            "trial-episodes", "trial-workers", "trial-reward"])
+            "trial-episodes", "trial-workers", "trial-reward", "play-pieces", "trial-pieces",
+            "play-reward-above", "trial-reward-above", "play-max-turns", "trial-max-turns"])
     def test_bad_setting_is_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                                        argv, message):
         def no_episode(*args, **kwargs):
