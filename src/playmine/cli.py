@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .board import RewardConfig
@@ -20,10 +21,17 @@ from .conformance import (
 )
 from .episodes import check_game_settings
 from .eventlog import import_log
-from .explain import Explainer, parse_context_string
+from .explain import Explainer, NotFittingError, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
 from .search import SearchConfig
 from .trial import MINERS, TrialSpec, episode_logs, run_episodes, run_trial
+
+
+# What mine, check, explain and render raise for a missing, empty or
+# malformed log or net, an unsound or non-fitting net, or a query the log
+# cannot answer; main reports it in one stderr line with exit code 1.
+INPUT_ERRORS = (OSError, ValueError, LookupError, ET.ParseError, ModelUnsoundError,
+                NotFittingError)
 
 
 def export_dot(net: PetriNet, path) -> None:
@@ -89,13 +97,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    log = import_log(args.log)
-    net = load_net(args.net)
-    try:
-        report = fitness_metrics(log, net)
-    except ModelUnsoundError as exc:
-        print(f"cannot replay: {exc}", file=sys.stderr)
-        return 1
+    report = fitness_metrics(import_log(args.log), load_net(args.net))
     verdict = classify_fitting(report)
     print(f"trace fitness:      {report.trace_fitness:.4f}")
     print(f"move-model fitness: {report.move_model_fitness:.4f}")
@@ -109,17 +111,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    log = import_log(args.log)
-    explainer = Explainer.from_log(log, lookahead=args.lookahead)
-    try:  # a layer, context or alternative that is malformed or not in the log
-        context = parse_context_string(args.context)
-        rec = explainer.recommend(args.layer, context)
-        if args.alternative:
-            alt = parse_context_string(args.alternative)
-            report = explainer.why_not(args.layer, context, alt)
-    except (LookupError, ValueError) as exc:
-        print(f"cannot explain: {exc}", file=sys.stderr)
-        return 1
+    explainer = Explainer.from_log(import_log(args.log), lookahead=args.lookahead)
+    context = parse_context_string(args.context)
+    rec = explainer.recommend(args.layer, context)
+    if args.alternative:
+        alt = parse_context_string(args.alternative)
+        report = explainer.why_not(args.layer, context, alt)
     payload = {
         "layer": args.layer,
         "context": list(context),
@@ -195,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--miner", choices=tuple(MINERS), default="inductive")
     p.add_argument("--out", required=True)
     p.add_argument("--dot")
-    p.set_defaults(func=_cmd_mine)
+    p.set_defaults(func=_cmd_mine, failure="cannot mine")
 
     p = sub.add_parser("check", help="alignment-based conformance of log vs net")
     p.add_argument("--log", required=True)
     p.add_argument("--net", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, failure="cannot replay")
 
     p = sub.add_parser("explain", help="post-hoc queries on a mined model")
     p.add_argument("--log", required=True)
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lookahead", type=int, default=2)
     p.add_argument("--json", action="store_true",
                    help="also print the machine-readable form")
-    p.set_defaults(func=_cmd_explain)
+    p.set_defaults(func=_cmd_explain, failure="cannot explain")
 
     p = sub.add_parser("trial", help="run a parameter-sweep trial at a profile's depths")
     _add_game_flags(p, episodes=None)  # None: the profile's episode count
@@ -224,14 +221,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="export a saved net as dot")
     p.add_argument("--net", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
+    p.set_defaults(func=_cmd_render, failure="cannot render")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    failure = getattr(args, "failure", None)
+    if failure is None:  # play and trial refuse bad settings themselves, with code 2
+        return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"{failure}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

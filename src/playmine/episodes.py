@@ -72,11 +72,11 @@ def abstract_move(frm: tuple[int, int], to: tuple[int, int]) -> tuple:
     return tuple(labels)
 
 
-def bfs_min_distance(board: GameBoard, sources: Sequence[tuple[int, int]],
+def bfs_min_distance(sources: Sequence[tuple[int, int]],
                      targets: Sequence[tuple[int, int]]) -> Union[int, float]:
     """Multi-source 4-neighbour BFS distance to the nearest target, or inf if
-    there is none; on the 8x8 grid, which has no obstacles (``board`` is not
-    consulted), it equals the least Manhattan distance, computed directly."""
+    there is none; on the 8x8 grid, which has no obstacles, it equals the
+    least Manhattan distance, computed directly."""
     return min((abs(sx - tx) + abs(sy - ty) for sx, sy in sources for tx, ty in targets),
                default=math.inf)
 
@@ -84,7 +84,7 @@ def bfs_min_distance(board: GameBoard, sources: Sequence[tuple[int, int]],
 def red_white_distance(board: GameBoard) -> Union[int, float]:
     whites = [(p.x, p.y) for p in board.pieces(Color.WHITE)]
     reds = [(p.x, p.y) for p in board.pieces(Color.RED)]
-    return bfs_min_distance(board, whites, reds)
+    return bfs_min_distance(whites, reds)
 
 
 def derive_seed(base: int, *parts) -> int:

@@ -96,17 +96,23 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+def parse_pair(text: str, what: str = "pair") -> tuple[int, Movement]:
+    """Parses one ``(id,movement)`` pair of a label, e.g. ``(3,(left,down))``;
+    ``what`` names it in the ValueError for a malformed one."""
+    body = text.strip()
+    parts = _split_top_level(body[1:-1])
+    if not (body.startswith("(") and body.endswith(")")) or len(parts) != 2:
+        raise ValueError(f"malformed {what}: {text!r}")
+    return int(parts[0]), parse_movement(parts[1])
+
+
 def parse_label(label: str) -> tuple[tuple[int, Movement], tuple[int, Movement], int]:
     """Inverse of format_label."""
     body = label.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"malformed label: {label!r}")
     ctx_part, act_part, reward_part = _split_top_level(body[1:-1])
-    ctx_id, ctx_move = _split_top_level(ctx_part.strip()[1:-1])
-    act_id, act_move = _split_top_level(act_part.strip()[1:-1])
-    return ((int(ctx_id), parse_movement(ctx_move)),
-            (int(act_id), parse_movement(act_move)),
-            int(reward_part))
+    return parse_pair(ctx_part), parse_pair(act_part), int(reward_part)
 
 
 def build_event_log(traces: Iterable[tuple[int, Sequence[StepRecord]]]) -> EventLog:

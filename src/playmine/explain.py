@@ -16,7 +16,7 @@ from typing import Optional
 
 from .conformance import FITTING, FitnessReport, classify_fitting, fitness_metrics
 from .discovery import inductive_miner, tree_to_net
-from .eventlog import EventLog, _split_top_level, parse_label, parse_movement
+from .eventlog import EventLog, parse_label, parse_pair
 from .petri import PetriNet
 
 LOOKAHEAD_DEFAULT = 2
@@ -195,11 +195,7 @@ def why_not(view: LayeredView, layer: int, context: tuple, alternative: tuple,
 
 def parse_context_string(text: str) -> tuple:
     """Parses "(3,(left,down))" style context/action strings."""
-    body = text.strip()
-    parts = _split_top_level(body[1:-1])
-    if not (body.startswith("(") and body.endswith(")")) or len(parts) != 2:
-        raise ValueError(f"malformed context: {text!r}")
-    return int(parts[0]), parse_movement(parts[1])
+    return parse_pair(text, "context")
 
 
 class Explainer:

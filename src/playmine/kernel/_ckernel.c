@@ -12,13 +12,17 @@
  * minimax scores a leaf from material counts carried down the search (a
  * move changes them only by its captures and its crowning) where _pykernel
  * counts the leaf's board; the score is the same float expression on the
- * same counts, so it is bit-identical on every board.
+ * same counts, so it is bit-identical on every board.  The random moves of
+ * search's minimax-depth-0 rollouts come from the same splitmix64 stream in
+ * both twins, seeded by search's last argument, so search calls no Python
+ * code.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #define WHITE 0
@@ -448,12 +452,24 @@ backup(Tree *t, Py_ssize_t i, const long delta[2], double discount)
     }
 }
 
+/* The next value of a splitmix64 stream (Steele, Lea & Flood, "Fast
+ * splittable pseudorandom number generators", OOPSLA 2014), as
+ * _pykernel._Stream computes it. */
+static uint64_t
+splitmix64(uint64_t *state)
+{
+    uint64_t z = (*state += 0x9E3779B97F4A7C15u);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
 /* The search's rollout: rollout at mm_depth >= 1, else up to sim_depth
- * random moves, each the randrange(len(moves))-th; 0, or -1 with an
- * exception set. */
+ * random moves, each the (splitmix64(rng) % len(moves))-th; 0, or -1 on
+ * error. */
 static int
 playout(Call *c, const unsigned char *state, long turn, long sim_depth,
-        long mm_depth, PyObject *randrange, long delta[2])
+        long mm_depth, uint64_t *rng, long delta[2])
 {
     if (mm_depth >= 1)
         return rollout(c, state, turn, sim_depth, mm_depth, delta);
@@ -465,19 +481,7 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth,
             return -1;
         if (n == 0)
             break;
-        PyObject *r = PyObject_CallFunction(randrange, "n", n);
-        Py_ssize_t k = r == NULL ? -1 : PyNumber_AsSsize_t(r, NULL);
-        Py_XDECREF(r);
-        if (k == -1 && PyErr_Occurred()) {
-            c->n = base;
-            return -1;
-        }
-        if (k < 0 || k >= n) {
-            c->n = base;
-            PyErr_SetString(PyExc_ValueError, "randrange result out of range");
-            return -1;
-        }
-        const Move *m = &c->moves[base + k];
+        const Move *m = &c->moves[base + (Py_ssize_t)(splitmix64(rng) % (uint64_t)n)];
         delta[turn == WHITE ? 0 : 1] += m->reward;
         memcpy(cur, m->state, 64);
         c->n = base;
@@ -541,6 +545,15 @@ bad_int(PyObject *o, long lo, long hi, const char *msg, long *out)
         return 0;
     PyErr_SetString(PyExc_ValueError, msg);
     return 1;
+}
+
+/* The seed of search's stream: any int, taken mod 2**64; anything else is
+ * the TypeError of operator.index. */
+static int
+bad_seed(PyObject *o, uint64_t *out)
+{
+    *out = PyLong_AsUnsignedLongLongMask(o);
+    return *out == (uint64_t)-1 && PyErr_Occurred();
 }
 
 static int
@@ -643,13 +656,15 @@ py_search(PyObject *self, PyObject *args)
     Py_ssize_t len, iterations;
     long side, sim_depth, mm_depth;
     double explore, discount;
-    PyObject *o_side, *o_mm_depth, *cap, *crown, *randrange;
+    PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed;
     Call c = {0};
     Tree t = {0};
+    uint64_t rng;
     if (!PyArg_ParseTuple(args, "y#OnlOpOOdddpO:search", &state, &len, &o_side, &iterations,
                           &sim_depth, &o_mm_depth, &c.forced, &cap, &crown, &c.kw, &explore,
-                          &discount, &t.pruning, &randrange)
-            || bad_state(len) || bad_int(o_side, 0, 1, SIDE_MSG, &side)
+                          &discount, &t.pruning, &o_seed)
+            || bad_seed(o_seed, &rng) || bad_state(len)
+            || bad_int(o_side, 0, 1, SIDE_MSG, &side)
             || bad_points(cap, crown, &c)
             || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &mm_depth))
         return NULL;
@@ -692,7 +707,7 @@ py_search(PyObject *self, PyObject *args)
          * playout does not grow the arena, so its state may point into it */
         long delta[2] = {0, 0};
         if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, mm_depth,
-                    randrange, delta) < 0)
+                    &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
         backup(&t, i, delta, discount);
@@ -725,8 +740,9 @@ static PyMethodDef methods[] = {
      "crown_points, king_weight) -> (white_reward, red_reward)"},
     {"search", py_search, METH_VARARGS,
      "search(state, side, iterations, sim_depth, mm_depth, forced, capture_points, "
-     "crown_points, king_weight, exploration, discount, pruning, randrange) -> "
-     "(move, nodes) or None when side has no legal move"},
+     "crown_points, king_weight, exploration, discount, pruning, seed) -> "
+     "(move, nodes) or None when side has no legal move; seed (any int, taken "
+     "mod 2**64) starts the splitmix64 stream of the minimax-depth-0 random moves"},
     {NULL, NULL, 0, NULL},
 };
 

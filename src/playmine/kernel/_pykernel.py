@@ -13,9 +13,10 @@ return types and the ValueErrors for bad arguments are part of the
 contract.  Each of the four checks its arguments on entry, in this order:
 a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
 {0, 1}, points in ``0..MAX_POINTS``, a minimax depth of at most
-``MAX_DEPTH``, then its own limits.  Those arguments, and the iterations and
-simulation depth that ``search`` and ``rollout`` check before all others,
-must be ints (``True`` is 1), else the op raises C parsing's TypeError.
+``MAX_DEPTH``, then its own limits.  Those arguments, and the iterations,
+simulation depth and seed that ``search`` checks before all others
+(``rollout`` its simulation depth), must be ints (``True`` is 1), else the
+op raises C parsing's TypeError; a seed of any size is taken mod 2**64.
 ``side_has_moves``, ``piece_counts``, ``evaluate`` and ``winner`` have no
 twin: every backend uses these, and ``side_has_moves`` asks ``gen_moves``,
 so each twin has one copy of the rules.  This module is the fallback when no
@@ -23,8 +24,10 @@ C compiler is available and the reference the parity tests compare against.
 
 ``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
 (``rollout``, or random moves at minimax depth 0) and the discounted backup,
-repeated ``iterations`` times.  Both twins keep the same float operations in
-the same order, so they choose bit-identical moves:
+repeated ``iterations`` times.  Its random moves come from one splitmix64
+stream per call (``_Stream``), seeded by its ``seed`` argument, so the
+compiled twin calls no Python code.  Both twins keep the same float
+operations in the same order, so they choose bit-identical moves:
 
 * UCT score ``reward / visits + c * sqrt(log_n / visits)`` with
   ``log_n = log(parent visits)`` (0.0 at 0 visits), compared with strict
@@ -330,14 +333,36 @@ def prune_by_reward(moves):
     return [m for m in moves if m[4] == best]
 
 
+class _Stream:
+    """The splitmix64 stream (Steele, Lea & Flood, "Fast splittable
+    pseudorandom number generators", OOPSLA 2014) that draws a search's
+    random moves; the compiled twin's ``splitmix64`` is the same function.
+
+    ``seed`` may be any int and is taken mod 2**64; anything else is the
+    TypeError of ``operator.index``.
+    """
+
+    MASK = 2**64 - 1
+
+    def __init__(self, seed):
+        self.state = index(seed) & self.MASK
+
+    def below(self, n):
+        """The stream's next value mod ``n``: a draw from ``range(n)``,
+        biased by at most n / 2**64."""
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return (z ^ (z >> 31)) % n
+
+
 def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
-             king_weight, randrange):
+             king_weight, stream):
     """The search's rollout from (state, turn): ``[white, red]`` rewards.
 
-    At mm_depth >= 1 this is ``rollout``; below, each of up to ``sim_depth``
-    steps plays ``moves[randrange(len(moves))]``, one call per step, and an
-    index outside the move list is a ValueError.  [0, 0] from a position
-    whose side to move has no legal move.
+    At mm_depth >= 1 this is ``rollout`` and ``stream`` is not read; below,
+    each of up to ``sim_depth`` steps plays ``moves[stream.below(len(moves))]``.
+    [0, 0] from a position whose side to move has no legal move.
     """
     if mm_depth >= 1:
         return list(rollout(state, turn, sim_depth, mm_depth, forced,
@@ -347,10 +372,7 @@ def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_poi
         moves = gen_moves(state, turn, forced, capture_points, crown_points)
         if not moves:
             break
-        k = randrange(len(moves))
-        if not 0 <= k < len(moves):
-            raise ValueError("randrange result out of range")
-        mv = moves[k]
+        mv = moves[stream.below(len(moves))]
         delta[turn] += mv[4]
         state = mv[5]
         turn = 1 - turn
@@ -442,7 +464,7 @@ class _Tree:
 
 
 def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
-           crown_points, king_weight, exploration, discount, pruning, randrange):
+           crown_points, king_weight, exploration, discount, pruning, seed):
     """One MCTS turn for ``side``: ``(move, nodes)``, or None when ``side``
     has no legal move.
 
@@ -452,9 +474,11 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     and backs up its rewards plus the leaf's entry-move reward.  ``move`` is
     the root child of highest mean reward for ``side``, as ``gen_moves``
     returns it; ``nodes`` is the number of nodes the iterations expanded.
-    ``randrange(n)`` draws the random moves of minimax-depth-0 rollouts.
+    The random moves of minimax-depth-0 rollouts come from one ``_Stream``
+    seeded with ``seed``, read on from rollout to rollout.
     """
     index(iterations), index(sim_depth)
+    stream = _Stream(seed)
     _check_args(state, (side,), capture_points, crown_points, mm_depth)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -475,7 +499,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
             nodes += 1
         # the leaf is never the root, so it always has an entry move
         delta = _playout(tree.state[i], tree.turn[i], sim_depth, mm_depth, forced,
-                         capture_points, crown_points, king_weight, randrange)
+                         capture_points, crown_points, king_weight, stream)
         delta[1 - tree.turn[i]] += tree.move[i][4]
         tree.backup(i, delta, discount)
     best = -1

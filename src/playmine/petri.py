@@ -137,14 +137,18 @@ def net_to_json(net: PetriNet) -> str:
 
 
 def net_from_json(text: str) -> PetriNet:
+    """The net ``net_to_json`` wrote; any other text is a ValueError."""
     payload = json.loads(text)
-    return PetriNet(
-        places=payload["places"],
-        transitions=[Transition(name, label) for name, label in payload["transitions"]],
-        arcs=[tuple(a) for a in payload["arcs"]],
-        initial_marking=Counter(payload["initial_marking"]),
-        final_marking=Counter(payload["final_marking"]),
-    )
+    try:
+        return PetriNet(
+            places=payload["places"],
+            transitions=[Transition(name, label) for name, label in payload["transitions"]],
+            arcs=[tuple(a) for a in payload["arcs"]],
+            initial_marking=Counter(payload["initial_marking"]),
+            final_marking=Counter(payload["final_marking"]),
+        )
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"not a saved net: {exc!r}") from exc
 
 
 def save_net(net: PetriNet, path) -> None:

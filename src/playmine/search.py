@@ -9,16 +9,17 @@ algorithm and the float-operation order both kernel twins keep.
 and a ``GameBoard`` for the chosen root child.
 
 A node is terminal iff its side to move has no legal move, the same test
-the kernel's minimax and rollout use.  Depth-0 rollouts draw from
-``random.Random(cfg.rng_seed)``, and all tie-breaking is
+the kernel's minimax and rollout use.  Depth-0 rollouts draw their moves
+from the kernel's splitmix64 stream seeded with ``cfg.rng_seed``; minimax
+rollouts read no randomness, and all tie-breaking is
 first-in-enumeration-order, so a given (board, config) pair always yields
-the same move.  Independent searches may run in parallel processes.
+the same move, and at minimax depth 1 or more the seed does not change it.
+Independent searches may run in parallel processes.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,7 +75,7 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
                           cfg.simulation_depth, cfg.minimax_depth,
                           rw.forced_capture, rw.capture_points, rw.crown_points,
                           cfg.king_weight, cfg.exploration, cfg.discount,
-                          cfg.pruning_enabled, random.Random(cfg.rng_seed).randrange)
+                          cfg.pruning_enabled, cfg.rng_seed)
     if found is None:
         return None
     move = found[0]

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .board import RewardConfig
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
@@ -88,7 +88,7 @@ class CellResult:
     classifications: dict  # "{color}-{miner}" -> fitting/non-fitting
     reports: dict  # same keys -> FitnessReport
     errors: list
-    out_dir: Optional[Path] = None
+    out_dir: Path
 
 
 @dataclass
@@ -113,20 +113,20 @@ def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,
         return list(pool.map(play, cfgs, ids))
 
 
-def episode_logs(episodes: Sequence[EpisodeResult], out_dir: Optional[Path],
+def episode_logs(episodes: Sequence[EpisodeResult], out_dir: Path,
                  formats: Sequence[str]) -> dict:
-    """The red and white event logs of ``episodes``; with ``out_dir``, also
-    writes each episode's two tables and each log in every one of ``formats``."""
+    """The red and white event logs of ``episodes``; also writes each
+    episode's two tables and each log in every one of ``formats`` to
+    ``out_dir``."""
     traces = {"red": [(ep.episode_id, ep.red_trace) for ep in episodes],
               "white": [(ep.episode_id, ep.white_trace) for ep in episodes]}
     logs = {color: build_event_log(pairs) for color, pairs in traces.items()}
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for color, pairs in traces.items():
-            for episode_id, trace in pairs:
-                export_episode_table(trace, out_dir / f"{color}_episode{episode_id}.csv")
-            for fmt in formats:
-                export_log(logs[color], out_dir / f"{color}_eventlog.{fmt}", fmt)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for color, pairs in traces.items():
+        for episode_id, trace in pairs:
+            export_episode_table(trace, out_dir / f"{color}_episode{episode_id}.csv")
+        for fmt in formats:
+            export_log(logs[color], out_dir / f"{color}_eventlog.{fmt}", fmt)
     return logs
 
 
@@ -136,8 +136,9 @@ MINERS = {
 }
 
 
-def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResult:
-    """Runs one sweep cell: episodes, exports, both miners, both colors."""
+def run_cell(spec: TrialSpec, value, out_dir: Path) -> CellResult:
+    """Runs one sweep cell: episodes, exports, both miners, both colors;
+    writes its files to ``out_dir``."""
     episodes = run_episodes(spec.cell_config(value),
                             (spec.seed, spec.trial, spec.sweep_param, value),
                             spec.episodes, spec.pieces_per_side, spec.max_turns,
@@ -162,13 +163,12 @@ def run_cell(spec: TrialSpec, value, out_dir: Optional[Path] = None) -> CellResu
                 report = fitness_metrics(log, net)
                 reports[key] = report
                 classifications[key] = classify_fitting(report)
-                if out_dir is not None:
-                    save_net(net, out_dir / f"{key}.json")
-                    (out_dir / f"{key}.dot").write_text(to_dot(net))
+                save_net(net, out_dir / f"{key}.json")
+                (out_dir / f"{key}.dot").write_text(to_dot(net))
             except Exception as exc:  # partial failures recorded, run continues
                 errors.append(f"{key}: {exc!r}")
 
-    if out_dir is not None and reports:
+    if reports:
         write_report_csv(reports, out_dir / "global_statistics.csv")
 
     return CellResult(value=value, episodes=len(episodes), winners=winners,

@@ -55,30 +55,25 @@ class TestAbstractMove:
 
 class TestBfsDistance:
     def test_adjacent(self):
-        board = initial_board(3)
-        assert bfs_min_distance(board, [(0, 0)], [(0, 1)]) == 1
+        assert bfs_min_distance([(0, 0)], [(0, 1)]) == 1
 
     def test_source_equals_target(self):
-        board = initial_board(3)
-        assert bfs_min_distance(board, [(4, 4)], [(4, 4)]) == 0
+        assert bfs_min_distance([(4, 4)], [(4, 4)]) == 0
 
     def test_unreachable_without_targets(self):
-        board = initial_board(3)
-        assert bfs_min_distance(board, [(0, 0)], []) == math.inf
+        assert bfs_min_distance([(0, 0)], []) == math.inf
 
     def test_unreachable_without_sources(self):
-        board = initial_board(3)
-        assert bfs_min_distance(board, [], [(0, 0)]) == math.inf
+        assert bfs_min_distance([], [(0, 0)]) == math.inf
 
     def test_matches_independent_oracle(self):
         rng = random.Random(17)
-        board = initial_board(3)
         for _ in range(300):
             sources = [(rng.randrange(8), rng.randrange(8))
                        for _ in range(rng.randrange(1, 4))]
             targets = [(rng.randrange(8), rng.randrange(8))
                        for _ in range(rng.randrange(1, 4))]
-            assert bfs_min_distance(board, sources, targets) == \
+            assert bfs_min_distance(sources, targets) == \
                 oracle_grid_distance(sources, targets)
 
 

@@ -116,12 +116,18 @@ class TestMixedModeSearch:
         assert ep.turns > 0
 
     def test_mm0_differs_by_seed_but_not_by_run(self):
-        board = initial_board(3)
+        """At minimax depth 0 the seed reaches the kernel's random moves: one
+        seed replays the same game, another plays a different one."""
         cfg = SearchConfig(iterations=30, simulation_depth=8, minimax_depth=0,
                            rng_seed=1)
-        first = mcts_search(board, Color.RED, cfg)
-        again = mcts_search(board, Color.RED, cfg)
-        assert first[0] == again[0]
+
+        def traces(cfg):
+            ep = play_episode(cfg, episode_id=1, max_turns=40)
+            return [label_for(s) for s in ep.red_trace + ep.white_trace]
+
+        first = traces(cfg)
+        assert traces(cfg) == first
+        assert traces(replace(cfg, rng_seed=2)) != first
 
 
 class TestPipelinePurity:

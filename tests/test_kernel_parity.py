@@ -214,7 +214,7 @@ def test_state_of_wrong_length_is_rejected(backend, length):
                     lambda: backend.minimax(state, 0, 0, 2, True, 7, 7, 0.5)],
         "rollout": [lambda: backend.rollout(state, 0, 0, 1, True, 7, 7, 0.5)],
         "search": [lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8,
-                                          False, None)],
+                                          False, 0)],
     }
     assert set(_public(compiled)) <= set(calls)
     for op in calls if backend is pk else _public(compiled):
@@ -240,7 +240,7 @@ def _calls(backend, state=STATES[0], side=0, agent=0, capture_points=7, crown_po
             lambda: backend.minimax(state, side, agent, 2, *rules, 0.5),
             lambda: backend.rollout(state, side, 4, 1, *rules, 0.5),
             lambda: backend.search(state, side, 5, 3, 1, *rules, 0.5, 0.5, 0.8, False,
-                                   None)]
+                                   0)]
 
 
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
@@ -271,9 +271,9 @@ INT_ARGS = {
     "rollout": ((LONE_KINGS, 1, 3, 1, True, 7, 7, 0.5),
                 {"to_move": 1, "sim_depth": 2, "mm_depth": 3, "capture_points": 5,
                  "crown_points": 6}),
-    "search": ((LONE_KINGS, 1, 5, 3, 1, True, 7, 7, 0.5, 0.5, 0.8, False, None),
+    "search": ((LONE_KINGS, 1, 5, 3, 1, True, 7, 7, 0.5, 0.5, 0.8, False, 0),
                {"side": 1, "iterations": 2, "sim_depth": 3, "mm_depth": 4,
-                "capture_points": 6, "crown_points": 7}),
+                "capture_points": 6, "crown_points": 7, "seed": 12}),
 }
 
 
@@ -333,14 +333,14 @@ for depth in (100000, 2**64, 65):
     for call in (lambda: twin.minimax(state, 0, 0, depth, True, 7, 7, 0.5),
                  lambda: twin.rollout(state, 0, 0, depth, True, 7, 7, 0.5),
                  lambda: twin.search(state, 0, 1, 0, depth, True, 7, 7, 0.5, 0.5, 0.8,
-                                     False, None)):
+                                     False, 0)):
         try:
             call()
         except ValueError as exc:  # anything else fails the child at once
             print(exc)
 print(twin.minimax(state, 0, 0, 0, True, 7, 7, 0.5)[0],
       twin.rollout(state, 0, 0, 64, True, 7, 7, 0.5),
-      twin.search(state, 0, 1, 0, 64, True, 7, 7, 0.5, 0.5, 0.8, False, None)[1])
+      twin.search(state, 0, 1, 0, 64, True, 7, 7, 0.5, 0.5, 0.8, False, 0)[1])
 """
 
 
@@ -406,18 +406,24 @@ EXPLORATION = (0.0, 1 / math.sqrt(2), 2.0)
 DISCOUNT = (0.5, 0.8, 1.0)
 
 
+# depth-0 searches of one grid run on these seeds in turn: any int is a
+# seed, taken mod 2**64
+SEEDS = (0, 1, 12345, 2**63 + 1, 2**64 - 1, 2**70 + 3, -7)
+
+
 def _search(backend, state, side, iterations, depth, pruning, c, discount, seed=0,
             sim_depth=3):
     return backend.search(state, side, iterations, sim_depth, depth, True, 7, 7, 0.5,
-                          c, discount, pruning, random.Random(seed).randrange)
+                          c, discount, pruning, seed)
 
 
 def test_search_identical():
     """(move, nodes) of both twins' search over minimax depth 0-2 (0 being
-    seeded random rollouts), pruning on and off, every exploration and
-    discount at 1 and 2 iterations, and at 300 iterations with the
-    (exploration, discount) pairs rotating over positions; on one position
-    of each kind the 300-iteration searches cover every depth and pruning."""
+    random rollouts from the seeded stream), pruning on and off, every
+    exploration and discount at 1 and 2 iterations, and at 300 iterations
+    with the (exploration, discount) pairs rotating over positions; on one
+    position of each kind the 300-iteration searches cover every depth and
+    pruning.  The seeds rotate over ``SEEDS``."""
     pairs = list(product(EXPLORATION, DISCOUNT))
     searched = 0
     for n, (state, side) in enumerate(SEARCH_POSITIONS):
@@ -425,10 +431,12 @@ def test_search_identical():
             grid = [(it, c, g) for it in (1, 2) for c, g in pairs]
             if n % 2 == 0 or depth < 2:
                 grid.append((300, *pairs[(n + depth + 3 * pruning) % len(pairs)]))
-            for iterations, c, discount in grid:
-                case = (n, depth, pruning, iterations, c, discount)
-                want = _search(pk, state, side, iterations, depth, pruning, c, discount, n)
-                got = _search(compiled, state, side, iterations, depth, pruning, c, discount, n)
+            for k, (iterations, c, discount) in enumerate(grid):
+                seed = SEEDS[(n + k) % len(SEEDS)]
+                case = (n, depth, pruning, iterations, c, discount, seed)
+                want = _search(pk, state, side, iterations, depth, pruning, c, discount, seed)
+                got = _search(compiled, state, side, iterations, depth, pruning, c, discount,
+                              seed)
                 assert got == want, case
                 assert got is not None and 1 <= got[1] <= iterations, case
                 searched += 1
@@ -447,39 +455,30 @@ def test_search_rejects_bad_input(backend):
             _search(backend, state, 0, iterations, 1, False, c, discount)
 
 
-class _Boom(Exception):
-    pass
-
-
-def _boom(n):
-    raise _Boom(n)
+def test_stream_is_splitmix64():
+    """The pure twin's stream gives the published splitmix64 outputs; the
+    compiled twin's is held to it by ``test_search_identical``."""
+    draws = pk._Stream(1234567)
+    assert [draws.below(2**64) for _ in range(3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert pk._Stream(0).below(2**64) == 0xE220A8397B1DCDAF
+    assert pk._Stream(-1).state == pk._Stream(2**64 - 1).state == 2**64 - 1
+    assert pk._Stream(2**64 + 5).state == 5
 
 
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
-def test_search_randrange_errors(backend):
-    """Depth-0 rollouts call ``randrange``: its exception propagates and an
-    index outside the move list is a ValueError; at depth >= 1 it is never
-    called."""
-    state, side = SEARCH_POSITIONS[0]
-    with pytest.raises(_Boom):
-        backend.search(state, side, 5, 3, 0, True, 7, 7, 0.5, 0.5, 0.8, False, _boom)
-    for bad in (lambda n: n, lambda n: -1):
-        with pytest.raises(ValueError, match="out of range"):
-            backend.search(state, side, 5, 3, 0, True, 7, 7, 0.5, 0.5, 0.8, False, bad)
-    assert backend.search(state, side, 5, 3, 1, True, 7, 7, 0.5, 0.5, 0.8, False, _boom)
-
-
-def test_search_randrange_calls_identical():
-    """Both twins call ``randrange`` once per random step, with the same
-    move-list lengths in the same order."""
-    calls = {}
-    for backend in (pk, compiled):
-        calls[backend] = lengths = []
-        for state, side in SEARCH_POSITIONS:
-            backend.search(state, side, 20, 4, 0, True, 7, 7, 0.5, 0.5, 0.8, False,
-                           lambda n: lengths.append(n) or (len(lengths) * 7919) % n)
-    assert calls[pk] == calls[compiled]
-    assert len(calls[pk]) > 100
+def test_search_seed_reaches_only_random_rollouts(backend):
+    """At minimax depth >= 1 the stream is never read, so the seed changes
+    nothing; at depth 0 seeds choose different moves."""
+    for state, side in SEARCH_POSITIONS[:4]:
+        for depth in (1, 2):
+            outs = {_search(backend, state, side, 30, depth, False, 0.7, 0.8, seed)
+                    for seed in SEEDS}
+            assert len(outs) == 1, (state, depth)
+    state, side = SEARCH_POSITIONS[3]  # 12 a side, 10 legal moves
+    moves = {_search(backend, state, side, 40, 0, False, 0.7, 0.8, seed, sim_depth=8)[0][5]
+             for seed in range(12)}
+    assert len(moves) > 1
 
 
 def test_search_with_no_legal_move_is_none():

@@ -7,8 +7,8 @@ against the pure twin on random, 12-a-side, all-king, jump-only, lost and
 wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
 ``MAX_POINTS``, floats for each side, point, depth, simulation depth and
-iteration count, and ``search`` also given a ``randrange`` that raises or
-returns an index out of range.  Each op must return what
+iteration count, and ``search`` given seeds at and past the ends of the
+64-bit range, negative seeds and a float seed.  Each op must return what
 ``_pykernel`` returns or raise the same exception; a memory error or
 undefined behaviour aborts the child, and so does an exported op that the
 fuzz has no inputs for.
@@ -112,21 +112,11 @@ def _positions(rng):
     return out
 
 
-def _randrange(kind, seed):
-    """A seeded ``randrange``, or one that raises or answers out of range."""
-    if kind == "raise":
-        def randrange(n):
-            raise KeyError(n)
-        return randrange
-    if kind == "range":
-        return lambda n: n
-    return random.Random(seed).randrange
-
-
 # floats too: both twins must refuse them with the same TypeError
 BAD_SIDES = (2, -1, 2**32, 1.0, 0.5)
 EDGE_POINTS = (pk.MAX_POINTS, pk.MAX_POINTS + 1, 2**63, -1, 7.0)
 EDGE_DEPTHS = (pk.MAX_DEPTH + 1, 2**64, -2**64, 1.0, 2.5)
+EDGE_SEEDS = (0, 2**64 - 1, 2**64, -1, 2**70, 3.0)
 
 
 def _side(rng, side):
@@ -146,6 +136,11 @@ def _depth(rng, kind):
 def _points(rng):
     """Small points, or one of ``EDGE_POINTS`` one time in ten."""
     return rng.choice(EDGE_POINTS) if rng.random() < 0.1 else rng.randrange(10)
+
+
+def _seed(rng):
+    """A seed below 1000, or one of ``EDGE_SEEDS`` one time in four."""
+    return rng.choice(EDGE_SEEDS) if rng.random() < 0.25 else rng.randrange(1000)
 
 
 def _count(rng, choices):
@@ -180,13 +175,11 @@ def fuzz(ck, seed):
             depth = _depth(rng, kind)
             explore = rng.choice((0.0, 1 / math.sqrt(2), 2.0, -1.0, math.inf))
             discount = rng.choice((0.5, 0.8, 1.0, 0.0))
-            how = rng.choice(("seeded",) * 6 + ("raise", "range"))
-            cb_seed = rng.randrange(1000)
             args = (state, _side(rng, side), iterations, _count(rng, range(5)), depth, forced,
-                    cap, crown, kw, explore, discount, rng.random() < 0.5)
-            want = _outcome(pk.search, args + (_randrange(how, cb_seed),))
-            got = _outcome(ck.search, args + (_randrange(how, cb_seed),))
-            assert got == want, (kind, "search", args, how, got, want)
+                    cap, crown, kw, explore, discount, rng.random() < 0.5, _seed(rng))
+            want = _outcome(pk.search, args)
+            got = _outcome(ck.search, args)
+            assert got == want, (kind, "search", args, got, want)
             calls += 1
     return calls
 

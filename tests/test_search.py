@@ -46,13 +46,15 @@ def fully_expanded(t, i):
     return t.nkids[i] > 0 and t.nkids[i] == t.nact[i]
 
 
-def playout(state, turn, cfg, rng=None):
-    """The pure twin's rollout for the search, [white, red] rewards."""
+def playout(state, turn, cfg, stream=None):
+    """The pure twin's rollout for the search, [white, red] rewards; random
+    moves come from ``stream``, by default a fresh one seeded with
+    ``cfg.rng_seed``."""
     rw = cfg.reward
-    rng = rng or random.Random(cfg.rng_seed)
+    stream = stream or _pykernel._Stream(cfg.rng_seed)
     return _pykernel._playout(state, turn, cfg.simulation_depth, cfg.minimax_depth,
                               rw.forced_capture, rw.capture_points, rw.crown_points,
-                              cfg.king_weight, rng.randrange)
+                              cfg.king_weight, stream)
 
 
 def minimax(board, color, depth, cfg):
@@ -241,8 +243,8 @@ class TestSimulate:
     def test_random_rollout_mode_is_seeded(self):
         state = initial_board(3).state
         cfg = SearchConfig(simulation_depth=6, minimax_depth=0, rng_seed=3)
-        first = playout(state, Color.RED.value, cfg, random.Random(3))
-        second = playout(state, Color.RED.value, cfg, random.Random(3))
+        first = playout(state, Color.RED.value, cfg, _pykernel._Stream(3))
+        second = playout(state, Color.RED.value, cfg, _pykernel._Stream(3))
         assert first == second
 
 
@@ -338,14 +340,14 @@ class TestMctsSearch:
         t = tree(root_board, Color.RED, cfg)
         # run through the public entry and mirror the count on a fresh tree
         assert mcts_search(root_board, Color.RED, cfg) is not None
-        rng = random.Random(cfg.rng_seed)
+        stream = _pykernel._Stream(cfg.rng_seed)
         for _ in range(cfg.iterations):
             leaf = 0
             while fully_expanded(t, leaf):
                 leaf = t.uct_child(leaf, cfg.exploration)
             if t.actions(leaf):
                 leaf = t.expand(leaf)
-            delta = playout(t.state[leaf], t.turn[leaf], cfg, rng)
+            delta = playout(t.state[leaf], t.turn[leaf], cfg, stream)
             delta[1 - t.turn[leaf]] += t.move[leaf][4]
             t.backup(leaf, delta, cfg.discount)
         assert t.visits[0] == cfg.iterations
@@ -354,7 +356,7 @@ class TestMctsSearch:
                                  cfg.simulation_depth, cfg.minimax_depth,
                                  rw.forced_capture, rw.capture_points, rw.crown_points,
                                  cfg.king_weight, cfg.exploration, cfg.discount,
-                                 cfg.pruning_enabled, random.Random(cfg.rng_seed).randrange)
+                                 cfg.pruning_enabled, cfg.rng_seed)
         assert nodes == sum(t.nkids)
 
     def test_deterministic_for_fixed_config(self):
@@ -486,22 +488,25 @@ def golden_search_cases():
                     yield (f"{name}/{color.name.lower()}/d{depth}/c{c}/g{discount}/i500",
                            board, color, cfg)
     # positions where a UCT score regrouped as (reward + c * sqrt(log_n *
-    # visits)) / visits, or a backup factor multiplied up instead of
-    # discount ** dist, chooses another move: they pin the float operations
-    # and their order, found by running both variants on random positions
+    # visits)) / visits (cases 0 and 1), or a backup factor multiplied up
+    # instead of discount ** dist (cases 2, 3 and 4), chooses another move:
+    # they pin the float operations and their order.  The positions were
+    # found by running both variants on random positions; the seeds of the
+    # depth-0 cases by running them over seeds on the same positions once
+    # the random moves came from the kernel's splitmix64 stream
     for k, (state, pieces, color, iterations, depth, c, discount, rng_seed) in enumerate((
             ("0100000000000000000000000000000000000200030000000000000000000000"
              "0000430000000000000000000000000000000000000042000000000000000041",
-             3, Color.RED, 500, 0, 2.0, 0.95, 504),
+             3, Color.RED, 500, 0, 2.0, 0.95, 165),
             ("0100020003000400000500060007000809000a0000000c0000000000000b0000"
              "4c004b000000000000000000004a004948004700460045000044004300420041",
-             12, Color.WHITE, 500, 0, 1.3, 0.9, 710),
+             12, Color.WHITE, 500, 0, 1.3, 0.9, 114),
             ("010002000300040000000000000700080900000000000c000000000000060000"
              "4c000000000000000000004b0000004948004700000000000044004300420041",
-             12, Color.WHITE, 500, 0, 1.3, 0.8, 350),
+             12, Color.WHITE, 500, 0, 1.3, 0.8, 86),
             ("0100000000000000000000000000000000000000000000000000000200000000"
              "0000000000000300000000430000000000000000420000000000000000000000",
-             3, Color.WHITE, 500, 0, 2.0, 0.9, 243),
+             3, Color.WHITE, 500, 0, 2.0, 0.9, 1650),
             ("0000000063000000000000000000000000000000000003000000000000000000"
              "0000000000000000000000000000000000000000420041000000000000000000",
              3, Color.RED, 500, 1, 2.0, 0.9, 516))):
@@ -563,9 +568,11 @@ class TestGolden:
     """The chosen move, reward and next state of ``mcts_search`` and two
     episodes' traces, on both kernel twins.  Recorded before the search
     tree moved to kernel tuples; the 500-iteration cases before the search
-    moved into the kernel.  Tie-breaking (first child wins), the UCT and
-    backup arithmetic, the entry-move reward in the backup and the seeded
-    depth-0 rollouts all show in these.  Regenerate only when the search is
+    moved into the kernel; the minimax-depth-0 cases and episode 2 again
+    when their random moves came from the kernel's splitmix64 stream.
+    Tie-breaking (first child wins), the UCT and backup arithmetic, the
+    entry-move reward in the backup and the seeded depth-0 rollouts all show
+    in these.  Regenerate only when the search is
     meant to change: ``PYTHONPATH=src python tests/test_search.py``."""
 
     def test_matches_golden(self, search_twin):

@@ -250,6 +250,28 @@ class TestCli:
         assert rc == 1
         assert "cannot replay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,files,message", [
+        (["mine", "--log", "empty.csv", "--out", "net.json"],
+         {"empty.csv": "task_id,transition\n"},
+         "cannot mine: inductive_miner requires a non-empty log"),
+        (["check", "--log", "short.csv", "--net", "net.json"],
+         {"short.csv": "task_id,transition\n1\n"},
+         "cannot replay: short.csv line 2: expected 2 fields, got 1"),
+        (["explain", "--log", "missing.csv", "--layer", "1", "--context", "(-1,())"],
+         {}, "cannot explain: [Errno 2] No such file or directory: 'missing.csv'"),
+        (["render", "--net", "net.json", "--out", "net.dot"],
+         {"net.json": '{"places": []}'}, "cannot render: not a saved net: KeyError('transitions')"),
+    ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net"])
+    def test_bad_input_file_is_one_line(self, tmp_path, monkeypatch, capsys, argv, files,
+                                        message):
+        """A missing, empty or malformed log or net: one line on stderr and
+        exit code 1, no traceback."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_bfs_feature_flag(self, tmp_path):
         out = tmp_path / "bfs"
         rc = main(["play", "--episodes", "1", "--iterations", "6",
