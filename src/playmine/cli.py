@@ -61,6 +61,17 @@ def _reward_config(args) -> RewardConfig:
                         forced_capture=args.forced_capture)
 
 
+def _out_dir(path) -> Path:
+    """Creates the ``--out`` directory of play or trial; a path that cannot
+    be one (an existing file, say) is a ValueError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use --out {path}: {exc.strerror}") from exc
+    return out
+
+
 def _cmd_play(args) -> int:
     try:
         cfg = SearchConfig(iterations=args.iterations,
@@ -71,11 +82,10 @@ def _cmd_play(args) -> int:
         if args.episodes < 1 or args.workers < 1:
             raise ValueError("episodes and workers must be >= 1")
         check_game_settings(args.pieces, args.max_turns)
+        out = _out_dir(args.out)
     except ValueError as exc:  # before any episode runs
         print(f"playmine play: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # a bad path fails before the games
     episodes = run_episodes(cfg, (args.seed, "play"), args.episodes, args.pieces,
                             args.max_turns, args.bfs_feature, args.workers)
     for ep in episodes:
@@ -150,6 +160,7 @@ def _cmd_trial(args) -> int:
         overrides["episodes"] = args.episodes
     try:
         spec = builder(args.trial, reward=_reward_config(args), **overrides)
+        _out_dir(args.out)
     except ValueError as exc:  # before any episode runs
         print(f"playmine trial: {exc}", file=sys.stderr)
         return 2

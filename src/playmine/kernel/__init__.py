@@ -24,8 +24,11 @@ from importlib.util import module_from_spec, spec_from_file_location
 from . import _pykernel
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
-# no FMA contraction: a fused a * b + c would round differently from Python
-CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# no FMA contraction: a fused a * b + c would round differently from Python.
+# Functions start on 64-byte boundaries: with the default alignment, moving
+# every function by 16 bytes (one PLT entry fewer) made searches about 10%
+# slower with no change to any hot loop, a swing that hid real changes.
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-falign-functions=64")
 COMPILE_TIMEOUT_S = 300
 
 

@@ -16,6 +16,15 @@
  * search's minimax-depth-0 rollouts come from the same splitmix64 stream in
  * both twins, seeded by search's last argument, so search calls no Python
  * code.
+ * A rollout step at minimax depth >= 1 is a function of its (state, side)
+ * alone: the call's rules, points, king weight and depth are fixed and ties
+ * go to the first move in gen order.  So each rollout and search call keeps
+ * a memo (a transposition table, Greenblatt et al., 1967) keyed on the
+ * 64-byte state and the side and compared by the full key, and runs minimax
+ * only for a step it has not seen; a hit returns what minimax returned, so
+ * the memo is exact.  All of a search's iterations share its one memo; it
+ * holds at most MEMO_MAX entries (about 5 MB) and is freed when the call
+ * returns.  Depth-0 random playouts never touch it.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
@@ -49,19 +58,49 @@ typedef struct {
     unsigned char state[64];
 } Move;
 
-/* One kernel call: its rules, and the stack that every move it generates
- * is pushed on, so there is no fixed move limit.  A minimax level pushes its
- * moves on top and pops them before returning; entries are addressed by
- * index because growing the stack may move it, and no state argument ever
- * points into it. */
+/* One rollout step's outcome, as the memo keeps it: the side `side` to move
+ * on `state` has no legal move (found 0), or its minimax move earns
+ * `reward` and leads to `next`. */
+typedef struct {
+    unsigned char state[64];
+    unsigned char next[64];
+    long reward;
+    uint32_t hash;
+    unsigned char side, found;
+} Entry;
+
+/* The rollout memo holds at most this many entries: 4.7 MB of entries and
+ * 256 KB of slots.  Past it the memo answers lookups and inserts no more;
+ * _pykernel.MEMO_MAX is the same bound on its dict. */
+#define MEMO_MAX 32768
+
+/* One kernel call: its rules, the stack that every move it generates is
+ * pushed on, so there is no fixed move limit, and its rollout memo.  A
+ * minimax level pushes its moves on top and pops them before returning;
+ * moves are addressed by index because growing the stack may move it, and
+ * no state argument ever points into it.  The memo is an open-addressed
+ * table of nslots (a power of two) uint32 slots, 0 for empty and k for
+ * entries[k - 1], over a dense array of entries; both are allocated on the
+ * first insert and freed by call_free. */
 typedef struct {
     int forced;
     long cap_pts, crown_pts;
     double kw;
     Move *moves;
     Py_ssize_t n, cap;
+    uint32_t *slots;
+    Entry *entries;
+    size_t nslots, nentries, entry_cap;
     int failed; /* a Python exception is set */
 } Call;
+
+static void
+call_free(Call *c)
+{
+    PyMem_Free(c->moves);
+    PyMem_Free(c->slots);
+    PyMem_Free(c->entries);
+}
 
 static Move *
 push(Call *c)
@@ -312,10 +351,108 @@ minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, lo
     return best_score;
 }
 
+/* ---- rollout memo ---- */
+
+/* The key's hash: the state's 8 words and the side, mixed by multiply and
+ * xor.  A Zobrist hash would need a 64 x 128 table of random words and
+ * updates through gen to save nothing on an 8-word key; lookups compare the
+ * whole key anyway. */
+static uint32_t
+memo_hash(const unsigned char *state, long side)
+{
+    uint64_t h = 0x9E3779B97F4A7C15u * (uint64_t)(side + 1), w;
+    for (int i = 0; i < 8; i++) {
+        memcpy(&w, state + 8 * i, 8);
+        h = (h ^ w) * 0xBF58476D1CE4E5B9u;
+        h ^= h >> 31;
+    }
+    return (uint32_t)(h ^ (h >> 32));
+}
+
+/* The memo's entry for (state, side), or NULL; *slot is then the empty slot
+ * where it belongs.  Linear probing, so with the table at most half full a
+ * probe ends at an empty slot. */
+static const Entry *
+memo_find(const Call *c, const unsigned char *state, long side, uint32_t hash,
+          size_t *slot)
+{
+    if (c->nslots == 0)
+        return NULL;
+    size_t mask = c->nslots - 1, i = hash & mask;
+    for (uint32_t k; (k = c->slots[i]) != 0; i = (i + 1) & mask) {
+        const Entry *e = &c->entries[k - 1];
+        if (e->hash == hash && e->side == side && memcmp(e->state, state, 64) == 0)
+            return e;
+    }
+    *slot = i;
+    return NULL;
+}
+
+/* Doubles the slot table (from 256) and re-indexes every entry; 0, or -1 on
+ * error.  Only the 4-byte slots are zeroed, never the entries. */
+static int
+memo_grow_slots(Call *c)
+{
+    size_t nslots = c->nslots ? 2 * c->nslots : 256, mask = nslots - 1;
+    uint32_t *slots = PyMem_Calloc(nslots, sizeof(uint32_t));
+    if (slots == NULL)
+        return -1;
+    for (size_t k = 0; k < c->nentries; k++) {
+        size_t i = c->entries[k].hash & mask;
+        while (slots[i] != 0)
+            i = (i + 1) & mask;
+        slots[i] = (uint32_t)(k + 1);
+    }
+    PyMem_Free(c->slots);
+    c->slots = slots;
+    c->nslots = nslots;
+    return 0;
+}
+
+/* Records that the step (state, side) missed and found `best` (when found);
+ * `slot` is memo_find's.  A full memo inserts nothing.  0, or -1 on error. */
+static int
+memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_t slot,
+            int found, const Move *best)
+{
+    if (c->nentries == MEMO_MAX)
+        return 0;
+    if (c->nentries == c->entry_cap) {
+        size_t cap = c->entry_cap ? 2 * c->entry_cap : 64;
+        Entry *entries = PyMem_Realloc(c->entries, cap * sizeof(Entry));
+        if (entries == NULL)
+            goto nomem;
+        c->entries = entries;
+        c->entry_cap = cap;
+    }
+    /* at most half the slots in use */
+    if (2 * (c->nentries + 1) > c->nslots) {
+        if (memo_grow_slots(c) < 0)
+            goto nomem;
+        memo_find(c, state, side, hash, &slot);
+    }
+    Entry *e = &c->entries[c->nentries++];
+    memcpy(e->state, state, 64);
+    e->hash = hash;
+    e->side = (unsigned char)side;
+    e->found = (unsigned char)found;
+    if (found) {
+        e->reward = best->reward;
+        memcpy(e->next, best->state, 64);
+    }
+    c->slots[slot] = (uint32_t)c->nentries;
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    c->failed = 1;
+    return -1;
+}
+
 /* Minimax-guided playout: each step the side to move plays its own
  * depth-mm_depth minimax move, until sim_depth steps or a side with no
- * legal move.  Adds the rewards to delta[white], delta[red]; 0, or -1 on
- * error. */
+ * legal move.  A step is a function of (state, side) alone, so it is looked
+ * up in the call's memo first and only a miss runs minimax.  Adds the
+ * rewards to delta[white], delta[red]; 0, or -1 on error. */
 static int
 rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
         long mm_depth, long delta[2])
@@ -324,17 +461,28 @@ rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
     long turn = to_move;
     memcpy(cur, state, 64);
     for (long steps = 0; steps < sim_depth; steps++) {
-        Move best;
-        int found;
-        long mat[4];
-        count_material(cur, mat);
-        minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
-        if (c->failed)
-            return -1;
-        if (!found)
-            break;
-        delta[turn == WHITE ? 0 : 1] += best.reward;
-        memcpy(cur, best.state, 64);
+        uint32_t hash = memo_hash(cur, turn);
+        size_t slot = 0;
+        const Entry *e = memo_find(c, cur, turn, hash, &slot);
+        if (e != NULL) {
+            if (!e->found)
+                break;
+            delta[turn == WHITE ? 0 : 1] += e->reward;
+            memcpy(cur, e->next, 64);
+        }
+        else {
+            Move best;
+            int found;
+            long mat[4];
+            count_material(cur, mat);
+            minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
+            if (c->failed || memo_insert(c, cur, turn, hash, slot, found, &best) < 0)
+                return -1;
+            if (!found)
+                break;
+            delta[turn == WHITE ? 0 : 1] += best.reward;
+            memcpy(cur, best.state, 64);
+        }
         turn = 1 - turn;
     }
     return 0;
@@ -590,7 +738,7 @@ py_gen_moves(PyObject *self, PyObject *args)
         else
             PyList_SET_ITEM(out, i, mv);
     }
-    PyMem_Free(c.moves);
+    call_free(&c);
     return out;
 }
 
@@ -617,7 +765,7 @@ py_minimax(PyObject *self, PyObject *args)
     count_material(BOARD(state), mat);
     double score = minimax(&c, BOARD(state), mat, to_move, agent, depth, -INFINITY, INFINITY,
                            &best, &found);
-    PyMem_Free(c.moves);
+    call_free(&c);
     if (c.failed)
         return NULL;
     if (!found)
@@ -643,7 +791,7 @@ py_rollout(PyObject *self, PyObject *args)
         return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
     long delta[2] = {0, 0};
     int rc = rollout(&c, BOARD(state), to_move, sim_depth, mm_depth, delta);
-    PyMem_Free(c.moves);
+    call_free(&c);
     if (rc < 0)
         return NULL;
     return Py_BuildValue("(ll)", delta[0], delta[1]);
@@ -724,7 +872,7 @@ py_search(PyObject *self, PyObject *args)
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);
-    PyMem_Free(c.moves);
+    call_free(&c);
     return out;
 }
 

@@ -37,6 +37,16 @@ operations in the same order, so they choose bit-identical moves:
   the side that played it;
 * final pick: the root child of highest mean reward for the side to move,
   again with strict ``>``.
+
+A rollout step at minimax depth >= 1 is a pure function of (state, side to
+move): the call fixes the rules, points, king weight and depth, and ties go
+to the first move in order.  So ``rollout`` and ``search`` each keep one
+memo per call, a
+transposition table (Greenblatt et al., 1967) keyed on the 64-byte state
+and the side and compared by the full key: a dict here, an open-addressed
+table in C.  Only a step the memo has not seen runs minimax, and a hit
+returns what minimax returned, so every result is exact.  Both memos stop
+inserting at ``MEMO_MAX`` entries and are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -68,6 +78,12 @@ MAX_POINTS = 2**31 - 1
 # near 64 finishes: on a 2-core x86-64 host the compiled minimax of the
 # 3-a-side opening takes 16 s at depth 20, about 5 times more per 2 plies.
 MAX_DEPTH = 64
+
+# The most entries a rollout memo holds (``_ckernel.c``'s MEMO_MAX, with the
+# same meaning): a call's memo answers lookups past it but stops inserting,
+# so both twins insert and hit at the same steps.  In C that is 4.7 MB of
+# entries and 256 KB of slots.
+MEMO_MAX = 32768
 
 # Diagonal directions; white men use the first two, red men the last two.
 DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -299,29 +315,42 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     which is when the side to move has lost (see ``winner``).  Requires
     mm_depth >= 1 (depth 0 rollouts are random and handled by the search
     layer).
+
+    A step depends only on its (state, side to move), since the rules,
+    points, king weight and depth are the call's and ties go to the first
+    move in order.  So the call keeps a memo
+    ``{(state, turn): None | (reward, next_state)}`` and runs minimax only
+    for a step it has not seen; a hit returns what minimax returned, so the
+    result is exact.  The memo stops growing at ``MEMO_MAX`` entries.
     """
     index(sim_depth)
     _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
-    w = 0
-    r = 0
-    steps = 0
-    turn = to_move
-    cur = state
-    while steps < sim_depth:
-        _, mv = minimax(cur, turn, turn, mm_depth, forced,
-                        capture_points, crown_points, king_weight)
-        if mv is None:
-            break
-        if turn == WHITE:
-            w += mv[4]
+    return tuple(_rollout(state, to_move, sim_depth, mm_depth, forced, capture_points,
+                          crown_points, king_weight, {}))
+
+
+def _rollout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
+             king_weight, memo):
+    """``rollout``'s steps, looked up in and added to ``memo``."""
+    delta = [0, 0]
+    for _ in range(sim_depth):
+        key = (state, turn)
+        if key in memo:
+            step = memo[key]
         else:
-            r += mv[4]
-        cur = mv[5]
+            _, mv = minimax(state, turn, turn, mm_depth, forced,
+                            capture_points, crown_points, king_weight)
+            step = None if mv is None else (mv[4], mv[5])
+            if len(memo) < MEMO_MAX:
+                memo[key] = step
+        if step is None:
+            break
+        delta[turn] += step[0]
+        state = step[1]
         turn = 1 - turn
-        steps += 1
-    return w, r
+    return delta
 
 
 def prune_by_reward(moves):
@@ -357,16 +386,17 @@ class _Stream:
 
 
 def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
-             king_weight, stream):
+             king_weight, stream, memo):
     """The search's rollout from (state, turn): ``[white, red]`` rewards.
 
-    At mm_depth >= 1 this is ``rollout`` and ``stream`` is not read; below,
-    each of up to ``sim_depth`` steps plays ``moves[stream.below(len(moves))]``.
-    [0, 0] from a position whose side to move has no legal move.
+    At mm_depth >= 1 this is ``rollout``'s steps through the search's
+    ``memo``, and ``stream`` is not read; below, each of up to ``sim_depth``
+    steps plays ``moves[stream.below(len(moves))]`` and ``memo`` is not
+    touched.  [0, 0] from a position whose side to move has no legal move.
     """
     if mm_depth >= 1:
-        return list(rollout(state, turn, sim_depth, mm_depth, forced,
-                            capture_points, crown_points, king_weight))
+        return _rollout(state, turn, sim_depth, mm_depth, forced, capture_points,
+                        crown_points, king_weight, memo)
     delta = [0, 0]
     for _ in range(sim_depth):
         moves = gen_moves(state, turn, forced, capture_points, crown_points)
@@ -475,7 +505,8 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     the root child of highest mean reward for ``side``, as ``gen_moves``
     returns it; ``nodes`` is the number of nodes the iterations expanded.
     The random moves of minimax-depth-0 rollouts come from one ``_Stream``
-    seeded with ``seed``, read on from rollout to rollout.
+    seeded with ``seed``, read on from rollout to rollout; the rollout steps
+    of all iterations share one memo (see ``rollout``).
     """
     index(iterations), index(sim_depth)
     stream = _Stream(seed)
@@ -490,6 +521,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     if not tree.actions(0):
         return None
     nodes = 0
+    memo = {}
     for _ in range(iterations):
         i = 0
         while tree.nkids[i] and tree.nkids[i] == tree.nact[i]:
@@ -499,7 +531,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
             nodes += 1
         # the leaf is never the root, so it always has an entry move
         delta = _playout(tree.state[i], tree.turn[i], sim_depth, mm_depth, forced,
-                         capture_points, crown_points, king_weight, stream)
+                         capture_points, crown_points, king_weight, stream, memo)
         delta[1 - tree.turn[i]] += tree.move[i][4]
         tree.backup(i, delta, discount)
     best = -1

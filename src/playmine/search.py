@@ -14,7 +14,13 @@ from the kernel's splitmix64 stream seeded with ``cfg.rng_seed``; minimax
 rollouts read no randomness, and all tie-breaking is
 first-in-enumeration-order, so a given (board, config) pair always yields
 the same move, and at minimax depth 1 or more the seed does not change it.
-Independent searches may run in parallel processes.
+For the same reason a minimax rollout step depends only on its (state, side
+to move): each ``kernel.search`` call keeps one memo of its rollout steps,
+keyed on the 64-byte state and the side and compared by the full key, and
+runs minimax only for a step it has not played yet in that call.  A hit
+returns what minimax returned, so the memo changes no move; it holds at
+most ``_pykernel.MEMO_MAX`` (32,768) entries and is freed when the call
+returns.  Independent searches may run in parallel processes.
 """
 
 from __future__ import annotations

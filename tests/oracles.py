@@ -20,6 +20,7 @@ from playmine.board import (
     legal_moves,
     winner,
 )
+from playmine.kernel import _pykernel
 from playmine.petri import PetriNet
 
 ALL_DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -130,6 +131,57 @@ def oracle_best_move(board: GameBoard, to_move: Color, agent: Color, depth: int,
                                      cfg, king_weight))
     best = max(values) if to_move is agent else min(values)
     return moves[values.index(best)]
+
+
+def reference_tree(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
+                   crown_points, king_weight, exploration, discount, pruning, seed):
+    """The pure twin's search with no rollout memo: plain UCT over
+    ``_pykernel._Tree`` whose every rollout step calls ``_pykernel.minimax``
+    (or, at minimax depth 0, draws from a ``_pykernel._Stream``).  It
+    shares the pure twin's tree and minimax on purpose: what it checks is
+    the rollout memo.  Takes ``kernel.search``'s arguments; returns the tree
+    and the number of nodes the iterations expanded."""
+    tree = _pykernel._Tree(state, side, forced, capture_points, crown_points, pruning)
+    stream = _pykernel._Stream(seed)
+    nodes = 0
+    if not tree.actions(0):
+        return tree, nodes
+    for _ in range(iterations):
+        leaf = 0
+        while tree.nkids[leaf] and tree.nkids[leaf] == tree.nact[leaf]:
+            leaf = tree.uct_child(leaf, exploration)
+        if tree.actions(leaf):
+            leaf = tree.expand(leaf)
+            nodes += 1
+        cur, turn = tree.state[leaf], tree.turn[leaf]
+        delta = [0, 0]
+        for _ in range(sim_depth):
+            if mm_depth >= 1:
+                move = _pykernel.minimax(cur, turn, turn, mm_depth, forced, capture_points,
+                                         crown_points, king_weight)[1]
+            else:
+                moves = _pykernel.gen_moves(cur, turn, forced, capture_points, crown_points)
+                move = moves[stream.below(len(moves))] if moves else None
+            if move is None:
+                break
+            delta[turn] += move[4]
+            cur, turn = move[5], 1 - turn
+        delta[1 - tree.turn[leaf]] += tree.move[leaf][4]
+        tree.backup(leaf, delta, discount)
+    return tree, nodes
+
+
+def reference_search(*args):
+    """``kernel.search``'s ``(move, nodes)`` from ``reference_tree``: the
+    first root child of highest mean reward for the side to move, or None
+    when that side has no legal move."""
+    tree, nodes = reference_tree(*args)
+    children = range(tree.first[0], tree.first[0] + tree.nkids[0])
+    if not children:
+        return None
+    side = tree.turn[0]
+    best = max(children, key=lambda k: tree.reward[k][side] / tree.visits[k])
+    return tree.move[best], nodes
 
 
 def oracle_grid_distance(sources, targets):

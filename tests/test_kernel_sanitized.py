@@ -8,10 +8,12 @@ wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
 ``MAX_POINTS``, floats for each side, point, depth, simulation depth and
 iteration count, and ``search`` given seeds at and past the ends of the
-64-bit range, negative seeds and a float seed.  Each op must return what
-``_pykernel`` returns or raise the same exception; a memory error or
-undefined behaviour aborts the child, and so does an exported op that the
-fuzz has no inputs for.
+64-bit range, negative seeds and a float seed.  Then ``search`` runs at
+minimax depths 1 and 2 long enough to grow its rollout memo's slot table
+at least three times, and once past the memo's ``MEMO_MAX`` bound.  Each op
+must return what ``_pykernel`` returns or raise the same exception; a
+memory error or undefined behaviour aborts the child, and so does an
+exported op that the fuzz has no inputs for.
 
 To fuzz a build by hand (``PYTHONMALLOC=malloc`` lets ASan see the
 kernel's allocations, which pymalloc would otherwise serve)::
@@ -33,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from playmine import kernel
+from playmine.board import initial_board
 from playmine.kernel import _pykernel as pk
 from helpers import random_board
 
@@ -181,7 +184,31 @@ def fuzz(ck, seed):
             got = _outcome(ck.search, args)
             assert got == want, (kind, "search", args, got, want)
             calls += 1
+    for args in memo_searches():
+        assert ck.search(*args) == pk.search(*args), ("search", args[1:])
+        calls += 1
     return calls
+
+
+def memo_searches():
+    """``search`` arguments at minimax depth >= 1 whose rollout memo grows.
+
+    The memo's slot table starts at 256 slots and doubles when an insert
+    would fill half of it, so its third growth comes with the 513th entry.
+    Counted on an instrumented copy of each twin (both insert at the same
+    steps), the eight 300-iteration searches from the 3- and 12-a-side
+    openings insert 756 to 1,967 entries each, so each grows the table three
+    or four times.  The last search, 3,000 iterations from the 12-a-side
+    opening, misses the memo at 43,142 of its 89,970 steps: it inserts
+    32,768 entries (``MEMO_MAX``, eight growths, 65,536 slots) and then
+    runs 10,374 steps that the full memo no longer records."""
+    explore = 1 / math.sqrt(2)
+    for pieces in (3, 12):
+        for side in (0, 1):
+            for depth in (1, 2):
+                yield (initial_board(pieces).state, side, 300, 10, depth, True, 7, 7, 0.5,
+                       explore, 0.8, depth == 2, 0)
+    yield (initial_board(12).state, 1, 3000, 30, 1, True, 7, 7, 0.5, explore, 0.8, False, 0)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,13 @@ from playmine.eventlog import label_for
 from playmine.kernel import _pykernel, prune_by_reward
 from playmine.search import SearchConfig, mcts_search
 from helpers import random_endgame
-from oracles import as_oracle_shape, oracle_best_move, oracle_minimax
+from oracles import (
+    as_oracle_shape,
+    oracle_best_move,
+    oracle_minimax,
+    reference_search,
+    reference_tree,
+)
 
 CFG = SearchConfig(iterations=50, simulation_depth=8, minimax_depth=1, rng_seed=1)
 
@@ -54,7 +60,16 @@ def playout(state, turn, cfg, stream=None):
     stream = stream or _pykernel._Stream(cfg.rng_seed)
     return _pykernel._playout(state, turn, cfg.simulation_depth, cfg.minimax_depth,
                               rw.forced_capture, rw.capture_points, rw.crown_points,
-                              cfg.king_weight, stream)
+                              cfg.king_weight, stream, {})
+
+
+def search_args(board, color, cfg):
+    """``kernel.search``'s arguments for ``color`` to move on ``board``."""
+    rw = cfg.reward
+    return (board.state, color.value, cfg.iterations, cfg.simulation_depth,
+            cfg.minimax_depth, rw.forced_capture, rw.capture_points, rw.crown_points,
+            cfg.king_weight, cfg.exploration, cfg.discount, cfg.pruning_enabled,
+            cfg.rng_seed)
 
 
 def minimax(board, color, depth, cfg):
@@ -335,29 +350,15 @@ class TestMctsSearch:
         assert got[0].captured_ids == (1,)
 
     def test_visit_accounting(self):
-        root_board = initial_board(3)
+        """Mirrored through the memo-free oracle, every iteration visits the
+        root and each expands one node; the kernel's search returns the
+        oracle's move and node count."""
         cfg = SearchConfig(iterations=37, simulation_depth=4, minimax_depth=1)
-        t = tree(root_board, Color.RED, cfg)
-        # run through the public entry and mirror the count on a fresh tree
-        assert mcts_search(root_board, Color.RED, cfg) is not None
-        stream = _pykernel._Stream(cfg.rng_seed)
-        for _ in range(cfg.iterations):
-            leaf = 0
-            while fully_expanded(t, leaf):
-                leaf = t.uct_child(leaf, cfg.exploration)
-            if t.actions(leaf):
-                leaf = t.expand(leaf)
-            delta = playout(t.state[leaf], t.turn[leaf], cfg, stream)
-            delta[1 - t.turn[leaf]] += t.move[leaf][4]
-            t.backup(leaf, delta, cfg.discount)
+        args = search_args(initial_board(3), Color.RED, cfg)
+        t, nodes = reference_tree(*args)
         assert t.visits[0] == cfg.iterations
-        rw = cfg.reward
-        _, nodes = kernel.search(root_board.state, Color.RED.value, cfg.iterations,
-                                 cfg.simulation_depth, cfg.minimax_depth,
-                                 rw.forced_capture, rw.capture_points, rw.crown_points,
-                                 cfg.king_weight, cfg.exploration, cfg.discount,
-                                 cfg.pruning_enabled, cfg.rng_seed)
         assert nodes == sum(t.nkids)
+        assert kernel.search(*args) == reference_search(*args)
 
     def test_deterministic_for_fixed_config(self):
         rng = random.Random(11)
@@ -372,6 +373,52 @@ class TestMctsSearch:
                     assert second is None
                 else:
                     assert first[0] == second[0]
+
+
+def reuse_cases():
+    """``(case id, board, colour, config)`` whose rollouts replay the same
+    (state, side) steps many times within one search, so the rollout memo
+    answers most of them: two king-only endgames, where the rollouts cycle,
+    and a 3-a-side midgame 9 plies from the opening, at simulation depth 30
+    and 300 iterations.  Each colour plays minimax depths 1 and 3, one with
+    pruning and one without, so every pair of depth and pruning occurs."""
+    rng = random.Random(8)
+    boards = []
+    for k in range(2):
+        board = random_endgame(rng, 4)
+        boards.append((f"kings{k}", GameBoard.from_pieces(
+            [GamePiece(p.color, p.id, p.x, p.y, True) for p in board.pieces()])))
+    board, side = initial_board(3), Color.RED
+    for _ in range(9):
+        moves = legal_moves(board, side)
+        board = apply_move(board, moves[rng.randrange(len(moves))])
+        side = side.opponent
+    boards.append(("3x9", board))
+    for name, board in boards:
+        for color in (Color.WHITE, Color.RED):
+            for depth in (1, 3):
+                pruning = (depth == 3) != (color is Color.RED)
+                cfg = SearchConfig(iterations=300, simulation_depth=30,
+                                   minimax_depth=depth, pruning_enabled=pruning)
+                yield (f"{name}/{color.name.lower()}/d{depth}/"
+                       f"{'prune' if pruning else 'all'}", board, color, cfg)
+
+
+class TestRolloutMemo:
+    @pytest.fixture(scope="class")
+    def references(self):
+        """The memo-free oracle's ``(move, nodes)`` for every reuse case."""
+        return {cid: reference_search(*search_args(board, color, cfg))
+                for cid, board, color, cfg in reuse_cases()}
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_search_matches_memo_free_oracle(self, twin, references):
+        """The memo only skips minimax calls whose answer it holds, so each
+        twin's search returns exactly the oracle's move and node count."""
+        impl = _pykernel if twin == "python" else pytest.importorskip(
+            "playmine.kernel._ckernel", reason="compiled kernel not built")
+        for cid, board, color, cfg in reuse_cases():
+            assert impl.search(*search_args(board, color, cfg)) == references[cid], cid
 
 
 class TestPruneByReward:

@@ -420,6 +420,21 @@ class TestCliOptions:
         assert capsys.readouterr().err == f"playmine {argv[0]}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["play"], ["trial", "--trial", "1"]],
+                             ids=["play", "trial"])
+    def test_out_naming_a_file_is_refused_before_any_episode(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(trial, "play_episode", no_episode)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert main(argv + ["--out", str(afile)]) == 2
+        assert capsys.readouterr().err == (f"playmine {argv[0]}: cannot use --out {afile}: "
+                                           "File exists\n")
+        assert afile.read_text() == "kept"
+
     def test_cell_error_is_reported_once(self, tmp_path, capsys):
         """At these settings the 100-iteration cell's white alpha net is
         unsound; stderr names that error once, with its cell."""
