@@ -1,6 +1,7 @@
 """Self-play episode runner and the movement feature engineering.
 
-Each turn the side to move gets a fresh hybrid search; its chosen move is
+Each turn the side to move gets a fresh hybrid search, whose rollout steps
+go through one memo that the game's turns share; its chosen move is
 abstracted from exact coordinates into direction words (or, in the optional
 distance feature mode, into the change of the shortest red-white distance)
 and recorded together with the opponent's previous move.
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
+from . import kernel
 from .board import Color, GameBoard, initial_board, winner
 from .search import SearchConfig, mcts_search
 
@@ -39,6 +41,8 @@ class EpisodeResult:
     white_trace: list
     winner: Optional[Color]
     turns: int
+    # the game's rollout memo: (steps, hits, entries, clears)
+    memo_counts: tuple = (0, 0, 0, 0)
 
     @property
     def draw(self) -> bool:
@@ -105,9 +109,11 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
     other game stopped by the cap is recorded as a draw (winner None), kept
     distinct from decided games.  Each move is recorded as its direction
     words, or with ``bfs_feature`` as the change of the least red-white
-    distance it makes.
+    distance it makes.  All turns of both colours share one rollout memo,
+    whose key holds the side to move; the result carries its counts.
     """
     board = initial_board(pieces_per_side)
+    memo = kernel.new_memo()
     traces = {Color.RED: [], Color.WHITE: []}
     last_id = -1
     last_movement: Movement = ()
@@ -116,7 +122,7 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
 
     while turns < max_turns:
         turn_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, episode_id, turns))
-        result = mcts_search(board, turn_color, turn_cfg)
+        result = mcts_search(board, turn_color, turn_cfg, memo)
         if result is None:
             game_winner = turn_color.opponent
             break
@@ -142,4 +148,4 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
         game_winner = winner(board, turn_color)
 
     return EpisodeResult(episode_id, traces[Color.RED], traces[Color.WHITE],
-                         game_winner, turns)
+                         game_winner, turns, memo.counts())

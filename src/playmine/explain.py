@@ -139,14 +139,20 @@ def _future_distance(view: LayeredView, layer: int, action: tuple,
     return math.inf, None
 
 
+def _check_lookahead(lookahead: int) -> None:
+    if lookahead < 0:
+        raise ValueError(f"lookahead must be >= 0, got {lookahead}")
+
+
 def recommend(view: LayeredView, layer: int, context: tuple,
               lookahead: int = LOOKAHEAD_DEFAULT) -> Recommendation:
     """Best observed action for ``context`` at ``layer`` (1-based).
 
     Picks the maximal immediate reward; when every matching reward is zero,
     falls back to the action with the earliest chaining positive-reward
-    transition within ``lookahead`` layers.
+    transition within ``lookahead`` layers (>= 0, else ValueError).
     """
+    _check_lookahead(lookahead)
     matches = [e for e in view.layer(layer) if e.context == context]
     if not matches:
         raise NoObservationError(
@@ -173,7 +179,9 @@ def recommend(view: LayeredView, layer: int, context: tuple,
 
 def why_not(view: LayeredView, layer: int, context: tuple, alternative: tuple,
             lookahead: int = LOOKAHEAD_DEFAULT) -> WhyNotReport:
-    """Rejection rationale for an observed alternative action."""
+    """Rejection rationale for an observed alternative action; ``lookahead``
+    as in ``recommend``."""
+    _check_lookahead(lookahead)
     matches = [e for e in view.layer(layer) if e.context == context]
     alt = next((e for e in matches if e.action == alternative), None)
     if alt is None:
@@ -203,6 +211,7 @@ class Explainer:
 
     def __init__(self, log: EventLog, net: PetriNet, report: FitnessReport,
                  lookahead: int = LOOKAHEAD_DEFAULT):
+        _check_lookahead(lookahead)
         self.log = log
         self.net = net
         self.report = report

@@ -2,7 +2,8 @@
 
 ``_ckernel.c`` is a CPython extension with twins of the four ``_pykernel``
 ops the search spends its time in: ``gen_moves``, ``minimax``, ``rollout``
-and ``search``.  The other ops (``side_has_moves``, ``piece_counts``,
+and ``search``, and of ``new_memo``, which makes the rollout memo handle
+that ``search`` may share across calls.  The other ops (``side_has_moves``, ``piece_counts``,
 ``evaluate``, ``winner``) and the constants are ``_pykernel``'s on every
 backend.  On import the extension is loaded from
 ``__pycache__/_ckernel.<sha256><extension suffix>`` next to this file; the
@@ -132,10 +133,11 @@ gen_moves = _impl.gen_moves
 minimax = _impl.minimax
 rollout = _impl.rollout
 search = _impl.search
+new_memo = _impl.new_memo
 
 __all__ = [
     "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK", "MAX_DEPTH",
     "MAX_POINTS", "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
     "gen_moves", "side_has_moves", "piece_counts", "evaluate",
-    "winner", "minimax", "rollout", "search",
+    "winner", "minimax", "rollout", "search", "new_memo",
 ]

@@ -17,14 +17,17 @@
  * both twins, seeded by search's last argument, so search calls no Python
  * code.
  * A rollout step at minimax depth >= 1 is a function of its (state, side)
- * alone: the call's rules, points, king weight and depth are fixed and ties
- * go to the first move in gen order.  So each rollout and search call keeps
- * a memo (a transposition table, Greenblatt et al., 1967) keyed on the
- * 64-byte state and the side and compared by the full key, and runs minimax
- * only for a step it has not seen; a hit returns what minimax returned, so
- * the memo is exact.  All of a search's iterations share its one memo; it
- * holds at most MEMO_MAX entries (about 5 MB) and is freed when the call
- * returns.  Depth-0 random playouts never touch it.
+ * alone: the rules, points, king weight and depth are fixed and ties go to
+ * the first move in gen order.  So rollout steps are looked up in a memo (a
+ * transposition table, Greenblatt et al., 1967) keyed on the 64-byte state
+ * and the side and compared by the full key, and only a step it has not seen
+ * runs minimax; a hit returns what minimax returned, so the memo is exact.
+ * A memo is a Memo handle from new_memo() that the caller may pass to many
+ * searches, or one that a rollout or search call without a handle makes and
+ * frees itself.  A handle is bound to the rules, points, king weight and
+ * minimax depth of its first search and refuses any other; a search that
+ * finds it more than half full empties it first, and it holds at most
+ * MEMO_MAX entries (about 5 MB).  Depth-0 random playouts never touch it.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
@@ -69,28 +72,39 @@ typedef struct {
     unsigned char side, found;
 } Entry;
 
-/* The rollout memo holds at most this many entries: 4.7 MB of entries and
+/* A rollout memo holds at most this many entries: 4.7 MB of entries and
  * 256 KB of slots.  Past it the memo answers lookups and inserts no more;
  * _pykernel.MEMO_MAX is the same bound on its dict. */
 #define MEMO_MAX 32768
+
+/* A rollout memo: an open-addressed table of nslots (a power of two) uint32
+ * slots, 0 for empty and k for entries[k - 1], over a dense array of
+ * entries; both are allocated on the first insert and freed by memo_free.
+ * `bound` says whether a search has fixed the rules, points, king weight
+ * and minimax depth the entries hold steps of.  steps counts the rollout
+ * steps looked up, hits those found, clears the times it was emptied. */
+typedef struct {
+    uint32_t *slots;
+    Entry *entries;
+    size_t nslots, nentries, entry_cap;
+    int bound, forced;
+    long cap_pts, crown_pts, mm_depth;
+    double kw;
+    long long steps, hits, clears;
+} Memo;
 
 /* One kernel call: its rules, the stack that every move it generates is
  * pushed on, so there is no fixed move limit, and its rollout memo.  A
  * minimax level pushes its moves on top and pops them before returning;
  * moves are addressed by index because growing the stack may move it, and
- * no state argument ever points into it.  The memo is an open-addressed
- * table of nslots (a power of two) uint32 slots, 0 for empty and k for
- * entries[k - 1], over a dense array of entries; both are allocated on the
- * first insert and freed by call_free. */
+ * no state argument ever points into it. */
 typedef struct {
     int forced;
     long cap_pts, crown_pts;
     double kw;
     Move *moves;
     Py_ssize_t n, cap;
-    uint32_t *slots;
-    Entry *entries;
-    size_t nslots, nentries, entry_cap;
+    Memo *memo;
     int failed; /* a Python exception is set */
 } Call;
 
@@ -98,8 +112,6 @@ static void
 call_free(Call *c)
 {
     PyMem_Free(c->moves);
-    PyMem_Free(c->slots);
-    PyMem_Free(c->entries);
 }
 
 static Move *
@@ -373,14 +385,14 @@ memo_hash(const unsigned char *state, long side)
  * where it belongs.  Linear probing, so with the table at most half full a
  * probe ends at an empty slot. */
 static const Entry *
-memo_find(const Call *c, const unsigned char *state, long side, uint32_t hash,
+memo_find(const Memo *m, const unsigned char *state, long side, uint32_t hash,
           size_t *slot)
 {
-    if (c->nslots == 0)
+    if (m->nslots == 0)
         return NULL;
-    size_t mask = c->nslots - 1, i = hash & mask;
-    for (uint32_t k; (k = c->slots[i]) != 0; i = (i + 1) & mask) {
-        const Entry *e = &c->entries[k - 1];
+    size_t mask = m->nslots - 1, i = hash & mask;
+    for (uint32_t k; (k = m->slots[i]) != 0; i = (i + 1) & mask) {
+        const Entry *e = &m->entries[k - 1];
         if (e->hash == hash && e->side == side && memcmp(e->state, state, 64) == 0)
             return e;
     }
@@ -391,21 +403,21 @@ memo_find(const Call *c, const unsigned char *state, long side, uint32_t hash,
 /* Doubles the slot table (from 256) and re-indexes every entry; 0, or -1 on
  * error.  Only the 4-byte slots are zeroed, never the entries. */
 static int
-memo_grow_slots(Call *c)
+memo_grow_slots(Memo *m)
 {
-    size_t nslots = c->nslots ? 2 * c->nslots : 256, mask = nslots - 1;
+    size_t nslots = m->nslots ? 2 * m->nslots : 256, mask = nslots - 1;
     uint32_t *slots = PyMem_Calloc(nslots, sizeof(uint32_t));
     if (slots == NULL)
         return -1;
-    for (size_t k = 0; k < c->nentries; k++) {
-        size_t i = c->entries[k].hash & mask;
+    for (size_t k = 0; k < m->nentries; k++) {
+        size_t i = m->entries[k].hash & mask;
         while (slots[i] != 0)
             i = (i + 1) & mask;
         slots[i] = (uint32_t)(k + 1);
     }
-    PyMem_Free(c->slots);
-    c->slots = slots;
-    c->nslots = nslots;
+    PyMem_Free(m->slots);
+    m->slots = slots;
+    m->nslots = nslots;
     return 0;
 }
 
@@ -415,23 +427,24 @@ static int
 memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_t slot,
             int found, const Move *best)
 {
-    if (c->nentries == MEMO_MAX)
+    Memo *m = c->memo;
+    if (m->nentries == MEMO_MAX)
         return 0;
-    if (c->nentries == c->entry_cap) {
-        size_t cap = c->entry_cap ? 2 * c->entry_cap : 64;
-        Entry *entries = PyMem_Realloc(c->entries, cap * sizeof(Entry));
+    if (m->nentries == m->entry_cap) {
+        size_t cap = m->entry_cap ? 2 * m->entry_cap : 64;
+        Entry *entries = PyMem_Realloc(m->entries, cap * sizeof(Entry));
         if (entries == NULL)
             goto nomem;
-        c->entries = entries;
-        c->entry_cap = cap;
+        m->entries = entries;
+        m->entry_cap = cap;
     }
     /* at most half the slots in use */
-    if (2 * (c->nentries + 1) > c->nslots) {
-        if (memo_grow_slots(c) < 0)
+    if (2 * (m->nentries + 1) > m->nslots) {
+        if (memo_grow_slots(m) < 0)
             goto nomem;
-        memo_find(c, state, side, hash, &slot);
+        memo_find(m, state, side, hash, &slot);
     }
-    Entry *e = &c->entries[c->nentries++];
+    Entry *e = &m->entries[m->nentries++];
     memcpy(e->state, state, 64);
     e->hash = hash;
     e->side = (unsigned char)side;
@@ -440,12 +453,52 @@ memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_
         e->reward = best->reward;
         memcpy(e->next, best->state, 64);
     }
-    c->slots[slot] = (uint32_t)c->nentries;
+    m->slots[slot] = (uint32_t)m->nentries;
     return 0;
 nomem:
     PyErr_NoMemory();
     c->failed = 1;
     return -1;
+}
+
+static void
+memo_free(Memo *m)
+{
+    PyMem_Free(m->slots);
+    PyMem_Free(m->entries);
+}
+
+#define MEMO_RULES_MSG \
+    "memo holds rollout steps of other rules: forced capture, points, king weight " \
+    "or minimax depth differ"
+
+/* Readies memo m for a search with c's rules at minimax depth mm_depth: the
+ * first search binds m to them and a later one with any other value sets
+ * ValueError and returns -1.  Then a memo more than half full is emptied,
+ * keeping its allocations, so every search has room for at least half of
+ * MEMO_MAX new entries. */
+static int
+memo_start(Memo *m, const Call *c, long mm_depth)
+{
+    if (!m->bound) {
+        m->bound = 1;
+        m->forced = c->forced;
+        m->cap_pts = c->cap_pts;
+        m->crown_pts = c->crown_pts;
+        m->kw = c->kw;
+        m->mm_depth = mm_depth;
+    }
+    else if (m->forced != c->forced || m->cap_pts != c->cap_pts
+             || m->crown_pts != c->crown_pts || m->kw != c->kw || m->mm_depth != mm_depth) {
+        PyErr_SetString(PyExc_ValueError, MEMO_RULES_MSG);
+        return -1;
+    }
+    if (m->nentries > MEMO_MAX / 2) {
+        memset(m->slots, 0, m->nslots * sizeof(uint32_t));
+        m->nentries = 0;
+        m->clears++;
+    }
+    return 0;
 }
 
 /* Minimax-guided playout: each step the side to move plays its own
@@ -463,8 +516,10 @@ rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
     for (long steps = 0; steps < sim_depth; steps++) {
         uint32_t hash = memo_hash(cur, turn);
         size_t slot = 0;
-        const Entry *e = memo_find(c, cur, turn, hash, &slot);
+        const Entry *e = memo_find(c->memo, cur, turn, hash, &slot);
+        c->memo->steps++;
         if (e != NULL) {
+            c->memo->hits++;
             if (!e->found)
                 break;
             delta[turn == WHITE ? 0 : 1] += e->reward;
@@ -658,12 +713,12 @@ box_move(const Move *m)
                          m->reward, PyBytes_FromStringAndSize((const char *)m->state, 64));
 }
 
-/* Every function takes positional arguments and checks them in _pykernel's
- * order and words: a bytes-like 64-byte state, sides in {0, 1}, points in
- * 0..MAX_POINTS (_pykernel.MAX_POINTS says why no reward sum then overflows
- * a long), a depth of at most MAX_DEPTH (_pykernel.MAX_DEPTH says why the
- * recursion stops there), then its own limits; a failed check sets ValueError,
- * returns 1. */
+/* Every function takes positional arguments (search also by name) and
+ * checks them in _pykernel's order and words: a bytes-like 64-byte state,
+ * sides in {0, 1}, points in 0..MAX_POINTS (_pykernel.MAX_POINTS says why no
+ * reward sum then overflows a long), a depth of at most MAX_DEPTH
+ * (_pykernel.MAX_DEPTH says why the recursion stops there), then its own
+ * limits, search's memo last; a failed check sets ValueError, returns 1. */
 #define MAX_POINTS 2147483647L
 #define MAX_DEPTH 64L
 #define SIDE_MSG "side must be 0 (white) or 1 (red)"
@@ -790,27 +845,82 @@ py_rollout(PyObject *self, PyObject *args)
     if (mm_depth < 1)
         return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
     long delta[2] = {0, 0};
+    Memo memo = {0};
+    c.memo = &memo;
     int rc = rollout(&c, BOARD(state), to_move, sim_depth, mm_depth, delta);
+    memo_free(&memo);
     call_free(&c);
     if (rc < 0)
         return NULL;
     return Py_BuildValue("(ll)", delta[0], delta[1]);
 }
 
-static PyObject *
-py_search(PyObject *self, PyObject *args)
+/* A Memo handle: the Python object around a Memo that a caller passes to
+ * many searches.  Only new_memo makes one. */
+typedef struct {
+    PyObject_HEAD
+    Memo memo;
+} MemoObject;
+
+static void
+memo_dealloc(PyObject *self)
 {
+    memo_free(&((MemoObject *)self)->memo);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *
+memo_counts(PyObject *self, PyObject *unused)
+{
+    const Memo *m = &((MemoObject *)self)->memo;
+    return Py_BuildValue("(LLnL)", m->steps, m->hits, (Py_ssize_t)m->nentries, m->clears);
+}
+
+static PyMethodDef memo_methods[] = {
+    {"counts", memo_counts, METH_NOARGS,
+     "counts() -> (steps, hits, entries, clears): the rollout steps looked up, "
+     "those found, the entries held and the times the memo was emptied"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject MemoType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_ckernel.Memo",
+    .tp_basicsize = sizeof(MemoObject),
+    .tp_dealloc = memo_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A rollout memo that searches share; made by new_memo().",
+    .tp_methods = memo_methods,
+};
+
+static PyObject *
+py_new_memo(PyObject *self, PyObject *unused)
+{
+    MemoObject *m = PyObject_New(MemoObject, &MemoType);
+    if (m != NULL)
+        memset(&m->memo, 0, sizeof(Memo));
+    return (PyObject *)m;
+}
+
+static PyObject *
+py_search(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"state", "side", "iterations", "sim_depth", "mm_depth", "forced",
+                            "capture_points", "crown_points", "king_weight", "exploration",
+                            "discount", "pruning", "seed", "memo", NULL};
     const char *state;
     Py_ssize_t len, iterations;
     long side, sim_depth, mm_depth;
     double explore, discount;
-    PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed;
+    PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed, *o_memo = Py_None;
     Call c = {0};
     Tree t = {0};
+    Memo local = {0};
     uint64_t rng;
-    if (!PyArg_ParseTuple(args, "y#OnlOpOOdddpO:search", &state, &len, &o_side, &iterations,
-                          &sim_depth, &o_mm_depth, &c.forced, &cap, &crown, &c.kw, &explore,
-                          &discount, &t.pruning, &o_seed)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#OnlOpOOdddpO|O:search", names, &state,
+                                     &len, &o_side, &iterations, &sim_depth, &o_mm_depth,
+                                     &c.forced, &cap, &crown, &c.kw, &explore, &discount,
+                                     &t.pruning, &o_seed, &o_memo)
             || bad_seed(o_seed, &rng) || bad_state(len)
             || bad_int(o_side, 0, 1, SIDE_MSG, &side)
             || bad_points(cap, crown, &c)
@@ -823,6 +933,14 @@ py_search(PyObject *self, PyObject *args)
         return PyErr_Format(PyExc_ValueError, "exploration must be finite and >= 0");
     if (!(discount > 0 && discount <= 1))
         return PyErr_Format(PyExc_ValueError, "discount must be in (0, 1]");
+    if (o_memo == Py_None)
+        c.memo = &local;
+    else if (Py_IS_TYPE(o_memo, &MemoType))
+        c.memo = &((MemoObject *)o_memo)->memo;
+    else
+        return PyErr_Format(PyExc_TypeError, "memo must be None or this kernel's new_memo()");
+    if (memo_start(c.memo, &c, mm_depth) < 0)
+        return NULL;
     PyObject *out = NULL;
     t.nodes = PyMem_Calloc(1, sizeof(Node));
     if (t.nodes == NULL)
@@ -872,6 +990,7 @@ py_search(PyObject *self, PyObject *args)
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);
+    memo_free(&local);
     call_free(&c);
     return out;
 }
@@ -886,22 +1005,27 @@ static PyMethodDef methods[] = {
     {"rollout", py_rollout, METH_VARARGS,
      "rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, "
      "crown_points, king_weight) -> (white_reward, red_reward)"},
-    {"search", py_search, METH_VARARGS,
+    {"search", (PyCFunction)(void (*)(void))py_search, METH_VARARGS | METH_KEYWORDS,
      "search(state, side, iterations, sim_depth, mm_depth, forced, capture_points, "
-     "crown_points, king_weight, exploration, discount, pruning, seed) -> "
+     "crown_points, king_weight, exploration, discount, pruning, seed, memo=None) -> "
      "(move, nodes) or None when side has no legal move; seed (any int, taken "
-     "mod 2**64) starts the splitmix64 stream of the minimax-depth-0 random moves"},
+     "mod 2**64) starts the splitmix64 stream of the minimax-depth-0 random moves; "
+     "memo, from new_memo(), holds rollout steps across searches"},
+    {"new_memo", py_new_memo, METH_NOARGS,
+     "new_memo() -> an empty rollout memo for search's memo argument"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernel",
-    "Compiled twin of _pykernel's gen_moves, minimax, rollout and search.",
+    "Compiled twin of _pykernel's gen_moves, minimax, rollout, search and new_memo.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
+    if (PyType_Ready(&MemoType) < 0)
+        return NULL;
     return PyModule_Create(&module);
 }

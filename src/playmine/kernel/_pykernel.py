@@ -39,14 +39,20 @@ operations in the same order, so they choose bit-identical moves:
   again with strict ``>``.
 
 A rollout step at minimax depth >= 1 is a pure function of (state, side to
-move): the call fixes the rules, points, king weight and depth, and ties go
-to the first move in order.  So ``rollout`` and ``search`` each keep one
-memo per call, a
+move): the rules, points, king weight and depth are fixed, and ties go to
+the first move in order.  So rollout steps are looked up in a memo, a
 transposition table (Greenblatt et al., 1967) keyed on the 64-byte state
-and the side and compared by the full key: a dict here, an open-addressed
-table in C.  Only a step the memo has not seen runs minimax, and a hit
-returns what minimax returned, so every result is exact.  Both memos stop
-inserting at ``MEMO_MAX`` entries and are dropped when the call returns.
+and the side and compared by the full key: a dict here (``Memo``), an
+open-addressed table in C.  Only a step the memo has not seen runs minimax,
+and a hit returns what minimax returned, so every result is exact.  A
+caller may pass one ``new_memo()`` handle to many searches (a game passes
+one to all its turns); ``rollout``, and ``search`` without a handle, make a
+memo for the call.  A handle is bound to the rules, points, king weight and
+minimax depth of its first search and refuses any other with a ValueError;
+each twin accepts only its own handles, else TypeError.  A search that
+finds its memo more than half full (over ``MEMO_MAX // 2`` entries) empties
+it first, and a memo stops inserting at ``MEMO_MAX`` entries, so both twins
+insert, hit and clear at the same steps.
 """
 
 from __future__ import annotations
@@ -80,10 +86,13 @@ MAX_POINTS = 2**31 - 1
 MAX_DEPTH = 64
 
 # The most entries a rollout memo holds (``_ckernel.c``'s MEMO_MAX, with the
-# same meaning): a call's memo answers lookups past it but stops inserting,
-# so both twins insert and hit at the same steps.  In C that is 4.7 MB of
-# entries and 256 KB of slots.
+# same meaning): a full memo answers lookups but stops inserting, so both
+# twins insert and hit at the same steps.  In C that is 4.7 MB of entries
+# and 256 KB of slots.
 MEMO_MAX = 32768
+
+MEMO_RULES_MSG = ("memo holds rollout steps of other rules: forced capture, points, "
+                  "king weight or minimax depth differ")
 
 # Diagonal directions; white men use the first two, red men the last two.
 DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -307,6 +316,44 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
     return search(state, to_move, depth, -INF, INF)
 
 
+class Memo:
+    """A rollout memo: ``table`` maps (state, turn) to None (no legal move)
+    or (reward, next_state).  ``rules`` is None until a search binds it;
+    ``steps`` counts the rollout steps looked up, ``hits`` those found and
+    ``clears`` the times the memo was emptied.  ``_ckernel``'s Memo is its
+    twin."""
+
+    __slots__ = ("table", "rules", "steps", "hits", "clears")
+
+    def __init__(self):
+        self.table = {}
+        self.rules = None
+        self.steps = self.hits = self.clears = 0
+
+    def counts(self):
+        """``(steps, hits, entries, clears)``."""
+        return self.steps, self.hits, len(self.table), self.clears
+
+    def start(self, rules):
+        """Readies the memo for a search under ``rules`` (forced capture,
+        capture points, crown points, king weight, minimax depth): the first
+        search binds it to them, a later one with any other value is a
+        ValueError.  Then a memo more than half full is emptied, so every
+        search has room for at least half of ``MEMO_MAX`` new entries."""
+        if self.rules is None:
+            self.rules = rules
+        elif any(a != b for a, b in zip(self.rules, rules)):  # a NaN never matches
+            raise ValueError(MEMO_RULES_MSG)
+        if len(self.table) > MEMO_MAX // 2:
+            self.table.clear()
+            self.clears += 1
+
+
+def new_memo():
+    """An empty rollout memo for ``search``'s ``memo`` argument."""
+    return Memo()
+
+
 def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_points, king_weight):
     """Minimax-guided playout; returns accumulated (white, red) rewards.
 
@@ -314,37 +361,35 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     move.  Stops after ``sim_depth`` steps or when minimax yields no move,
     which is when the side to move has lost (see ``winner``).  Requires
     mm_depth >= 1 (depth 0 rollouts are random and handled by the search
-    layer).
-
-    A step depends only on its (state, side to move), since the rules,
-    points, king weight and depth are the call's and ties go to the first
-    move in order.  So the call keeps a memo
-    ``{(state, turn): None | (reward, next_state)}`` and runs minimax only
-    for a step it has not seen; a hit returns what minimax returned, so the
-    result is exact.  The memo stops growing at ``MEMO_MAX`` entries.
+    layer).  The steps go through a memo of the call's own (see the module
+    docstring).
     """
     index(sim_depth)
     _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
     return tuple(_rollout(state, to_move, sim_depth, mm_depth, forced, capture_points,
-                          crown_points, king_weight, {}))
+                          crown_points, king_weight, Memo()))
 
 
 def _rollout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
              king_weight, memo):
-    """``rollout``'s steps, looked up in and added to ``memo``."""
+    """``rollout``'s steps, looked up in and added to ``memo``, a ``Memo``;
+    a full memo inserts nothing."""
+    table = memo.table
     delta = [0, 0]
     for _ in range(sim_depth):
         key = (state, turn)
-        if key in memo:
-            step = memo[key]
+        memo.steps += 1
+        if key in table:
+            memo.hits += 1
+            step = table[key]
         else:
             _, mv = minimax(state, turn, turn, mm_depth, forced,
                             capture_points, crown_points, king_weight)
             step = None if mv is None else (mv[4], mv[5])
-            if len(memo) < MEMO_MAX:
-                memo[key] = step
+            if len(table) < MEMO_MAX:
+                table[key] = step
         if step is None:
             break
         delta[turn] += step[0]
@@ -390,9 +435,9 @@ def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_poi
     """The search's rollout from (state, turn): ``[white, red]`` rewards.
 
     At mm_depth >= 1 this is ``rollout``'s steps through the search's
-    ``memo``, and ``stream`` is not read; below, each of up to ``sim_depth``
-    steps plays ``moves[stream.below(len(moves))]`` and ``memo`` is not
-    touched.  [0, 0] from a position whose side to move has no legal move.
+    ``memo`` (a ``Memo``), and ``stream`` is not read; below, each of up to
+    ``sim_depth`` steps plays ``moves[stream.below(len(moves))]`` and
+    ``memo`` is not touched.  [0, 0] from a position whose side to move has no legal move.
     """
     if mm_depth >= 1:
         return _rollout(state, turn, sim_depth, mm_depth, forced, capture_points,
@@ -494,7 +539,7 @@ class _Tree:
 
 
 def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
-           crown_points, king_weight, exploration, discount, pruning, seed):
+           crown_points, king_weight, exploration, discount, pruning, seed, memo=None):
     """One MCTS turn for ``side``: ``(move, nodes)``, or None when ``side``
     has no legal move.
 
@@ -505,8 +550,10 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     the root child of highest mean reward for ``side``, as ``gen_moves``
     returns it; ``nodes`` is the number of nodes the iterations expanded.
     The random moves of minimax-depth-0 rollouts come from one ``_Stream``
-    seeded with ``seed``, read on from rollout to rollout; the rollout steps
-    of all iterations share one memo (see ``rollout``).
+    seeded with ``seed``, read on from rollout to rollout.  The rollout
+    steps of all iterations go through ``memo``, a ``new_memo()`` handle the
+    caller may pass to many searches under the same rules, or with None
+    through a memo of the call's own (see the module docstring).
     """
     index(iterations), index(sim_depth)
     stream = _Stream(seed)
@@ -517,11 +564,15 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
         raise ValueError("exploration must be finite and >= 0")
     if not 0 < discount <= 1:
         raise ValueError("discount must be in (0, 1]")
+    if memo is None:
+        memo = Memo()
+    elif type(memo) is not Memo:
+        raise TypeError("memo must be None or this kernel's new_memo()")
+    memo.start((bool(forced), capture_points, crown_points, king_weight, mm_depth))
     tree = _Tree(state, side, forced, capture_points, crown_points, pruning)
     if not tree.actions(0):
         return None
     nodes = 0
-    memo = {}
     for _ in range(iterations):
         i = 0
         while tree.nkids[i] and tree.nkids[i] == tree.nact[i]:

@@ -15,12 +15,17 @@ rollouts read no randomness, and all tie-breaking is
 first-in-enumeration-order, so a given (board, config) pair always yields
 the same move, and at minimax depth 1 or more the seed does not change it.
 For the same reason a minimax rollout step depends only on its (state, side
-to move): each ``kernel.search`` call keeps one memo of its rollout steps,
+to move) under fixed rules: ``kernel.search`` looks each step up in a memo,
 keyed on the 64-byte state and the side and compared by the full key, and
-runs minimax only for a step it has not played yet in that call.  A hit
-returns what minimax returned, so the memo changes no move; it holds at
-most ``_pykernel.MEMO_MAX`` (32,768) entries and is freed when the call
-returns.  Independent searches may run in parallel processes.
+runs minimax only for a step the memo has not seen.  A hit returns what
+minimax returned, so the memo changes no move.  ``mcts_search`` passes the
+caller's ``kernel.new_memo()`` handle through, so a game's turns share one
+memo (``play_episode`` makes one per game); with none, the call makes its
+own.  A handle refuses a search under other rules, points, king weight or
+minimax depth; a search empties it when it is more than half full, and it
+holds at most ``_pykernel.MEMO_MAX`` (32,768) entries.  A handle belongs to
+one game in one process; independent searches may run in parallel
+processes.
 """
 
 from __future__ import annotations
@@ -63,12 +68,15 @@ class SearchConfig:
             raise ValueError("discount must be in (0, 1]")
         if not 0 <= self.exploration < math.inf:
             raise ValueError("exploration constant must be finite and >= 0")
+        if not math.isfinite(self.king_weight):
+            raise ValueError("king_weight must be finite")
 
 
-def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
+def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None
                 ) -> Optional[tuple[ConcreteMove, int, GameBoard]]:
     """Runs ``cfg.iterations`` MCTS iterations for ``agent`` in one
-    ``kernel.search`` call.
+    ``kernel.search`` call, its rollout steps through ``memo`` (a
+    ``kernel.new_memo()`` handle, or None for a memo of the call's own).
 
     Returns (move, reward, next_board) for the root child with the highest
     mean reward on the agent's index, or None when the agent has no move.
@@ -81,7 +89,7 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig
                           cfg.simulation_depth, cfg.minimax_depth,
                           rw.forced_capture, rw.capture_points, rw.crown_points,
                           cfg.king_weight, cfg.exploration, cfg.discount,
-                          cfg.pruning_enabled, cfg.rng_seed)
+                          cfg.pruning_enabled, cfg.rng_seed, memo)
     if found is None:
         return None
     move = found[0]

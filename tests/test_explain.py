@@ -153,6 +153,21 @@ class TestWhyNot:
             why_not(view, 2, (3, ("left", "down")), (1, ("up",)))
 
 
+def test_negative_lookahead_is_refused():
+    """A lookahead below 0 is a ValueError for each query and the front end;
+    0 looks at no later layer."""
+    log = mklog(WHITE_CASES)
+    view = layered_view(log)
+    context, action = (3, ("left", "down")), (2, ("right", "up"))
+    with pytest.raises(ValueError, match="lookahead must be >= 0, got -1"):
+        recommend(view, 2, context, lookahead=-1)
+    with pytest.raises(ValueError, match="lookahead must be >= 0, got -1"):
+        why_not(view, 2, context, action, lookahead=-1)
+    with pytest.raises(ValueError, match="lookahead must be >= 0, got -1"):
+        Explainer.from_log(log, lookahead=-1)
+    assert recommend(view, 2, context, lookahead=0).action == action
+
+
 class TestExplainerGate:
     def test_fitting_model_allows_queries(self):
         log = mklog(WHITE_CASES)

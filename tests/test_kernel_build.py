@@ -21,6 +21,20 @@ def test_compiled_backend_is_active():
     assert playmine.kernel_backend == "compiled"
 
 
+WARNINGS = ("-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror", "-fsyntax-only")
+
+
+@pytest.mark.skipif(NO_COMPILER, reason="no C compiler on PATH")
+def test_source_compiles_without_warnings():
+    """The kernel's compiler finds nothing to warn about in the source."""
+    import sysconfig
+
+    proc = subprocess.run([*kernel.compiler(), *WARNINGS,
+                           "-I" + sysconfig.get_paths()["include"], kernel.SOURCE],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _package_copy(tmp_path):
     src = Path(playmine.__file__).parent
     shutil.copytree(src, tmp_path / "playmine",

@@ -201,8 +201,9 @@ def _public(module):
 @pytest.mark.parametrize("backend", [pk, compiled], ids=["python", "compiled"])
 @pytest.mark.parametrize("length", [0, 63, 65])
 def test_state_of_wrong_length_is_rejected(backend, length):
-    """Every op that takes a state, on each backend that has it; the
-    compiled module exports no op that this leaves out."""
+    """Every op that takes a state, on each backend that has it, search
+    also with a memo handle; the compiled module exports no op that this
+    leaves out but ``new_memo``, which takes no state."""
     state = bytes(length)
     calls = {
         "gen_moves": [lambda: backend.gen_moves(state, 0, True, 7, 7)],
@@ -214,19 +215,23 @@ def test_state_of_wrong_length_is_rejected(backend, length):
                     lambda: backend.minimax(state, 0, 0, 2, True, 7, 7, 0.5)],
         "rollout": [lambda: backend.rollout(state, 0, 0, 1, True, 7, 7, 0.5)],
         "search": [lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8,
-                                          False, 0)],
+                                          False, 0),
+                   lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8,
+                                          False, 0, backend.new_memo())],
     }
-    assert set(_public(compiled)) <= set(calls)
-    for op in calls if backend is pk else _public(compiled):
+    state_ops = [op for op in _public(compiled) if op != "new_memo"]
+    assert set(state_ops) <= set(calls)
+    for op in calls if backend is pk else state_ops:
         for call in calls[op]:
             with pytest.raises(ValueError, match="64 bytes"):
                 call()
 
 
 def test_compiled_module_has_only_the_hot_ops():
-    """The compiled twin exports gen_moves, minimax, rollout and search;
-    the other ops and the constants are _pykernel's on every backend."""
-    assert _public(compiled) == ["gen_moves", "minimax", "rollout", "search"]
+    """The compiled twin exports gen_moves, minimax, rollout, search and
+    new_memo; the other ops and the constants are _pykernel's on every
+    backend."""
+    assert _public(compiled) == ["gen_moves", "minimax", "new_memo", "rollout", "search"]
     for op in ("side_has_moves", "piece_counts", "evaluate", "winner"):
         assert getattr(kernel, op) is getattr(pk, op)
     for op in _public(compiled):

@@ -8,10 +8,13 @@ wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
 ``MAX_POINTS``, floats for each side, point, depth, simulation depth and
 iteration count, and ``search`` given seeds at and past the ends of the
-64-bit range, negative seeds and a float seed.  Then ``search`` runs at
-minimax depths 1 and 2 long enough to grow its rollout memo's slot table
-at least three times, and once past the memo's ``MEMO_MAX`` bound.  Each op
-must return what ``_pykernel`` returns or raise the same exception; a
+64-bit range, negative seeds and a float seed.  A position's searches share
+one rollout memo, so those with other rules than the first are refused,
+and one in ten is passed the other twin's memo.  Then searches at minimax
+depths 1 and 2 share one memo per depth, long enough to grow its slot
+table six times, to fill it to the memo's ``MEMO_MAX`` bound and to have
+the next search empty it.  Each op must return what ``_pykernel`` returns
+or raise the same exception, and the twins' memos must count alike; a
 memory error or undefined behaviour aborts the child, and so does an
 exported op that the fuzz has no inputs for.
 
@@ -167,12 +170,17 @@ def fuzz(ck, seed):
                            _depth(rng, kind), forced, cap, crown, kw),
                "rollout": (state, _side(rng, side), _count(rng, range(7)), _depth(rng, kind),
                            forced, cap, crown, kw)}
-        assert sorted([*ops, "search"]) == exported, f"fuzz ops != exported {exported}"
+        assert sorted([*ops, "new_memo", "search"]) == exported, \
+            f"fuzz ops != exported {exported}"
         for op, args in ops.items():
             want = _outcome(getattr(pk, op), args)
             got = _outcome(getattr(ck, op), args)
             assert got == want, (kind, op, args, got, want)
             calls += 1
+        # the position's searches share a memo, so a search whose rules
+        # differ from the first is refused; one in ten passes the other
+        # twin's memo, or none
+        memos = (ck.new_memo(), pk.new_memo())
         for _ in range(4):
             iterations = _count(rng, (0, 1, 2, 5, 30))
             depth = _depth(rng, kind)
@@ -180,28 +188,37 @@ def fuzz(ck, seed):
             discount = rng.choice((0.5, 0.8, 1.0, 0.0))
             args = (state, _side(rng, side), iterations, _count(rng, range(5)), depth, forced,
                     cap, crown, kw, explore, discount, rng.random() < 0.5, _seed(rng))
-            want = _outcome(pk.search, args)
-            got = _outcome(ck.search, args)
+            c_memo, p_memo = rng.choice([memos] * 8 + [memos[::-1], (None, None)])
+            want = _outcome(pk.search, (*args, p_memo))
+            got = _outcome(ck.search, (*args, c_memo))
             assert got == want, (kind, "search", args, got, want)
+            assert memos[0].counts() == memos[1].counts(), (kind, "memo counts", args)
             calls += 1
+    memos = {}  # by minimax depth: the compiled and the pure twin's memo
     for args in memo_searches():
-        assert ck.search(*args) == pk.search(*args), ("search", args[1:])
+        c_memo, p_memo = memos.setdefault(args[4], (ck.new_memo(), pk.new_memo()))
+        assert ck.search(*args, memo=c_memo) == pk.search(*args, memo=p_memo), \
+            ("search", args[1:])
+        assert c_memo.counts() == p_memo.counts(), ("memo counts", args[1:])
         calls += 1
     return calls
 
 
 def memo_searches():
-    """``search`` arguments at minimax depth >= 1 whose rollout memo grows.
+    """``search`` arguments at minimax depth >= 1 whose rollout memo grows,
+    fills and is emptied; ``fuzz`` passes all searches of one minimax depth
+    the same memo, as a game passes its turns.
 
     The memo's slot table starts at 256 slots and doubles when an insert
-    would fill half of it, so its third growth comes with the 513th entry.
-    Counted on an instrumented copy of each twin (both insert at the same
-    steps), the eight 300-iteration searches from the 3- and 12-a-side
-    openings insert 756 to 1,967 entries each, so each grows the table three
-    or four times.  The last search, 3,000 iterations from the 12-a-side
-    opening, misses the memo at 43,142 of its 89,970 steps: it inserts
-    32,768 entries (``MEMO_MAX``, eight growths, 65,536 slots) and then
-    runs 10,374 steps that the full memo no longer records."""
+    would fill half of it.  Counted with the handles' ``counts()`` (both
+    twins agree): the four depth-2 searches, 300 iterations each from the 3-
+    and 12-a-side openings, leave 5,423 entries in their memo, and the four
+    depth-1 ones 6,127, six growths each.  The 3,000-iteration depth-1
+    search from the 12-a-side opening then misses its memo at 43,396 of
+    89,970 steps: it inserts 26,641 entries up to ``MEMO_MAX`` (32,768, two
+    more growths, 65,536 slots) and runs the other 16,755 steps that the
+    full memo no longer records.  The last search finds the memo more than
+    half full, empties it and inserts 1,245 entries."""
     explore = 1 / math.sqrt(2)
     for pieces in (3, 12):
         for side in (0, 1):
@@ -209,6 +226,7 @@ def memo_searches():
                 yield (initial_board(pieces).state, side, 300, 10, depth, True, 7, 7, 0.5,
                        explore, 0.8, depth == 2, 0)
     yield (initial_board(12).state, 1, 3000, 30, 1, True, 7, 7, 0.5, explore, 0.8, False, 0)
+    yield (initial_board(3).state, 0, 300, 10, 1, True, 7, 7, 0.5, explore, 0.8, False, 0)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -60,7 +62,7 @@ def playout(state, turn, cfg, stream=None):
     stream = stream or _pykernel._Stream(cfg.rng_seed)
     return _pykernel._playout(state, turn, cfg.simulation_depth, cfg.minimax_depth,
                               rw.forced_capture, rw.capture_points, rw.crown_points,
-                              cfg.king_weight, stream, {})
+                              cfg.king_weight, stream, _pykernel.Memo())
 
 
 def search_args(board, color, cfg):
@@ -90,6 +92,8 @@ class TestSearchConfig:
         {"discount": 1.5},
         {"exploration": -0.1},
         {"exploration": math.inf},
+        {"king_weight": math.nan},  # would never match a game memo's rules
+        {"king_weight": -math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -404,6 +408,13 @@ def reuse_cases():
                        f"{'prune' if pruning else 'all'}", board, color, cfg)
 
 
+def twin_module(twin):
+    """The kernel twin named ``twin``: ``_pykernel`` or the compiled one."""
+    if twin == "python":
+        return _pykernel
+    return pytest.importorskip("playmine.kernel._ckernel", reason="compiled kernel not built")
+
+
 class TestRolloutMemo:
     @pytest.fixture(scope="class")
     def references(self):
@@ -415,10 +426,101 @@ class TestRolloutMemo:
     def test_search_matches_memo_free_oracle(self, twin, references):
         """The memo only skips minimax calls whose answer it holds, so each
         twin's search returns exactly the oracle's move and node count."""
-        impl = _pykernel if twin == "python" else pytest.importorskip(
-            "playmine.kernel._ckernel", reason="compiled kernel not built")
+        impl = twin_module(twin)
         for cid, board, color, cfg in reuse_cases():
             assert impl.search(*search_args(board, color, cfg)) == references[cid], cid
+
+
+class TestGameMemo:
+    """One ``new_memo()`` handle held across the turns of a game."""
+
+    CFG = SearchConfig(iterations=120, simulation_depth=12, minimax_depth=1)
+    TURNS = 10
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        """The turns of a game from the 3-a-side opening, red first, each
+        turn's seed its number: ``(arguments, memo-free oracle's (move,
+        nodes))`` per turn, each turn played on the oracle's move."""
+        board, color, turns = initial_board(3), Color.RED, []
+        for k in range(self.TURNS):
+            args = search_args(board, color, replace(self.CFG, rng_seed=k))
+            want = reference_search(*args)
+            turns.append((args, want))
+            board, color = GameBoard(want[0][5], 3), color.opponent
+        return turns
+
+    def test_game_through_one_memo_matches_oracle(self, game):
+        """On each twin, every turn of a game whose searches share one memo
+        returns the memo-free oracle's move and node count, and the shared
+        memo answers more rollout steps than a fresh memo per turn would.
+        Both twins look up, hit and insert at the same steps."""
+        counts = []
+        for impl in (_pykernel, twin_module("compiled")):
+            memo = impl.new_memo()
+            fresh_hits = 0
+            for k, (args, want) in enumerate(game):
+                assert impl.search(*args, memo=memo) == want, (impl.__name__, k)
+                fresh = impl.new_memo()
+                impl.search(*args, memo=fresh)
+                fresh_hits += fresh.counts()[1]
+            steps, hits, entries, clears = memo.counts()
+            assert 0 < entries <= steps and hits > fresh_hits and clears == 0
+            counts.append(memo.counts())
+        assert counts[0] == counts[1]
+
+    def test_play_episode_reports_its_memo(self, search_twin, monkeypatch):
+        """``play_episode`` passes one memo to all turns and reports its
+        counts, the same on both twins."""
+        ep = play_episode(self.CFG, episode_id=1, max_turns=8)
+        steps, hits, entries, clears = ep.memo_counts
+        assert ep.turns == 8 and hits + entries == steps and clears == 0
+        monkeypatch.setattr(kernel, "search", _pykernel.search)
+        monkeypatch.setattr(kernel, "new_memo", _pykernel.new_memo)
+        assert play_episode(self.CFG, episode_id=1, max_turns=8).memo_counts == ep.memo_counts
+
+
+class TestMemoRefusals:
+    ARGS = search_args(initial_board(3), Color.WHITE,
+                       SearchConfig(iterations=30, simulation_depth=6, minimax_depth=1))
+    # argument positions of forced, capture points, crown points, king
+    # weight and minimax depth, each with another value
+    RULES = {"forced": (5, False), "capture": (6, 8), "crown": (7, 6),
+             "king_weight": (8, 0.25), "depth": (4, 2)}
+    # what a search may change between the searches that share a memo
+    FREE = {"side": (1, 1), "iterations": (2, 40), "sim_depth": (3, 9),
+            "exploration": (9, 1.5), "discount": (10, 0.5), "pruning": (11, True),
+            "seed": (12, 5)}
+
+    @staticmethod
+    def changed(args, at, value):
+        return args[:at] + (value,) + args[at + 1:]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_other_rules_are_refused_before_any_work(self, twin):
+        """A memo is bound to the rules, points, king weight and depth of
+        its first search; a later search with any other value raises the
+        same ValueError on both twins and leaves the memo as it was."""
+        impl = twin_module(twin)
+        memo = impl.new_memo()
+        impl.search(*self.ARGS, memo=memo)
+        before = memo.counts()
+        for name, (at, value) in self.RULES.items():
+            with pytest.raises(ValueError, match=re.escape(_pykernel.MEMO_RULES_MSG)):
+                impl.search(*self.changed(self.ARGS, at, value), memo=memo)
+            assert memo.counts() == before, name
+        for name, (at, value) in self.FREE.items():
+            impl.search(*self.changed(self.ARGS, at, value), memo=memo)
+        assert memo.counts()[0] > before[0]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_foreign_handle_is_a_type_error(self, twin):
+        impl = twin_module(twin)
+        other = twin_module("compiled" if twin == "python" else "python")
+        for handle in ({}, object(), other.new_memo()):
+            with pytest.raises(TypeError, match=re.escape(
+                    "memo must be None or this kernel's new_memo()")):
+                impl.search(*self.ARGS, memo=handle)
 
 
 class TestPruneByReward:
@@ -602,13 +704,11 @@ def golden_records():
 
 @pytest.fixture(params=["python", "compiled"])
 def search_twin(request, monkeypatch):
-    """Routes ``kernel.search``, and so ``mcts_search``, to one kernel twin."""
-    if request.param == "python":
-        impl = _pykernel
-    else:
-        impl = pytest.importorskip("playmine.kernel._ckernel",
-                                   reason="compiled kernel not built")
+    """Routes ``kernel.search`` and ``kernel.new_memo``, and so ``mcts_search``
+    and ``play_episode``, to one kernel twin."""
+    impl = twin_module(request.param)
     monkeypatch.setattr(kernel, "search", impl.search)
+    monkeypatch.setattr(kernel, "new_memo", impl.new_memo)
 
 
 class TestGolden:

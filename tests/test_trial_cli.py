@@ -201,14 +201,16 @@ class TestCli:
         assert rc == 0
         assert "Recommendation" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("layer,context,message", [
-        ("0", "(-1,())", "layer 0 out of range 1..2"),
-        ("1", "(3,(up))", "no transition with context (3, ('up',)) observed at layer 1"),
-        ("1", "garbage", "malformed context: 'garbage'"),
-    ], ids=["layer", "unobserved", "malformed"])
-    def test_explain_user_error_is_one_line(self, tmp_path, capsys, layer, context, message):
-        """A layer, context or action the log does not hold: one line on
-        stderr and exit code 1, no traceback."""
+    @pytest.mark.parametrize("layer,context,message,extra", [
+        ("0", "(-1,())", "layer 0 out of range 1..2", ()),
+        ("1", "(3,(up))", "no transition with context (3, ('up',)) observed at layer 1", ()),
+        ("1", "garbage", "malformed context: 'garbage'", ()),
+        ("1", "(-1,())", "lookahead must be >= 0, got -1", ("--lookahead", "-1")),
+    ], ids=["layer", "unobserved", "malformed", "lookahead"])
+    def test_explain_user_error_is_one_line(self, tmp_path, capsys, layer, context, message,
+                                            extra):
+        """A layer, context or action the log does not hold, or a negative
+        lookahead: one line on stderr and exit code 1, no traceback."""
         from playmine.eventlog import export_log, format_label
         from helpers import mklog
         log_path = tmp_path / "log.csv"
@@ -216,7 +218,7 @@ class TestCli:
                  format_label(2, ("right",), 1, ("left",), 7))
         export_log(mklog([trace]), log_path, "csv")
         rc = main(["explain", "--log", str(log_path), "--layer", layer,
-                   "--context", context])
+                   "--context", context, *extra])
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"cannot explain: {message}\n"
