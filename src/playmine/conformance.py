@@ -5,20 +5,26 @@ of trace and net: synchronous and silent-model moves cost 0, log-only and
 visible-model-only moves cost 1, so the first goal state popped carries the
 optimal (minimal) cost.
 
-The search compiles the net once per call and never calls the ``Counter``
-API of ``PetriNet``.  A marking is a tuple of token counts indexed like
-``net.places``.  Each distinct marking is stored once per call and numbered,
-and a state is ``(trace position, marking number)``.  Each transition
-becomes its preset and postset place indices, and each marking's successors
-are computed once per call.
+The search never calls the ``Counter`` API of ``PetriNet``.  It runs on a
+marking graph of the net at one token cap: each transition compiled to its
+preset and postset place indices, each distinct marking (a tuple of token
+counts indexed like ``net.places``) stored once and numbered, and each
+marking's successors computed when the search first reaches it.
+``fitness_metrics`` builds one such graph and shares it across all of its
+alignments, the empty trace's and each variant's, so a successor list is
+computed once per ``fitness_metrics`` call, not once per alignment.  A
+search state is the single int ``marking number * (trace length + 1) +
+trace position``.
 
 The order in which states are explored is fixed: ties in cost are broken by
 push order, which is, for each transition in ``net.transitions`` order, the
 synchronous move and then the model (or silent) move, with the log move
-last.  Among several optimal alignments, this order picks the one that is
-returned.  It also fixes ``states_explored``, which ``global_statistics.csv``
-reports as ``Num. States`` and ``Approx. mem. used``, so a change to the
-order changes trial outputs even when every cost stays the same.
+last.  Marking numbers take no part in it, so a graph grown by earlier
+alignments leaves each alignment as a fresh graph would.  Among several
+optimal alignments, this order picks the one that is returned.  It also
+fixes ``states_explored``, which ``global_statistics.csv`` reports as
+``Num. States`` and ``Approx. mem. used``, so a change to the order
+changes trial outputs even when every cost stays the same.
 """
 
 from __future__ import annotations
@@ -71,53 +77,58 @@ def _default_token_cap(net: PetriNet, trace_len: int) -> int:
     return base + len(net.places) + trace_len + 4
 
 
-def optimal_alignment(trace: Sequence[str], net: PetriNet,
-                      token_cap: Optional[int] = None) -> AlignmentResult:
-    """Minimal-cost alignment of ``trace`` against ``net``.
+def _check_token_cap(token_cap: Optional[int]) -> None:
+    if token_cap is not None and token_cap < 1:
+        raise ValueError(f"token_cap must be >= 1 or None, got {token_cap}")
 
-    Raises ModelUnsoundError when no goal state exists (the final marking is
-    unreachable), detected once the bounded search space is exhausted.
+
+class _MarkingGraph:
+    """The markings of one net that respect one token cap, grown on demand.
+
+    Each marking is stored once and numbered in the order it is first met.
+    ``successors[mid]`` is None until ``expand(mid)`` fires every
+    transition of ``net.transitions`` at that marking, in that order.
     """
-    t0 = time.perf_counter()
-    trace = tuple(trace)
-    n = len(trace)
-    cap = token_cap or _default_token_cap(net, n)
-    index = {p: k for k, p in enumerate(net.places)}
 
-    # per transition: preset and postset indices (arcs form a set, so no
-    # place repeats), token delta, visible label, synchronous move, model or
-    # silent move and its cost
-    steps = []
-    for t in net.transitions:
-        pre = tuple(index[p] for p in net.preset[t.name])
-        post = tuple(index[p] for p in net.postset[t.name])
-        if t.silent:
-            steps.append((pre, post, len(post) - len(pre), None, None,
-                          AlignmentMove(TAU, None, t.name), 0))
-        else:
-            steps.append((pre, post, len(post) - len(pre), t.label,
-                          AlignmentMove(SYNC, t.label, t.name),
-                          AlignmentMove(MODEL, t.label, t.name), 1))
-    log_moves = [AlignmentMove(LOG, a, None) for a in trace]
+    def __init__(self, net: PetriNet, cap: int):
+        self.cap = cap
+        index = {p: k for k, p in enumerate(net.places)}
+        # per transition: preset and postset indices (arcs form a set, so no
+        # place repeats), token delta, visible label, synchronous move, model
+        # or silent move and its cost
+        self.steps = []
+        for t in net.transitions:
+            pre = tuple(index[p] for p in net.preset[t.name])
+            post = tuple(index[p] for p in net.postset[t.name])
+            if t.silent:
+                self.steps.append((pre, post, len(post) - len(pre), None, None,
+                                   AlignmentMove(TAU, None, t.name), 0))
+            else:
+                self.steps.append((pre, post, len(post) - len(pre), t.label,
+                                   AlignmentMove(SYNC, t.label, t.name),
+                                   AlignmentMove(MODEL, t.label, t.name), 1))
+        self.markings: list = []
+        self.ids: dict = {}
+        self.successors: list = []
+        self.initial = self.intern(tuple(net.initial_marking[p] for p in net.places))
+        self.final = self.intern(tuple(net.final_marking[p] for p in net.places))
 
-    # each distinct marking is stored once; a state holds its index here
-    markings: list = []
-    ids: dict = {}
-    successors: dict = {}
-
-    def intern(marking: tuple) -> int:
-        mid = ids.get(marking)
+    def intern(self, marking: tuple) -> int:
+        mid = self.ids.get(marking)
         if mid is None:
-            mid = ids[marking] = len(markings)
-            markings.append(marking)
+            mid = self.ids[marking] = len(self.markings)
+            self.markings.append(marking)
+            self.successors.append(None)
         return mid
 
-    def fire_all(mid: int) -> list:
-        marking = markings[mid]
-        tokens = sum(marking)
+    def expand(self, mid: int) -> list:
+        """``(marking id, label, sync move, model move, model cost)`` of
+        each transition enabled at ``mid`` whose firing keeps the cap."""
+        marking = self.markings[mid]
+        room = self.cap - sum(marking)
         out = []
-        for pre, post, delta, label, sync, model, model_cost in steps:
-            if tokens + delta > cap:
+        for pre, post, delta, label, sync, model, model_cost in self.steps:
+            if delta > room:
                 continue
             for p in pre:
                 if not marking[p]:
@@ -128,39 +139,53 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet,
                     nm[p] -= 1
                 for p in post:
                     nm[p] += 1
-                out.append((intern(tuple(nm)), label, sync, model, model_cost))
-        successors[mid] = out
+                out.append((self.intern(tuple(nm)), label, sync, model, model_cost))
+        self.successors[mid] = out
         return out
 
-    final = intern(tuple(net.final_marking[p] for p in net.places))
-    start = (0, intern(tuple(net.initial_marking[p] for p in net.places)))
+
+def optimal_alignment(trace: Sequence[str], net: PetriNet,
+                      token_cap: Optional[int] = None, *,
+                      _graph: Optional[_MarkingGraph] = None) -> AlignmentResult:
+    """Minimal-cost alignment of ``trace`` against ``net``.
+
+    ``token_cap`` bounds the tokens of every marking searched; None (the
+    only way to ask for the default) derives it from the net and the trace
+    length, and a cap below 1 is a ValueError.  ``_graph`` is the marking
+    graph of ``net`` at ``token_cap`` that ``fitness_metrics`` shares across
+    its alignments.
+
+    Raises ModelUnsoundError when no goal state exists (the final marking is
+    unreachable), detected once the bounded search space is exhausted.
+    """
+    t0 = time.perf_counter()
+    trace = tuple(trace)
+    n = len(trace)
+    if _graph is None:
+        _check_token_cap(token_cap)
+        cap = _default_token_cap(net, n) if token_cap is None else token_cap
+        _graph = _MarkingGraph(net, cap)
+    graph = _graph
+    successors = graph.successors
+    log_moves = [AlignmentMove(LOG, a, None) for a in trace]
+
+    # a state is ``marking id * width + trace position``
+    width = n + 1
+    goal = graph.final * width + n
+    start = graph.initial * width
     dist = {start: 0}
     parent: dict = {start: None}
     heappop, heappush = heapq.heappop, heapq.heappush
     heap = [(0, 0, start)]
     tick = 0
     explored = 0
-    closed = set()
-
-    def push(nstate, ncost, move):  # ``state`` is the state being expanded
-        nonlocal tick
-        if nstate in closed:
-            return
-        old = dist.get(nstate)
-        if old is None or ncost < old:
-            dist[nstate] = ncost
-            parent[nstate] = (state, move)
-            tick += 1
-            heappush(heap, (ncost, tick, nstate))
 
     while heap:
         cost, _, state = heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
+        if cost > dist[state]:
+            continue  # a cheaper push of this state was expanded already
         explored += 1
-        i, mid = state
-        if i == n and mid == final:
+        if state == goal:
             moves = []
             cur = state
             while parent[cur] is not None:
@@ -169,24 +194,39 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet,
             moves.reverse()
             return AlignmentResult(tuple(moves), cost, explored,
                                    time.perf_counter() - t0)
-        succ = successors.get(mid)
+        mid, i = divmod(state, width)
+        succ = successors[mid]
         if succ is None:
-            succ = fire_all(mid)
+            succ = graph.expand(mid)
+        # push order breaks cost ties: per transition the synchronous move,
+        # then the model or silent move; the log move last
         event = trace[i] if i < n else None
         for nid, label, sync, model, model_cost in succ:
+            nstate = nid * width + i
             if label is not None and label == event:
-                push((i + 1, nid), cost, sync)
-            push((i, nid), cost + model_cost, model)
+                old = dist.get(nstate + 1)
+                if old is None or cost < old:
+                    dist[nstate + 1] = cost
+                    parent[nstate + 1] = (state, sync)
+                    tick += 1
+                    heappush(heap, (cost, tick, nstate + 1))
+            ncost = cost + model_cost
+            old = dist.get(nstate)
+            if old is None or ncost < old:
+                dist[nstate] = ncost
+                parent[nstate] = (state, model)
+                tick += 1
+                heappush(heap, (ncost, tick, nstate))
         if i < n:
-            push((i + 1, mid), cost + 1, log_moves[i])
+            ncost = cost + 1
+            old = dist.get(state + 1)
+            if old is None or ncost < old:
+                dist[state + 1] = ncost
+                parent[state + 1] = (state, log_moves[i])
+                tick += 1
+                heappush(heap, (ncost, tick, state + 1))
 
     raise ModelUnsoundError("final marking unreachable; cannot align")
-
-
-def shortest_model_path_cost(net: PetriNet, token_cap: Optional[int] = None) -> int:
-    """Cheapest all-model-move run from initial to final marking (visible
-    transitions cost 1, silent ones 0)."""
-    return optimal_alignment((), net, token_cap).raw_cost
 
 
 @dataclass
@@ -203,8 +243,8 @@ class FitnessReport:
     num_traces: int
 
 
-def _trace_metrics(trace, net, empty_cost, cap):
-    res = optimal_alignment(trace, net, cap)
+def _trace_metrics(trace, net, empty_cost, cap, graph):
+    res = optimal_alignment(trace, net, cap, _graph=graph)
     n = len(trace)
     denom = n + empty_cost
     trace_fit = 1.0 if denom == 0 else 1.0 - res.raw_cost / denom
@@ -218,13 +258,21 @@ def _trace_metrics(trace, net, empty_cost, cap):
 
 def fitness_metrics(log: EventLog, net: PetriNet,
                     token_cap: Optional[int] = None) -> FitnessReport:
-    """Per-trace alignment metrics averaged over every case of the log."""
+    """Per-trace alignment metrics averaged over every case of the log.
+
+    One token cap serves every alignment: ``token_cap``, or when it is None
+    the default for the longest trace.  All alignments, the empty trace's
+    first, share one marking graph of ``net`` at that cap.
+    """
     if not log.cases:
         raise ValueError("fitness_metrics requires a non-empty log")
+    _check_token_cap(token_cap)
     t0 = time.perf_counter()
     longest = max(len(labels) for _, labels in log.traces())
-    cap = token_cap or _default_token_cap(net, longest)
-    empty_cost = shortest_model_path_cost(net, cap)
+    cap = _default_token_cap(net, longest) if token_cap is None else token_cap
+    graph = _MarkingGraph(net, cap)
+    # the cheapest all-model-move run (visible transitions cost 1, silent 0)
+    empty_cost = optimal_alignment((), net, cap, _graph=graph).raw_cost
     preprocess_ms = (time.perf_counter() - t0) * 1000.0
 
     tf = mm = ml = cost = length = states = ms = 0.0
@@ -232,7 +280,7 @@ def fitness_metrics(log: EventLog, net: PetriNet,
     variants: dict = {}
     for _, labels in log.traces():
         if labels not in variants:
-            variants[labels] = _trace_metrics(labels, net, empty_cost, cap)
+            variants[labels] = _trace_metrics(labels, net, empty_cost, cap, graph)
         res, trace_fit, move_model, move_log = variants[labels]
         tf += trace_fit
         mm += move_model

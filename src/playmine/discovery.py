@@ -63,45 +63,50 @@ def alpha_miner(log: EventLog) -> PetriNet:
     activities = sorted(dfg.activities)
     df = set(dfg.edges)
 
-    def causal(a, b):
-        return (a, b) in df and (b, a) not in df
+    # related[a]: every b with a -> b or b -> a; a is self-looped iff a is
+    # related to itself, and a, b are unrelated (a # b) iff b not in related[a]
+    related: dict = {a: set() for a in activities}
+    succs: dict = {a: set() for a in activities}
+    preds: dict = {a: set() for a in activities}
+    for a, b in df:
+        related[a].add(b)
+        related[b].add(a)
+        if (b, a) not in df:  # causal a -> b
+            succs[a].add(b)
+            preds[b].add(a)
+    looped = {a for a in activities if a in related[a]}
 
-    def unrelated(a, b):
-        return (a, b) not in df and (b, a) not in df
+    # Grow (A, B) pairs from causal seeds.  Seeds may hold a self-looped
+    # activity; an added one may not.  So the stored pairs are exactly those
+    # whose cross pairs are causal, whose members are pairwise unrelated,
+    # and whose A and B each hold at most one self-looped activity; every
+    # such pair is reachable by adding one activity at a time.  That set is
+    # closed under taking subsets, so a pair is maximal iff no single
+    # activity c extends it within the set: c passes the cross-causal and
+    # pairwise tests, and A + {c} (or B + {c}) still holds at most one
+    # self-looped activity.
+    def growth(grown, candidates):
+        """Whether some activity extends ``grown`` within the stored set, and
+        the grown sets the BFS stores (those adding no self-looped one)."""
+        has_loop = not looped.isdisjoint(grown)
+        valid = [c for c in candidates - grown if related[c].isdisjoint(grown)
+                 and not (has_loop and c in looped)]
+        return bool(valid), [grown | {c} for c in valid if c not in looped]
 
-    succs = {a: sorted(b for b in activities if causal(a, b)) for a in activities}
-    preds = {b: sorted(a for a in activities if causal(a, b)) for b in activities}
-
-    # Grow (A, B) pairs from causal seeds; every valid pair is reachable by
-    # adding one activity at a time, so BFS with dedup covers all of them.
     seeds = [(frozenset([a]), frozenset([b]))
-             for a in activities for b in succs[a]]
+             for a in activities for b in sorted(succs[a])]
     seen = set(seeds)
     queue = deque(seeds)
-    pairs = []
+    maximal = []
     while queue:
         a_set, b_set = queue.popleft()
-        pairs.append((a_set, b_set))
-        ext_a = set.intersection(*(set(preds[b]) for b in b_set))
-        for c in sorted(ext_a - a_set):
-            if all(unrelated(c, a) for a in a_set) and unrelated(c, c):
-                cand = (a_set | {c}, b_set)
-                if cand not in seen:
-                    seen.add(cand)
-                    queue.append(cand)
-        ext_b = set.intersection(*(set(succs[a]) for a in a_set))
-        for c in sorted(ext_b - b_set):
-            if all(unrelated(c, b) for b in b_set) and unrelated(c, c):
-                cand = (a_set, b_set | {c})
-                if cand not in seen:
-                    seen.add(cand)
-                    queue.append(cand)
-
-    maximal = []
-    for a_set, b_set in pairs:
-        dominated = any(a_set <= a2 and b_set <= b2 and (a_set, b_set) != (a2, b2)
-                        for a2, b2 in pairs)
-        if not dominated:
+        a_grows, a_sets = growth(a_set, set.intersection(*(preds[b] for b in b_set)))
+        b_grows, b_sets = growth(b_set, set.intersection(*(succs[a] for a in a_set)))
+        for cand in [(a2, b_set) for a2 in a_sets] + [(a_set, b2) for b2 in b_sets]:
+            if cand not in seen:
+                seen.add(cand)
+                queue.append(cand)
+        if not (a_grows or b_grows):
             maximal.append((a_set, b_set))
     maximal.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
 
@@ -239,77 +244,72 @@ def _xor_cut(dfg: DirectlyFollowsGraph):
     return "xor", comps
 
 
-def _reachability(dfg: DirectlyFollowsGraph) -> dict[str, set]:
-    succ: dict[str, set] = {a: set() for a in dfg.activities}
-    for a, b in dfg.edges:
-        succ[a].add(b)
-    reach: dict[str, set] = {}
-    for a in dfg.activities:
-        seen: set = set()
-        stack = list(succ[a])
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(succ[cur])
-        reach[a] = seen
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(adj: list) -> list:
+    """Transitive closure of bitset adjacency rows (Warshall)."""
+    reach = list(adj)
+    for k in range(len(reach)):
+        bit, rk = 1 << k, reach[k]
+        for i, ri in enumerate(reach):
+            if ri & bit:
+                reach[i] = ri | rk
     return reach
 
 
 def _seq_cut(dfg: DirectlyFollowsGraph):
+    """Groups of activities that are mutually reachable or mutually
+    unreachable, joined transitively, in the order the DFG reaches them.
+
+    Sets of activities are int bitsets over the sorted activities.  Two
+    activities in different groups are reachable one way only, and every
+    cross pair of two groups is reachable the same way, so the groups are
+    totally ordered: each has a distinct number of predecessor groups.
+    """
     acts = sorted(dfg.activities)
-    reach = _reachability(dfg)
+    index = {a: k for k, a in enumerate(acts)}
+    succ = [0] * len(acts)
+    pred = [0] * len(acts)
+    for a, b in dfg.edges:
+        succ[index[a]] |= 1 << index[b]
+        pred[index[b]] |= 1 << index[a]
+    reach = _closure(succ)  # reach[k]: activities reachable from acts[k]
+    reached_by = _closure(pred)  # reached_by[k]: activities reaching acts[k]
 
-    # union-find over activities; merge mutually reachable or unordered pairs
-    parent = {a: a for a in acts}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i, a in enumerate(acts):
-        for b in acts[i + 1:]:
-            fwd = b in reach[a]
-            bwd = a in reach[b]
-            if fwd == bwd:  # cyclic together or unordered: same class
-                union(a, b)
-    # transitive inconsistencies can surface after merging; iterate to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        classes: dict[str, set] = {}
-        for a in acts:
-            classes.setdefault(find(a), set()).add(a)
-        keys = sorted(classes)
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                fwd = any(b in reach[a] for a in classes[ka] for b in classes[kb])
-                bwd = any(a in reach[b] for a in classes[ka] for b in classes[kb])
-                if fwd == bwd:
-                    union(ka, kb)
-                    changed = True
-    classes = {}
-    for a in acts:
-        classes.setdefault(find(a), set()).add(a)
-    if len(classes) < 2:
+    # same[k]: activities other than acts[k] that it reaches exactly when
+    # they reach it (both ways or neither)
+    everything = (1 << len(acts)) - 1
+    same = [everything & ~(reach[k] ^ reached_by[k]) & ~(1 << k)
+            for k in range(len(acts))]
+    groups = []  # bitsets, in the order of their lowest activity
+    left = everything
+    while left:
+        group = frontier = left & -left
+        while frontier:
+            grown = 0
+            for k in _bits(frontier):
+                grown |= same[k]
+            frontier = grown & ~group
+            group |= frontier
+        left &= ~group
+        groups.append(group)
+    if len(groups) < 2:
         return None
-    groups = [frozenset(members) for members in classes.values()]
 
-    def before(g1, g2):
-        return any(b in reach[a] for a in g1 for b in g2)
-
-    predecessors = {g: sum(1 for other in groups if other != g and before(other, g))
-                    for g in groups}
-    groups.sort(key=lambda g: predecessors[g])
-    return "seq", groups
+    reaches = [0] * len(groups)  # activities reachable from each group
+    for g, group in enumerate(groups):
+        for k in _bits(group):
+            reaches[g] |= reach[k]
+    predecessors = [sum(1 for h, r in enumerate(reaches) if h != g and r & group)
+                    for g, group in enumerate(groups)]
+    order = sorted(range(len(groups)), key=predecessors.__getitem__)
+    return "seq", [frozenset(acts[k] for k in _bits(groups[g])) for g in order]
 
 
 def _par_cut(dfg: DirectlyFollowsGraph):

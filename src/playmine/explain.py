@@ -107,18 +107,20 @@ def _fmt_move(move) -> str:
 
 def layered_view(log: EventLog) -> LayeredView:
     """Groups events by their turn index within their case, first-seen order,
-    duplicates collapsed."""
+    duplicates collapsed.  Each distinct label is parsed once."""
     if not log.cases:
         raise ValueError("layered_view requires a non-empty log")
+    entries: dict = {}  # label -> its LayerEntry
     layers: list[list[LayerEntry]] = []
     seen: list[set] = []
     for _, labels in log.traces():
         for k, label in enumerate(labels):
-            context, action, reward = parse_label(label)
+            entry = entries.get(label)
+            if entry is None:
+                entry = entries[label] = LayerEntry(*parse_label(label))
             if k == len(layers):
                 layers.append([])
                 seen.append(set())
-            entry = LayerEntry(context, action, reward)
             if entry not in seen[k]:
                 seen[k].add(entry)
                 layers[k].append(entry)

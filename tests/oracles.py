@@ -3,7 +3,8 @@ check the package.
 
 These are deliberately written against different data structures than the
 library (position dicts instead of byte boards, relaxation DP instead of
-best-first search) so a shared bug is unlikely.
+best-first search, all-pairs scans and a union-find instead of bitsets and
+decisions made during a search) so a shared bug is unlikely.
 """
 
 import math
@@ -20,8 +21,9 @@ from playmine.board import (
     legal_moves,
     winner,
 )
+from playmine.discovery import directly_follows
 from playmine.kernel import _pykernel
-from playmine.petri import PetriNet
+from playmine.petri import PetriNet, Transition
 
 ALL_DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -296,3 +298,135 @@ def visible_language(net: PetriNet, max_len: int,
                 seen.add(key)
                 queue.append((nm, nseq))
     return out
+
+
+def oracle_alpha_miner(log) -> PetriNet:
+    """The alpha miner with maximality decided by scanning every stored
+    (A, B) pair against every other one."""
+    dfg = directly_follows(log)
+    activities = sorted(dfg.activities)
+    df = set(dfg.edges)
+
+    def causal(a, b):
+        return (a, b) in df and (b, a) not in df
+
+    def unrelated(a, b):
+        return (a, b) not in df and (b, a) not in df
+
+    succs = {a: sorted(b for b in activities if causal(a, b)) for a in activities}
+    preds = {b: sorted(a for a in activities if causal(a, b)) for b in activities}
+
+    seeds = [(frozenset([a]), frozenset([b]))
+             for a in activities for b in succs[a]]
+    seen = set(seeds)
+    queue = deque(seeds)
+    pairs = []
+    while queue:
+        a_set, b_set = queue.popleft()
+        pairs.append((a_set, b_set))
+        ext_a = set.intersection(*(set(preds[b]) for b in b_set))
+        for c in sorted(ext_a - a_set):
+            if all(unrelated(c, a) for a in a_set) and unrelated(c, c):
+                cand = (a_set | {c}, b_set)
+                if cand not in seen:
+                    seen.add(cand)
+                    queue.append(cand)
+        ext_b = set.intersection(*(set(succs[a]) for a in a_set))
+        for c in sorted(ext_b - b_set):
+            if all(unrelated(c, b) for b in b_set) and unrelated(c, c):
+                cand = (a_set, b_set | {c})
+                if cand not in seen:
+                    seen.add(cand)
+                    queue.append(cand)
+
+    maximal = []
+    for a_set, b_set in pairs:
+        dominated = any(a_set <= a2 and b_set <= b2 and (a_set, b_set) != (a2, b2)
+                        for a2, b2 in pairs)
+        if not dominated:
+            maximal.append((a_set, b_set))
+    maximal.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
+
+    places = ["source", "sink"]
+    transitions = [Transition(f"t{i}", a) for i, a in enumerate(activities)]
+    tname = {a: f"t{i}" for i, a in enumerate(activities)}
+    arcs = []
+    for a in sorted(dfg.start_activities):
+        arcs.append(("source", tname[a]))
+    for a in sorted(dfg.end_activities):
+        arcs.append((tname[a], "sink"))
+    for i, (a_set, b_set) in enumerate(maximal):
+        p = f"p{i}"
+        places.append(p)
+        for a in sorted(a_set):
+            arcs.append((tname[a], p))
+        for b in sorted(b_set):
+            arcs.append((p, tname[b]))
+    return PetriNet(places, transitions, arcs,
+                    Counter({"source": 1}), Counter({"sink": 1}))
+
+
+def oracle_seq_cut(dfg):
+    """Sequence cut by per-activity DFS reachability and a union-find over
+    activities, merged to a fixpoint; ``("seq", groups)`` or None."""
+    acts = sorted(dfg.activities)
+    succ = {a: set() for a in acts}
+    for a, b in dfg.edges:
+        succ[a].add(b)
+    reach = {}
+    for a in acts:
+        seen = set()
+        stack = list(succ[a])
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stack.extend(succ[cur])
+        reach[a] = seen
+
+    parent = {a: a for a in acts}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for i, a in enumerate(acts):
+        for b in acts[i + 1:]:
+            if (b in reach[a]) == (a in reach[b]):  # cyclic together or unordered
+                union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        classes = {}
+        for a in acts:
+            classes.setdefault(find(a), set()).add(a)
+        keys = sorted(classes)
+        for i, ka in enumerate(keys):
+            for kb in keys[i + 1:]:
+                fwd = any(b in reach[a] for a in classes[ka] for b in classes[kb])
+                bwd = any(a in reach[b] for a in classes[ka] for b in classes[kb])
+                if fwd == bwd:
+                    union(ka, kb)
+                    changed = True
+    classes = {}
+    for a in acts:
+        classes.setdefault(find(a), set()).add(a)
+    if len(classes) < 2:
+        return None
+    groups = [frozenset(members) for members in classes.values()]
+
+    def before(g1, g2):
+        return any(b in reach[a] for a in g1 for b in g2)
+
+    predecessors = {g: sum(1 for other in groups if other != g and before(other, g))
+                    for g in groups}
+    groups.sort(key=lambda g: predecessors[g])
+    return "seq", groups

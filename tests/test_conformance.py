@@ -19,7 +19,6 @@ from playmine.conformance import (
     classify_fitting,
     fitness_metrics,
     optimal_alignment,
-    shortest_model_path_cost,
     write_report_csv,
 )
 from playmine.discovery import (
@@ -112,13 +111,15 @@ def random_play_log(rng, color, cases=5, events=8, pieces=3):
 
 def fitness_alignment_calls(log, net):
     """``(trace, token_cap)`` of every alignment ``fitness_metrics`` runs,
-    the empty-trace call of ``shortest_model_path_cost`` first."""
+    the empty-trace alignment (the cheapest model run) first.  Keyword
+    arguments, such as the marking graph the alignments share, are passed
+    through unrecorded."""
     calls = []
     align = conformance.optimal_alignment
 
-    def recording(trace, net, token_cap=None):
+    def recording(trace, net, token_cap=None, **kwargs):
         calls.append((tuple(trace), token_cap))
-        return align(trace, net, token_cap)
+        return align(trace, net, token_cap, **kwargs)
 
     conformance.optimal_alignment = recording
     try:
@@ -285,6 +286,25 @@ class TestFitnessMetrics:
         with pytest.raises(ValueError):
             fitness_metrics(mklog([]), chain_net("A"))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_token_cap_below_one_is_refused(self, cap):
+        net = chain_net("A")
+        with pytest.raises(ValueError, match="token_cap must be >= 1"):
+            optimal_alignment(("A",), net, token_cap=cap)
+        with pytest.raises(ValueError, match="token_cap must be >= 1"):
+            fitness_metrics(mklog([("A",)]), net, token_cap=cap)
+
+    def test_explicit_small_cap_is_used(self):
+        # the final marking holds 3 tokens: a cap of 2 makes it unreachable,
+        # where the default cap would find it
+        net = token_cap_net({"p": 1, "q": 2})
+        log = mklog([("A", "A")])
+        assert fitness_metrics(log, net).raw_fitness_cost == 0.0
+        with pytest.raises(ModelUnsoundError):
+            fitness_metrics(log, net, token_cap=2)
+        with pytest.raises(ModelUnsoundError):
+            optimal_alignment(("A", "A"), net, token_cap=2)
+
 
 class TestClassifyFitting:
     def test_perfect(self):
@@ -324,9 +344,12 @@ class TestProperties:
             prev = cur
 
     def test_shortest_model_path_cost(self):
-        assert shortest_model_path_cost(chain_net("ABC")) == 3
-        assert shortest_model_path_cost(tree_to_net(loop(act("A"), act("B")))) == 1
-        assert shortest_model_path_cost(tree_to_net(par(act("A"), act("B")))) == 2
+        def cost(net):
+            return optimal_alignment((), net).raw_cost
+
+        assert cost(chain_net("ABC")) == 3
+        assert cost(tree_to_net(loop(act("A"), act("B")))) == 1
+        assert cost(tree_to_net(par(act("A"), act("B")))) == 2
 
 
 class TestReportCsv:
@@ -341,6 +364,63 @@ class TestReportCsv:
                         "Raw Fitness Cost", "Move-Model Fitness",
                         "Pre-process time (ms)", "Move-Log Fitness",
                         "Trace Length", "Approx. mem. used (kb)"]
+
+
+def golden_logs():
+    """``(net, variants, token cap)`` of every golden net that is sound at
+    that cap; a variant list is one log, each trace once."""
+    for net in suite_nets():
+        yield net, GOLDEN_TRACES, None
+    net = token_cap_net({"p": 1, "q": 2})
+    for cap in (None, 3):
+        yield net, [(), ("A",), ("A", "A", "A", "A")], cap
+    rng = random.Random(5)
+    for k in range(3):
+        log = random_play_log(rng, Color.RED if k % 2 else Color.WHITE)
+        variants = list(dict.fromkeys(labels for _, labels in log.traces()))
+        yield tree_to_net(inductive_miner(log)), variants, None
+
+
+class TestSharedMarkingGraph:
+    """``fitness_metrics`` runs every alignment of a call on one marking
+    graph.  Cost ties break by push order, which follows ``net.transitions``
+    and not marking numbers, so a graph grown by earlier alignments must
+    leave each alignment exactly as a fresh one finds it."""
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_each_variant_matches_a_fresh_alignment(self, order, monkeypatch):
+        align = conformance.optimal_alignment
+        expand = conformance._MarkingGraph.expand
+        for net, variants, cap in golden_logs():
+            if order == "reversed":
+                variants = variants[::-1]
+            calls, expanded = [], []
+
+            def recording(trace, net, token_cap=None, **kwargs):
+                res = align(trace, net, token_cap, **kwargs)
+                calls.append((tuple(trace), token_cap, kwargs["_graph"], res))
+                return res
+
+            def counting(graph, mid):
+                expanded.append((graph, mid))
+                return expand(graph, mid)
+
+            with monkeypatch.context() as m:
+                m.setattr(conformance, "optimal_alignment", recording)
+                m.setattr(conformance._MarkingGraph, "expand", counting)
+                fitness_metrics(mklog(variants), net, cap)
+
+            graph = calls[0][2]
+            assert [c[0] for c in calls] == [()] + [tuple(v) for v in variants]
+            assert all(c[2] is graph for c in calls)
+            # every marking is expanded at most once per call
+            assert len(set(expanded)) == len(expanded)
+            assert {g for g, _ in expanded} == {graph}
+            assert len(expanded) == sum(s is not None for s in graph.successors)
+            for trace, used_cap, _, res in calls:
+                fresh = align(trace, net, used_cap)
+                assert (res.moves, res.raw_cost, res.states_explored) == (
+                    fresh.moves, fresh.raw_cost, fresh.states_explored), (trace, net)
 
 
 class TestExplorationOrder:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from playmine.conformance import fitness_metrics, optimal_alignment
 from playmine.discovery import (
+    DirectlyFollowsGraph,
     ProcessTree,
+    _seq_cut,
     act,
     alpha_miner,
     directly_follows,
@@ -18,8 +21,9 @@ from playmine.discovery import (
     tree_to_net,
 )
 from playmine.eventlog import EventLog
+from playmine.petri import net_to_json
 from helpers import mklog
-from oracles import visible_language
+from oracles import oracle_alpha_miner, oracle_seq_cut, visible_language
 
 # the classic workflow-discovery teaching log
 TEXTBOOK = ["ABCD", "ACBD", "ABCD", "ACBD", "AED"]
@@ -88,6 +92,58 @@ class TestAlphaMiner:
     def test_deterministic(self):
         log = mklog([letters(t) for t in TEXTBOOK])
         assert alpha_miner(log) == alpha_miner(log)
+
+    def test_self_looped_seed_matches_all_pairs_oracle(self):
+        # a and d loop on themselves, c does not; all three lead to b.  The
+        # search may seed a pair with a looped activity but never add one,
+        # so ({c}, {b}) grows into ({a, c}, {b}) only from the a side: it is
+        # dominated although it has no extension of its own.  ({a, c, d},
+        # {b}) would hold two looped activities and is never stored, so
+        # ({a, c}, {b}) and ({c, d}, {b}) are both maximal.
+        log = mklog([("a", "a", "b"), ("c", "b"), ("d", "d", "b")])
+        want = oracle_alpha_miner(log)
+        assert len(want.places) == 4  # source, sink, {a, c} -> b, {c, d} -> b
+        assert net_to_json(alpha_miner(log)) == net_to_json(want)
+
+    def test_matches_all_pairs_oracle_on_random_logs(self):
+        rng = random.Random(3)
+        looped = 0
+        for _ in range(400):
+            alphabet = "abcdefg"[:rng.randrange(2, 8)]
+            traces = [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+                      for _ in range(rng.randrange(1, 7))]
+            log = mklog(traces)
+            looped += any(a == b for t in traces for a, b in zip(t, t[1:]))
+            assert net_to_json(alpha_miner(log)) == net_to_json(oracle_alpha_miner(log)), traces
+        assert looped >= 100
+
+
+class TestSeqCut:
+    """The bitset sequence cut against the union-find oracle.  After the
+    oracle's first merge pass, two activities in different classes are
+    reachable one way only, and every cross pair of two classes is reachable
+    the same way.  (Let x1, x2 be merged directly and y lie in another class
+    with x1 -> y -> x2.  If x1 and x2 reach each other, y reaches x1 too; if
+    neither reaches the other, x1 reaches x2 through y.  Both contradict,
+    and the rest follows along the chain of direct merges.)  So the fixpoint
+    merges only mutually reachable classes, of which there are none left,
+    and the partition does not depend on union order: it is the connected
+    components of "reachable both ways or neither way"."""
+
+    def test_matches_union_find_oracle_on_random_dfgs(self):
+        rng = random.Random(4)
+        cuts = 0
+        for _ in range(3000):
+            acts = "abcdefghi"[:rng.randrange(1, 10)]
+            density = rng.choice((0.05, 0.15, 0.3, 0.6))
+            edges = Counter({(a, b): 1 for a in acts for b in acts
+                             if rng.random() < density})
+            dfg = DirectlyFollowsGraph(set(acts), edges, Counter(acts[:1]),
+                                       Counter(acts[-1:]))
+            want = oracle_seq_cut(dfg)
+            assert _seq_cut(dfg) == want, sorted(edges)
+            cuts += want is not None and len(want[1]) > 2
+        assert cuts >= 200
 
 
 class TestInductiveMiner:
