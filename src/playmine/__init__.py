@@ -28,14 +28,7 @@ from .conformance import (
     fitness_metrics,
     optimal_alignment,
 )
-from .discovery import (
-    DirectlyFollowsGraph,
-    ProcessTree,
-    alpha_miner,
-    directly_follows,
-    inductive_miner,
-    tree_to_net,
-)
+from .discovery import ProcessTree, alpha_miner, inductive_miner, tree_to_net
 from .episodes import EpisodeResult, StepRecord, abstract_move, bfs_min_distance, play_episode
 from .eventlog import EventLog, build_event_log, export_log, import_log
 from .explain import Explainer, LayeredView, NoObservationError, layered_view, recommend, why_not
@@ -55,8 +48,7 @@ __all__ = [
     "EpisodeResult", "StepRecord", "abstract_move", "bfs_min_distance",
     "play_episode",
     "EventLog", "build_event_log", "export_log", "import_log",
-    "DirectlyFollowsGraph", "ProcessTree", "alpha_miner", "directly_follows",
-    "inductive_miner", "tree_to_net",
+    "ProcessTree", "alpha_miner", "inductive_miner", "tree_to_net",
     "PetriNet", "Transition",
     "AlignmentResult", "FitnessReport", "ModelUnsoundError", "classify_fitting",
     "fitness_metrics", "optimal_alignment",

@@ -1,4 +1,9 @@
-"""Process discovery: directly-follows graph, alpha miner, inductive miner.
+"""Process discovery: alpha miner, inductive miner, process tree to net.
+
+Both miners read one directly-follows graph, ``_BitDfg``, in which every
+set of activities is an int bitset over the sorted alphabet: bit k stands
+for ``alphabet[k]``, so ordering sets by their bit indices orders them by
+their activity names.
 
 The alpha miner builds the classic footprint construction (causal pairs,
 maximal independent pair sets, one place per maximal pair); it can and does
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .eventlog import EventLog
 from .petri import PetriNet, Transition
@@ -20,35 +25,40 @@ from .petri import PetriNet, Transition
 Trace = tuple[str, ...]
 
 
-@dataclass
-class DirectlyFollowsGraph:
-    activities: set
-    edges: Counter
-    start_activities: Counter
-    end_activities: Counter
+class _BitDfg:
+    """The directly-follows graph of ``traces`` over the sorted ``alphabet``:
+    ``succ[k]`` and ``pred[k]`` are the activities directly after and before
+    activity k, ``linked[k]`` their union, ``starts`` and ``ends`` those that
+    begin and end a trace, and ``every`` the whole alphabet.  Empty traces
+    are skipped."""
+
+    __slots__ = ("alphabet", "succ", "pred", "linked", "starts", "ends", "every")
+
+    def __init__(self, alphabet: Sequence[str], traces: Sequence[Trace]):
+        index = {a: k for k, a in enumerate(alphabet)}
+        self.alphabet = alphabet
+        self.succ = [0] * len(alphabet)
+        self.pred = [0] * len(alphabet)
+        self.every = (1 << len(alphabet)) - 1
+        self.starts = self.ends = 0
+        edges = set()
+        for trace in traces:
+            if trace:
+                self.starts |= 1 << index[trace[0]]
+                self.ends |= 1 << index[trace[-1]]
+                edges.update(zip(trace, trace[1:]))
+        for a, b in edges:
+            self.succ[index[a]] |= 1 << index[b]
+            self.pred[index[b]] |= 1 << index[a]
+        self.linked = [s | p for s, p in zip(self.succ, self.pred)]
 
 
-def directly_follows(log: EventLog) -> DirectlyFollowsGraph:
-    if not log.cases:
-        raise ValueError("directly_follows requires a non-empty log")
-    traces = [labels for _, labels in log.traces()]
-    return _dfg_of(traces)
-
-
-def _dfg_of(traces: Sequence[Trace]) -> DirectlyFollowsGraph:
-    activities = set()
-    edges: Counter = Counter()
-    starts: Counter = Counter()
-    ends: Counter = Counter()
-    for trace in traces:
-        if not trace:
-            continue
-        activities.update(trace)
-        starts[trace[0]] += 1
-        ends[trace[-1]] += 1
-        for a, b in zip(trace, trace[1:]):
-            edges[(a, b)] += 1
-    return DirectlyFollowsGraph(activities, edges, starts, ends)
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -59,22 +69,16 @@ def alpha_miner(log: EventLog) -> PetriNet:
     if not log.cases:
         raise ValueError("alpha_miner requires a non-empty log")
     traces = [labels for _, labels in log.traces()]
-    dfg = _dfg_of(traces)
-    activities = sorted(dfg.activities)
-    df = set(dfg.edges)
+    activities = sorted({a for t in traces for a in t})
+    dfg = _BitDfg(activities, traces)
 
-    # related[a]: every b with a -> b or b -> a; a is self-looped iff a is
-    # related to itself, and a, b are unrelated (a # b) iff b not in related[a]
-    related: dict = {a: set() for a in activities}
-    succs: dict = {a: set() for a in activities}
-    preds: dict = {a: set() for a in activities}
-    for a, b in df:
-        related[a].add(b)
-        related[b].add(a)
-        if (b, a) not in df:  # causal a -> b
-            succs[a].add(b)
-            preds[b].add(a)
-    looped = {a for a in activities if a in related[a]}
+    # k is self-looped iff it is linked to itself, and k, j are unrelated
+    # (k # j) iff bit j of linked[k] is clear.  An (A, B) pair is a pair of
+    # bitsets.
+    linked = dfg.linked
+    succs = [s & ~p for s, p in zip(dfg.succ, dfg.pred)]  # causal k -> j
+    preds = [p & ~s for s, p in zip(dfg.succ, dfg.pred)]  # causal j -> k
+    looped = sum(1 << k for k, s in enumerate(dfg.succ) if s >> k & 1)
 
     # Grow (A, B) pairs from causal seeds.  Seeds may hold a self-looped
     # activity; an added one may not.  So the stored pairs are exactly those
@@ -87,44 +91,46 @@ def alpha_miner(log: EventLog) -> PetriNet:
     # self-looped activity.
     def growth(grown, candidates):
         """Whether some activity extends ``grown`` within the stored set, and
-        the grown sets the BFS stores (those adding no self-looped one)."""
-        has_loop = not looped.isdisjoint(grown)
-        valid = [c for c in candidates - grown if related[c].isdisjoint(grown)
-                 and not (has_loop and c in looped)]
-        return bool(valid), [grown | {c} for c in valid if c not in looped]
+        the activities the BFS adds to it (those that are not self-looped)."""
+        barred = looped if looped & grown else 0
+        valid = [c for c in _bits(candidates & ~grown & ~barred)
+                 if not linked[c] & grown]
+        return bool(valid), [c for c in valid if not looped >> c & 1]
 
-    seeds = [(frozenset([a]), frozenset([b]))
-             for a in activities for b in sorted(succs[a])]
-    seen = set(seeds)
-    queue = deque(seeds)
+    # a queued pair carries the activities causal into all of B and out of
+    # all of A: the candidates for growing A and B
+    queue = deque((1 << a, 1 << b, preds[b], succs[a])
+                  for a in range(len(activities)) for b in _bits(succs[a]))
+    seen = {(a_set, b_set) for a_set, b_set, _, _ in queue}
     maximal = []
     while queue:
-        a_set, b_set = queue.popleft()
-        a_grows, a_sets = growth(a_set, set.intersection(*(preds[b] for b in b_set)))
-        b_grows, b_sets = growth(b_set, set.intersection(*(succs[a] for a in a_set)))
-        for cand in [(a2, b_set) for a2 in a_sets] + [(a_set, b2) for b2 in b_sets]:
-            if cand not in seen:
-                seen.add(cand)
+        a_set, b_set, into_b, out_of_a = queue.popleft()
+        a_grows, a_adds = growth(a_set, into_b)
+        b_grows, b_adds = growth(b_set, out_of_a)
+        grown = ([(a_set | 1 << c, b_set, into_b, out_of_a & succs[c]) for c in a_adds]
+                 + [(a_set, b_set | 1 << c, into_b & preds[c], out_of_a) for c in b_adds])
+        for cand in grown:
+            if cand[:2] not in seen:
+                seen.add(cand[:2])
                 queue.append(cand)
         if not (a_grows or b_grows):
             maximal.append((a_set, b_set))
-    maximal.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
+    maximal.sort(key=lambda p: (list(_bits(p[0])), list(_bits(p[1]))))
 
     places = ["source", "sink"]
-    transitions = [Transition(f"t{i}", a) for i, a in enumerate(activities)]
-    tname = {a: f"t{i}" for i, a in enumerate(activities)}
+    transitions = [Transition(f"t{k}", a) for k, a in enumerate(activities)]
     arcs: list[tuple[str, str]] = []
-    for a in sorted(dfg.start_activities):
-        arcs.append(("source", tname[a]))
-    for a in sorted(dfg.end_activities):
-        arcs.append((tname[a], "sink"))
+    for k in _bits(dfg.starts):
+        arcs.append(("source", f"t{k}"))
+    for k in _bits(dfg.ends):
+        arcs.append((f"t{k}", "sink"))
     for i, (a_set, b_set) in enumerate(maximal):
         p = f"p{i}"
         places.append(p)
-        for a in sorted(a_set):
-            arcs.append((tname[a], p))
-        for b in sorted(b_set):
-            arcs.append((p, tname[b]))
+        for k in _bits(a_set):
+            arcs.append((f"t{k}", p))
+        for k in _bits(b_set):
+            arcs.append((p, f"t{k}"))
     return PetriNet(places, transitions, arcs,
                     Counter({"source": 1}), Counter({"sink": 1}))
 
@@ -200,56 +206,40 @@ def _im(traces: list[Trace]) -> ProcessTree:
             return act(a)
         return loop(act(a), tau())  # a repeated one or more times
 
-    dfg = _dfg_of(traces)
+    dfg = _BitDfg(alphabet, traces)
     cut = _xor_cut(dfg) or _seq_cut(dfg) or _par_cut(dfg) or _loop_cut(dfg)
     if cut is None:
         return loop(tau(), *(act(a) for a in alphabet))  # flower fallback
 
     kind, groups = cut
-    where = {a: i for i, g in enumerate(groups) for a in g}
+    where = {alphabet[k]: i for i, g in enumerate(groups) for k in _bits(g)}
     split = {"xor": _split_xor, "loop": _split_loop}.get(kind, _project)
     return ProcessTree(kind, children=tuple(_im(sub) for sub in split(traces, where, len(groups))))
 
 
-def _components(nodes: Iterable[str], neighbours) -> list[frozenset]:
-    nodes = sorted(nodes)
-    seen: set = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            for nxt in neighbours(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.add(nxt)
-                    stack.append(nxt)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: sorted(c))
-    return comps
+def _groups(adj: list, left: int) -> list:
+    """Connected components, as bitsets ordered by their lowest activity, of
+    the activities in ``left`` joined by the symmetric rows ``adj``; bits of
+    a row outside ``left`` are ignored."""
+    groups = []
+    while left:
+        group = frontier = left & -left
+        while frontier:
+            grown = 0
+            for k in _bits(frontier):
+                grown |= adj[k]
+            frontier = grown & left & ~group
+            group |= frontier
+        left &= ~group
+        groups.append(group)
+    return groups
 
 
-def _xor_cut(dfg: DirectlyFollowsGraph):
-    adj: dict[str, set] = {a: set() for a in dfg.activities}
-    for a, b in dfg.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    comps = _components(dfg.activities, lambda n: adj[n])
-    if len(comps) < 2:
+def _xor_cut(dfg: _BitDfg):
+    groups = _groups(dfg.linked, dfg.every)
+    if len(groups) < 2:
         return None
-    return "xor", comps
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return "xor", groups
 
 
 def _closure(adj: list) -> list:
@@ -263,42 +253,21 @@ def _closure(adj: list) -> list:
     return reach
 
 
-def _seq_cut(dfg: DirectlyFollowsGraph):
+def _seq_cut(dfg: _BitDfg):
     """Groups of activities that are mutually reachable or mutually
     unreachable, joined transitively, in the order the DFG reaches them.
 
-    Sets of activities are int bitsets over the sorted activities.  Two
-    activities in different groups are reachable one way only, and every
-    cross pair of two groups is reachable the same way, so the groups are
-    totally ordered: each has a distinct number of predecessor groups.
+    Two activities in different groups are reachable one way only, and
+    every cross pair of two groups is reachable the same way, so the groups
+    are totally ordered: each has a distinct number of predecessor groups.
     """
-    acts = sorted(dfg.activities)
-    index = {a: k for k, a in enumerate(acts)}
-    succ = [0] * len(acts)
-    pred = [0] * len(acts)
-    for a, b in dfg.edges:
-        succ[index[a]] |= 1 << index[b]
-        pred[index[b]] |= 1 << index[a]
-    reach = _closure(succ)  # reach[k]: activities reachable from acts[k]
-    reached_by = _closure(pred)  # reached_by[k]: activities reaching acts[k]
+    reach = _closure(dfg.succ)  # reach[k]: activities reachable from k
+    reached_by = _closure(dfg.pred)  # reached_by[k]: activities reaching k
 
-    # same[k]: activities other than acts[k] that it reaches exactly when
-    # they reach it (both ways or neither)
-    everything = (1 << len(acts)) - 1
-    same = [everything & ~(reach[k] ^ reached_by[k]) & ~(1 << k)
-            for k in range(len(acts))]
-    groups = []  # bitsets, in the order of their lowest activity
-    left = everything
-    while left:
-        group = frontier = left & -left
-        while frontier:
-            grown = 0
-            for k in _bits(frontier):
-                grown |= same[k]
-            frontier = grown & ~group
-            group |= frontier
-        left &= ~group
-        groups.append(group)
+    # same[k]: activities that k reaches exactly when they reach it (both
+    # ways or neither)
+    same = [~(r ^ rb) for r, rb in zip(reach, reached_by)]
+    groups = _groups(same, dfg.every)
     if len(groups) < 2:
         return None
 
@@ -309,61 +278,34 @@ def _seq_cut(dfg: DirectlyFollowsGraph):
     predecessors = [sum(1 for h, r in enumerate(reaches) if h != g and r & group)
                     for g, group in enumerate(groups)]
     order = sorted(range(len(groups)), key=predecessors.__getitem__)
-    return "seq", [frozenset(acts[k] for k in _bits(groups[g])) for g in order]
+    return "seq", [groups[g] for g in order]
 
 
-def _par_cut(dfg: DirectlyFollowsGraph):
-    df = set(dfg.edges)
-    acts = sorted(dfg.activities)
-    adj: dict[str, set] = {a: set() for a in acts}
-    for i, a in enumerate(acts):
-        for b in acts[i + 1:]:
-            if not ((a, b) in df and (b, a) in df):
-                adj[a].add(b)
-                adj[b].add(a)
-    comps = _components(acts, lambda n: adj[n])
-    if len(comps) < 2:
+def _par_cut(dfg: _BitDfg):
+    """Components of the activities not directly following each other both
+    ways; each must hold a start and an end activity."""
+    groups = _groups([~(s & p) for s, p in zip(dfg.succ, dfg.pred)], dfg.every)
+    if len(groups) < 2 or not all(g & dfg.starts and g & dfg.ends for g in groups):
         return None
-    starts = set(dfg.start_activities)
-    ends = set(dfg.end_activities)
-    for comp in comps:
-        if not (comp & starts) or not (comp & ends):
-            return None
-    return "par", comps
+    return "par", groups
 
 
-def _loop_cut(dfg: DirectlyFollowsGraph):
-    starts = set(dfg.start_activities)
-    ends = set(dfg.end_activities)
-    core = starts | ends
-    rest = dfg.activities - core
-    if not rest:
-        return None
-    adj: dict[str, set] = {a: set() for a in rest}
-    for a, b in dfg.edges:
-        if a in rest and b in rest:
-            adj[a].add(b)
-            adj[b].add(a)
-    comps = _components(rest, lambda n: adj[n])
-    body = set(core)
+def _loop_cut(dfg: _BitDfg):
+    """The start and end activities form the body; a component of the rest
+    is a redo group when it is entered only from end activities and left
+    only to start activities, and joins the body otherwise."""
+    body = dfg.starts | dfg.ends
     redos = []
-    for comp in comps:
-        valid = True
-        for a, b in dfg.edges:
-            if b in comp and a not in comp and a not in ends:
-                valid = False
-                break
-            if a in comp and b not in comp and b not in starts:
-                valid = False
-                break
-        if valid:
+    for comp in _groups(dfg.linked, dfg.every & ~body):
+        outside = ~comp
+        if all(not dfg.pred[k] & outside & ~dfg.ends
+               and not dfg.succ[k] & outside & ~dfg.starts for k in _bits(comp)):
             redos.append(comp)
         else:
             body |= comp
     if not redos:
         return None
-    groups = [frozenset(body)] + sorted(redos, key=lambda c: sorted(c))
-    return "loop", groups
+    return "loop", [body] + redos
 
 
 def _split_xor(traces, where, n):

@@ -252,6 +252,8 @@ def _import_log_xes(path: Path) -> EventLog:
                         events.append(labels.setdefault(label, label))
         if cid is None:
             raise ValueError(f"trace without concept:name in {path}")
+        if cid in log.cases:
+            raise ValueError(f"duplicate case id {cid} in {path}")
         log.cases[cid] = tuple(events)
     return log
 

@@ -1,4 +1,4 @@
-"""Place/transition nets with markings, firing and small analysis helpers."""
+"""Place/transition nets with markings and firing, and their file formats."""
 
 from __future__ import annotations
 
@@ -37,29 +37,19 @@ class PetriNet:
         trans_names = {t.name for t in self.transitions}
         if place_set & trans_names:
             raise ValueError("place and transition names must be disjoint")
-        self._by_name = {t.name: t for t in self.transitions}
         self.preset: dict[str, tuple[str, ...]] = {t.name: () for t in self.transitions}
         self.postset: dict[str, tuple[str, ...]] = {t.name: () for t in self.transitions}
-        place_in: dict[str, int] = {p: 0 for p in self.places}
-        place_out: dict[str, int] = {p: 0 for p in self.places}
         for src, dst in self.arcs:
             if src in place_set and dst in trans_names:
                 self.preset[dst] = self.preset[dst] + (src,)
-                place_out[src] += 1
             elif src in trans_names and dst in place_set:
                 self.postset[src] = self.postset[src] + (dst,)
-                place_in[dst] += 1
             else:
                 raise ValueError(f"arc {src}->{dst} is not place/transition bipartite")
-        self._place_in = place_in
-        self._place_out = place_out
         for marking in (self.initial_marking, self.final_marking):
             for p in marking:
                 if p not in place_set:
                     raise ValueError(f"marking references unknown place {p}")
-
-    def transition(self, name: str) -> Transition:
-        return self._by_name[name]
 
     def is_enabled(self, marking: Counter, name: str) -> bool:
         need = Counter(self.preset[name])
@@ -72,18 +62,6 @@ class PetriNet:
         out.subtract(Counter(self.preset[name]))
         out.update(Counter(self.postset[name]))
         return Counter({p: n for p, n in out.items() if n > 0})
-
-    def enabled_transitions(self, marking: Counter) -> list[str]:
-        return [t.name for t in self.transitions if self.is_enabled(marking, t.name)]
-
-    def source_places(self) -> tuple[str, ...]:
-        return tuple(p for p in self.places if self._place_in[p] == 0)
-
-    def sink_places(self) -> tuple[str, ...]:
-        return tuple(p for p in self.places if self._place_out[p] == 0)
-
-    def has_unique_source_and_sink(self) -> bool:
-        return len(self.source_places()) == 1 and len(self.sink_places()) == 1
 
     def __eq__(self, other):
         if not isinstance(other, PetriNet):

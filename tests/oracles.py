@@ -3,13 +3,15 @@ check the package.
 
 These are deliberately written against different data structures than the
 library (position dicts instead of byte boards, relaxation DP instead of
-best-first search, all-pairs scans and a union-find instead of bitsets and
-decisions made during a search) so a shared bug is unlikely.
+best-first search, name sets walked by depth-first search, all-pairs scans
+and a union-find instead of bitsets and decisions made during a search) so a
+shared bug is unlikely.
 """
 
 import math
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 
 from playmine.board import (
     Color,
@@ -21,7 +23,6 @@ from playmine.board import (
     legal_moves,
     winner,
 )
-from playmine.discovery import directly_follows
 from playmine.kernel import _pykernel
 from playmine.petri import PetriNet, Transition
 
@@ -199,6 +200,26 @@ def marking_key(marking: Counter) -> tuple:
     return tuple(sorted((p, n) for p, n in marking.items() if n > 0))
 
 
+def enabled_transitions(net: PetriNet, marking: Counter) -> list[Transition]:
+    return [t for t in net.transitions if net.is_enabled(marking, t.name)]
+
+
+def source_places(net: PetriNet) -> tuple[str, ...]:
+    """Places no arc enters."""
+    entered = {dst for _, dst in net.arcs}
+    return tuple(p for p in net.places if p not in entered)
+
+
+def sink_places(net: PetriNet) -> tuple[str, ...]:
+    """Places no arc leaves."""
+    left = {src for src, _ in net.arcs}
+    return tuple(p for p in net.places if p not in left)
+
+
+def has_unique_source_and_sink(net: PetriNet) -> bool:
+    return len(source_places(net)) == 1 and len(sink_places(net)) == 1
+
+
 def oracle_alignment_cost(trace, net, token_cap=None):
     """Bellman-style relaxation over the explicit product graph."""
     trace = tuple(trace)
@@ -259,14 +280,13 @@ def sample_complete_trace(net: PetriNet, rng: random.Random,
         for _ in range(max_steps):
             if marking == net.final_marking:
                 break
-            enabled = net.enabled_transitions(marking)
+            enabled = enabled_transitions(net, marking)
             if not enabled:
                 break
-            name = enabled[rng.randrange(len(enabled))]
-            t = net.transition(name)
+            t = enabled[rng.randrange(len(enabled))]
             if not t.silent:
                 labels.append(t.label)
-            marking = net.fire(marking, name)
+            marking = net.fire(marking, t.name)
         if marking == net.final_marking:
             return labels
     raise RuntimeError("could not sample a complete firing sequence")
@@ -287,17 +307,45 @@ def visible_language(net: PetriNet, max_len: int,
         marking, seq = queue.popleft()
         if marking_key(marking) == final_key:
             out.add(seq)
-        for name in net.enabled_transitions(marking):
-            t = net.transition(name)
+        for t in enabled_transitions(net, marking):
             nseq = seq if t.silent else seq + (t.label,)
             if len(nseq) > max_len:
                 continue
-            nm = net.fire(marking, name)
+            nm = net.fire(marking, t.name)
             key = (marking_key(nm), nseq)
             if key not in seen:
                 seen.add(key)
                 queue.append((nm, nseq))
     return out
+
+
+@dataclass
+class DirectlyFollowsGraph:
+    """The reference directly-follows graph: activity names and counted
+    edges, start and end activities."""
+    activities: set
+    edges: Counter
+    start_activities: Counter
+    end_activities: Counter
+
+
+def directly_follows(log) -> DirectlyFollowsGraph:
+    """The directly-follows graph of ``log``; empty traces add nothing."""
+    if not log.cases:
+        raise ValueError("directly_follows requires a non-empty log")
+    activities = set()
+    edges: Counter = Counter()
+    starts: Counter = Counter()
+    ends: Counter = Counter()
+    for _, trace in log.traces():
+        if not trace:
+            continue
+        activities.update(trace)
+        starts[trace[0]] += 1
+        ends[trace[-1]] += 1
+        for a, b in zip(trace, trace[1:]):
+            edges[(a, b)] += 1
+    return DirectlyFollowsGraph(activities, edges, starts, ends)
 
 
 def oracle_alpha_miner(log) -> PetriNet:
@@ -430,3 +478,98 @@ def oracle_seq_cut(dfg):
                     for g in groups}
     groups.sort(key=lambda g: predecessors[g])
     return "seq", groups
+
+
+def _components(nodes, neighbours) -> list[frozenset]:
+    """Connected components by depth-first search from each unseen node in
+    name order, sorted by their sorted members."""
+    nodes = sorted(nodes)
+    seen: set = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            for nxt in neighbours(cur):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    comp.add(nxt)
+                    stack.append(nxt)
+        comps.append(frozenset(comp))
+    comps.sort(key=lambda c: sorted(c))
+    return comps
+
+
+def oracle_xor_cut(dfg):
+    """Exclusive-choice cut: components of the undirected DFG;
+    ``("xor", groups)`` or None."""
+    adj: dict[str, set] = {a: set() for a in dfg.activities}
+    for a, b in dfg.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    comps = _components(dfg.activities, lambda n: adj[n])
+    if len(comps) < 2:
+        return None
+    return "xor", comps
+
+
+def oracle_par_cut(dfg):
+    """Parallel cut: components of the pairs not directly following each
+    other both ways, each with a start and an end activity; ``("par",
+    groups)`` or None."""
+    df = set(dfg.edges)
+    acts = sorted(dfg.activities)
+    adj: dict[str, set] = {a: set() for a in acts}
+    for i, a in enumerate(acts):
+        for b in acts[i + 1:]:
+            if not ((a, b) in df and (b, a) in df):
+                adj[a].add(b)
+                adj[b].add(a)
+    comps = _components(acts, lambda n: adj[n])
+    if len(comps) < 2:
+        return None
+    starts = set(dfg.start_activities)
+    ends = set(dfg.end_activities)
+    for comp in comps:
+        if not (comp & starts) or not (comp & ends):
+            return None
+    return "par", comps
+
+
+def oracle_loop_cut(dfg):
+    """Loop cut by scanning every edge for each component of the non-start,
+    non-end activities; ``("loop", [body, *redos])`` or None."""
+    starts = set(dfg.start_activities)
+    ends = set(dfg.end_activities)
+    core = starts | ends
+    rest = dfg.activities - core
+    if not rest:
+        return None
+    adj: dict[str, set] = {a: set() for a in rest}
+    for a, b in dfg.edges:
+        if a in rest and b in rest:
+            adj[a].add(b)
+            adj[b].add(a)
+    comps = _components(rest, lambda n: adj[n])
+    body = set(core)
+    redos = []
+    for comp in comps:
+        valid = True
+        for a, b in dfg.edges:
+            if b in comp and a not in comp and a not in ends:
+                valid = False
+                break
+            if a in comp and b not in comp and b not in starts:
+                valid = False
+                break
+        if valid:
+            redos.append(comp)
+        else:
+            body |= comp
+    if not redos:
+        return None
+    return "loop", [frozenset(body)] + sorted(redos, key=lambda c: sorted(c))

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +6,14 @@ from hypothesis import strategies as st
 
 from playmine.conformance import fitness_metrics, optimal_alignment
 from playmine.discovery import (
-    DirectlyFollowsGraph,
     ProcessTree,
+    _BitDfg,
+    _loop_cut,
+    _par_cut,
     _seq_cut,
+    _xor_cut,
     act,
     alpha_miner,
-    directly_follows,
     inductive_miner,
     loop,
     par,
@@ -23,7 +24,16 @@ from playmine.discovery import (
 from playmine.eventlog import EventLog
 from playmine.petri import net_to_json
 from helpers import mklog
-from oracles import oracle_alpha_miner, oracle_seq_cut, visible_language
+from oracles import (
+    directly_follows,
+    has_unique_source_and_sink,
+    oracle_alpha_miner,
+    oracle_loop_cut,
+    oracle_par_cut,
+    oracle_seq_cut,
+    oracle_xor_cut,
+    visible_language,
+)
 
 # the classic workflow-discovery teaching log
 TEXTBOOK = ["ABCD", "ACBD", "ABCD", "ACBD", "AED"]
@@ -33,7 +43,60 @@ def letters(trace):
     return tuple(trace)
 
 
+def random_tree(rng, acts):
+    """A random binary process tree over the activities ``acts``: a leaf is
+    an activity, an inner node ``(op, left, right)`` with op one of s(eq),
+    x(or), p(ar) and l(oop)."""
+    if len(acts) == 1:
+        return acts[0]
+    k = rng.randrange(1, len(acts))
+    return rng.choice("sxpl"), random_tree(rng, acts[:k]), random_tree(rng, acts[k:])
+
+
+def play(rng, tree) -> list:
+    """One random trace of ``random_tree``'s ``tree``."""
+    if isinstance(tree, str):
+        return [tree]
+    op, left, right = tree
+    if op == "s":
+        return play(rng, left) + play(rng, right)
+    if op == "x":
+        return play(rng, rng.choice((left, right)))
+    if op == "l":
+        out = play(rng, left)
+        while rng.random() < 0.5:
+            out += play(rng, right) + play(rng, left)
+        return out
+    a, b = play(rng, left), play(rng, right)  # par: a random interleaving
+    out = []
+    while a or b:
+        out.append((a if a and (not b or rng.random() < 0.5) else b).pop(0))
+    return out
+
+
+def random_traces(rng) -> list:
+    """Traces of a random process tree over up to 8 activities, sometimes
+    mixed with an empty trace, a single-activity trace or a random one."""
+    acts = rng.sample("abcdefgh", rng.randrange(1, 9))
+    tree = random_tree(rng, acts)
+    traces = [tuple(play(rng, tree)) for _ in range(rng.randrange(1, 16))]
+    if rng.random() < 0.2:
+        traces.append(())
+    if rng.random() < 0.2:
+        traces.append((rng.choice(acts),))
+    if rng.random() < 0.1:
+        traces.append(tuple(rng.choice(acts) for _ in range(rng.randrange(2, 6))))
+    return traces
+
+
+def bit_dfg(traces) -> _BitDfg:
+    return _BitDfg(sorted({a for t in traces for a in t}), traces)
+
+
 class TestDirectlyFollows:
+    """The reference DFG of the oracles, and the miners' bitset DFG against
+    it."""
+
     def test_textbook_log(self):
         dfg = directly_follows(mklog([letters(t) for t in TEXTBOOK]))
         assert set(dfg.edges) == {("A", "B"), ("B", "C"), ("C", "D"),
@@ -56,6 +119,23 @@ class TestDirectlyFollows:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             directly_follows(EventLog())
+
+    def test_bitset_dfg_matches_reference(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            traces = random_traces(rng)
+            dfg, want = bit_dfg(traces), directly_follows(mklog(traces))
+            assert dfg.alphabet == sorted(want.activities)
+            index = {a: k for k, a in enumerate(dfg.alphabet)}
+            edges = {(a, b) for a in dfg.alphabet for b in dfg.alphabet
+                     if dfg.succ[index[a]] >> index[b] & 1}
+            assert edges == set(want.edges), traces
+            assert all(dfg.pred[index[b]] >> index[a] & 1 == ((a, b) in edges)
+                       for a in dfg.alphabet for b in dfg.alphabet)
+            assert dfg.starts == sum(1 << index[a] for a in want.start_activities)
+            assert dfg.ends == sum(1 << index[a] for a in want.end_activities)
+            assert dfg.every == (1 << len(dfg.alphabet)) - 1
+            assert dfg.linked == [s | p for s, p in zip(dfg.succ, dfg.pred)]
 
 
 class TestAlphaMiner:
@@ -118,33 +198,41 @@ class TestAlphaMiner:
         assert looped >= 100
 
 
-class TestSeqCut:
-    """The bitset sequence cut against the union-find oracle.  After the
-    oracle's first merge pass, two activities in different classes are
-    reachable one way only, and every cross pair of two classes is reachable
-    the same way.  (Let x1, x2 be merged directly and y lie in another class
-    with x1 -> y -> x2.  If x1 and x2 reach each other, y reaches x1 too; if
-    neither reaches the other, x1 reaches x2 through y.  Both contradict,
-    and the rest follows along the chain of direct merges.)  So the fixpoint
-    merges only mutually reachable classes, of which there are none left,
-    and the partition does not depend on union order: it is the connected
-    components of "reachable both ways or neither way"."""
+class TestCuts:
+    """Each bitset cut against its oracle on the reference DFG of the same
+    random traces: the same groups in the same order.
 
-    def test_matches_union_find_oracle_on_random_dfgs(self):
+    The sequence oracle is a union-find.  After its first merge pass, two
+    activities in different classes are reachable one way only, and every
+    cross pair of two classes is reachable the same way.  (Let x1, x2 be
+    merged directly and y lie in another class with x1 -> y -> x2.  If x1
+    and x2 reach each other, y reaches x1 too; if neither reaches the other,
+    x1 reaches x2 through y.  Both contradict, and the rest follows along
+    the chain of direct merges.)  So the fixpoint merges only mutually
+    reachable classes, of which there are none left, and the partition does
+    not depend on union order: it is the connected components of "reachable
+    both ways or neither way"."""
+
+    @pytest.mark.parametrize("cut,oracle", [
+        (_xor_cut, oracle_xor_cut), (_seq_cut, oracle_seq_cut),
+        (_par_cut, oracle_par_cut), (_loop_cut, oracle_loop_cut),
+    ], ids=["xor", "seq", "par", "loop"])
+    def test_matches_oracle_on_random_traces(self, cut, oracle):
         rng = random.Random(4)
-        cuts = 0
-        for _ in range(3000):
-            acts = "abcdefghi"[:rng.randrange(1, 10)]
-            density = rng.choice((0.05, 0.15, 0.3, 0.6))
-            edges = Counter({(a, b): 1 for a in acts for b in acts
-                             if rng.random() < density})
-            dfg = DirectlyFollowsGraph(set(acts), edges, Counter(acts[:1]),
-                                       Counter(acts[-1:]))
-            want = oracle_seq_cut(dfg)
-            assert _seq_cut(dfg) == want, sorted(edges)
-            cuts += want is not None and len(want[1]) > 2
-        assert cuts >= 200
-
+        cuts = many = 0
+        for _ in range(2000):
+            traces = random_traces(rng)
+            dfg = bit_dfg(traces)
+            got = cut(dfg)
+            if got is not None:
+                kind, groups = got
+                got = kind, [frozenset(a for k, a in enumerate(dfg.alphabet) if g >> k & 1)
+                             for g in groups]
+            want = oracle(directly_follows(mklog(traces)))
+            assert got == want, traces
+            cuts += want is not None
+            many += want is not None and len(want[1]) > 2
+        assert cuts >= 150 and many >= 10
 
 class TestInductiveMiner:
     def test_sequence_with_concurrent_middle(self):
@@ -227,7 +315,7 @@ class TestTreeToNet:
             traces = [tuple(rng.choice("abcd") for _ in range(rng.randrange(1, 7)))
                       for _ in range(rng.randrange(1, 5))]
             net = tree_to_net(inductive_miner(mklog(traces)))
-            assert net.has_unique_source_and_sink()
+            assert has_unique_source_and_sink(net)
 
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from playmine.eventlog import (
     parse_movement,
 )
 from playmine.search import SearchConfig
+from helpers import mklog
 
 FAST = SearchConfig(iterations=10, simulation_depth=4, minimax_depth=1)
 
@@ -204,6 +205,15 @@ class TestLogIO:
         path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match=f"log.csv line 3: expected 2 fields, "
                                              f"got {got}$"):
+            import_log(path)
+
+    def test_xes_duplicate_case_id_rejected(self, tmp_path):
+        """Two traces with one concept:name are refused, naming the file
+        and the id, instead of the second replacing the first."""
+        path = tmp_path / "log.xes"
+        export_log(mklog([("a",), ("b",)]), path, "xes")
+        path.write_text(path.read_text().replace('value="2"', 'value="1"'))
+        with pytest.raises(ValueError, match=r"duplicate case id 1 in .*log\.xes$"):
             import_log(path)
 
     def test_unknown_format_rejected(self, tmp_path):

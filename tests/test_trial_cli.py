@@ -1,11 +1,15 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
+import playmine
 from playmine import cli, trial
 from playmine.cli import build_parser, export_dot, main
 from playmine.discovery import act, seq, tree_to_net
@@ -13,13 +17,15 @@ from playmine.episodes import EpisodeResult
 from playmine.eventlog import import_log
 from playmine.petri import PetriNet, Transition, load_net
 from playmine.trial import TrialSpec, TrialSummary, run_trial
+from oracles import has_unique_source_and_sink
+
+
+TINY = dict(trial=1, sweep_values=(5, 8), iterations=0, simulation_depth=3,
+            minimax_depth=1, episodes=2, seed=7, max_turns=30)
 
 
 def tiny_spec(**overrides):
-    base = dict(trial=1, sweep_values=(5, 8), iterations=0, simulation_depth=3,
-                minimax_depth=1, episodes=2, seed=7, max_turns=30)
-    base.update(overrides)
-    return TrialSpec(**base)
+    return TrialSpec(**{**TINY, **overrides})
 
 
 class TestTrialSpec:
@@ -92,12 +98,34 @@ class TestRunTrial:
         assert len(log) == 2
 
     def test_rerun_is_byte_identical(self, trial_out, tmp_path):
+        """A rerun in a new interpreter with another hash seed writes every
+        file of both cells and summary.json byte for byte, apart from the
+        two wall-time rows of global_statistics.csv."""
         out, _ = trial_out
         rerun = tmp_path / "rerun"
-        run_trial(tiny_spec(), rerun)
-        for rel in ("iterations=5/red_eventlog.csv", "iterations=8/white_eventlog.xes",
-                    "iterations=5/red_episode1.csv"):
-            assert (rerun / rel).read_bytes() == (out / rel).read_bytes()
+        env = dict(os.environ,
+                   PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+                   PYTHONPATH=os.pathsep.join([str(Path(playmine.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        code = ("from playmine.trial import TrialSpec, run_trial; "
+                f"run_trial(TrialSpec(**{TINY!r}), {str(rerun)!r})")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+        def files(root):
+            return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+        def untimed(data):
+            return [line for line in data.splitlines()
+                    if not line.startswith((b"Calc. Time", b"Pre-process time"))]
+
+        assert files(rerun) == files(out)
+        assert {rel.parts[0] for rel in files(out)} == {
+            "summary.json", "iterations=5", "iterations=8"}
+        for rel in files(out):
+            got, want = (rerun / rel).read_bytes(), (out / rel).read_bytes()
+            if rel.name == "global_statistics.csv":
+                got, want = untimed(got), untimed(want)
+            assert got == want, rel
 
     def test_cell_independence(self, trial_out, tmp_path):
         out, _ = trial_out
@@ -162,7 +190,7 @@ class TestCli:
         rc = main(["mine", "--log", str(log_path), "--miner", "inductive",
                    "--out", str(net_path)])
         assert rc == 0
-        assert load_net(net_path).has_unique_source_and_sink()
+        assert has_unique_source_and_sink(load_net(net_path))
 
         report_path = tmp_path / "report.csv"
         capsys.readouterr()
@@ -263,7 +291,12 @@ class TestCli:
          {}, "cannot explain: [Errno 2] No such file or directory: 'missing.csv'"),
         (["render", "--net", "net.json", "--out", "net.dot"],
          {"net.json": '{"places": []}'}, "cannot render: not a saved net: KeyError('transitions')"),
-    ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net"])
+        (["mine", "--log", "twice.xes", "--out", "net.json"],
+         {"twice.xes": '<log><trace><string key="concept:name" value="1"/></trace>'
+                       '<trace><string key="concept:name" value="1"/></trace></log>'},
+         "cannot mine: duplicate case id 1 in twice.xes"),
+    ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net",
+            "mine-duplicate-xes-case"])
     def test_bad_input_file_is_one_line(self, tmp_path, monkeypatch, capsys, argv, files,
                                         message):
         """A missing, empty or malformed log or net: one line on stderr and
