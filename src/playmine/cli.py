@@ -19,12 +19,18 @@ from .conformance import (
     fitness_metrics,
     write_report_csv,
 )
-from .episodes import check_game_settings
 from .eventlog import import_log
 from .explain import Explainer, NotFittingError, parse_context_string
 from .petri import PetriNet, load_net, save_net, to_dot
 from .search import SearchConfig
-from .trial import MINERS, TrialSpec, episode_logs, run_episodes, run_trial
+from .trial import (
+    MINERS,
+    TrialSpec,
+    check_batch_settings,
+    episode_logs,
+    run_episodes,
+    run_trial,
+)
 
 
 # What mine, check, explain and render raise for a missing, empty or
@@ -79,9 +85,7 @@ def _cmd_play(args) -> int:
                            minimax_depth=args.minimax_depth,
                            pruning_enabled=args.pruning,
                            reward=_reward_config(args))
-        if args.episodes < 1 or args.workers < 1:
-            raise ValueError("episodes and workers must be >= 1")
-        check_game_settings(args.pieces, args.max_turns)
+        check_batch_settings(args.episodes, args.workers, args.pieces, args.max_turns)
         out = _out_dir(args.out)
     except ValueError as exc:  # before any episode runs
         print(f"playmine play: {exc}", file=sys.stderr)

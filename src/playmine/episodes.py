@@ -49,15 +49,6 @@ class EpisodeResult:
         return self.winner is None
 
 
-def check_game_settings(pieces_per_side: int, max_turns: int) -> None:
-    """Raises ValueError unless a game can start with ``pieces_per_side``
-    pieces a side (1..12) and a cap of ``max_turns`` turns (at least 1)."""
-    if not 1 <= pieces_per_side <= 12:
-        raise ValueError("pieces_per_side must be between 1 and 12")
-    if max_turns < 1:
-        raise ValueError("max_turns must be >= 1")
-
-
 def abstract_move(frm: tuple[int, int], to: tuple[int, int]) -> tuple:
     """Signs of the displacement as direction words; zero components drop."""
     dx = to[0] - frm[0]

@@ -9,7 +9,6 @@ two-column CSV (task_id, transition) or as XES.
 
 from __future__ import annotations
 
-import ast
 import csv
 import math
 import sys
@@ -133,14 +132,6 @@ def _movement_cell(move: Movement) -> str:
     return str(int(move))
 
 
-def _parse_movement_cell(cell: str) -> Movement:
-    cell = cell.strip()
-    if cell in ("inf", "-inf"):
-        return math.inf if cell == "inf" else -math.inf
-    value = ast.literal_eval(cell)
-    return value if isinstance(value, tuple) else int(value)
-
-
 def export_episode_table(trace: Sequence[StepRecord], path) -> None:
     """Six-column CSV, one row per agent decision.
 
@@ -174,26 +165,6 @@ def _rows(reader, width: int, path: Path):
             raise ValueError(f"{path} line {reader.line_num}: expected {width} fields, "
                              f"got {len(row)}")
         yield row
-
-
-def import_episode_table(path) -> list[StepRecord]:
-    path = Path(path)
-    records = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file has no header
-        if tuple(header) != EPISODE_COLUMNS:
-            raise ValueError(f"unexpected episode table header in {path}: {header}")
-        for row in _rows(reader, len(EPISODE_COLUMNS), path):
-            records.append(StepRecord(
-                last_turn_enemy_piece_id=int(row[0]),
-                last_turn_enemy_movement=_parse_movement_cell(row[1]),
-                piece_id=int(row[2]),
-                move=_parse_movement_cell(row[3]),
-                captured=tuple(ast.literal_eval(row[4])),
-                reward=int(row[5]),
-            ))
-    return records
 
 
 def _export_log_csv(log: EventLog, path: Path) -> None:
@@ -233,6 +204,15 @@ def _export_log_xes(log: EventLog, path: Path) -> None:
     tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
+def _name_value(attr: ET.Element, path: Path) -> str:
+    """The ``value`` of a ``concept:name`` attribute; one without it is a
+    ValueError naming ``path``."""
+    value = attr.get("value")
+    if value is None:
+        raise ValueError(f"concept:name without a value in {path}")
+    return value
+
+
 def _import_log_xes(path: Path) -> EventLog:
     log = EventLog()
     root = ET.parse(path).getroot()
@@ -244,11 +224,11 @@ def _import_log_xes(path: Path) -> EventLog:
         events = []
         for child in trace_el:
             if child.tag.endswith("string") and child.get("key") == "concept:name":
-                cid = int(child.get("value"))
+                cid = int(_name_value(child, path))
             elif child.tag.endswith("event"):
                 for attr in child:
                     if attr.get("key") == "concept:name":
-                        label = attr.get("value")
+                        label = _name_value(attr, path)
                         events.append(labels.setdefault(label, label))
         if cid is None:
             raise ValueError(f"trace without concept:name in {path}")

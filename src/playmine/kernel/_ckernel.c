@@ -1,33 +1,17 @@
 /* Compiled twin of the four hot _pykernel ops: gen_moves, alpha-beta
- * minimax, rollout and search (the whole MCTS turn).  The other ops,
- * winner among them, are _pykernel's on every backend.
+ * minimax, rollout and search (the whole MCTS turn), and of new_memo.  The
+ * other ops, winner among them, are _pykernel's on every backend.
  *
- * Same 64-byte board encoding, same scan and enumeration order, same
- * first-in-order tie-breaking and the same Python return values as
- * _pykernel.py; the parity tests hold the two to identical outputs.  search
- * also keeps _pykernel's float operations in their order (see its module
- * docstring): UCT score reward / visits + c * sqrt(log_n / visits), backup
- * reward += pow(discount, dist) * delta, final pick by highest mean, each
- * compared with strict >, so both twins choose bit-identical moves.
- * minimax scores a leaf from material counts carried down the search (a
- * move changes them only by its captures and its crowning) where _pykernel
- * counts the leaf's board; the score is the same float expression on the
- * same counts, so it is bit-identical on every board.  The random moves of
- * search's minimax-depth-0 rollouts come from the same splitmix64 stream in
- * both twins, seeded by search's last argument, so search calls no Python
- * code.
- * A rollout step at minimax depth >= 1 is a function of its (state, side)
- * alone: the rules, points, king weight and depth are fixed and ties go to
- * the first move in gen order.  So rollout steps are looked up in a memo (a
- * transposition table, Greenblatt et al., 1967) keyed on the 64-byte state
- * and the side and compared by the full key, and only a step it has not seen
- * runs minimax; a hit returns what minimax returned, so the memo is exact.
- * A memo is a Memo handle from new_memo() that the caller may pass to many
- * searches, or one that a rollout or search call without a handle makes and
- * frees itself.  A handle is bound to the rules, points, king weight and
- * minimax depth of its first search and refuses any other; a search that
- * finds it more than half full empties it first, and it holds at most
- * MEMO_MAX entries (about 5 MB).  Depth-0 random playouts never touch it.
+ * _pykernel.py's module docstring states the contract the twins keep: board
+ * encoding, move order, the first-in-order tie rule, the float operations
+ * and their order, the one rollout loop (playout here), the final pick
+ * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
+ * the two to identical outputs.  Two things differ inside: minimax scores a
+ * leaf from material counts carried down the search (a move changes them
+ * only by its captures and its crowning) where _pykernel counts the leaf's
+ * board, the same float expression on the same counts, so it is
+ * bit-identical on every board; and the memo is an open-addressed table
+ * where _pykernel keeps a dict.  search calls no Python code.
  * playmine/kernel/__init__.py compiles this file on first import.
  */
 
@@ -501,48 +485,6 @@ memo_start(Memo *m, const Call *c, long mm_depth)
     return 0;
 }
 
-/* Minimax-guided playout: each step the side to move plays its own
- * depth-mm_depth minimax move, until sim_depth steps or a side with no
- * legal move.  A step is a function of (state, side) alone, so it is looked
- * up in the call's memo first and only a miss runs minimax.  Adds the
- * rewards to delta[white], delta[red]; 0, or -1 on error. */
-static int
-rollout(Call *c, const unsigned char *state, long to_move, long sim_depth,
-        long mm_depth, long delta[2])
-{
-    unsigned char cur[64];
-    long turn = to_move;
-    memcpy(cur, state, 64);
-    for (long steps = 0; steps < sim_depth; steps++) {
-        uint32_t hash = memo_hash(cur, turn);
-        size_t slot = 0;
-        const Entry *e = memo_find(c->memo, cur, turn, hash, &slot);
-        c->memo->steps++;
-        if (e != NULL) {
-            c->memo->hits++;
-            if (!e->found)
-                break;
-            delta[turn == WHITE ? 0 : 1] += e->reward;
-            memcpy(cur, e->next, 64);
-        }
-        else {
-            Move best;
-            int found;
-            long mat[4];
-            count_material(cur, mat);
-            minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
-            if (c->failed || memo_insert(c, cur, turn, hash, slot, found, &best) < 0)
-                return -1;
-            if (!found)
-                break;
-            delta[turn == WHITE ? 0 : 1] += best.reward;
-            memcpy(cur, best.state, 64);
-        }
-        turn = 1 - turn;
-    }
-    return 0;
-}
-
 /* ---- UCT search ---- */
 
 /* A search tree node.  The root's `move` holds only its state. */
@@ -619,7 +561,8 @@ tree_actions(Tree *t, Call *c, Py_ssize_t i)
 }
 
 /* The child of node i with the highest UCT score for its side to move; its
- * children are all visited. */
+ * children are all visited.  At explore 0 the score is the mean reward, which
+ * is search's final pick. */
 static Py_ssize_t
 uct_child(const Tree *t, Py_ssize_t i, double explore)
 {
@@ -667,26 +610,62 @@ splitmix64(uint64_t *state)
     return z ^ (z >> 31);
 }
 
-/* The search's rollout: rollout at mm_depth >= 1, else up to sim_depth
- * random moves, each the (splitmix64(rng) % len(moves))-th; 0, or -1 on
- * error. */
+/* The rollout from (state, turn), as _pykernel._playout: up to sim_depth
+ * steps, each the side to move's memo'd depth-mm_depth minimax move at
+ * mm_depth >= 1, else the (splitmix64(rng) % len(moves))-th of its moves,
+ * until a side has no legal move.  Adds the rewards to delta[white],
+ * delta[red]; 0, or -1 on error.  rng is read only at depth 0 and the memo
+ * only at depth >= 1. */
 static int
 playout(Call *c, const unsigned char *state, long turn, long sim_depth,
         long mm_depth, uint64_t *rng, long delta[2])
 {
-    if (mm_depth >= 1)
-        return rollout(c, state, turn, sim_depth, mm_depth, delta);
     unsigned char cur[64];
     memcpy(cur, state, 64);
     for (long steps = 0; steps < sim_depth; steps++) {
-        Py_ssize_t base = c->n, n = gen(c, cur, (int)turn);
-        if (n < 0)
-            return -1;
-        if (n == 0)
+        Py_ssize_t base = c->n;
+        const unsigned char *next = NULL; /* stays NULL when the side has no move */
+        long reward = 0;
+        Move best;
+        if (mm_depth < 1) {
+            Py_ssize_t n = gen(c, cur, (int)turn);
+            if (n < 0)
+                return -1;
+            if (n > 0) {
+                const Move *m = &c->moves[base + (Py_ssize_t)(splitmix64(rng) % (uint64_t)n)];
+                reward = m->reward;
+                next = m->state;
+            }
+        }
+        else {
+            uint32_t hash = memo_hash(cur, turn);
+            size_t slot = 0;
+            const Entry *e = memo_find(c->memo, cur, turn, hash, &slot);
+            c->memo->steps++;
+            if (e != NULL) {
+                c->memo->hits++;
+                if (e->found) {
+                    reward = e->reward;
+                    next = e->next;
+                }
+            }
+            else {
+                int found;
+                long mat[4];
+                count_material(cur, mat);
+                minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
+                if (c->failed || memo_insert(c, cur, turn, hash, slot, found, &best) < 0)
+                    return -1;
+                if (found) {
+                    reward = best.reward;
+                    next = best.state;
+                }
+            }
+        }
+        if (next == NULL)
             break;
-        const Move *m = &c->moves[base + (Py_ssize_t)(splitmix64(rng) % (uint64_t)n)];
-        delta[turn == WHITE ? 0 : 1] += m->reward;
-        memcpy(cur, m->state, 64);
+        delta[turn == WHITE ? 0 : 1] += reward;
+        memcpy(cur, next, 64);
         c->n = base;
         turn = 1 - turn;
     }
@@ -847,7 +826,7 @@ py_rollout(PyObject *self, PyObject *args)
     long delta[2] = {0, 0};
     Memo memo = {0};
     c.memo = &memo;
-    int rc = rollout(&c, BOARD(state), to_move, sim_depth, mm_depth, delta);
+    int rc = playout(&c, BOARD(state), to_move, sim_depth, mm_depth, NULL, delta);
     memo_free(&memo);
     call_free(&c);
     if (rc < 0)
@@ -978,15 +957,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
         backup(&t, i, delta, discount);
     }
-    Py_ssize_t best = -1;
-    double best_mean = -INFINITY;
-    for (Py_ssize_t k = t.nodes[0].first; k < t.nodes[0].first + t.nodes[0].nkids; k++) {
-        double mean = t.nodes[k].reward[t.nodes[0].turn] / (double)t.nodes[k].visits;
-        if (mean > best_mean) {
-            best_mean = mean;
-            best = k;
-        }
-    }
+    Py_ssize_t best = uct_child(&t, 0, 0.0);
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);

@@ -7,10 +7,10 @@ there; red men advance toward x = 0.  Dark squares have even x + y.
 
 The compiled backend (``_ckernel.c``, built on first import by
 ``kernel/__init__.py``) has twins of the four ops the search spends its
-time in, ``gen_moves``, ``minimax``, ``rollout`` and ``search``, and they
-must stay behaviourally identical: move enumeration order, tie-breaking,
-return types and the ValueErrors for bad arguments are part of the
-contract.  Each of the four checks its arguments on entry, in this order:
+time in, ``gen_moves``, ``minimax``, ``rollout`` and ``search``, and of
+``new_memo``, and they must stay behaviourally identical: move enumeration
+order, tie-breaking, return types and the ValueErrors for bad arguments are
+part of the contract.  Each of the four checks its arguments on entry, in this order:
 a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
 {0, 1}, points in ``0..MAX_POINTS``, a minimax depth of at most
 ``MAX_DEPTH``, then its own limits.  Those arguments, and the iterations,
@@ -23,20 +23,29 @@ so each twin has one copy of the rules.  This module is the fallback when no
 C compiler is available and the reference the parity tests compare against.
 
 ``search`` is the whole MCTS turn: UCT selection, one expansion, a rollout
-(``rollout``, or random moves at minimax depth 0) and the discounted backup,
-repeated ``iterations`` times.  Its random moves come from one splitmix64
-stream per call (``_Stream``), seeded by its ``seed`` argument, so the
-compiled twin calls no Python code.  Both twins keep the same float
-operations in the same order, so they choose bit-identical moves:
+and the discounted backup, repeated ``iterations`` times.  This docstring is
+the one statement of the contract both twins keep; ``_ckernel.c``,
+``search.py`` and the README point here.  Both twins make each of its
+choices in one place:
 
-* UCT score ``reward / visits + c * sqrt(log_n / visits)`` with
-  ``log_n = log(parent visits)`` (0.0 at 0 visits), compared with strict
-  ``>`` so the first child in move order wins ties;
-* backup ``reward += discount ** dist * delta`` on both sides, where
+* ties go to the first move in ``gen_moves`` order: ``minimax`` (one
+  alpha-beta loop for both sides) replaces its best move only on a strict
+  improvement, and ``_Tree.uct_child`` compares with a strict ``>``;
+* the same float operations in the same order, so the twins choose
+  bit-identical moves: UCT score ``reward / visits + c * sqrt(log_n /
+  visits)`` with ``log_n = log(parent visits)`` (0.0 at 0 visits), and
+  backup ``reward += discount ** dist * delta`` on both sides, where
   ``delta`` is the rollout's rewards plus the leaf's entry-move reward on
   the side that played it;
-* final pick: the root child of highest mean reward for the side to move,
-  again with strict ``>``.
+* one rollout loop, ``_playout``: each step is the side to move's
+  depth-``mm_depth`` minimax move, through the memo, at mm_depth >= 1, and
+  at depth 0 a draw from one splitmix64 stream per search (``_Stream``,
+  seeded by ``search``'s ``seed`` and read on from rollout to rollout, so
+  the compiled twin calls no Python code); it stops after ``sim_depth``
+  steps or at a side with no legal move.  ``rollout`` runs the same loop
+  with a memo of its own and no stream;
+* final pick: ``uct_child`` of the root at exploration 0.0, the root child
+  of highest mean reward for the side to move.
 
 A rollout step at minimax depth >= 1 is a pure function of (state, side to
 move): the rules, points, king weight and depth are fixed, and ties go to
@@ -52,7 +61,8 @@ minimax depth of its first search and refuses any other with a ValueError;
 each twin accepts only its own handles, else TypeError.  A search that
 finds its memo more than half full (over ``MEMO_MAX // 2`` entries) empties
 it first, and a memo stops inserting at ``MEMO_MAX`` entries, so both twins
-insert, hit and clear at the same steps.
+insert, hit and clear at the same steps.  Depth-0 rollouts never touch the
+memo.
 """
 
 from __future__ import annotations
@@ -287,30 +297,20 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
         moves = gen_moves(state, to_move, forced, capture_points, crown_points)
         if not moves:
             return evaluate(state, agent, king_weight), None
-        nxt = 1 - to_move
+        maximizing = to_move == agent
+        best_score = -INF if maximizing else INF
         best = None
-        if to_move == agent:
-            best_score = -INF
-            for mv in moves:
-                score = search(mv[5], nxt, depth - 1, alpha, beta)[0]
-                if score > best_score:
-                    best_score = score
-                    best = mv
-                    if score > alpha:
-                        alpha = score
-                    if alpha >= beta:
-                        break
-        else:
-            best_score = INF
-            for mv in moves:
-                score = search(mv[5], nxt, depth - 1, alpha, beta)[0]
-                if score < best_score:
-                    best_score = score
-                    best = mv
-                    if score < beta:
-                        beta = score
-                    if alpha >= beta:
-                        break
+        for mv in moves:
+            score = search(mv[5], 1 - to_move, depth - 1, alpha, beta)[0]
+            if score > best_score if maximizing else score < best_score:
+                best_score = score
+                best = mv
+                if maximizing and score > alpha:
+                    alpha = score
+                elif not maximizing and score < beta:
+                    beta = score
+                if alpha >= beta:
+                    break
         return best_score, best
 
     return search(state, to_move, depth, -INF, INF)
@@ -368,34 +368,8 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
-    return tuple(_rollout(state, to_move, sim_depth, mm_depth, forced, capture_points,
-                          crown_points, king_weight, Memo()))
-
-
-def _rollout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
-             king_weight, memo):
-    """``rollout``'s steps, looked up in and added to ``memo``, a ``Memo``;
-    a full memo inserts nothing."""
-    table = memo.table
-    delta = [0, 0]
-    for _ in range(sim_depth):
-        key = (state, turn)
-        memo.steps += 1
-        if key in table:
-            memo.hits += 1
-            step = table[key]
-        else:
-            _, mv = minimax(state, turn, turn, mm_depth, forced,
-                            capture_points, crown_points, king_weight)
-            step = None if mv is None else (mv[4], mv[5])
-            if len(table) < MEMO_MAX:
-                table[key] = step
-        if step is None:
-            break
-        delta[turn] += step[0]
-        state = step[1]
-        turn = 1 - turn
-    return delta
+    return tuple(_playout(state, to_move, sim_depth, mm_depth, forced, capture_points,
+                          crown_points, king_weight, None, Memo()))
 
 
 def prune_by_reward(moves):
@@ -432,24 +406,36 @@ class _Stream:
 
 def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
              king_weight, stream, memo):
-    """The search's rollout from (state, turn): ``[white, red]`` rewards.
+    """The rollout from (state, turn): ``[white, red]`` rewards.
 
-    At mm_depth >= 1 this is ``rollout``'s steps through the search's
-    ``memo`` (a ``Memo``), and ``stream`` is not read; below, each of up to
-    ``sim_depth`` steps plays ``moves[stream.below(len(moves))]`` and
-    ``memo`` is not touched.  [0, 0] from a position whose side to move has no legal move.
+    Each of up to ``sim_depth`` steps plays, for the side to move, its
+    depth-``mm_depth`` minimax move looked up in and added to ``memo`` (a
+    ``Memo``; a full one inserts nothing) at mm_depth >= 1, else
+    ``moves[stream.below(len(moves))]``.  It stops at a side with no legal
+    move.  ``stream`` is read only at depth 0 and ``memo`` only at depth >= 1.
     """
-    if mm_depth >= 1:
-        return _rollout(state, turn, sim_depth, mm_depth, forced, capture_points,
-                        crown_points, king_weight, memo)
+    table = memo.table
     delta = [0, 0]
     for _ in range(sim_depth):
-        moves = gen_moves(state, turn, forced, capture_points, crown_points)
-        if not moves:
+        if mm_depth < 1:
+            moves = gen_moves(state, turn, forced, capture_points, crown_points)
+            step = moves[stream.below(len(moves))][4:] if moves else None
+        else:
+            key = (state, turn)
+            memo.steps += 1
+            if key in table:
+                memo.hits += 1
+                step = table[key]
+            else:
+                _, mv = minimax(state, turn, turn, mm_depth, forced,
+                                capture_points, crown_points, king_weight)
+                step = None if mv is None else mv[4:]
+                if len(table) < MEMO_MAX:
+                    table[key] = step
+        if step is None:  # the side to move has no legal move
             break
-        mv = moves[stream.below(len(moves))]
-        delta[turn] += mv[4]
-        state = mv[5]
+        delta[turn] += step[0]
+        state = step[1]
         turn = 1 - turn
     return delta
 
@@ -509,7 +495,8 @@ class _Tree:
 
     def uct_child(self, i, c):
         """The child of node i with the highest UCT score for its side to
-        move (see the module docstring); every child must be visited."""
+        move (see the module docstring); every child must be visited.  At
+        ``c`` 0.0 the score is the mean reward, which is the final pick."""
         side = self.turn[i]
         log_n = log(self.visits[i]) if self.visits[i] > 0 else 0.0
         best = -1
@@ -585,11 +572,4 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
                          capture_points, crown_points, king_weight, stream, memo)
         delta[1 - tree.turn[i]] += tree.move[i][4]
         tree.backup(i, delta, discount)
-    best = -1
-    best_mean = -INF
-    for k in range(tree.first[0], tree.first[0] + tree.nkids[0]):
-        mean = tree.reward[k][side] / tree.visits[k]
-        if mean > best_mean:
-            best_mean = mean
-            best = k
-    return tree.move[best], nodes
+    return tree.move[tree.uct_child(0, 0.0)], nodes

@@ -3,29 +3,16 @@ conversion around the kernel's search.
 
 The whole search (UCT selection, expansion, minimax or seeded random
 rollouts and the discounted backup) runs in one ``kernel.search`` call per
-turn, in the kernel's encoding; ``kernel/_pykernel.py`` documents the
-algorithm and the float-operation order both kernel twins keep.
-``mcts_search`` is the one place that converts, building a ``ConcreteMove``
-and a ``GameBoard`` for the chosen root child.
-
-A node is terminal iff its side to move has no legal move, the same test
-the kernel's minimax and rollout use.  Depth-0 rollouts draw their moves
-from the kernel's splitmix64 stream seeded with ``cfg.rng_seed``; minimax
-rollouts read no randomness, and all tie-breaking is
-first-in-enumeration-order, so a given (board, config) pair always yields
-the same move, and at minimax depth 1 or more the seed does not change it.
-For the same reason a minimax rollout step depends only on its (state, side
-to move) under fixed rules: ``kernel.search`` looks each step up in a memo,
-keyed on the 64-byte state and the side and compared by the full key, and
-runs minimax only for a step the memo has not seen.  A hit returns what
-minimax returned, so the memo changes no move.  ``mcts_search`` passes the
-caller's ``kernel.new_memo()`` handle through, so a game's turns share one
-memo (``play_episode`` makes one per game); with none, the call makes its
-own.  A handle refuses a search under other rules, points, king weight or
-minimax depth; a search empties it when it is more than half full, and it
-holds at most ``_pykernel.MEMO_MAX`` (32,768) entries.  A handle belongs to
-one game in one process; independent searches may run in parallel
-processes.
+turn, in the kernel's encoding.  ``kernel/_pykernel.py``'s module docstring
+states what both kernel twins keep: the tie rule, the float operations and
+their order, the rollout loop and its memo, and the final pick.  So a given
+(board, config) pair always yields the same move, and at minimax depth 1 or
+more ``cfg.rng_seed`` does not change it.  ``mcts_search`` is the one place
+that converts, building a ``ConcreteMove`` and a ``GameBoard`` for the
+chosen root child.  It passes the caller's ``kernel.new_memo()`` handle
+through, so a game's turns share one memo (``play_episode`` makes one per
+game); with none, the call makes its own.  A handle belongs to one game in
+one process; independent searches may run in parallel processes.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Sequence
 from .board import RewardConfig
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
 from .discovery import alpha_miner, inductive_miner, tree_to_net
-from .episodes import EpisodeResult, check_game_settings, derive_seed, play_episode
+from .episodes import EpisodeResult, derive_seed, play_episode
 from .eventlog import build_event_log, export_episode_table, export_log
 from .petri import save_net, to_dot
 from .search import SearchConfig
@@ -51,9 +51,8 @@ class TrialSpec:
     def __post_init__(self):
         if self.trial not in SWEPT_PARAMS:
             raise ValueError("trial must be 1, 2 or 3")
-        if self.episodes < 1 or self.workers < 1:
-            raise ValueError("episodes and workers must be >= 1")
-        check_game_settings(self.pieces_per_side, self.max_turns)
+        check_batch_settings(self.episodes, self.workers, self.pieces_per_side,
+                             self.max_turns)
 
     @property
     def sweep_param(self) -> str:
@@ -95,6 +94,20 @@ class CellResult:
 class TrialSummary:
     spec: TrialSpec
     cells: list
+
+
+def check_batch_settings(episodes: int, workers: int, pieces_per_side: int,
+                         max_turns: int) -> None:
+    """Raises ValueError unless a batch can run: ``episodes`` games on
+    ``workers`` processes (both at least 1), each starting with
+    ``pieces_per_side`` pieces a side (1..12) and capped at ``max_turns``
+    turns (at least 1)."""
+    if episodes < 1 or workers < 1:
+        raise ValueError("episodes and workers must be >= 1")
+    if not 1 <= pieces_per_side <= 12:
+        raise ValueError("pieces_per_side must be between 1 and 12")
+    if max_turns < 1:
+        raise ValueError("max_turns must be >= 1")
 
 
 def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,

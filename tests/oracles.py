@@ -8,10 +8,13 @@ and a union-find instead of bitsets and decisions made during a search) so a
 shared bug is unlikely.
 """
 
+import ast
+import csv
 import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from pathlib import Path
 
 from playmine.board import (
     Color,
@@ -23,6 +26,8 @@ from playmine.board import (
     legal_moves,
     winner,
 )
+from playmine.episodes import StepRecord
+from playmine.eventlog import EPISODE_COLUMNS
 from playmine.kernel import _pykernel
 from playmine.petri import PetriNet, Transition
 
@@ -573,3 +578,39 @@ def oracle_loop_cut(dfg):
     if not redos:
         return None
     return "loop", [frozenset(body)] + sorted(redos, key=lambda c: sorted(c))
+
+
+def _parse_movement_cell(cell: str):
+    """A movement cell of an episode table: a direction tuple, an int or
+    +-inf."""
+    cell = cell.strip()
+    if cell in ("inf", "-inf"):
+        return math.inf if cell == "inf" else -math.inf
+    value = ast.literal_eval(cell)
+    return value if isinstance(value, tuple) else int(value)
+
+
+def import_episode_table(path) -> list[StepRecord]:
+    """The episode-table reference reader: the records of a table that
+    ``eventlog.export_episode_table`` wrote.  A wrong header, or a row
+    without six fields (naming its file and line), is a ValueError."""
+    path = Path(path)
+    records = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])  # an empty file has no header
+        if tuple(header) != EPISODE_COLUMNS:
+            raise ValueError(f"unexpected episode table header in {path}: {header}")
+        for row in reader:
+            if len(row) != len(EPISODE_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: expected "
+                                 f"{len(EPISODE_COLUMNS)} fields, got {len(row)}")
+            records.append(StepRecord(
+                last_turn_enemy_piece_id=int(row[0]),
+                last_turn_enemy_movement=_parse_movement_cell(row[1]),
+                piece_id=int(row[2]),
+                move=_parse_movement_cell(row[3]),
+                captured=tuple(ast.literal_eval(row[4])),
+                reward=int(row[5]),
+            ))
+    return records

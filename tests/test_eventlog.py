@@ -12,7 +12,6 @@ from playmine.eventlog import (
     export_log,
     format_label,
     format_movement,
-    import_episode_table,
     import_log,
     label_for,
     parse_label,
@@ -20,6 +19,7 @@ from playmine.eventlog import (
 )
 from playmine.search import SearchConfig
 from helpers import mklog
+from oracles import import_episode_table
 
 FAST = SearchConfig(iterations=10, simulation_depth=4, minimax_depth=1)
 
@@ -214,6 +214,18 @@ class TestLogIO:
         export_log(mklog([("a",), ("b",)]), path, "xes")
         path.write_text(path.read_text().replace('value="2"', 'value="1"'))
         with pytest.raises(ValueError, match=r"duplicate case id 1 in .*log\.xes$"):
+            import_log(path)
+
+    @pytest.mark.parametrize("where", ["trace", "event"])
+    def test_xes_name_without_value_rejected(self, tmp_path, where):
+        """A concept:name with no value, on a trace or on an event, is
+        refused naming the file, instead of int(None) failing or a None
+        label reaching the miners."""
+        path = tmp_path / "log.xes"
+        export_log(mklog([("a",)]), path, "xes")
+        value = 'value="1"' if where == "trace" else 'value="a"'
+        path.write_text(path.read_text().replace(value, ""))
+        with pytest.raises(ValueError, match=r"concept:name without a value in .*log\.xes$"):
             import_log(path)
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -160,7 +160,7 @@ def fuzz(ck, seed):
     returns the number of calls compared."""
     rng = random.Random(seed)
     exported = sorted(name for name in vars(ck) if not name.startswith("_"))
-    calls = 0
+    calls = shallow_rollouts = 0
     for kind, state, side in _positions(rng):
         forced = rng.random() < 0.7
         cap, crown = _points(rng), _points(rng)
@@ -176,6 +176,7 @@ def fuzz(ck, seed):
             want = _outcome(getattr(pk, op), args)
             got = _outcome(getattr(ck, op), args)
             assert got == want, (kind, op, args, got, want)
+            shallow_rollouts += want == ("ValueError", "rollout requires mm_depth >= 1")
             calls += 1
         # the position's searches share a memo, so a search whose rules
         # differ from the first is refused; one in ten passes the other
@@ -201,6 +202,9 @@ def fuzz(ck, seed):
             ("search", args[1:])
         assert c_memo.counts() == p_memo.counts(), ("memo counts", args[1:])
         calls += 1
+    # the compiled rollout runs search's loop with no stream, so it must
+    # refuse random (depth-0) rollouts as the pure twin does
+    assert shallow_rollouts, "no rollout below minimax depth 1 was fuzzed"
     return calls
 
 

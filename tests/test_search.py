@@ -469,6 +469,22 @@ class TestGameMemo:
             counts.append(memo.counts())
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_depth_zero_searches_never_touch_the_memo(self, twin):
+        """Random rollouts (minimax depth 0) draw from the stream and never
+        look up or insert a step: a game's depth-0 searches through one
+        handle choose the moves they choose without one and leave its
+        counts at zero."""
+        impl = twin_module(twin)
+        memo = impl.new_memo()
+        board, color = initial_board(3), Color.RED
+        for k in range(self.TURNS):
+            args = search_args(board, color, replace(self.CFG, minimax_depth=0, rng_seed=k))
+            found = impl.search(*args, memo=memo)
+            assert found == impl.search(*args), k
+            board, color = GameBoard(found[0][5], 3), color.opponent
+        assert memo.counts() == (0, 0, 0, 0)
+
     def test_play_episode_reports_its_memo(self, search_twin, monkeypatch):
         """``play_episode`` passes one memo to all turns and reports its
         counts, the same on both twins."""

@@ -295,8 +295,16 @@ class TestCli:
          {"twice.xes": '<log><trace><string key="concept:name" value="1"/></trace>'
                        '<trace><string key="concept:name" value="1"/></trace></log>'},
          "cannot mine: duplicate case id 1 in twice.xes"),
+        (["mine", "--log", "noid.xes", "--out", "net.json"],
+         {"noid.xes": '<log><trace><string key="concept:name"/></trace></log>'},
+         "cannot mine: concept:name without a value in noid.xes"),
+        (["check", "--log", "nolabel.xes", "--net", "net.json"],
+         {"nolabel.xes": '<log><trace><string key="concept:name" value="1"/>'
+                         '<event><string key="concept:name"/></event></trace></log>'},
+         "cannot replay: concept:name without a value in nolabel.xes"),
     ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net",
-            "mine-duplicate-xes-case"])
+            "mine-duplicate-xes-case", "mine-xes-case-without-id",
+            "check-xes-event-without-label"])
     def test_bad_input_file_is_one_line(self, tmp_path, monkeypatch, capsys, argv, files,
                                         message):
         """A missing, empty or malformed log or net: one line on stderr and
