@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .board import RewardConfig
@@ -36,8 +35,7 @@ from .trial import (
 # What mine, check, explain and render raise for a missing, empty or
 # malformed log or net, an unsound or non-fitting net, or a query the log
 # cannot answer; main reports it in one stderr line with exit code 1.
-INPUT_ERRORS = (OSError, ValueError, LookupError, ET.ParseError, ModelUnsoundError,
-                NotFittingError)
+INPUT_ERRORS = (OSError, ValueError, LookupError, ModelUnsoundError, NotFittingError)
 
 
 def export_dot(net: PetriNet, path) -> None:

@@ -5,6 +5,15 @@ A transition label packs one decision as
 and no whitespace, e.g. ``((-1,()),(2,(left,down)),0)``.  Episode tables use
 the six Table-style columns with Python-literal cells; event logs ship as a
 two-column CSV (task_id, transition) or as XES.
+
+The XES writer emits one fixed shape as text: a ``<log>`` of ``<trace>``
+elements, each holding its case id and then one ``<event>`` per label, every
+value in a ``<string key="concept:name" ... />``.  The reader parses with
+ElementTree and accepts any XES whose traces and events carry
+``concept:name`` strings, with or without the XES namespace.  A malformed
+log of either format (bad XML, a wrong CSV header or row width, a case id
+that is not an integer, a missing or duplicate name) is one ValueError that
+names the file.
 """
 
 from __future__ import annotations
@@ -30,10 +39,6 @@ class EventLog:
     """Maps each case id (an episode id) to its transition labels in turn order."""
 
     cases: dict[int, tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def alphabet(self) -> set:
-        return {label for labels in self.cases.values() for label in labels}
 
     def traces(self) -> list[tuple[int, tuple[str, ...]]]:
         return sorted(self.cases.items())
@@ -125,11 +130,8 @@ def build_event_log(traces: Iterable[tuple[int, Sequence[StepRecord]]]) -> Event
 
 
 def _movement_cell(move: Movement) -> str:
-    if isinstance(move, tuple):
-        return repr(move)
-    if move in (math.inf, -math.inf):
-        return "inf" if move == math.inf else "-inf"
-    return str(int(move))
+    """A movement as an episode-table cell: a direction tuple as its repr."""
+    return repr(move) if isinstance(move, tuple) else format_movement(move)
 
 
 def export_episode_table(trace: Sequence[StepRecord], path) -> None:
@@ -176,6 +178,16 @@ def _export_log_csv(log: EventLog, path: Path) -> None:
                 writer.writerow([cid, label])
 
 
+def _case_id(text: str, path: Path, line: int | None = None) -> int:
+    """``text`` as a case id; one that is not an integer is a ValueError
+    naming ``path`` and, for a CSV row, its ``line``."""
+    try:
+        return int(text)
+    except ValueError:
+        where = path if line is None else f"{path} line {line}"
+        raise ValueError(f"case id {text!r} is not an integer in {where}") from None
+
+
 def _import_log_csv(path: Path) -> EventLog:
     cases: dict[int, list[str]] = {}
     with path.open(newline="") as fh:
@@ -185,23 +197,42 @@ def _import_log_csv(path: Path) -> EventLog:
             raise ValueError(f"unexpected event log header in {path}: {header}")
         labels: dict[str, str] = {}  # one shared str per distinct label
         for row in _rows(reader, 2, path):
-            cases.setdefault(int(row[0]), []).append(labels.setdefault(row[1], row[1]))
+            cid = _case_id(row[0], path, reader.line_num)
+            cases.setdefault(cid, []).append(labels.setdefault(row[1], row[1]))
     return EventLog({cid: tuple(trace) for cid, trace in cases.items()})
 
 
+# ElementTree's attribute escapes, "&" first.  (xml.sax.saxutils.escape
+# would do, but importing it pulls in urllib.request, ssl and email.)
+_XES_ATTR_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+                      ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
+
+
+def _xes_name(value: str, indent: str) -> str:
+    for char, entity in _XES_ATTR_ENTITIES:
+        value = value.replace(char, entity)
+    return f'{indent}<string key="concept:name" value="{value}" />'
+
+
 def _export_log_xes(log: EventLog, path: Path) -> None:
-    root = ET.Element("log", {"xes.version": "1.0", "xmlns": XES_NS})
-    for cid, labels in log.traces():
-        trace_el = ET.SubElement(root, "trace")
-        ET.SubElement(trace_el, "string",
-                      {"key": "concept:name", "value": str(cid)})
-        for label in labels:
-            ev_el = ET.SubElement(trace_el, "event")
-            ET.SubElement(ev_el, "string",
-                          {"key": "concept:name", "value": label})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    """Writes the fixed XES shape as text, the bytes ElementTree's ``indent``
+    and ``write`` give for the same elements: two-space indents, no final
+    newline, and ``<log ... />`` for an empty log."""
+    lines = ["<?xml version='1.0' encoding='utf-8'?>"]
+    root = f'<log xes.version="1.0" xmlns="{XES_NS}"'
+    traces = log.traces()
+    if not traces:
+        lines.append(root + " />")
+    else:
+        lines.append(root + ">")
+        for cid, labels in traces:
+            lines += ("  <trace>", _xes_name(str(cid), "    "))
+            for label in labels:
+                lines += ("    <event>", _xes_name(label, "      "), "    </event>")
+            lines.append("  </trace>")
+        lines.append("</log>")
+    with path.open("w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("\n".join(lines))
 
 
 def _name_value(attr: ET.Element, path: Path) -> str:
@@ -215,7 +246,10 @@ def _name_value(attr: ET.Element, path: Path) -> str:
 
 def _import_log_xes(path: Path) -> EventLog:
     log = EventLog()
-    root = ET.parse(path).getroot()
+    try:
+        root = ET.parse(path).getroot()
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed XES in {path}: {exc}") from exc
     labels: dict[str, str] = {}  # one shared str per distinct label
     for trace_el in root:
         if not trace_el.tag.endswith("trace"):
@@ -224,7 +258,7 @@ def _import_log_xes(path: Path) -> EventLog:
         events = []
         for child in trace_el:
             if child.tag.endswith("string") and child.get("key") == "concept:name":
-                cid = int(_name_value(child, path))
+                cid = _case_id(_name_value(child, path), path)
             elif child.tag.endswith("event"):
                 for attr in child:
                     if attr.get("key") == "concept:name":

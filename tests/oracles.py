@@ -12,6 +12,7 @@ import ast
 import csv
 import math
 import random
+import xml.etree.ElementTree as ET
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from playmine.board import (
     winner,
 )
 from playmine.episodes import StepRecord
-from playmine.eventlog import EPISODE_COLUMNS
+from playmine.eventlog import EPISODE_COLUMNS, XES_NS
 from playmine.kernel import _pykernel
 from playmine.petri import PetriNet, Transition
 
@@ -614,3 +615,19 @@ def import_episode_table(path) -> list[StepRecord]:
                 reward=int(row[5]),
             ))
     return records
+
+
+def oracle_export_log_xes(log, path) -> None:
+    """The XES reference writer: builds the element tree of ``log`` and lets
+    ElementTree indent and serialize it, the bytes ``export_log(..., "xes")``
+    must match."""
+    root = ET.Element("log", {"xes.version": "1.0", "xmlns": XES_NS})
+    for cid, labels in log.traces():
+        trace_el = ET.SubElement(root, "trace")
+        ET.SubElement(trace_el, "string", {"key": "concept:name", "value": str(cid)})
+        for label in labels:
+            ev_el = ET.SubElement(trace_el, "event")
+            ET.SubElement(ev_el, "string", {"key": "concept:name", "value": label})
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -19,7 +19,7 @@ from playmine.eventlog import (
 )
 from playmine.search import SearchConfig
 from helpers import mklog
-from oracles import import_episode_table
+from oracles import import_episode_table, oracle_export_log_xes
 
 FAST = SearchConfig(iterations=10, simulation_depth=4, minimax_depth=1)
 
@@ -90,8 +90,8 @@ class TestBuildEventLog:
     def test_case_per_episode(self):
         rng = random.Random(2)
         log = random_log(rng, cases=10)
-        assert len(log) == 10
-        assert len(log.alphabet) >= 1
+        assert sorted(log.cases) == list(range(1, 11))
+        assert all(log.cases.values())
 
     def test_duplicate_case_rejected(self):
         rng = random.Random(3)
@@ -228,6 +228,80 @@ class TestLogIO:
         with pytest.raises(ValueError, match=r"concept:name without a value in .*log\.xes$"):
             import_log(path)
 
+    @pytest.mark.parametrize("fmt,where", [("csv", r"log\.csv line 3"), ("xes", r"log\.xes")])
+    def test_case_id_not_an_integer_rejected(self, tmp_path, fmt, where):
+        """A case id that is not an integer names the file (and the CSV
+        line) instead of int()'s bare message."""
+        path = tmp_path / f"log.{fmt}"
+        export_log(mklog([("a",), ("b",)]), path, fmt)
+        text = path.read_text()
+        path.write_text(text.replace("\n2,", "\nx,") if fmt == "csv"
+                        else text.replace('value="2"', 'value="x"'))
+        with pytest.raises(ValueError, match=f"case id 'x' is not an integer in .*{where}$"):
+            import_log(path)
+
+    @pytest.mark.parametrize("text,error", [
+        ("", "no element found: line 1, column 0"),
+        ("<log><trace>", "no element found: line 1, column 12"),
+        ("task_id,transition\n", "syntax error: line 1, column 0"),
+        ("<log></trace></log>", "mismatched tag: line 1, column 7"),
+    ], ids=["empty", "truncated", "not-xml", "mismatched"])
+    def test_malformed_xes_rejected(self, tmp_path, text, error):
+        """ElementTree's parse error becomes a ValueError naming the file."""
+        path = tmp_path / "log.xes"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^malformed XES in .*log\.xes: {error}$"):
+            import_log(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_log(EventLog(), tmp_path / "x.bin", "parquet")
+
+
+# Every character an XES attribute value escapes, and some it must keep.
+XES_CHARS = "&<>\"'\n\r\t" + "é漢\U0001F600" + "a(,) "
+
+
+def random_text_log(rng) -> EventLog:
+    """A log whose labels mix ``XES_CHARS``, with empty traces, empty labels
+    and negative case ids."""
+    cases = {}
+    for _ in range(rng.randrange(0, 6)):
+        cases[rng.randrange(-20, 20)] = tuple(
+            "".join(rng.choices(XES_CHARS, k=rng.randrange(0, 9)))
+            for _ in range(rng.randrange(0, 5)))
+    return EventLog(cases)
+
+
+class TestXesWriter:
+    def test_shape(self, tmp_path):
+        path = tmp_path / "log.xes"
+        export_log(EventLog({-1: (), 2: ("a&b",)}), path, "xes")
+        assert path.read_text(encoding="utf-8") == "\n".join([
+            "<?xml version='1.0' encoding='utf-8'?>",
+            '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">',
+            "  <trace>",
+            '    <string key="concept:name" value="-1" />',
+            "  </trace>",
+            "  <trace>",
+            '    <string key="concept:name" value="2" />',
+            "    <event>",
+            '      <string key="concept:name" value="a&amp;b" />',
+            "    </event>",
+            "  </trace>",
+            "</log>"])
+
+    def test_bytes_match_reference_writer_and_round_trip(self, tmp_path):
+        """The text writer writes ElementTree's bytes: every escaped
+        character, non-ASCII and astral labels, empty traces, negative ids
+        and the empty log (``<log ... />``)."""
+        rng = random.Random(11)
+        logs = [EventLog(), EventLog({-3: (), 0: (XES_CHARS, "")})]
+        logs += [random_text_log(rng) for _ in range(200)]
+        logs += [random_log(rng) for _ in range(20)]
+        for i, log in enumerate(logs):
+            ours, ref = tmp_path / f"{i}.xes", tmp_path / f"{i}.ref.xes"
+            export_log(log, ours, "xes")
+            oracle_export_log_xes(log, ref)
+            assert ours.read_bytes() == ref.read_bytes(), log
+            assert import_log(ours) == log

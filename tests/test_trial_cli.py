@@ -302,9 +302,26 @@ class TestCli:
          {"nolabel.xes": '<log><trace><string key="concept:name" value="1"/>'
                          '<event><string key="concept:name"/></event></trace></log>'},
          "cannot replay: concept:name without a value in nolabel.xes"),
+        (["mine", "--log", "badid.csv", "--out", "net.json"],
+         {"badid.csv": "task_id,transition\nx,a\n"},
+         "cannot mine: case id 'x' is not an integer in badid.csv line 2"),
+        (["explain", "--log", "badid.csv", "--layer", "1", "--context", "(-1,())"],
+         {"badid.csv": "task_id,transition\n1,a\n1.5,b\n"},
+         "cannot explain: case id '1.5' is not an integer in badid.csv line 3"),
+        (["mine", "--log", "badid.xes", "--out", "net.json"],
+         {"badid.xes": '<log><trace><string key="concept:name" value="x"/></trace></log>'},
+         "cannot mine: case id 'x' is not an integer in badid.xes"),
+        (["mine", "--log", "cut.xes", "--out", "net.json"],
+         {"cut.xes": "<log><trace>"},
+         "cannot mine: malformed XES in cut.xes: no element found: line 1, column 12"),
+        (["check", "--log", "cut.xes", "--net", "net.json"],
+         {"cut.xes": "<log><trace>"},
+         "cannot replay: malformed XES in cut.xes: no element found: line 1, column 12"),
     ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net",
             "mine-duplicate-xes-case", "mine-xes-case-without-id",
-            "check-xes-event-without-label"])
+            "check-xes-event-without-label", "mine-csv-case-id-not-int",
+            "explain-csv-case-id-not-int", "mine-xes-case-id-not-int", "mine-malformed-xes",
+            "check-malformed-xes"])
     def test_bad_input_file_is_one_line(self, tmp_path, monkeypatch, capsys, argv, files,
                                         message):
         """A missing, empty or malformed log or net: one line on stderr and
