@@ -8,18 +8,22 @@ two-column CSV (task_id, transition) or as XES.
 
 The XES writer emits one fixed shape as text: a ``<log>`` of ``<trace>``
 elements, each holding its case id and then one ``<event>`` per label, every
-value in a ``<string key="concept:name" ... />``.  The reader parses with
-ElementTree and accepts any XES whose traces and events carry
-``concept:name`` strings, with or without the XES namespace.  A malformed
-log of either format (bad XML, a wrong CSV header or row width, a case id
-that is not an integer, a missing or duplicate name) is one ValueError that
-names the file.
+value in a ``<string key="concept:name" ... />``.  A label holding a
+character XML 1.0 cannot carry is a ValueError naming the file and the
+label, raised before the file is opened.  The reader parses with
+ElementTree and accepts any XES whose traces and events carry one
+``concept:name`` string each, with or without the XES namespace.  A
+malformed log of either format (bad XML, a wrong CSV header or row width, a
+case id that is not an integer, a trace or event with no name or with more
+than one, a name without a value, a duplicate case id) is one ValueError
+that names the file.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -208,6 +212,11 @@ _XES_ATTR_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot
                       ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
+# What XML 1.0 cannot carry, not even as a character reference: C0 controls
+# other than tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _xes_name(value: str, indent: str) -> str:
     for char, entity in _XES_ATTR_ENTITIES:
         value = value.replace(char, entity)
@@ -231,8 +240,14 @@ def _export_log_xes(log: EventLog, path: Path) -> None:
                 lines += ("    <event>", _xes_name(label, "      "), "    </event>")
             lines.append("  </trace>")
         lines.append("</log>")
-    with path.open("w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
-        fh.write("\n".join(lines))
+    text = "\n".join(lines)
+    if _XML_FORBIDDEN.search(text):  # only a label can hold one
+        label = next(label for _, labels in traces for label in labels
+                     if _XML_FORBIDDEN.search(label))
+        raise ValueError(f"cannot write {path}: label {label!r} holds a character "
+                         f"XML 1.0 forbids")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _name_value(attr: ET.Element, path: Path) -> str:
@@ -242,6 +257,15 @@ def _name_value(attr: ET.Element, path: Path) -> str:
     if value is None:
         raise ValueError(f"concept:name without a value in {path}")
     return value
+
+
+def _one_name(attrs: list, what: str, path: Path) -> str:
+    """The value of a trace's or event's only ``concept:name``; none, or
+    more than one, is a ValueError naming ``path``."""
+    if len(attrs) != 1:
+        count = "without" if not attrs else "with more than one"
+        raise ValueError(f"{what} {count} concept:name in {path}")
+    return _name_value(attrs[0], path)
 
 
 def _import_log_xes(path: Path) -> EventLog:
@@ -254,18 +278,16 @@ def _import_log_xes(path: Path) -> EventLog:
     for trace_el in root:
         if not trace_el.tag.endswith("trace"):
             continue
-        cid = None
+        names = []
         events = []
         for child in trace_el:
             if child.tag.endswith("string") and child.get("key") == "concept:name":
-                cid = _case_id(_name_value(child, path), path)
+                names.append(child)
             elif child.tag.endswith("event"):
-                for attr in child:
-                    if attr.get("key") == "concept:name":
-                        label = _name_value(attr, path)
-                        events.append(labels.setdefault(label, label))
-        if cid is None:
-            raise ValueError(f"trace without concept:name in {path}")
+                label = _one_name([attr for attr in child
+                                   if attr.get("key") == "concept:name"], "event", path)
+                events.append(labels.setdefault(label, label))
+        cid = _case_id(_one_name(names, "trace", path), path)
         if cid in log.cases:
             raise ValueError(f"duplicate case id {cid} in {path}")
         log.cases[cid] = tuple(events)

@@ -6,12 +6,20 @@ or by a chaining future reward when every observed reward is zero), the same
 query aimed at a future layer, and the rejection rationale for an observed
 alternative.  Queries are only meaningful on a log whose mined model is
 fitting; the Explainer front end enforces that gate.
+
+A view indexes its layers once, in the pass that builds them: per layer,
+each context's entries in layer order and each context's first
+positive-reward entry.  Queries find their matches by lookup, and a view
+ranks each (layer, context, lookahead) once, handing the same
+Recommendation to every later recommend or why_not on that key.  The view
+and the three result types are frozen, so neither the index nor a cached
+answer can drift from the layers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .conformance import FITTING, FitnessReport, classify_fitting, fitness_metrics
@@ -37,9 +45,17 @@ class LayerEntry:
     reward: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayeredView:
+    """Built by ``layered_view``, which fills the index beside the layers."""
+
     layers: tuple
+    # per layer: context -> its entries in layer order
+    _contexts: tuple = field(repr=False, compare=False)
+    # per layer: context -> its first entry with a positive reward
+    _scoring: tuple = field(repr=False, compare=False)
+    # (layer, context, lookahead) -> its Recommendation
+    _ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def layer(self, number: int) -> tuple:
         """Layers are 1-based, matching 'first layer', 'second layer' usage."""
@@ -47,11 +63,17 @@ class LayeredView:
             raise IndexError(f"layer {number} out of range 1..{len(self.layers)}")
         return self.layers[number - 1]
 
+    def _matches(self, number: int, context: tuple):
+        """The entries with ``context`` at layer ``number``, in layer order;
+        IndexError as in ``layer``."""
+        self.layer(number)
+        return self._contexts[number - 1].get(context, ())
+
     def __len__(self):
         return len(self.layers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recommendation:
     context: tuple
     action: tuple
@@ -76,7 +98,7 @@ class Recommendation:
                 f"context scores any points within the lookahead window.")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WhyNotReport:
     context: tuple
     recommended: tuple
@@ -107,37 +129,40 @@ def _fmt_move(move) -> str:
 
 def layered_view(log: EventLog) -> LayeredView:
     """Groups events by their turn index within their case, first-seen order,
-    duplicates collapsed.  Each distinct label is parsed once."""
+    duplicates collapsed, and indexes each layer in the same pass.  Each
+    distinct label is parsed once."""
     if not log.cases:
         raise ValueError("layered_view requires a non-empty log")
     entries: dict = {}  # label -> its LayerEntry
-    layers: list[list[LayerEntry]] = []
-    seen: list[set] = []
+    layers: list[dict] = []  # per layer: its entries as keys, first-seen order
+    contexts: list[dict] = []
+    scoring: list[dict] = []
     for _, labels in log.traces():
         for k, label in enumerate(labels):
             entry = entries.get(label)
             if entry is None:
                 entry = entries[label] = LayerEntry(*parse_label(label))
             if k == len(layers):
-                layers.append([])
-                seen.append(set())
-            if entry not in seen[k]:
-                seen[k].add(entry)
-                layers[k].append(entry)
-    return LayeredView(tuple(tuple(layer) for layer in layers))
+                layers.append({})
+                contexts.append({})
+                scoring.append({})
+            if entry not in layers[k]:
+                layers[k][entry] = None
+                contexts[k].setdefault(entry.context, []).append(entry)
+                if entry.reward > 0:
+                    scoring[k].setdefault(entry.context, entry)
+    return LayeredView(tuple(tuple(layer) for layer in layers), tuple(contexts),
+                       tuple(scoring))
 
 
 def _future_distance(view: LayeredView, layer: int, action: tuple,
                      lookahead: int) -> tuple[float, Optional[LayerEntry]]:
     """Earliest layer offset (<= lookahead) holding a positive-reward
     transition whose context equals ``action``; inf when none chains."""
-    for offset in range(1, lookahead + 1):
-        number = layer + offset
-        if number > len(view):
-            break
-        for entry in view.layer(number):
-            if entry.reward > 0 and entry.context == action:
-                return offset, entry
+    for offset, scoring in enumerate(view._scoring[layer:layer + lookahead], 1):
+        entry = scoring.get(action)
+        if entry is not None:
+            return offset, entry
     return math.inf, None
 
 
@@ -152,10 +177,21 @@ def recommend(view: LayeredView, layer: int, context: tuple,
 
     Picks the maximal immediate reward; when every matching reward is zero,
     falls back to the action with the earliest chaining positive-reward
-    transition within ``lookahead`` layers (>= 0, else ValueError).
+    transition within ``lookahead`` layers (>= 0, else ValueError).  The
+    view ranks each (layer, context, lookahead) once and returns that same
+    Recommendation on every later query.
     """
     _check_lookahead(lookahead)
-    matches = [e for e in view.layer(layer) if e.context == context]
+    key = (layer, context, lookahead)
+    rec = view._ranked.get(key)
+    if rec is None:
+        rec = view._ranked[key] = _rank(view, layer, context, lookahead)
+    return rec
+
+
+def _rank(view: LayeredView, layer: int, context: tuple,
+          lookahead: int) -> Recommendation:
+    matches = view._matches(layer, context)
     if not matches:
         raise NoObservationError(
             f"no transition with context {context} observed at layer {layer}")
@@ -168,39 +204,27 @@ def recommend(view: LayeredView, layer: int, context: tuple,
     best = ranked_entries[0]
     ranked = tuple((e.action, e.reward) for e in ranked_entries)
 
-    if best.reward > 0:
-        return Recommendation(context, best.action, best.reward,
-                              "immediate-reward", None, ranked)
-    dist, supporting = futures[best.action]
-    if supporting is not None:
-        return Recommendation(context, best.action, best.reward,
-                              "future-reward", supporting, ranked)
-    return Recommendation(context, best.action, best.reward,
-                          "immediate-reward", None, ranked)
+    supporting = None if best.reward > 0 else futures[best.action][1]
+    kind = "immediate-reward" if supporting is None else "future-reward"
+    return Recommendation(context, best.action, best.reward, kind, supporting, ranked)
 
 
 def why_not(view: LayeredView, layer: int, context: tuple, alternative: tuple,
             lookahead: int = LOOKAHEAD_DEFAULT) -> WhyNotReport:
     """Rejection rationale for an observed alternative action; ``lookahead``
-    as in ``recommend``."""
+    as in ``recommend``, whose cached ranking of the context it reuses."""
     _check_lookahead(lookahead)
-    matches = [e for e in view.layer(layer) if e.context == context]
-    alt = next((e for e in matches if e.action == alternative), None)
-    if alt is None:
+    for alt in view._matches(layer, context):
+        if alt.action == alternative:
+            break
+    else:
         raise NoObservationError(
             f"alternative {alternative} not observed at layer {layer} "
             f"with context {context}")
     rec = recommend(view, layer, context, lookahead)
     _, future = _future_distance(view, layer, alternative, lookahead)
-    return WhyNotReport(
-        context=context,
-        recommended=rec.action,
-        recommended_reward=rec.reward,
-        alternative=alternative,
-        alternative_reward=alt.reward,
-        gap=rec.reward - alt.reward,
-        alternative_future=future,
-    )
+    return WhyNotReport(context, rec.action, rec.reward, alternative, alt.reward,
+                        rec.reward - alt.reward, future)
 
 
 def parse_context_string(text: str) -> tuple:

@@ -29,6 +29,7 @@ from playmine.board import (
 )
 from playmine.episodes import StepRecord
 from playmine.eventlog import EPISODE_COLUMNS, XES_NS
+from playmine.explain import NoObservationError, Recommendation, WhyNotReport
 from playmine.kernel import _pykernel
 from playmine.petri import PetriNet, Transition
 
@@ -631,3 +632,63 @@ def oracle_export_log_xes(log, path) -> None:
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+def _oracle_check_lookahead(lookahead: int) -> None:
+    if lookahead < 0:
+        raise ValueError(f"lookahead must be >= 0, got {lookahead}")
+
+
+def oracle_future_distance(view, layer: int, action: tuple, lookahead: int):
+    """Earliest layer offset (<= lookahead) holding a positive-reward entry
+    whose context equals ``action``, and that entry; (inf, None) when none
+    chains.  Scans each later layer entry by entry."""
+    for offset in range(1, lookahead + 1):
+        number = layer + offset
+        if number > len(view):
+            break
+        for entry in view.layer(number):
+            if entry.reward > 0 and entry.context == action:
+                return offset, entry
+    return math.inf, None
+
+
+def oracle_recommend(view, layer: int, context: tuple, lookahead: int) -> Recommendation:
+    """The reference ``explain.recommend``: scans the whole layer for the
+    context and ranks its entries by reward, then chain distance, then the
+    layer position of the action's last entry."""
+    _oracle_check_lookahead(lookahead)
+    matches = [e for e in view.layer(layer) if e.context == context]
+    if not matches:
+        raise NoObservationError(
+            f"no transition with context {context} observed at layer {layer}")
+    futures = {e.action: oracle_future_distance(view, layer, e.action, lookahead)
+               for e in matches}
+    order = {e.action: i for i, e in enumerate(matches)}
+    ranked_entries = sorted(
+        matches, key=lambda e: (-e.reward, futures[e.action][0], order[e.action]))
+    best = ranked_entries[0]
+    ranked = tuple((e.action, e.reward) for e in ranked_entries)
+    supporting = futures[best.action][1]
+    if best.reward > 0 or supporting is None:
+        return Recommendation(context, best.action, best.reward,
+                              "immediate-reward", None, ranked)
+    return Recommendation(context, best.action, best.reward,
+                          "future-reward", supporting, ranked)
+
+
+def oracle_why_not(view, layer: int, context: tuple, alternative: tuple,
+                   lookahead: int) -> WhyNotReport:
+    """The reference ``explain.why_not``: scans the layer for the first
+    entry of the alternative, then ranks the context afresh."""
+    _oracle_check_lookahead(lookahead)
+    matches = [e for e in view.layer(layer) if e.context == context]
+    alt = next((e for e in matches if e.action == alternative), None)
+    if alt is None:
+        raise NoObservationError(
+            f"alternative {alternative} not observed at layer {layer} "
+            f"with context {context}")
+    rec = oracle_recommend(view, layer, context, lookahead)
+    _, future = oracle_future_distance(view, layer, alternative, lookahead)
+    return WhyNotReport(context, rec.action, rec.reward, alternative, alt.reward,
+                        rec.reward - alt.reward, future)

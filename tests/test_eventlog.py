@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -228,6 +229,29 @@ class TestLogIO:
         with pytest.raises(ValueError, match=r"concept:name without a value in .*log\.xes$"):
             import_log(path)
 
+    @pytest.mark.parametrize("body,error", [
+        ('<trace><string key="concept:name" value="1"/>'
+         '<event><string key="other" value="a"/></event>'
+         '<event><string key="concept:name" value="b"/></event></trace>',
+         "event without concept:name"),
+        ('<trace><string key="concept:name" value="1"/>'
+         '<event><string key="concept:name" value="a"/>'
+         '<string key="concept:name" value="b"/></event></trace>',
+         "event with more than one concept:name"),
+        ('<trace><string key="concept:name" value="2"/>'
+         '<event><string key="concept:name" value="b"/></event>'
+         '<string key="concept:name" value="3"/></trace>',
+         "trace with more than one concept:name"),
+    ], ids=["event-without-name", "event-named-twice", "trace-named-twice"])
+    def test_xes_trace_or_event_without_one_name_rejected(self, tmp_path, body, error):
+        """An event with no concept:name, or a trace or event with two, is
+        refused naming the file, instead of the event being dropped or
+        split, or the last trace name winning."""
+        path = tmp_path / "log.xes"
+        path.write_text(f"<log>{body}</log>")
+        with pytest.raises(ValueError, match=rf"^{error} in .*log\.xes$"):
+            import_log(path)
+
     @pytest.mark.parametrize("fmt,where", [("csv", r"log\.csv line 3"), ("xes", r"log\.xes")])
     def test_case_id_not_an_integer_rejected(self, tmp_path, fmt, where):
         """A case id that is not an integer names the file (and the CSV
@@ -290,6 +314,19 @@ class TestXesWriter:
             "    </event>",
             "  </trace>",
             "</log>"])
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800",
+                                      "\udfff", "\ufffe", "\uffff"])
+    def test_label_xml_cannot_carry_rejected(self, tmp_path, char):
+        """A label holding a character XML 1.0 forbids is refused, naming the
+        file and the label, before the file is opened; the file that would
+        not parse back is never written."""
+        path = tmp_path / "ctl.xes"
+        label = f"a{char}b"
+        with pytest.raises(ValueError, match=rf"^cannot write .*ctl\.xes: label "
+                                             rf"{re.escape(repr(label))} holds"):
+            export_log(EventLog({1: ("ok",), 2: (label,)}), path, "xes")
+        assert not path.exists()
 
     def test_bytes_match_reference_writer_and_round_trip(self, tmp_path):
         """The text writer writes ElementTree's bytes: every escaped

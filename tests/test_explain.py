@@ -1,3 +1,6 @@
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from playmine.conformance import fitness_metrics
@@ -7,12 +10,15 @@ from playmine.explain import (
     Explainer,
     NoObservationError,
     NotFittingError,
+    Recommendation,
+    WhyNotReport,
     layered_view,
     parse_context_string,
     recommend,
     why_not,
 )
 from helpers import mklog
+from oracles import oracle_recommend, oracle_why_not
 
 
 def L(last_id, last_move, pid, move, reward):
@@ -73,6 +79,11 @@ class TestLayeredView:
             view.layer(0)
         with pytest.raises(IndexError):
             view.layer(99)
+
+    def test_view_is_frozen(self):
+        view = layered_view(mklog(WHITE_CASES))
+        with pytest.raises(FrozenInstanceError):
+            view.layers = ()
 
 
 class TestRecommend:
@@ -166,6 +177,72 @@ def test_negative_lookahead_is_refused():
     with pytest.raises(ValueError, match="lookahead must be >= 0, got -1"):
         Explainer.from_log(log, lookahead=-1)
     assert recommend(view, 2, context, lookahead=0).action == action
+
+
+# (id, movement) pairs that serve as both contexts and actions, so actions
+# chain into later contexts; the last one is never logged.
+PAIRS = [(-1, ()), (1, ("left", "up")), (2, ("right", "down")), (3, ("up",)),
+         (2, ("left", "up")), (9, ("down",))]
+
+
+def random_explain_log(rng):
+    """Several variants over ``PAIRS[:-1]``: some traces empty, some logs
+    scoring nowhere, others scoring rarely (so zero-reward layers chain into
+    later scores), and at times one context and action logged with two
+    rewards."""
+    score = rng.choice([0.0, 0.15, 0.4])
+    traces = []
+    for _ in range(rng.randrange(1, 8)):
+        trace = []
+        for _ in range(rng.choice([0, 1, 3, 5, 7])):
+            context, action = rng.choices(PAIRS[:-1], k=2)
+            reward = rng.choice([7, 14]) if rng.random() < score else 0
+            trace.append(L(*context, *action, reward))
+        traces.append(trace)
+    return mklog(traces)
+
+
+def outcome(query, *args):
+    """The query's result, or its exception as (type, message)."""
+    try:
+        return query(*args)
+    except Exception as exc:  # compared against the oracle's, type and text
+        return type(exc), str(exc)
+
+
+def test_indexed_queries_match_the_linear_scan_oracle():
+    """On random logs, for every layer (and one out of range on each side),
+    every observed and unobserved context and alternative and lookaheads
+    -1..3, queried in random order: recommend and why_not give the oracle's
+    value or its exception; a repeated query gives the same frozen answer;
+    and each lookahead has its own."""
+    rng = random.Random(19)
+    for _ in range(60):
+        view = layered_view(random_explain_log(rng))
+        keys = [(layer, context, lookahead)
+                for layer in range(0, len(view) + 2)
+                for context in PAIRS
+                for lookahead in range(-1, 4)]
+        rng.shuffle(keys)
+        for layer, context, lookahead in keys:
+            rec = outcome(recommend, view, layer, context, lookahead)
+            assert rec == outcome(oracle_recommend, view, layer, context, lookahead)
+            for alternative in PAIRS:
+                args = (view, layer, context, alternative, lookahead)
+                report = outcome(why_not, *args)
+                assert report == outcome(oracle_why_not, *args)
+                assert outcome(why_not, *args) == report
+                if isinstance(report, WhyNotReport):
+                    with pytest.raises(FrozenInstanceError):
+                        report.gap = -1
+            if isinstance(rec, Recommendation):
+                assert recommend(view, layer, context, lookahead) is rec
+                with pytest.raises(FrozenInstanceError):
+                    rec.reward = -1
+                assert all(recommend(view, layer, context, other) is not rec
+                           for other in range(4) if other != lookahead)
+            else:
+                assert outcome(recommend, view, layer, context, lookahead) == rec
 
 
 class TestExplainerGate:

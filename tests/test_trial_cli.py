@@ -302,6 +302,14 @@ class TestCli:
          {"nolabel.xes": '<log><trace><string key="concept:name" value="1"/>'
                          '<event><string key="concept:name"/></event></trace></log>'},
          "cannot replay: concept:name without a value in nolabel.xes"),
+        (["check", "--log", "other.xes", "--net", "net.json"],
+         {"other.xes": '<log><trace><string key="concept:name" value="1"/>'
+                       '<event><string key="other" value="a"/></event></trace></log>'},
+         "cannot replay: event without concept:name in other.xes"),
+        (["mine", "--log", "renamed.xes", "--out", "net.json"],
+         {"renamed.xes": '<log><trace><string key="concept:name" value="2"/>'
+                         '<string key="concept:name" value="3"/></trace></log>'},
+         "cannot mine: trace with more than one concept:name in renamed.xes"),
         (["mine", "--log", "badid.csv", "--out", "net.json"],
          {"badid.csv": "task_id,transition\nx,a\n"},
          "cannot mine: case id 'x' is not an integer in badid.csv line 2"),
@@ -319,7 +327,8 @@ class TestCli:
          "cannot replay: malformed XES in cut.xes: no element found: line 1, column 12"),
     ], ids=["mine-empty-log", "check-short-row", "explain-missing-log", "render-malformed-net",
             "mine-duplicate-xes-case", "mine-xes-case-without-id",
-            "check-xes-event-without-label", "mine-csv-case-id-not-int",
+            "check-xes-event-without-label", "check-xes-event-without-name",
+            "mine-xes-trace-named-twice", "mine-csv-case-id-not-int",
             "explain-csv-case-id-not-int", "mine-xes-case-id-not-int", "mine-malformed-xes",
             "check-malformed-xes"])
     def test_bad_input_file_is_one_line(self, tmp_path, monkeypatch, capsys, argv, files,
