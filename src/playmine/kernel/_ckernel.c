@@ -6,13 +6,18 @@
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
- * the two to identical outputs.  Two things differ inside: minimax scores a
- * leaf from material counts carried down the search (a move changes them
- * only by its captures and its crowning) where _pykernel counts the leaf's
- * board, the same float expression on the same counts, so it is
- * bit-identical on every board; and the memo is an open-addressed table
- * where _pykernel keeps a dict.  search calls no Python code.
- * playmine/kernel/__init__.py compiles this file on first import.
+ * the two to identical outputs.  Three things differ inside: gen finds the
+ * movable pieces from 64-bit masks of the board (own pieces, opponent
+ * pieces, empty squares) where _pykernel scans the squares, and emits the
+ * same moves in the same order; minimax scores a leaf from material counts
+ * carried down the search (a move changes them only by its captures and
+ * its crowning) where _pykernel counts the leaf's board, the same float
+ * expression on the same counts, so it is bit-identical on every board;
+ * and the memo is an open-addressed table where _pykernel keeps a dict.
+ * search calls no Python code.  playmine/kernel/__init__.py compiles this
+ * file on first import; gen needs the GCC/Clang builtin __builtin_ctzll,
+ * and a compiler without it fails the build, so the pure kernel is used
+ * and the reason logged.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -34,8 +39,35 @@
  * The parity tests play a 9-capture chain. */
 #define MAXCAPS 9
 
-static const int DXS[4] = {1, 1, -1, -1};
-static const int DYS[4] = {1, -1, 1, -1};
+/* A step in direction d moves a piece from square idx to idx + DELTA[d],
+ * by (dx, dy) = (1, 1), (1, -1), (-1, 1) and (-1, -1) in turn: white men
+ * use the first two directions, red men the last two. */
+static const int DELTA[4] = {9, 7, -7, -9};
+
+/* Bit idx of STEP_ON[d] (JUMP_ON[d]) is set when a step (a jump) in
+ * direction d from square idx stays on the board; init_tables fills them
+ * when the module loads.  They keep a shifted mask from wrapping onto the
+ * next row: idx + 7 from (0, 0) is (1, 7), not (1, -1). */
+static uint64_t STEP_ON[4], JUMP_ON[4];
+
+static void
+init_tables(void)
+{
+    for (int d = 0; d < 4; d++) {
+        for (int idx = 0; idx < 64; idx++) {
+            for (int k = 1; k <= 2; k++) {
+                int to = idx + k * DELTA[d];
+                /* off the board, or onto another column than y +- k */
+                if (to < 0 || to > 63 || abs((to & 7) - (idx & 7)) != k)
+                    continue;
+                if (k == 1)
+                    STEP_ON[d] |= 1ULL << idx;
+                else
+                    JUMP_ON[d] |= 1ULL << idx;
+            }
+        }
+    }
+}
 
 typedef struct {
     unsigned char frm, to, ncap, crowned;
@@ -142,34 +174,32 @@ emit_chain(Call *c, const Chain *ch, int land, int ncap, int kcap, int crowned)
     return 0;
 }
 
-/* DFS over jump continuations from (cx, cy), ncap pieces captured so far,
+/* DFS over jump continuations from square sq, ncap pieces captured so far,
  * kcap of them kings; emits every chain that cannot be extended.  Returns 1
  * if a jump was found, 0 if none, -1 on error. */
 static int
-extend_chains(Call *c, Chain *ch, int cx, int cy, int ncap, int kcap)
+extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
 {
     int jumped = 0;
     for (int d = ch->d0; d < ch->d1; d++) {
-        int lx = cx + 2 * DXS[d], ly = cy + 2 * DYS[d];
-        if (lx < 0 || lx > 7 || ly < 0 || ly > 7)
+        if (!((JUMP_ON[d] >> sq) & 1))
             continue;
-        int mid = ((cx + DXS[d]) << 3) | (cy + DYS[d]);
+        int mid = sq + DELTA[d], land = mid + DELTA[d];
         unsigned char mv = ch->work[mid];
         if (mv == 0 || ((mv >> 6) & 1) == ch->color)
             continue;
-        int land = (lx << 3) | ly;
         if (ch->work[land] != 0)
             continue;
         jumped = 1;
         ch->work[mid] = 0;
         ch->caps[ncap] = mv & ID_MASK;
         int nk = kcap + ((mv & KING_FLAG) != 0), rc;
-        if (!ch->king && lx == ch->far_x) {
+        if (!ch->king && (land >> 3) == ch->far_x) {
             /* crowning ends a man's chain */
             rc = emit_chain(c, ch, land, ncap + 1, nk, 1);
         }
         else {
-            rc = extend_chains(c, ch, lx, ly, ncap + 1, nk);
+            rc = extend_chains(c, ch, land, ncap + 1, nk);
             if (rc == 0)
                 rc = emit_chain(c, ch, land, ncap + 1, nk, 0);
         }
@@ -180,70 +210,111 @@ extend_chains(Call *c, Chain *ch, int cx, int cy, int ncap, int kcap)
     return jumped;
 }
 
+/* The top bit of each byte of w, as an 8-bit mask: byte k's is bit k. */
+static inline uint64_t
+byte_tops(uint64_t w)
+{
+    return (((w >> 7) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+/* The squares of `color`'s pieces, of its kings and of the opponent's
+ * pieces, as masks whose bit idx is square idx.  The state is read 8
+ * squares to a 64-bit word, byte k of word i being square 8 i + k. */
+static void
+board_masks(const unsigned char *state, int color, uint64_t *own, uint64_t *kings,
+            uint64_t *opp)
+{
+    const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
+    *own = *kings = *opp = 0;
+    for (int i = 0; i < 8; i++) {
+        uint64_t w;
+        memcpy(&w, state + 8 * i, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w);
+#endif
+        /* top bit of each byte: the square is not empty, the piece is red,
+         * the piece is a king */
+        uint64_t busy = ((w & low7) + low7) | w, red = w << 1, king = w << 2;
+        uint64_t mine = busy & (color == WHITE ? ~red : red);
+        *own |= byte_tops(mine) << (8 * i);
+        *kings |= byte_tops(mine & king) << (8 * i);
+        *opp |= byte_tops(busy & ~mine) << (8 * i);
+    }
+}
+
+/* The squares s whose square s + delta is in mask m. */
+static inline uint64_t
+toward(uint64_t m, int delta)
+{
+    return delta > 0 ? m >> delta : m << -delta;
+}
+
 /* Pushes every legal move of `color`: per piece in ascending board index
- * its capture chains, then its quiet steps; with forced capture and any
- * capture available only the captures are kept.  Returns the number of
- * moves pushed, or -1 on error. */
+ * its capture chains, then its quiet steps, each in direction order; with
+ * forced capture and any capture available only the captures.  That is
+ * _pykernel.gen_moves's order, but the squares are not scanned one by one:
+ * from the board's masks, one mask per direction holds the pieces that can
+ * step that way and one the pieces that can start a jump that way (an
+ * opponent next to them, an empty square beyond), both kept on the board
+ * by STEP_ON and JUMP_ON.  Only the pieces in these masks are visited, in
+ * ascending index by count-trailing-zeros, and only a jump starter enters
+ * extend_chains.  A jump starter has a chain, so with forced capture and
+ * any jump starter no quiet step is built.  Returns the number of moves
+ * pushed, or -1 on error. */
 static Py_ssize_t
 gen(Call *c, const unsigned char *state, int color)
 {
     Py_ssize_t base = c->n;
-    int have_capture = 0;
+    uint64_t own, kings, opp;
+    board_masks(state, color, &own, &kings, &opp);
+    uint64_t empty = ~(own | opp), steps[4], steppers = 0, jumpers = 0;
+    /* white men move toward x = 7 (dirs 0-1), red men toward x = 0 */
+    int far_x = color == WHITE ? 7 : 0, men_d0 = color == WHITE ? 0 : 2;
+    for (int d = 0; d < 4; d++) {
+        uint64_t movers = (d & 2) == men_d0 ? own : kings;
+        steps[d] = movers & STEP_ON[d] & toward(empty, DELTA[d]);
+        steppers |= steps[d];
+        jumpers |= movers & JUMP_ON[d] & toward(opp, DELTA[d])
+                   & toward(empty, 2 * DELTA[d]);
+    }
+    int quiet = !(c->forced && jumpers);
     Chain ch;
     ch.color = color;
-    ch.far_x = color == WHITE ? 7 : 0;
-    for (int idx = 0; idx < 64; idx++) {
-        unsigned char piece = state[idx];
-        if (piece == 0 || ((piece >> 6) & 1) != color)
-            continue;
-        int x = idx >> 3, y = idx & 7;
-        ch.from = idx;
-        ch.piece = piece;
-        ch.king = (piece & KING_FLAG) != 0;
-        /* white men step toward x = 7 (dirs 0-1), red men toward x = 0 */
-        ch.d0 = (ch.king || color == WHITE) ? 0 : 2;
-        ch.d1 = (ch.king || color != WHITE) ? 4 : 2;
-
+    ch.far_x = far_x;
+    if (jumpers)
         memcpy(ch.work, state, 64);
-        ch.work[idx] = 0;
-        Py_ssize_t before = c->n;
-        if (extend_chains(c, &ch, x, y, 0, 0) < 0)
-            return -1;
-        if (c->n > before)
-            have_capture = 1;
-
-        for (int d = ch.d0; d < ch.d1; d++) {
-            int nx = x + DXS[d], ny = y + DYS[d];
-            if (nx < 0 || nx > 7 || ny < 0 || ny > 7)
+    for (uint64_t walk = jumpers | (quiet ? steppers : 0); walk; walk &= walk - 1) {
+        int idx = __builtin_ctzll(walk);
+        unsigned char piece = state[idx];
+        int king = (piece & KING_FLAG) != 0;
+        if ((jumpers >> idx) & 1) {
+            ch.from = idx;
+            ch.piece = piece;
+            ch.king = king;
+            ch.d0 = king ? 0 : men_d0;
+            ch.d1 = king ? 4 : men_d0 + 2;
+            ch.work[idx] = 0;
+            if (extend_chains(c, &ch, idx, 0, 0) < 0)
+                return -1;
+            ch.work[idx] = piece;
+        }
+        for (int d = 0; quiet && d < 4; d++) {
+            if (!((steps[d] >> idx) & 1))
                 continue;
-            int nidx = (nx << 3) | ny;
-            if (state[nidx] != 0)
-                continue;
-            int crowned = !ch.king && nx == ch.far_x;
+            int to = idx + DELTA[d], crowned = !king && (to >> 3) == far_x;
             Move *m = push(c);
             if (m == NULL)
                 return -1;
             m->frm = (unsigned char)idx;
-            m->to = (unsigned char)nidx;
+            m->to = (unsigned char)to;
             m->ncap = 0;
             m->kcap = 0;
             m->crowned = (unsigned char)crowned;
             m->reward = crowned ? c->crown_pts : 0;
             memcpy(m->state, state, 64);
             m->state[idx] = 0;
-            m->state[nidx] = crowned ? (piece | KING_FLAG) : piece;
+            m->state[to] = crowned ? (piece | KING_FLAG) : piece;
         }
-    }
-    if (c->forced && have_capture) {
-        Py_ssize_t j = base;
-        for (Py_ssize_t i = base; i < c->n; i++) {
-            if (c->moves[i].ncap > 0) {
-                if (i != j)
-                    c->moves[j] = c->moves[i];
-                j++;
-            }
-        }
-        c->n = j;
     }
     return c->n - base;
 }
@@ -998,5 +1069,6 @@ PyInit__ckernel(void)
 {
     if (PyType_Ready(&MemoType) < 0)
         return NULL;
+    init_tables();
     return PyModule_Create(&module);
 }

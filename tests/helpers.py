@@ -42,3 +42,13 @@ def random_endgame(rng: random.Random, total_pieces=4) -> GameBoard:
 def mklog(traces) -> EventLog:
     """EventLog from plain label sequences, case ids 1..n."""
     return EventLog({i: tuple(trace) for i, trace in enumerate(traces, start=1)})
+
+
+def random_bytes_state(rng: random.Random) -> bytes:
+    """An arbitrary 64-byte state: from 0 to 64 squares, light ones
+    included, each holding any nonzero byte, so pieces with bit 7 set, with
+    id 0 and men on their crowning rows; the other squares empty."""
+    cells = bytearray(64)
+    for idx in rng.sample(range(64), rng.randrange(65)):
+        cells[idx] = rng.randrange(1, 256)
+    return bytes(cells)

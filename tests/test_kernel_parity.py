@@ -12,7 +12,7 @@ import pytest
 
 from playmine import kernel
 from playmine.kernel import _pykernel as pk
-from helpers import random_board
+from helpers import random_board, random_bytes_state
 
 compiled = pytest.importorskip("playmine.kernel._ckernel",
                                reason="compiled kernel not built")
@@ -162,6 +162,85 @@ def test_capture_lattices_identical():
                     == compiled.rollout(state, 0, 10, 2, forced, 7, 7, 0.5))
     assert max(len(m[2]) for m in compiled.gen_moves(LONGEST_CHAIN, 0, True, 7, 7)) == 9
     assert len(compiled.gen_moves(CROWDED, 0, False, 7, 7)) == 45
+
+
+def _arbitrary(n, seed=17):
+    rng = random.Random(seed)
+    return [random_bytes_state(rng) for _ in range(n)]
+
+
+# any 64 bytes: pieces on light squares too, with bit 7 set, id 0 or a man
+# on its crowning row
+ARBITRARY = _arbitrary(3000)
+
+
+def _row_wraps():
+    """A king or man of either side alone on each square, and then with an
+    opponent's king on each square that its index +-7 or +-9 names, whether
+    or not that is its diagonal neighbour.  From an edge column the index
+    step names the other end of the next row (+7 from (0, 0) is (1, 7)),
+    and a jump from the column next to it lands there, over a neighbour
+    that is on the board."""
+    out = []
+    for idx, color, king in product(range(64), (0, 1), (True, False)):
+        piece = bytearray(64)
+        piece[idx] = pk.encode_cell(color, 1, king)
+        out.append((bytes(piece), color))
+        for delta in (9, 7, -7, -9):
+            if 0 <= idx + delta < 64:
+                state = bytearray(piece)
+                state[idx + delta] = pk.encode_cell(1 - color, 1, True)
+                out.append((bytes(state), color))
+    return out
+
+
+ROW_WRAPS = _row_wraps()
+
+
+def test_gen_moves_identical_on_arbitrary_bytes():
+    """Both twins read any 64 bytes alike: a piece is any nonzero byte,
+    whatever its bits 0-4 and 7, and its side and king flag are bits 6
+    and 5."""
+    tops = ids_0 = crowning_men = 0
+    for state in ARBITRARY:
+        tops += any(v & 0x80 for v in state)
+        ids_0 += any(v and not v & pk.ID_MASK for v in state)
+        # a white man on x = 7 (squares 56-63) or a red man on x = 0 (0-7)
+        crowning_men += any(v and not v & pk.KING_FLAG and pk.cell_color(v) == (idx < 8)
+                            for idx, v in enumerate(state) if idx < 8 or idx >= 56)
+        for color, forced in product((0, 1), (True, False)):
+            args = (state, color, forced, 7, 7)
+            assert pk.gen_moves(*args) == compiled.gen_moves(*args), args
+    assert min(tops, ids_0, crowning_men) > len(ARBITRARY) // 2
+
+
+def test_minimax_and_rollout_identical_on_arbitrary_bytes():
+    for state in ARBITRARY[:500]:
+        for color, depth in product((0, 1), (1, 2, 3)):
+            args = (state, color, 1 - color, depth, True, 7, 7, 0.5)
+            assert pk.minimax(*args) == compiled.minimax(*args), args
+    for state in ARBITRARY[:100]:
+        for color, forced in product((0, 1), (True, False)):
+            args = (state, color, 10, 2, forced, 7, 7, 0.5)
+            assert pk.rollout(*args) == compiled.rollout(*args), args
+
+
+def test_moves_never_wrap_a_row():
+    """The compiled twin finds steps and jumps from 64-bit board masks,
+    shifted by the index steps; no move of either twin wraps from one end
+    of a row to the other end of the next."""
+    for state, color in ROW_WRAPS:
+        for forced in (True, False):
+            moves = compiled.gen_moves(state, color, forced, 7, 7)
+            assert moves == pk.gen_moves(state, color, forced, 7, 7), (state, color)
+            # one step or one jump (a board here holds one opponent piece)
+            for frm, to, *_ in moves:
+                assert abs((frm & 7) - (to & 7)) == abs((frm >> 3) - (to >> 3)) in (1, 2)
+        for depth in (1, 2, 3):
+            args = (state, color, color, depth, True, 7, 7, 0.5)
+            assert pk.minimax(*args) == compiled.minimax(*args), args
+        args = (state, color, 6, 1, True, 7, 7, 0.5)
+        assert pk.rollout(*args) == compiled.rollout(*args), args
 
 
 def _one_side_only(state, color):

@@ -4,7 +4,9 @@ The test builds ``_ckernel.c`` with ``-fsanitize=address,undefined`` into a
 temporary directory and runs ``fuzz`` in a child process that preloads the
 sanitizer runtimes: a seeded fuzz of every op the compiled module exports
 against the pure twin on random, 12-a-side, all-king, jump-only, lost and
-wrong-length boards, with negative depths, depths at and past ``MAX_DEPTH``
+wrong-length boards and on arbitrary bytes (pieces on any square, each any
+nonzero byte, so the board masks' shifts and count-trailing-zeros run at
+every edge), with negative depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
 ``MAX_POINTS``, floats for each side, point, depth, simulation depth and
 iteration count, and ``search`` given seeds at and past the ends of the
@@ -40,7 +42,7 @@ import pytest
 from playmine import kernel
 from playmine.board import initial_board
 from playmine.kernel import _pykernel as pk
-from helpers import random_board
+from helpers import random_board, random_bytes_state
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=undefined", "-shared", "-fPIC")
@@ -90,7 +92,8 @@ def _outcome(fn, args):
 
 def _positions(rng):
     """``(kind, state, side)``: random, 12-a-side, all-king, jump-only,
-    lost (the side to move has no piece) and wrong-length boards."""
+    lost (the side to move has no piece) and wrong-length boards, and
+    arbitrary bytes."""
     out = []
     for _ in range(40):
         out.append(("random", random_board(rng).state, rng.randrange(2)))
@@ -115,6 +118,8 @@ def _positions(rng):
                                   for v in state), side))
     for length in (0, 1, 63, 65, 128):
         out.append(("length", bytes(rng.randrange(128) for _ in range(length)), 0))
+    for _ in range(20):
+        out.append(("bytes", random_bytes_state(rng), rng.randrange(2)))
     return out
 
 
