@@ -6,14 +6,17 @@
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
- * the two to identical outputs.  Three things differ inside: gen finds the
+ * the two to identical outputs.  Four things differ inside: gen finds the
  * movable pieces from 64-bit masks of the board (own pieces, opponent
  * pieces, empty squares) where _pykernel scans the squares, and emits the
  * same moves in the same order; minimax scores a leaf from material counts
  * carried down the search (a move changes them only by its captures and
  * its crowning) where _pykernel counts the leaf's board, the same float
  * expression on the same counts, so it is bit-identical on every board;
- * and the memo is an open-addressed table where _pykernel keeps a dict.
+ * the memo is an open-addressed table where _pykernel keeps a dict; and
+ * each memo entry links to the entry of the step after it, so a rollout
+ * walking entries it has linked neither hashes nor copies a board, yet
+ * counts each followed link as the step and the hit its lookup would be.
  * search calls no Python code.  playmine/kernel/__init__.py compiles this
  * file on first import; gen needs the GCC/Clang builtin __builtin_ctzll,
  * and a compiler without it fails the build, so the pure kernel is used
@@ -79,18 +82,22 @@ typedef struct {
 
 /* One rollout step's outcome, as the memo keeps it: the side `side` to move
  * on `state` has no legal move (found 0), or its minimax move earns
- * `reward` and leads to `next`. */
+ * `reward` and leads to `next`.  `link` is 0 until a rollout takes the step
+ * from (next, 1 - side) after this one; then it is k + 1 for the entry
+ * entries[k] of that step.  Entries are never removed but all at once, and
+ * memo_insert zeroes the link, so a link once set stays right. */
 typedef struct {
     unsigned char state[64];
     unsigned char next[64];
     long reward;
-    uint32_t hash;
+    uint32_t hash, link;
     unsigned char side, found;
 } Entry;
 
-/* A rollout memo holds at most this many entries: 4.7 MB of entries and
- * 256 KB of slots.  Past it the memo answers lookups and inserts no more;
- * _pykernel.MEMO_MAX is the same bound on its dict. */
+/* A rollout memo holds at most this many entries: 5.0 MB of entries (152
+ * bytes each on x86-64) and 256 KB of slots.  Past it the memo answers
+ * lookups and inserts no more; _pykernel.MEMO_MAX is the same bound on its
+ * dict. */
 #define MEMO_MAX 32768
 
 /* A rollout memo: an open-addressed table of nslots (a power of two) uint32
@@ -477,14 +484,15 @@ memo_grow_slots(Memo *m)
 }
 
 /* Records that the step (state, side) missed and found `best` (when found);
- * `slot` is memo_find's.  A full memo inserts nothing.  0, or -1 on error. */
-static int
+ * `slot` is memo_find's.  Returns the new entry's index, or -1 when nothing
+ * was stored: the memo is full, or on error, which sets c->failed. */
+static Py_ssize_t
 memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_t slot,
             int found, const Move *best)
 {
     Memo *m = c->memo;
     if (m->nentries == MEMO_MAX)
-        return 0;
+        return -1;
     if (m->nentries == m->entry_cap) {
         size_t cap = m->entry_cap ? 2 * m->entry_cap : 64;
         Entry *entries = PyMem_Realloc(m->entries, cap * sizeof(Entry));
@@ -502,6 +510,7 @@ memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_
     Entry *e = &m->entries[m->nentries++];
     memcpy(e->state, state, 64);
     e->hash = hash;
+    e->link = 0;
     e->side = (unsigned char)side;
     e->found = (unsigned char)found;
     if (found) {
@@ -509,7 +518,7 @@ memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_
         memcpy(e->next, best->state, 64);
     }
     m->slots[slot] = (uint32_t)m->nentries;
-    return 0;
+    return (Py_ssize_t)m->nentries - 1;
 nomem:
     PyErr_NoMemory();
     c->failed = 1;
@@ -571,11 +580,14 @@ typedef struct {
 } Node;
 
 /* One search call's tree: an arena that grows by whole blocks of child
- * slots.  Nodes are addressed by index, since growing may move it. */
+ * slots.  Nodes are addressed by index, since growing may move it.  pows[k]
+ * is pow(discount, k) for k < npows, grown as the tree deepens. */
 typedef struct {
     Node *nodes;
     Py_ssize_t n, cap;
     int pruning;
+    double *pows;
+    Py_ssize_t npows;
 } Tree;
 
 /* Generates node i's actions once, reserving their slots as one block;
@@ -654,14 +666,35 @@ uct_child(const Tree *t, Py_ssize_t i, double explore)
     return best;
 }
 
-/* Adds pow(discount, dist) * delta and one visit to node i and to each
- * ancestor, dist steps above i. */
-static void
-backup(Tree *t, Py_ssize_t i, const long delta[2], double discount)
+/* Makes t->pows hold pow(discount, k) for every k <= depth; 0, or -1 with
+ * MemoryError set. */
+static int
+tree_pows(Tree *t, Py_ssize_t depth, double discount)
 {
-    for (long dist = 0; i >= 0; dist++) {
+    Py_ssize_t n = t->npows ? t->npows : 16;
+    while (n <= depth)
+        n *= 2;
+    double *pows = PyMem_Realloc(t->pows, (size_t)n * sizeof(double));
+    if (pows == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t k = t->npows; k < n; k++)
+        pows[k] = pow(discount, (double)k);
+    t->pows = pows;
+    t->npows = n;
+    return 0;
+}
+
+/* Adds pow(discount, dist) * delta and one visit to node i and to each
+ * ancestor, dist steps above i; the powers come from the tree's table
+ * t->pows, which must reach node i's depth. */
+static void
+backup(Tree *t, Py_ssize_t i, const long delta[2])
+{
+    for (Py_ssize_t dist = 0; i >= 0; dist++) {
         Node *nd = &t->nodes[i];
-        double factor = pow(discount, (double)dist);
+        double factor = t->pows[dist];
         nd->visits++;
         nd->reward[0] += factor * (double)delta[0];
         nd->reward[1] += factor * (double)delta[1];
@@ -686,13 +719,22 @@ splitmix64(uint64_t *state)
  * mm_depth >= 1, else the (splitmix64(rng) % len(moves))-th of its moves,
  * until a side has no legal move.  Adds the rewards to delta[white],
  * delta[red]; 0, or -1 on error.  rng is read only at depth 0 and the memo
- * only at depth >= 1. */
+ * only at depth >= 1.
+ *
+ * While a step's entry is stored, the walk keeps its index in prev and the
+ * position stays in that entry's next, uncopied.  The next step follows
+ * prev's link when it is set; otherwise it copies the position to cur (an
+ * insert may move the entries), looks it up or inserts it, and links prev
+ * to its entry.  A step that a full memo does not store links nothing, and
+ * the step after it looks its position up again. */
 static int
 playout(Call *c, const unsigned char *state, long turn, long sim_depth,
         long mm_depth, uint64_t *rng, long delta[2])
 {
+    Memo *memo = c->memo;
     unsigned char cur[64];
     memcpy(cur, state, 64);
+    Py_ssize_t prev = -1; /* -1: the position is in cur */
     for (long steps = 0; steps < sim_depth; steps++) {
         Py_ssize_t base = c->n;
         const unsigned char *next = NULL; /* stays NULL when the side has no move */
@@ -709,34 +751,54 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth,
             }
         }
         else {
-            uint32_t hash = memo_hash(cur, turn);
-            size_t slot = 0;
-            const Entry *e = memo_find(c->memo, cur, turn, hash, &slot);
-            c->memo->steps++;
-            if (e != NULL) {
-                c->memo->hits++;
+            Py_ssize_t k = -1; /* this step's entry, or -1 when it is not stored */
+            int found = 0;
+            memo->steps++;
+            if (prev >= 0 && memo->entries[prev].link != 0) {
+                k = memo->entries[prev].link - 1;
+                memo->hits++;
+            }
+            else {
+                if (prev >= 0)
+                    memcpy(cur, memo->entries[prev].next, 64);
+                uint32_t hash = memo_hash(cur, turn);
+                size_t slot = 0;
+                const Entry *e = memo_find(memo, cur, turn, hash, &slot);
+                if (e != NULL) {
+                    k = e - memo->entries;
+                    memo->hits++;
+                }
+                else {
+                    long mat[4];
+                    count_material(cur, mat);
+                    minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best,
+                            &found);
+                    if (!c->failed)
+                        k = memo_insert(c, cur, turn, hash, slot, found, &best);
+                    if (c->failed)
+                        return -1;
+                }
+                if (prev >= 0 && k >= 0)
+                    memo->entries[prev].link = (uint32_t)k + 1;
+            }
+            if (k >= 0) {
+                const Entry *e = &memo->entries[k];
                 if (e->found) {
                     reward = e->reward;
                     next = e->next;
                 }
             }
-            else {
-                int found;
-                long mat[4];
-                count_material(cur, mat);
-                minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best, &found);
-                if (c->failed || memo_insert(c, cur, turn, hash, slot, found, &best) < 0)
-                    return -1;
-                if (found) {
-                    reward = best.reward;
-                    next = best.state;
-                }
+            else if (found) {
+                reward = best.reward;
+                next = best.state;
             }
+            prev = k;
         }
         if (next == NULL)
             break;
         delta[turn == WHITE ? 0 : 1] += reward;
-        memcpy(cur, next, 64);
+        if (prev < 0)
+            memcpy(cur, next, 64);
         c->n = base;
         turn = 1 - turn;
     }
@@ -1009,16 +1071,21 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     for (Py_ssize_t it = 0; it < iterations; it++) {
         if (PyErr_CheckSignals() < 0)
             goto done;
-        Py_ssize_t i = 0;
-        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact)
+        Py_ssize_t i = 0, depth = 0;
+        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact) {
             i = uct_child(&t, i, explore);
+            depth++;
+        }
         Py_ssize_t n = tree_actions(&t, &c, i);
         if (n < 0)
             goto done;
         if (n > 0) {
             i = t.nodes[i].first + t.nodes[i].nkids++;
             nodes++;
+            depth++;
         }
+        if (depth >= t.npows && tree_pows(&t, depth, discount) < 0)
+            goto done;
         /* the leaf is never the root, so it always has an entry move; the
          * playout does not grow the arena, so its state may point into it */
         long delta[2] = {0, 0};
@@ -1026,12 +1093,13 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
                     &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
-        backup(&t, i, delta, discount);
+        backup(&t, i, delta);
     }
     Py_ssize_t best = uct_child(&t, 0, 0.0);
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);
+    PyMem_Free(t.pows);
     memo_free(&local);
     call_free(&c);
     return out;

@@ -40,9 +40,8 @@ from pathlib import Path
 import pytest
 
 from playmine import kernel
-from playmine.board import initial_board
 from playmine.kernel import _pykernel as pk
-from helpers import random_board, random_bytes_state
+from helpers import memo_searches, random_board, random_bytes_state
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=undefined", "-shared", "-fPIC")
@@ -211,31 +210,6 @@ def fuzz(ck, seed):
     # refuse random (depth-0) rollouts as the pure twin does
     assert shallow_rollouts, "no rollout below minimax depth 1 was fuzzed"
     return calls
-
-
-def memo_searches():
-    """``search`` arguments at minimax depth >= 1 whose rollout memo grows,
-    fills and is emptied; ``fuzz`` passes all searches of one minimax depth
-    the same memo, as a game passes its turns.
-
-    The memo's slot table starts at 256 slots and doubles when an insert
-    would fill half of it.  Counted with the handles' ``counts()`` (both
-    twins agree): the four depth-2 searches, 300 iterations each from the 3-
-    and 12-a-side openings, leave 5,423 entries in their memo, and the four
-    depth-1 ones 6,127, six growths each.  The 3,000-iteration depth-1
-    search from the 12-a-side opening then misses its memo at 43,396 of
-    89,970 steps: it inserts 26,641 entries up to ``MEMO_MAX`` (32,768, two
-    more growths, 65,536 slots) and runs the other 16,755 steps that the
-    full memo no longer records.  The last search finds the memo more than
-    half full, empties it and inserts 1,245 entries."""
-    explore = 1 / math.sqrt(2)
-    for pieces in (3, 12):
-        for side in (0, 1):
-            for depth in (1, 2):
-                yield (initial_board(pieces).state, side, 300, 10, depth, True, 7, 7, 0.5,
-                       explore, 0.8, depth == 2, 0)
-    yield (initial_board(12).state, 1, 3000, 30, 1, True, 7, 7, 0.5, explore, 0.8, False, 0)
-    yield (initial_board(3).state, 0, 300, 10, 1, True, 7, 7, 0.5, explore, 0.8, False, 0)
 
 
 if __name__ == "__main__":

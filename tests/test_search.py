@@ -24,7 +24,7 @@ from playmine.episodes import play_episode
 from playmine.eventlog import label_for
 from playmine.kernel import _pykernel, prune_by_reward
 from playmine.search import SearchConfig, mcts_search
-from helpers import random_endgame
+from helpers import memo_searches, random_endgame
 from oracles import (
     as_oracle_shape,
     oracle_best_move,
@@ -468,6 +468,35 @@ class TestGameMemo:
             assert 0 < entries <= steps and hits > fresh_hits and clears == 0
             counts.append(memo.counts())
         assert counts[0] == counts[1]
+
+    # After each depth-1 search of memo_searches() through one compiled
+    # handle, and one more from the 12-a-side opening after the memo was
+    # emptied: the move's (from, to, captured ids), the node count and the
+    # memo's counts().  Recorded from the compiled twin that looked every
+    # rollout step up by hash; the pure twin counts alike.
+    LINKED = [((4, 13, (), 300), (2975, 1730, 1245, 0)),
+              ((59, 50, (), 300), (5950, 3477, 2473, 0)),
+              ((22, 31, (), 300), (8950, 4560, 4390, 0)),
+              ((45, 38, (), 300), (11950, 5823, 6127, 0)),
+              ((43, 36, (), 3000), (101920, 52397, 32768, 0)),
+              ((4, 13, (), 300), (104895, 54127, 1245, 1)),
+              ((22, 31, (), 300), (107895, 55210, 3162, 1))]
+
+    def test_linked_walk_through_growth_fill_and_empty(self):
+        """The compiled rollout follows each memo entry's link to the next
+        step's entry.  Through a memo whose slot table grows, that fills to
+        MEMO_MAX and goes on unrecorded, and that is emptied and refilled,
+        it chooses the recorded moves and counts the recorded steps, hits
+        and entries: a followed link is one step and one hit, a full memo
+        links nothing, and a refilled entry carries no stale link."""
+        impl = twin_module("compiled")
+        searches = [args for args in memo_searches() if args[4] == 1]
+        searches.append((initial_board(12).state, 0, *searches[-1][2:]))
+        memo, got = impl.new_memo(), []
+        for args in searches:
+            move, nodes = impl.search(*args, memo=memo)
+            got.append(((*move[:3], nodes), memo.counts()))
+        assert got == self.LINKED
 
     @pytest.mark.parametrize("twin", ["python", "compiled"])
     def test_depth_zero_searches_never_touch_the_memo(self, twin):
