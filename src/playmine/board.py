@@ -62,14 +62,13 @@ class ConcreteMove:
     reward: int = 0
 
 
+@dataclass(frozen=True, slots=True)
 class GameBoard:
-    """8x8 dark-square board; wraps the kernel's 64-byte state."""
+    """8x8 dark-square board; wraps the kernel's 64-byte state, which must
+    be ``bytes``.  Equality and hash are over (state, pieces_per_side)."""
 
-    __slots__ = ("_state", "pieces_per_side")
-
-    def __init__(self, state: bytes, pieces_per_side: int = 3):
-        self._state = bytes(state)
-        self.pieces_per_side = pieces_per_side
+    state: bytes
+    pieces_per_side: int = 3
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[GamePiece],
@@ -98,12 +97,8 @@ class GameBoard:
             raise ValueError("piece count exceeds pieces_per_side")
         return cls(bytes(cells), pieces_per_side)
 
-    @property
-    def state(self) -> bytes:
-        return self._state
-
     def piece_at(self, x: int, y: int) -> Optional[GamePiece]:
-        v = self._state[(x << 3) | y]
+        v = self.state[(x << 3) | y]
         if v == 0:
             return None
         return GamePiece(Color(kernel.cell_color(v)), kernel.cell_id(v), x, y,
@@ -112,7 +107,7 @@ class GameBoard:
     def pieces(self, color: Optional[Color] = None) -> tuple[GamePiece, ...]:
         out = []
         for idx in range(64):
-            v = self._state[idx]
+            v = self.state[idx]
             if v == 0:
                 continue
             c = Color(kernel.cell_color(v))
@@ -121,14 +116,6 @@ class GameBoard:
             out.append(GamePiece(c, kernel.cell_id(v), idx >> 3, idx & 7,
                                  kernel.cell_is_king(v)))
         return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, GameBoard):
-            return NotImplemented
-        return self._state == other._state and self.pieces_per_side == other.pieces_per_side
-
-    def __hash__(self):
-        return hash((self._state, self.pieces_per_side))
 
     def __repr__(self):
         rows = []

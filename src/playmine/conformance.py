@@ -77,11 +77,6 @@ def _default_token_cap(net: PetriNet, trace_len: int) -> int:
     return base + len(net.places) + trace_len + 4
 
 
-def _check_token_cap(token_cap: Optional[int]) -> None:
-    if token_cap is not None and token_cap < 1:
-        raise ValueError(f"token_cap must be >= 1 or None, got {token_cap}")
-
-
 class _MarkingGraph:
     """The markings of one net that respect one token cap, grown on demand.
 
@@ -144,16 +139,15 @@ class _MarkingGraph:
         return out
 
 
-def optimal_alignment(trace: Sequence[str], net: PetriNet,
-                      token_cap: Optional[int] = None, *,
+def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
                       _graph: Optional[_MarkingGraph] = None) -> AlignmentResult:
     """Minimal-cost alignment of ``trace`` against ``net``.
 
-    ``token_cap`` bounds the tokens of every marking searched; None (the
-    only way to ask for the default) derives it from the net and the trace
-    length, and a cap below 1 is a ValueError.  ``_graph`` is the marking
-    graph of ``net`` at ``token_cap`` that ``fitness_metrics`` shares across
-    its alignments.
+    Every marking searched holds at most a token cap of tokens, derived
+    from the net and the trace: the initial and final tokens, plus the
+    places, plus the trace length, plus 4.  ``_graph`` is the marking graph
+    of ``net`` that ``fitness_metrics`` shares across its alignments, and
+    its cap is the one used.
 
     Raises ModelUnsoundError when no goal state exists (the final marking is
     unreachable), detected once the bounded search space is exhausted.
@@ -161,11 +155,7 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet,
     t0 = time.perf_counter()
     trace = tuple(trace)
     n = len(trace)
-    if _graph is None:
-        _check_token_cap(token_cap)
-        cap = _default_token_cap(net, n) if token_cap is None else token_cap
-        _graph = _MarkingGraph(net, cap)
-    graph = _graph
+    graph = _graph or _MarkingGraph(net, _default_token_cap(net, n))
     successors = graph.successors
     log_moves = [AlignmentMove(LOG, a, None) for a in trace]
 
@@ -243,8 +233,8 @@ class FitnessReport:
     num_traces: int
 
 
-def _trace_metrics(trace, net, empty_cost, cap, graph):
-    res = optimal_alignment(trace, net, cap, _graph=graph)
+def _trace_metrics(trace, net, empty_cost, graph):
+    res = optimal_alignment(trace, net, _graph=graph)
     n = len(trace)
     denom = n + empty_cost
     trace_fit = 1.0 if denom == 0 else 1.0 - res.raw_cost / denom
@@ -256,23 +246,20 @@ def _trace_metrics(trace, net, empty_cost, cap, graph):
     return res, trace_fit, move_model, move_log
 
 
-def fitness_metrics(log: EventLog, net: PetriNet,
-                    token_cap: Optional[int] = None) -> FitnessReport:
+def fitness_metrics(log: EventLog, net: PetriNet) -> FitnessReport:
     """Per-trace alignment metrics averaged over every case of the log.
 
-    One token cap serves every alignment: ``token_cap``, or when it is None
-    the default for the longest trace.  All alignments, the empty trace's
-    first, share one marking graph of ``net`` at that cap.
+    One token cap serves every alignment: ``optimal_alignment``'s cap for
+    the longest trace.  All alignments, the empty trace's first, share one
+    marking graph of ``net`` at that cap.
     """
     if not log.cases:
         raise ValueError("fitness_metrics requires a non-empty log")
-    _check_token_cap(token_cap)
     t0 = time.perf_counter()
     longest = max(len(labels) for _, labels in log.traces())
-    cap = _default_token_cap(net, longest) if token_cap is None else token_cap
-    graph = _MarkingGraph(net, cap)
+    graph = _MarkingGraph(net, _default_token_cap(net, longest))
     # the cheapest all-model-move run (visible transitions cost 1, silent 0)
-    empty_cost = optimal_alignment((), net, cap, _graph=graph).raw_cost
+    empty_cost = optimal_alignment((), net, _graph=graph).raw_cost
     preprocess_ms = (time.perf_counter() - t0) * 1000.0
 
     tf = mm = ml = cost = length = states = ms = 0.0
@@ -280,7 +267,7 @@ def fitness_metrics(log: EventLog, net: PetriNet,
     variants: dict = {}
     for _, labels in log.traces():
         if labels not in variants:
-            variants[labels] = _trace_metrics(labels, net, empty_cost, cap, graph)
+            variants[labels] = _trace_metrics(labels, net, empty_cost, graph)
         res, trace_fit, move_model, move_log = variants[labels]
         tf += trace_fit
         mm += move_model

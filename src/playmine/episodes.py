@@ -117,7 +117,7 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
         if result is None:
             game_winner = turn_color.opponent
             break
-        move, reward, next_board = result
+        move, next_board = result
         if bfs_feature:
             movement: Movement = red_white_distance(next_board) - red_white_distance(board)
         else:
@@ -128,7 +128,7 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 
             piece_id=move.piece_id,
             move=movement,
             captured=move.captured_ids,
-            reward=reward,
+            reward=move.reward,
         ))
         last_id = move.piece_id
         last_movement = movement

@@ -150,15 +150,14 @@ def export_episode_table(trace: Sequence[StepRecord], path) -> None:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(EPISODE_COLUMNS)
-            for rec in trace:
-                writer.writerow([
-                    rec.last_turn_enemy_piece_id,
-                    _movement_cell(rec.last_turn_enemy_movement),
-                    rec.piece_id,
-                    _movement_cell(rec.move),
-                    repr(list(rec.captured)),
-                    rec.reward,
-                ])
+            writer.writerows([
+                rec.last_turn_enemy_piece_id,
+                _movement_cell(rec.last_turn_enemy_movement),
+                rec.piece_id,
+                _movement_cell(rec.move),
+                repr(list(rec.captured)),
+                rec.reward,
+            ] for rec in trace)
     except OSError as exc:
         raise OSError(f"cannot write episode table {path}: {exc}") from exc
 
@@ -177,9 +176,7 @@ def _export_log_csv(log: EventLog, path: Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "transition"])
-        for cid, labels in log.traces():
-            for label in labels:
-                writer.writerow([cid, label])
+        writer.writerows((cid, label) for cid, labels in log.traces() for label in labels)
 
 
 def _case_id(text: str, path: Path, line: int | None = None) -> int:

@@ -177,7 +177,8 @@ def recommend(view: LayeredView, layer: int, context: tuple,
 
     Picks the maximal immediate reward; when every matching reward is zero,
     falls back to the action with the earliest chaining positive-reward
-    transition within ``lookahead`` layers (>= 0, else ValueError).  The
+    transition within ``lookahead`` layers (>= 0, else ValueError).  Among
+    entries tied on both, the one the layer recorded first wins.  The
     view ranks each (layer, context, lookahead) once and returns that same
     Recommendation on every later query.
     """
@@ -198,9 +199,8 @@ def _rank(view: LayeredView, layer: int, context: tuple,
 
     futures = {e.action: _future_distance(view, layer, e.action, lookahead)
                for e in matches}
-    order = {e.action: i for i, e in enumerate(matches)}
-    ranked_entries = sorted(
-        matches, key=lambda e: (-e.reward, futures[e.action][0], order[e.action]))
+    # stable: a tie goes to the tied entry recorded first in the layer
+    ranked_entries = sorted(matches, key=lambda e: (-e.reward, futures[e.action][0]))
     best = ranked_entries[0]
     ranked = tuple((e.action, e.reward) for e in ranked_entries)
 

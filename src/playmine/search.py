@@ -9,7 +9,7 @@ their order, the rollout loop and its memo, and the final pick.  So a given
 (board, config) pair always yields the same move, and at minimax depth 1 or
 more ``cfg.rng_seed`` does not change it.  ``mcts_search`` is the one place
 that converts, building a ``ConcreteMove`` and a ``GameBoard`` for the
-chosen root child.  It passes the caller's ``kernel.new_memo()`` handle
+chosen root child; the move carries that child's reward.  It passes the caller's ``kernel.new_memo()`` handle
 through, so a game's turns share one memo (``play_episode`` makes one per
 game); with none, the call makes its own.  A handle belongs to one game in
 one process; independent searches may run in parallel processes.
@@ -60,13 +60,14 @@ class SearchConfig:
 
 
 def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None
-                ) -> Optional[tuple[ConcreteMove, int, GameBoard]]:
+                ) -> Optional[tuple[ConcreteMove, GameBoard]]:
     """Runs ``cfg.iterations`` MCTS iterations for ``agent`` in one
     ``kernel.search`` call, its rollout steps through ``memo`` (a
     ``kernel.new_memo()`` handle, or None for a memo of the call's own).
 
-    Returns (move, reward, next_board) for the root child with the highest
-    mean reward on the agent's index, or None when the agent has no move.
+    Returns (move, next_board) for the root child with the highest mean
+    reward on the agent's index, or None when the agent has no move; the
+    move's own reward is ``move.reward``.
     The reward of the move that enters each iteration's leaf is added to the
     backup delta, so immediately winning moves keep their value even though
     the rollout from a terminal child is empty.
@@ -80,5 +81,4 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None
     if found is None:
         return None
     move = found[0]
-    return (_to_concrete(move, board.state), move[4],
-            GameBoard(move[5], board.pieces_per_side))
+    return _to_concrete(move, board.state), GameBoard(move[5], board.pieces_per_side)

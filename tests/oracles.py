@@ -656,7 +656,8 @@ def oracle_future_distance(view, layer: int, action: tuple, lookahead: int):
 def oracle_recommend(view, layer: int, context: tuple, lookahead: int) -> Recommendation:
     """The reference ``explain.recommend``: scans the whole layer for the
     context and ranks its entries by reward, then chain distance, then the
-    layer position of the action's last entry."""
+    entry's own position in the layer, so a tie goes to the tied entry seen
+    first."""
     _oracle_check_lookahead(lookahead)
     matches = [e for e in view.layer(layer) if e.context == context]
     if not matches:
@@ -664,9 +665,8 @@ def oracle_recommend(view, layer: int, context: tuple, lookahead: int) -> Recomm
             f"no transition with context {context} observed at layer {layer}")
     futures = {e.action: oracle_future_distance(view, layer, e.action, lookahead)
                for e in matches}
-    order = {e.action: i for i, e in enumerate(matches)}
-    ranked_entries = sorted(
-        matches, key=lambda e: (-e.reward, futures[e.action][0], order[e.action]))
+    ranked_entries = [e for _, _, _, e in sorted(
+        (-e.reward, futures[e.action][0], i, e) for i, e in enumerate(matches))]
     best = ranked_entries[0]
     ranked = tuple((e.action, e.reward) for e in ranked_entries)
     supporting = futures[best.action][1]

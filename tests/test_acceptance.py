@@ -219,7 +219,7 @@ def test_mcts_minimax_hybrid_tactical_soundness():
         assert len(moves) > 1, "position must offer a real choice"
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1,
                            reward=reward_cfg, rng_seed=13)
-        move, _, after = mcts_search(board, agent, cfg)
+        move, after = mcts_search(board, agent, cfg)
         assert move in winning, f"missed win on\n{board!r}"
         assert winner(after, agent.opponent) is agent
         solved += 1

@@ -1,5 +1,6 @@
 import operator
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,23 @@ class TestGameBoardInvariants:
         pieces.append(GamePiece(Color.RED, 4, 3, 1))
         with pytest.raises(ValueError):
             GameBoard.from_pieces(pieces, pieces_per_side=3)
+
+    @pytest.mark.parametrize("field, value", [("state", bytes(64)),
+                                              ("pieces_per_side", 12)],
+                             ids=["state", "pieces_per_side"])
+    def test_fields_are_read_only(self, field, value):
+        board = initial_board(3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(board, field, value)
+        assert board == initial_board(3)
+
+    def test_equality_and_hash_cover_state_and_size(self):
+        a, b = initial_board(3), GameBoard(initial_board(3).state, 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other_size = GameBoard(a.state, 12)
+        assert a != other_size
+        assert a != initial_board(4)
 
 
 class TestLegalMoves:

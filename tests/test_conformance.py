@@ -110,16 +110,15 @@ def random_play_log(rng, color, cases=5, events=8, pieces=3):
 
 
 def fitness_alignment_calls(log, net):
-    """``(trace, token_cap)`` of every alignment ``fitness_metrics`` runs,
-    the empty-trace alignment (the cheapest model run) first.  Keyword
-    arguments, such as the marking graph the alignments share, are passed
-    through unrecorded."""
+    """``(trace, token cap)`` of every alignment ``fitness_metrics`` runs,
+    the empty-trace alignment (the cheapest model run) first; the cap is
+    that of the marking graph the alignments share."""
     calls = []
     align = conformance.optimal_alignment
 
-    def recording(trace, net, token_cap=None, **kwargs):
-        calls.append((tuple(trace), token_cap))
-        return align(trace, net, token_cap, **kwargs)
+    def recording(trace, net, **kwargs):
+        calls.append((tuple(trace), kwargs["_graph"].cap))
+        return align(trace, net, **kwargs)
 
     conformance.optimal_alignment = recording
     try:
@@ -135,7 +134,8 @@ GOLDEN_TRACES = [(), ("A",), ("B", "A"), ("A", "B"), ("A", "C", "B", "D"),
 
 
 def golden_cases():
-    """``(case id, trace, net, token cap)`` pinned by the golden file."""
+    """``(case id, trace, net, token cap)`` pinned by the golden file; a
+    cap of None is the one ``optimal_alignment`` derives."""
     for k, net in enumerate(suite_nets()):
         for trace in GOLDEN_TRACES:
             yield f"suite{k}/{'.'.join(trace)}", trace, net, None
@@ -156,11 +156,19 @@ def golden_cases():
         yield f"game{k}/reversed", longest[::-1], net, None
 
 
+def align_at_cap(trace, net, cap):
+    """``optimal_alignment`` on a fresh marking graph at ``cap``, or at
+    the derived cap when ``cap`` is None."""
+    if cap is None:
+        return optimal_alignment(trace, net)
+    return optimal_alignment(trace, net, _graph=conformance._MarkingGraph(net, cap))
+
+
 def golden_record(trace, net, cap):
     """``[raw_cost, states_explored, moves]`` or ``"unsound"``; a move is
     ``kind:transition`` (log moves have no transition)."""
     try:
-        res = optimal_alignment(trace, net, cap)
+        res = align_at_cap(trace, net, cap)
     except ModelUnsoundError:
         return "unsound"
     assert res.log_projection == tuple(trace)
@@ -287,24 +295,17 @@ class TestFitnessMetrics:
         with pytest.raises(ValueError):
             fitness_metrics(mklog([]), chain_net("A"))
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_token_cap_below_one_is_refused(self, cap):
-        net = chain_net("A")
-        with pytest.raises(ValueError, match="token_cap must be >= 1"):
-            optimal_alignment(("A",), net, token_cap=cap)
-        with pytest.raises(ValueError, match="token_cap must be >= 1"):
-            fitness_metrics(mklog([("A",)]), net, token_cap=cap)
-
-    def test_explicit_small_cap_is_used(self):
+    def test_explicit_small_cap_is_used(self, monkeypatch):
         # the final marking holds 3 tokens: a cap of 2 makes it unreachable,
         # where the default cap would find it
         net = token_cap_net({"p": 1, "q": 2})
         log = mklog([("A", "A")])
         assert fitness_metrics(log, net).raw_fitness_cost == 0.0
         with pytest.raises(ModelUnsoundError):
-            fitness_metrics(log, net, token_cap=2)
+            align_at_cap(("A", "A"), net, 2)
+        monkeypatch.setattr(conformance, "_default_token_cap", lambda net, n: 2)
         with pytest.raises(ModelUnsoundError):
-            optimal_alignment(("A", "A"), net, token_cap=2)
+            fitness_metrics(log, net)
 
 
 class TestClassifyFitting:
@@ -369,7 +370,8 @@ class TestReportCsv:
 
 def golden_logs():
     """``(net, variants, token cap)`` of every golden net that is sound at
-    that cap; a variant list is one log, each trace once."""
+    that cap; a variant list is one log, each trace once, and a cap of None
+    is the derived one."""
     for net in suite_nets():
         yield net, GOLDEN_TRACES, None
     net = token_cap_net({"p": 1, "q": 2})
@@ -397,9 +399,10 @@ class TestSharedMarkingGraph:
                 variants = variants[::-1]
             calls, expanded = [], []
 
-            def recording(trace, net, token_cap=None, **kwargs):
-                res = align(trace, net, token_cap, **kwargs)
-                calls.append((tuple(trace), token_cap, kwargs["_graph"], res))
+            def recording(trace, net, **kwargs):
+                res = align(trace, net, **kwargs)
+                graph = kwargs["_graph"]
+                calls.append((tuple(trace), graph.cap, graph, res))
                 return res
 
             def counting(graph, mid):
@@ -409,7 +412,9 @@ class TestSharedMarkingGraph:
             with monkeypatch.context() as m:
                 m.setattr(conformance, "optimal_alignment", recording)
                 m.setattr(conformance._MarkingGraph, "expand", counting)
-                fitness_metrics(mklog(variants), net, cap)
+                if cap is not None:
+                    m.setattr(conformance, "_default_token_cap", lambda net, n: cap)
+                fitness_metrics(mklog(variants), net)
 
             graph = calls[0][2]
             assert [c[0] for c in calls] == [()] + [tuple(v) for v in variants]
@@ -418,8 +423,10 @@ class TestSharedMarkingGraph:
             assert len(set(expanded)) == len(expanded)
             assert {g for g, _ in expanded} == {graph}
             assert len(expanded) == sum(s is not None for s in graph.successors)
+            if cap is not None:
+                assert graph.cap == cap
             for trace, used_cap, _, res in calls:
-                fresh = align(trace, net, used_cap)
+                fresh = align_at_cap(trace, net, used_cap)
                 assert (res.moves, res.raw_cost, res.states_explored) == (
                     fresh.moves, fresh.raw_cost, fresh.states_explored), (trace, net)
 

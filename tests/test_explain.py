@@ -119,6 +119,21 @@ class TestRecommend:
         rewards = [r for _, r in rec.ranked]
         assert rewards == sorted(rewards, reverse=True)
 
+    @pytest.mark.parametrize("entries, want", [
+        # a later zero-reward entry of piece 1 must not move it behind piece 2
+        ([(1, 7), (2, 7), (1, 0)], 1),
+        # the tied entry seen first wins, not the action seen first
+        ([(2, 0), (1, 7), (2, 7)], 1),
+    ])
+    def test_tie_goes_to_the_entry_seen_first(self, entries, want):
+        # one case per entry, so all of them land in layer 1
+        view = layered_view(mklog([(L(-1, (), pid, ("up",), reward),)
+                                   for pid, reward in entries]))
+        rec = recommend(view, 1, (-1, ()))
+        assert rec.action == (want, ("up",))
+        assert rec.reward == 7
+        assert rec == oracle_recommend(view, 1, (-1, ()), 2)
+
     def test_unobserved_context_raises(self):
         view = layered_view(mklog(WHITE_CASES))
         with pytest.raises(NoObservationError):

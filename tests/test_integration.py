@@ -80,9 +80,9 @@ class TestPruningMode:
         cfg = SearchConfig(iterations=40, simulation_depth=4, minimax_depth=1,
                            pruning_enabled=True,
                            reward=RewardConfig(forced_capture=False))
-        move, reward, _ = mcts_search(board, Color.WHITE, cfg)
+        move, _ = mcts_search(board, Color.WHITE, cfg)
         assert move.captured_ids == (1,)
-        assert reward == 7
+        assert move.reward == 7
 
 
 @pytest.fixture(scope="module")

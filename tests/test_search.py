@@ -301,10 +301,24 @@ class TestMctsSearch:
             GamePiece(Color.WHITE, 1, 2, 2),
             GamePiece(Color.RED, 1, 3, 3),
         ])
-        move, reward, after = mcts_search(board, Color.WHITE, CFG)
+        move, after = mcts_search(board, Color.WHITE, CFG)
         assert move.captured_ids == (1,)
-        assert reward == 7
+        assert move.reward == 7
         assert not after.pieces(Color.RED)
+
+    def test_returns_the_move_and_its_board(self, search_twin):
+        # the reward is the kernel move's own, carried on the move
+        cfg = SearchConfig(iterations=40, simulation_depth=4, minimax_depth=1)
+        capture = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 2, 2),
+                                         GamePiece(Color.RED, 1, 3, 3)])
+        for board, color in ((initial_board(3), Color.RED), (capture, Color.WHITE)):
+            result = mcts_search(board, color, cfg)
+            kmove = kernel.search(*search_args(board, color, cfg))[0]
+            assert len(result) == 2
+            move, after = result
+            assert move.reward == kmove[4]
+            assert after == GameBoard(kmove[5], board.pieces_per_side)
+        assert move.reward == 7
 
     def test_no_legal_moves_returns_none(self):
         board = GameBoard.from_pieces([
@@ -326,7 +340,7 @@ class TestMctsSearch:
         board = self.WINNING_CAPTURE
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1,
                            reward=RewardConfig(forced_capture=False), rng_seed=9)
-        move, reward, after = mcts_search(board, Color.WHITE, cfg)
+        move, after = mcts_search(board, Color.WHITE, cfg)
         assert move.captured_ids == (1,)
         assert not after.pieces(Color.RED)
 
@@ -717,10 +731,9 @@ def golden_search_record(board, color, cfg):
     result = mcts_search(board, color, cfg)
     if result is None:
         return None
-    move, reward, after = result
-    assert reward == move.reward
+    move, after = result
     return [move.piece_id, list(move.from_pos), list(move.to_pos),
-            list(move.captured_ids), move.crowned, reward, after.state.hex()]
+            list(move.captured_ids), move.crowned, move.reward, after.state.hex()]
 
 
 def golden_episode_records():
