@@ -15,6 +15,14 @@ from typing import Iterable, Optional
 from . import kernel
 
 KING_WEIGHT_DEFAULT = 0.5
+PIECES_PER_SIDE_DEFAULT = 3  # the paper's 3-a-side game
+MAX_PIECES_PER_SIDE = 12  # a full back field, and the largest piece id
+
+
+def check_pieces_per_side(pieces_per_side: int) -> None:
+    """ValueError unless a side may start with 1..MAX_PIECES_PER_SIDE pieces."""
+    if not 1 <= pieces_per_side <= MAX_PIECES_PER_SIDE:
+        raise ValueError(f"pieces_per_side must be between 1 and {MAX_PIECES_PER_SIDE}")
 
 
 class RuleViolationError(ValueError):
@@ -68,7 +76,7 @@ class GameBoard:
     be ``bytes``.  Equality and hash are over (state, pieces_per_side)."""
 
     state: bytes
-    pieces_per_side: int = 3
+    pieces_per_side: int = PIECES_PER_SIDE_DEFAULT
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[GamePiece],
@@ -79,8 +87,8 @@ class GameBoard:
         for p in pieces:
             if not (0 <= p.x <= 7 and 0 <= p.y <= 7):
                 raise ValueError(f"piece off board: {p}")
-            if not 1 <= p.id <= 12:
-                raise ValueError(f"piece id must be in 1..12: {p}")
+            if not 1 <= p.id <= MAX_PIECES_PER_SIDE:
+                raise ValueError(f"piece id must be in 1..{MAX_PIECES_PER_SIDE}: {p}")
             if (p.x + p.y) % 2 != 0:
                 raise ValueError(f"piece on a light square: {p}")
             idx = (p.x << 3) | p.y
@@ -92,7 +100,7 @@ class GameBoard:
             counts[p.color] += 1
             cells[idx] = kernel.encode_cell(p.color.value, p.id, p.king)
         if pieces_per_side is None:
-            pieces_per_side = max(3, counts[Color.WHITE], counts[Color.RED])
+            pieces_per_side = max(PIECES_PER_SIDE_DEFAULT, *counts.values())
         if max(counts.values()) > pieces_per_side:
             raise ValueError("piece count exceeds pieces_per_side")
         return cls(bytes(cells), pieces_per_side)
@@ -133,12 +141,11 @@ class GameBoard:
         return "\n".join(rows)
 
 
-def initial_board(pieces_per_side: int = 3) -> GameBoard:
+def initial_board(pieces_per_side: int = PIECES_PER_SIDE_DEFAULT) -> GameBoard:
     """Mirrored back-row placement: white on the first N dark cells in
     index order, ids 1..N from the lowest index, and red on their mirror
     images (index 63 - i), ids 1..N from the highest."""
-    if not 1 <= pieces_per_side <= 12:
-        raise ValueError("pieces_per_side must be between 1 and 12")
+    check_pieces_per_side(pieces_per_side)
     cells = bytearray(64)
     darks = (idx for idx in range(64) if ((idx >> 3) + (idx & 7)) % 2 == 0)
     for piece_id, idx in zip(range(1, pieces_per_side + 1), darks):

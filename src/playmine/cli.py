@@ -8,19 +8,21 @@ trial (parameter sweeps) and render (net to dot).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .board import RewardConfig
+from .board import PIECES_PER_SIDE_DEFAULT, RewardConfig
 from .conformance import (
     ModelUnsoundError,
     classify_fitting,
     fitness_metrics,
     write_report_csv,
 )
+from .episodes import MAX_TURNS_DEFAULT
 from .eventlog import import_log
-from .explain import Explainer, NotFittingError, parse_context_string
-from .petri import PetriNet, load_net, save_net, to_dot
+from .explain import LOOKAHEAD_DEFAULT, Explainer, NotFittingError, parse_context_string
+from .petri import load_net, save_dot, save_net
 from .search import SearchConfig
 from .trial import (
     MINERS,
@@ -38,25 +40,20 @@ from .trial import (
 INPUT_ERRORS = (OSError, ValueError, LookupError, ModelUnsoundError, NotFittingError)
 
 
-def export_dot(net: PetriNet, path) -> None:
-    try:
-        Path(path).write_text(to_dot(net))
-    except OSError as exc:
-        raise OSError(f"cannot write dot file {path}: {exc}") from exc
-
-
 def _add_game_flags(p: argparse.ArgumentParser, episodes) -> None:
+    """play's and trial's flags; all defaults but ``episodes`` are the library's."""
+    reward = RewardConfig()
     p.add_argument("--episodes", type=int, default=episodes)
-    p.add_argument("--pieces", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--pieces", type=int, default=PIECES_PER_SIDE_DEFAULT)
+    p.add_argument("--seed", type=int, default=TrialSpec.seed)
+    p.add_argument("--workers", type=int, default=TrialSpec.workers)
     p.add_argument("--forced-capture", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--reward-capture", type=int, default=7)
-    p.add_argument("--reward-crown", type=int, default=7)
+                   default=reward.forced_capture)
+    p.add_argument("--reward-capture", type=int, default=reward.capture_points)
+    p.add_argument("--reward-crown", type=int, default=reward.crown_points)
     p.add_argument("--pruning", action="store_true")
     p.add_argument("--bfs-feature", action="store_true")
-    p.add_argument("--max-turns", type=int, default=200)
+    p.add_argument("--max-turns", type=int, default=MAX_TURNS_DEFAULT)
 
 
 def _reward_config(args) -> RewardConfig:
@@ -106,7 +103,7 @@ def _cmd_mine(args) -> int:
     save_net(net, args.out)
     print(f"{args.miner} miner: {net!r} -> {args.out}")
     if args.dot:
-        export_dot(net, args.dot)
+        save_dot(net, args.dot)
         print(f"rendered to {args.dot}")
     return 0
 
@@ -148,8 +145,6 @@ def _cmd_explain(args) -> int:
             "gap": report.gap,
         }
     if args.json:
-        import json
-
         print(json.dumps(payload, default=str))
     return 0
 
@@ -169,8 +164,7 @@ def _cmd_trial(args) -> int:
     except ValueError as exc:  # before any episode runs
         print(f"playmine trial: {exc}", file=sys.stderr)
         return 2
-    summary = run_trial(spec, args.out)
-    for cell in summary.cells:
+    for cell in run_trial(spec, args.out):
         status = ", ".join(f"{k}={v}" for k, v in sorted(cell.classifications.items()))
         print(f"{spec.sweep_param}={cell.value}: winners {cell.winners}, "
               f"draws {cell.draws} | {status}")
@@ -182,7 +176,7 @@ def _cmd_trial(args) -> int:
 
 def _cmd_render(args) -> int:
     net = load_net(args.net)
-    export_dot(net, args.out)
+    save_dot(net, args.out)
     print(f"rendered {args.net} -> {args.out}")
     return 0
 
@@ -194,10 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "model-based explanations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    search = SearchConfig()
     p = sub.add_parser("play", help="run self-play episodes and export logs")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--sim-depth", type=int, default=10)
-    p.add_argument("--minimax-depth", type=int, default=1)
+    p.add_argument("--iterations", type=int, default=search.iterations)
+    p.add_argument("--sim-depth", type=int, default=search.simulation_depth)
+    p.add_argument("--minimax-depth", type=int, default=search.minimax_depth)
     _add_game_flags(p, episodes=10)
     p.add_argument("--format", choices=("csv", "xes"), default="csv")
     p.add_argument("--out", required=True)
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", required=True,
                    help="e.g. \"(3,(left,down))\" or \"(-1,())\"")
     p.add_argument("--alternative", help="action to ask 'why not' about")
-    p.add_argument("--lookahead", type=int, default=2)
+    p.add_argument("--lookahead", type=int, default=LOOKAHEAD_DEFAULT)
     p.add_argument("--json", action="store_true",
                    help="also print the machine-readable form")
     p.set_defaults(func=_cmd_explain, failure="cannot explain")

@@ -300,7 +300,7 @@ NON_FITTING = "non-fitting"
 
 
 def classify_fitting(report: FitnessReport) -> str:
-    """A model is fitting iff all three fitness values equal 1 exactly."""
+    """Fitting iff all three fitness values are within ``FITTING_TOLERANCE`` of 1."""
     perfect = all(abs(v - 1.0) <= FITTING_TOLERANCE for v in (
         report.trace_fitness, report.move_model_fitness, report.move_log_fitness))
     return FITTING if perfect else NON_FITTING

@@ -328,8 +328,9 @@ def _project(traces, where, n):
 
 
 def _split_loop(traces, where, n):
-    """Each trace cut into its maximal runs within one group; a trace that
-    ends in a redo group gets an empty closing body run."""
+    """Each trace cut into its maximal runs within one group.  ``_loop_cut``
+    puts every start and end activity in the body, group 0, so every trace
+    starts and ends with a body run."""
     sublogs: list[list[Trace]] = [[] for _ in range(n)]
     for t in traces:
         cur_group = 0
@@ -342,8 +343,6 @@ def _split_loop(traces, where, n):
                 cur_group = g
             cur.append(ev)
         sublogs[cur_group].append(tuple(cur))
-        if cur_group != 0:  # trace must close in the body
-            sublogs[0].append(())
     return sublogs
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from . import kernel
-from .board import Color, GameBoard, initial_board, winner
+from .board import PIECES_PER_SIDE_DEFAULT, Color, GameBoard, initial_board, winner
 from .search import SearchConfig, mcts_search
 
 # A movement feature: direction-word tuple, or a distance delta in bfs mode.
@@ -89,7 +89,8 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-def play_episode(cfg: SearchConfig, episode_id: int = 0, pieces_per_side: int = 3,
+def play_episode(cfg: SearchConfig, episode_id: int = 0,
+                 pieces_per_side: int = PIECES_PER_SIDE_DEFAULT,
                  max_turns: int = MAX_TURNS_DEFAULT,
                  bfs_feature: bool = False) -> EpisodeResult:
     """Plays one self-play game, red first; returns both traces.

@@ -1,10 +1,11 @@
 """Event log construction, the canonical transition-label codec and I/O.
 
 A transition label packs one decision as
-``((last_id,last_move),(piece_id,move),reward)`` with direction words bare
-and no whitespace, e.g. ``((-1,()),(2,(left,down)),0)``.  Episode tables use
-the six Table-style columns with Python-literal cells; event logs ship as a
-two-column CSV (task_id, transition) or as XES.
+``((last_id,last_move),(piece_id,move),reward)``, written with bare direction
+words and no whitespace, e.g. ``((-1,()),(2,(left,down)),0)``; the parsers
+also allow whitespace between tokens and refuse anything else.  Episode
+tables use the six Table-style columns with Python-literal cells; event
+logs ship as a two-column CSV (task_id, transition) or as XES.
 
 The XES writer emits one fixed shape as text: a ``<log>`` of ``<trace>``
 elements, each holding its case id and then one ``<event>`` per label, every
@@ -52,26 +53,41 @@ class EventLog:
 
 
 def format_movement(move: Movement) -> str:
+    """A label token.  A distance delta is never -inf: both sides hold pieces
+    when a turn starts, and only a move taking the last piece makes it inf."""
     if isinstance(move, tuple):
         return "(" + ",".join(move) + ")"
     if move == math.inf:
         return "inf"
-    if move == -math.inf:
-        return "-inf"
     return str(int(move))
 
 
-def parse_movement(token: str) -> Movement:
-    token = token.strip()
-    if token.startswith("("):
-        inner = token[1:-1].strip()
-        if not inner:
-            return ()
+# The grammar format_label writes: a movement is (words), an integer or inf,
+# a pair (int,movement), a label (pair,pair,int); whitespace may part tokens.
+_WORD = r"[^\s(),]+"
+_INT = r"-?[0-9]+"
+_MOVEMENT = rf"\(\s*(?:{_WORD}(?:\s*,\s*{_WORD})*)?\s*\)|{_INT}|inf"
+_PAIR = rf"\(\s*({_INT})\s*,\s*({_MOVEMENT})\s*\)"
+_MOVEMENT_RE = re.compile(rf"\s*({_MOVEMENT})\s*")
+_PAIR_RE = re.compile(rf"\s*{_PAIR}\s*")
+_LABEL_RE = re.compile(rf"\s*\(\s*{_PAIR}\s*,\s*{_PAIR}\s*,\s*({_INT})\s*\)\s*")
+_WORD_RE = re.compile(_WORD)
+
+
+def _movement(token: str) -> Movement:
+    """A movement token the grammar matched."""
+    if token[0] == "(":
         # interned, so parsed views share one copy of each direction word
-        return tuple(sys.intern(part.strip()) for part in inner.split(","))
-    if token in ("inf", "-inf"):
-        return math.inf if token == "inf" else -math.inf
-    return int(token)
+        return tuple(map(sys.intern, _WORD_RE.findall(token)))
+    return math.inf if token == "inf" else int(token)
+
+
+def parse_movement(token: str) -> Movement:
+    """Inverse of format_movement; anything else is a ValueError quoting it."""
+    match = _MOVEMENT_RE.fullmatch(token)
+    if match is None:
+        raise ValueError(f"malformed movement: {token!r}")
+    return _movement(match[1])
 
 
 def format_label(last_id: int, last_move: Movement, piece_id: int,
@@ -86,41 +102,23 @@ def label_for(record: StepRecord) -> str:
                         record.piece_id, record.move, record.reward)
 
 
-def _split_top_level(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_pair(text: str, what: str = "pair") -> tuple[int, Movement]:
     """Parses one ``(id,movement)`` pair of a label, e.g. ``(3,(left,down))``;
-    ``what`` names it in the ValueError for a malformed one."""
-    body = text.strip()
-    parts = _split_top_level(body[1:-1])
-    if not (body.startswith("(") and body.endswith(")")) or len(parts) != 2:
+    anything else is a ValueError ``malformed {what}: ...`` quoting ``text``."""
+    match = _PAIR_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"malformed {what}: {text!r}")
-    return int(parts[0]), parse_movement(parts[1])
+    return int(match[1]), _movement(match[2])
 
 
 def parse_label(label: str) -> tuple[tuple[int, Movement], tuple[int, Movement], int]:
-    """Inverse of format_label."""
-    body = label.strip()
-    if not (body.startswith("(") and body.endswith(")")):
+    """Inverse of format_label; anything else is a ValueError quoting it."""
+    match = _LABEL_RE.fullmatch(label)
+    if match is None:
         raise ValueError(f"malformed label: {label!r}")
-    ctx_part, act_part, reward_part = _split_top_level(body[1:-1])
-    return parse_pair(ctx_part), parse_pair(act_part), int(reward_part)
+    ctx_id, ctx_move, act_id, act_move, reward = match.groups()
+    return ((int(ctx_id), _movement(ctx_move)), (int(act_id), _movement(act_move)),
+            int(reward))
 
 
 def build_event_log(traces: Iterable[tuple[int, Sequence[StepRecord]]]) -> EventLog:

@@ -133,5 +133,12 @@ def save_net(net: PetriNet, path) -> None:
     Path(path).write_text(net_to_json(net))
 
 
+def save_dot(net: PetriNet, path) -> None:
+    try:
+        Path(path).write_text(to_dot(net))
+    except OSError as exc:
+        raise OSError(f"cannot write dot file {path}: {exc}") from exc
+
+
 def load_net(path) -> PetriNet:
     return net_from_json(Path(path).read_text())

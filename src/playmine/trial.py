@@ -15,12 +15,12 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .board import RewardConfig
+from .board import PIECES_PER_SIDE_DEFAULT, RewardConfig, check_pieces_per_side
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
 from .discovery import alpha_miner, inductive_miner, tree_to_net
-from .episodes import EpisodeResult, derive_seed, play_episode
+from .episodes import MAX_TURNS_DEFAULT, EpisodeResult, derive_seed, play_episode
 from .eventlog import build_event_log, export_episode_table, export_log
-from .petri import save_net, to_dot
+from .petri import save_dot, save_net
 from .search import SearchConfig
 
 SWEPT_PARAMS = {1: "iterations", 2: "simulation_depth", 3: "minimax_depth"}
@@ -42,11 +42,11 @@ class TrialSpec:
     episodes: int = 100
     workers: int = 1
     seed: int = 0
-    pieces_per_side: int = 3
+    pieces_per_side: int = PIECES_PER_SIDE_DEFAULT
     reward: RewardConfig = field(default_factory=RewardConfig)
     pruning_enabled: bool = False
     bfs_feature: bool = False
-    max_turns: int = 200
+    max_turns: int = MAX_TURNS_DEFAULT
 
     def __post_init__(self):
         if self.trial not in SWEPT_PARAMS:
@@ -59,11 +59,7 @@ class TrialSpec:
         return SWEPT_PARAMS[self.trial]
 
     def cell_config(self, value) -> SearchConfig:
-        params = {
-            "iterations": self.iterations,
-            "simulation_depth": self.simulation_depth,
-            "minimax_depth": self.minimax_depth,
-        }
+        params = {name: getattr(self, name) for name in SWEPT_PARAMS.values()}
         params[self.sweep_param] = value
         return SearchConfig(reward=self.reward, pruning_enabled=self.pruning_enabled,
                             **params)
@@ -90,22 +86,15 @@ class CellResult:
     out_dir: Path
 
 
-@dataclass
-class TrialSummary:
-    spec: TrialSpec
-    cells: list
-
-
 def check_batch_settings(episodes: int, workers: int, pieces_per_side: int,
                          max_turns: int) -> None:
     """Raises ValueError unless a batch can run: ``episodes`` games on
     ``workers`` processes (both at least 1), each starting with
-    ``pieces_per_side`` pieces a side (1..12) and capped at ``max_turns``
-    turns (at least 1)."""
+    ``pieces_per_side`` pieces a side (``check_pieces_per_side``) and
+    capped at ``max_turns`` turns (at least 1)."""
     if episodes < 1 or workers < 1:
         raise ValueError("episodes and workers must be >= 1")
-    if not 1 <= pieces_per_side <= 12:
-        raise ValueError("pieces_per_side must be between 1 and 12")
+    check_pieces_per_side(pieces_per_side)
     if max_turns < 1:
         raise ValueError("max_turns must be >= 1")
 
@@ -177,7 +166,7 @@ def run_cell(spec: TrialSpec, value, out_dir: Path) -> CellResult:
                 reports[key] = report
                 classifications[key] = classify_fitting(report)
                 save_net(net, out_dir / f"{key}.json")
-                (out_dir / f"{key}.dot").write_text(to_dot(net))
+                save_dot(net, out_dir / f"{key}.dot")
             except Exception as exc:  # partial failures recorded, run continues
                 errors.append(f"{key}: {exc!r}")
 
@@ -189,14 +178,13 @@ def run_cell(spec: TrialSpec, value, out_dir: Path) -> CellResult:
                       reports=reports, errors=errors, out_dir=out_dir)
 
 
-def run_trial(spec: TrialSpec, out_dir) -> TrialSummary:
+def run_trial(spec: TrialSpec, out_dir) -> list[CellResult]:
+    """Runs the sweep's cells under ``out_dir``, writes summary.json and
+    returns the cells in sweep order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
-    for value in spec.sweep_values:
-        cell_dir = out_dir / f"{spec.sweep_param}={value}"
-        cells.append(run_cell(spec, value, cell_dir))
-    summary = TrialSummary(spec=spec, cells=cells)
+    cells = [run_cell(spec, value, out_dir / f"{spec.sweep_param}={value}")
+             for value in spec.sweep_values]
     payload = {
         "trial": spec.trial,
         "sweep_param": spec.sweep_param,
@@ -215,4 +203,4 @@ def run_trial(spec: TrialSpec, out_dir) -> TrialSummary:
         ],
     }
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2))
-    return summary
+    return cells

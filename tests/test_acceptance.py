@@ -60,8 +60,8 @@ def smoke_trial(tmp_path_factory):
 def test_inductive_miner_perfect_fitness(smoke_trial):
     """Both 10-episode logs at iterations=100, sim=10, mm=1 mine to models
     with all three fitness values exactly 1."""
-    out, summary = smoke_trial
-    cell = next(c for c in summary.cells if c.value == 100)
+    out, cells = smoke_trial
+    cell = next(c for c in cells if c.value == 100)
     for color in ("red", "white"):
         log = import_log(cell.out_dir / f"{color}_eventlog.xes")
         assert len(log) == 10
@@ -265,9 +265,9 @@ def test_event_log_round_trip():
 def test_workflow_net_shape_in_smoke_trial(smoke_trial):
     """Every inductive-miner net produced by the smoke trial has exactly one
     source and one sink place."""
-    out, summary = smoke_trial
+    out, cells = smoke_trial
     checked = 0
-    for cell in summary.cells:
+    for cell in cells:
         for color in ("red", "white"):
             net = load_net(cell.out_dir / f"{color}-inductive.json")
             assert len(source_places(net)) == 1

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from playmine.conformance import fitness_metrics, optimal_alignment
+from playmine.conformance import (
+    FITTING,
+    classify_fitting,
+    fitness_metrics,
+    optimal_alignment,
+)
 from playmine.discovery import (
     ProcessTree,
     _BitDfg,
@@ -234,6 +239,27 @@ class TestCuts:
             many += want is not None and len(want[1]) > 2
         assert cuts >= 150 and many >= 10
 
+    def test_loop_cut_body_holds_every_trace_start_and_end(self):
+        """``_split_loop`` relies on it: each trace opens and closes with a
+        run in the body, group 0.  The miner reaches the cuts only with
+        non-empty traces."""
+        rng = random.Random(4)
+        loops = 0
+        for _ in range(2000):
+            traces = [t for t in random_traces(rng) if t]
+            if not traces:
+                continue
+            dfg = bit_dfg(traces)
+            got = _loop_cut(dfg)
+            if got is None:
+                continue
+            body = got[1][0]
+            index = {a: k for k, a in enumerate(dfg.alphabet)}
+            for t in traces:
+                assert body >> index[t[0]] & 1 and body >> index[t[-1]] & 1, traces
+            loops += 1
+        assert loops >= 300
+
 class TestInductiveMiner:
     def test_sequence_with_concurrent_middle(self):
         tree = inductive_miner(mklog([letters("ABCD"), letters("ACBD")]))
@@ -268,6 +294,12 @@ class TestInductiveMiner:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             inductive_miner(EventLog())
+
+    def test_all_empty_traces_mine_to_tau(self):
+        log = mklog([(), ()])
+        tree = inductive_miner(log)
+        assert tree == tau()
+        assert classify_fitting(fitness_metrics(log, tree_to_net(tree))) == FITTING
 
     def test_deterministic(self):
         log = mklog([letters(t) for t in TEXTBOOK])

@@ -73,8 +73,24 @@ class TestLabelCodec:
         assert lmove == -1 and move == math.inf
 
     def test_malformed_label_rejected(self):
-        with pytest.raises(ValueError):
-            parse_label("not a label")
+        for label in ("not a label",
+                      "((3,(right,up)),(3,(left,down)))",  # no reward
+                      "((3,(right,up)),(3,(left,down)),14,0)",  # an extra part
+                      "((3,(right,up)),(3,(left,down),14)"):  # one ")" short
+            with pytest.raises(ValueError) as info:
+                parse_label(label)
+            assert str(info.value) == f"malformed label: {label!r}"
+
+    def test_whitespace_between_tokens(self):
+        assert parse_label(" ( (3 ,( right, up )) , (3,(left ,down)) , 14 ) ") == (
+            (3, ("right", "up")), (3, ("left", "down")), 14)
+
+    @pytest.mark.parametrize("token", ["-inf", "(left down)", "(up", "up", "1.5", ""])
+    def test_malformed_movement_rejected(self, token):
+        # play never makes -inf: a side left with no piece has no move
+        with pytest.raises(ValueError) as info:
+            parse_movement(token)
+        assert str(info.value) == f"malformed movement: {token!r}"
 
 
 class TestBuildEventLog:
@@ -276,6 +292,34 @@ class TestLogIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^malformed XES in .*log\.xes: {error}$"):
             import_log(path)
+
+    def test_foreign_xes_extras_are_ignored(self, tmp_path):
+        """Another writer's extensions, globals, classifier, log attribute and
+        trace and event attributes other than concept:name import as the
+        plain log."""
+        path = tmp_path / "log.xes"
+        path.write_text(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n'
+            '  <extension name="Concept" prefix="concept"'
+            ' uri="http://www.xes-standard.org/concept.xesext"/>\n'
+            '  <global scope="trace"><string key="concept:name" value="x"/></global>\n'
+            '  <global scope="event"><string key="concept:name" value="x"/></global>\n'
+            '  <classifier name="Activity" keys="concept:name"/>\n'
+            '  <string key="concept:name" value="the whole log"/>\n'
+            '  <trace>\n'
+            '    <string key="concept:name" value="1"/>\n'
+            '    <string key="side" value="red"/>\n'
+            '    <event>\n'
+            '      <string key="concept:name" value="a"/>\n'
+            '      <date key="time:timestamp" value="2025-01-01T00:00:00.000+00:00"/>\n'
+            '      <int key="turn" value="1"/>\n'
+            '    </event>\n'
+            '    <event><string key="concept:name" value="b"/></event>\n'
+            '  </trace>\n'
+            '  <trace><int key="turns" value="0"/><string key="concept:name" value="2"/></trace>\n'
+            '</log>\n')
+        assert import_log(path) == EventLog({1: ("a", "b"), 2: ()})
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -112,6 +112,10 @@ class TestRecommend:
         assert rec.supporting is not None
         assert rec.supporting.reward == 7
         assert rec.supporting.context == rec.action
+        assert rec.render() == (
+            "Recommendation: select piece 3 and move it (right, down); no observed "
+            "action scores now, but it chains into piece 1 moving (right, up) worth "
+            "7 points in a later turn.")
 
     def test_ranking_is_reward_then_future_then_order(self):
         view = layered_view(mklog(WHITE_CASES))
@@ -267,6 +271,13 @@ class TestExplainerGate:
         rec = explainer.recommend(2, (3, ("left", "down")))
         assert rec.reward == 7
 
+    def test_fitting_model_answers_why_not(self):
+        explainer = Explainer.from_log(mklog(RED_CASES))
+        report = explainer.why_not(2, (3, ("right", "up")), (3, ("right", "up")))
+        assert report == why_not(explainer.view, 2, (3, ("right", "up")),
+                                 (3, ("right", "up")))
+        assert report.recommended == (1, ("left", "up")) and report.gap == 7
+
     def test_non_fitting_model_refuses(self):
         log = mklog(WHITE_CASES)
         net = tree_to_net(inductive_miner(log))
@@ -276,6 +287,8 @@ class TestExplainerGate:
         broken = Explainer(log, net, report)
         with pytest.raises(NotFittingError):
             broken.recommend(2, (3, ("left", "down")))
+        with pytest.raises(NotFittingError):
+            broken.why_not(2, (3, ("left", "down")), (2, ("right", "up")))
 
 
 class TestContextParsing:
@@ -283,7 +296,13 @@ class TestContextParsing:
         assert parse_context_string("(3,(left,down))") == (3, ("left", "down"))
         assert parse_context_string("(-1,())") == (-1, ())
         assert parse_context_string("(2,(up))") == (2, ("up",))
+        # whitespace may separate tokens
+        assert parse_context_string(" ( 3 , ( left , down ) ) ") == (3, ("left", "down"))
+        assert parse_context_string("(-1,( ))") == (-1, ())
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_context_string("3,(left)")
+        for text in ("3,(left)", "(3,(upx)", "(3,(up)", "(3,(left,downx)",
+                     "(3,(left,,down))", "(3,(left,down)))"):
+            with pytest.raises(ValueError) as info:
+                parse_context_string(text)
+            assert str(info.value) == f"malformed context: {text!r}"

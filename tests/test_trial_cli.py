@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -11,12 +12,16 @@ import pytest
 
 import playmine
 from playmine import cli, trial
-from playmine.cli import build_parser, export_dot, main
+from playmine.cli import build_parser, main
 from playmine.discovery import act, seq, tree_to_net
-from playmine.episodes import EpisodeResult
-from playmine.eventlog import import_log
-from playmine.petri import PetriNet, Transition, load_net
-from playmine.trial import TrialSpec, TrialSummary, run_trial
+from playmine.board import RewardConfig
+from playmine.episodes import MAX_TURNS_DEFAULT, EpisodeResult
+from playmine.eventlog import export_log, format_label, import_log
+from playmine.explain import LOOKAHEAD_DEFAULT
+from playmine.petri import PetriNet, Transition, load_net, save_dot
+from playmine.search import SearchConfig
+from playmine.trial import TrialSpec, run_trial
+from helpers import mklog
 from oracles import has_unique_source_and_sink
 
 
@@ -60,23 +65,22 @@ class TestTrialSpec:
 @pytest.fixture(scope="module")
 def trial_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("trial")
-    summary = run_trial(tiny_spec(), out)
-    return out, summary
+    return out, run_trial(tiny_spec(), out)
 
 
 class TestRunTrial:
     def test_report_count(self, trial_out):
         # 2 cells x 2 colors x 2 miners; alpha nets may be unsound on real
         # logs, in which case the failure is recorded and the run continues
-        _, summary = trial_out
-        reports = [k for cell in summary.cells for k in cell.classifications]
-        errors = [e for cell in summary.cells for e in cell.errors]
+        _, cells = trial_out
+        reports = [k for cell in cells for k in cell.classifications]
+        errors = [e for cell in cells for e in cell.errors]
         assert len(reports) + len(errors) == 2 * 2 * 2
         assert all("alpha" in e for e in errors)
 
     def test_inductive_models_always_fit(self, trial_out):
-        _, summary = trial_out
-        for cell in summary.cells:
+        _, cells = trial_out
+        for cell in cells:
             assert cell.classifications["red-inductive"] == "fitting"
             assert cell.classifications["white-inductive"] == "fitting"
 
@@ -147,7 +151,7 @@ class TestExportDot:
     def test_single_transition_net(self, tmp_path):
         net = tree_to_net(act("A"))
         path = tmp_path / "net.dot"
-        export_dot(net, path)
+        save_dot(net, path)
         text = path.read_text()
         assert text.count("shape=circle") == 2
         assert text.count("shape=box") == 1
@@ -156,7 +160,7 @@ class TestExportDot:
     def test_sequence_chain(self, tmp_path):
         net = tree_to_net(seq(act("A"), act("B")))
         path = tmp_path / "seq.dot"
-        export_dot(net, path)
+        save_dot(net, path)
         text = path.read_text()
         assert text.count("shape=circle") == 3
         assert '"t0" -> ' in text
@@ -165,13 +169,13 @@ class TestExportDot:
         net = PetriNet(["p0", "p1"], [Transition("t0", None)],
                        [("p0", "t0"), ("t0", "p1")],
                        Counter({"p0": 1}), Counter({"p1": 1}))
-        export_dot(net, tmp_path / "tau.dot")
+        save_dot(net, tmp_path / "tau.dot")
         assert "style=filled" in (tmp_path / "tau.dot").read_text()
 
     def test_output_stable(self, tmp_path):
         net = tree_to_net(seq(act("A"), act("B")))
-        export_dot(net, tmp_path / "a.dot")
-        export_dot(net, tmp_path / "b.dot")
+        save_dot(net, tmp_path / "a.dot")
+        save_dot(net, tmp_path / "b.dot")
         assert (tmp_path / "a.dot").read_bytes() == (tmp_path / "b.dot").read_bytes()
 
 
@@ -233,14 +237,14 @@ class TestCli:
         ("0", "(-1,())", "layer 0 out of range 1..2", ()),
         ("1", "(3,(up))", "no transition with context (3, ('up',)) observed at layer 1", ()),
         ("1", "garbage", "malformed context: 'garbage'", ()),
+        # not the observed (-1,()), though it starts like it
+        ("1", "(-1,(x)", "malformed context: '(-1,(x)'", ()),
         ("1", "(-1,())", "lookahead must be >= 0, got -1", ("--lookahead", "-1")),
-    ], ids=["layer", "unobserved", "malformed", "lookahead"])
+    ], ids=["layer", "unobserved", "malformed", "malformed-prefix", "lookahead"])
     def test_explain_user_error_is_one_line(self, tmp_path, capsys, layer, context, message,
                                             extra):
         """A layer, context or action the log does not hold, or a negative
         lookahead: one line on stderr and exit code 1, no traceback."""
-        from playmine.eventlog import export_log, format_label
-        from helpers import mklog
         log_path = tmp_path / "log.csv"
         trace = (format_label(-1, (), 1, ("left", "up"), 0),
                  format_label(2, ("right",), 1, ("left",), 7))
@@ -250,6 +254,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"cannot explain: {message}\n"
+
+    def test_explain_malformed_label_is_one_line(self, tmp_path, capsys):
+        log_path = tmp_path / "log.csv"
+        label = "((-1,()),(1,(left,up)))"  # no reward
+        export_log(mklog([(label,)]), log_path, "csv")
+        rc = main(["explain", "--log", str(log_path), "--layer", "1", "--context", "(-1,())"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"cannot explain: malformed label: {label!r}\n"
+
+    def test_explain_why_not_with_json(self, tmp_path, capsys):
+        """--alternative adds the why-not line; --json then prints both
+        answers as one JSON line."""
+        log_path = tmp_path / "log.csv"
+        first = (format_label(-1, (), 1, ("left", "up"), 0),
+                 format_label(2, ("right",), 1, ("left",), 7))
+        second = (format_label(-1, (), 2, ("left", "up"), 0),
+                  format_label(2, ("right",), 3, ("up",), 0))
+        export_log(mklog([first, second]), log_path, "csv")
+        rc = main(["explain", "--log", str(log_path), "--layer", "2", "--context", "(2,(right))",
+                   "--alternative", "(3,(up))", "--json"])
+        assert rc == 0
+        rec, why, payload = capsys.readouterr().out.splitlines()
+        assert rec == ("Recommendation: select piece 1 and move it (left), because it earns "
+                       "7 points right away by capturing or crowning.")
+        assert why == ("Not recommended: piece 3 moving (up) earns 0 points versus 7 for the "
+                       "recommended action. It also chains into no scoring transition nearby.")
+        assert json.loads(payload) == {
+            "layer": 2,
+            "context": [2, ["right"]],
+            "recommendation": {"action": [1, ["left"]], "reward": 7, "kind": "immediate-reward",
+                               "ranked": [[[1, ["left"]], 7], [[3, ["up"]], 0]]},
+            "why_not": {"alternative": [3, ["up"]], "reward": 0, "gap": 7},
+        }
 
     def test_trial_command(self, tmp_path, capsys):
         out = tmp_path / "trial"
@@ -262,9 +299,7 @@ class TestCli:
         assert (out / "summary.json").exists()
 
     def test_check_reports_unsound_net(self, tmp_path, capsys):
-        from playmine.eventlog import export_log
-        from playmine.petri import PetriNet, save_net
-        from helpers import mklog
+        from playmine.petri import save_net
         net = PetriNet(
             places=["p0", "p_dead"],
             transitions=[Transition("t0", "A")],
@@ -419,7 +454,7 @@ def _record_calls(monkeypatch):
     monkeypatch.setattr(cli, "run_episodes", recorder(trial.run_episodes, lambda: PLAYED))
     monkeypatch.setattr(cli, "episode_logs", recorder(trial.episode_logs, dict))
     monkeypatch.setattr(cli, "run_trial", recorder(
-        trial.run_trial, lambda: TrialSummary(calls["run_trial"]["spec"], [])))
+        trial.run_trial, list))
     return calls
 
 
@@ -428,6 +463,25 @@ def _subparser(command):
 
 
 class TestCliOptions:
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        play = parser.parse_args(BASE_ARGV["play"])
+        trial_args = parser.parse_args(BASE_ARGV["trial"])
+        explain = parser.parse_args(["explain", "--log", "l", "--layer", "1", "--context", "c"])
+        search, reward = SearchConfig(), RewardConfig()
+        spec = {f.name: f.default for f in dataclasses.fields(TrialSpec)}
+        assert (play.iterations, play.sim_depth, play.minimax_depth) == (
+            search.iterations, search.simulation_depth, search.minimax_depth)
+        for args in (play, trial_args):
+            assert (args.reward_capture, args.reward_crown, args.forced_capture) == (
+                reward.capture_points, reward.crown_points, reward.forced_capture)
+            assert (args.seed, args.workers, args.pieces) == (
+                spec["seed"], spec["workers"], spec["pieces_per_side"])
+            assert args.max_turns == spec["max_turns"] == MAX_TURNS_DEFAULT
+        assert explain.lookahead == LOOKAHEAD_DEFAULT
+        # the CLI's own: play's batch size, and trial's None for the profile's
+        assert (play.episodes, trial_args.episodes) == (10, None)
+
     @pytest.mark.parametrize(
         "command,tokens,path,expected",
         [(command, *row) for command, rows in GAME_OPTIONS.items() for row in rows],
