@@ -101,6 +101,8 @@ class GameBoard:
             cells[idx] = kernel.encode_cell(p.color.value, p.id, p.king)
         if pieces_per_side is None:
             pieces_per_side = max(PIECES_PER_SIDE_DEFAULT, *counts.values())
+        else:
+            check_pieces_per_side(pieces_per_side)
         if max(counts.values()) > pieces_per_side:
             raise ValueError("piece count exceeds pieces_per_side")
         return cls(bytes(cells), pieces_per_side)

@@ -6,17 +6,21 @@
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
- * the two to identical outputs.  Four things differ inside: gen finds the
+ * the two to identical outputs.  Five things differ inside: gen finds the
  * movable pieces from 64-bit masks of the board (own pieces, opponent
  * pieces, empty squares) where _pykernel scans the squares, and emits the
  * same moves in the same order; minimax scores a leaf from material counts
  * carried down the search (a move changes them only by its captures and
  * its crowning) where _pykernel counts the leaf's board, the same float
  * expression on the same counts, so it is bit-identical on every board;
- * the memo is an open-addressed table where _pykernel keeps a dict; and
- * each memo entry links to the entry of the step after it, so a rollout
- * walking entries it has linked neither hashes nor copies a board, yet
- * counts each followed link as the step and the hit its lookup would be.
+ * minimax scores a depth-1 node below the root whose side can neither
+ * capture nor crown from its own material without generating its moves,
+ * since every child has that material (minimax's comment says why the
+ * score is the same); the memo is an open-addressed table where _pykernel
+ * keeps a dict; and each memo entry links to the entry of the step after
+ * it, so a rollout walking entries it has linked neither hashes nor copies
+ * a board, yet counts each followed link as the step and the hit its
+ * lookup would be.
  * search calls no Python code.  playmine/kernel/__init__.py compiles this
  * file on first import; gen needs the GCC/Clang builtin __builtin_ctzll,
  * and a compiler without it fails the build, so the pure kernel is used
@@ -256,41 +260,63 @@ toward(uint64_t m, int delta)
     return delta > 0 ? m >> delta : m << -delta;
 }
 
-/* Pushes every legal move of `color`: per piece in ascending board index
- * its capture chains, then its quiet steps, each in direction order; with
- * forced capture and any capture available only the captures.  That is
- * _pykernel.gen_moves's order, but the squares are not scanned one by one:
- * from the board's masks, one mask per direction holds the pieces that can
- * step that way and one the pieces that can start a jump that way (an
- * opponent next to them, an empty square beyond), both kept on the board
- * by STEP_ON and JUMP_ON.  Only the pieces in these masks are visited, in
- * ascending index by count-trailing-zeros, and only a jump starter enters
- * extend_chains.  A jump starter has a chain, so with forced capture and
- * any jump starter no quiet step is built.  Returns the number of moves
- * pushed, or -1 on error. */
-static Py_ssize_t
-gen(Call *c, const unsigned char *state, int color)
+/* The pieces of one side that can move, as masks whose bit idx is square
+ * idx: steps[d] holds those that can step in direction d, steppers all of
+ * them, jumpers those that can start a jump (an opponent next to them, an
+ * empty square beyond), and crowners the men among the steppers whose step
+ * reaches their far row.  STEP_ON and JUMP_ON keep every mask on the
+ * board. */
+typedef struct {
+    uint64_t steps[4], steppers, jumpers, crowners;
+} Movers;
+
+/* white men move toward x = 7 (dirs 0-1), red men toward x = 0 */
+#define FAR_X(color) ((color) == WHITE ? 7 : 0)
+#define MEN_D0(color) ((color) == WHITE ? 0 : 2)
+
+/* The one home of the rules for which pieces of `color` can move. */
+static void
+find_movers(const unsigned char *state, int color, Movers *mv)
 {
-    Py_ssize_t base = c->n;
     uint64_t own, kings, opp;
     board_masks(state, color, &own, &kings, &opp);
-    uint64_t empty = ~(own | opp), steps[4], steppers = 0, jumpers = 0;
-    /* white men move toward x = 7 (dirs 0-1), red men toward x = 0 */
-    int far_x = color == WHITE ? 7 : 0, men_d0 = color == WHITE ? 0 : 2;
+    uint64_t empty = ~(own | opp);
+    int men_d0 = MEN_D0(color);
+    mv->steppers = mv->jumpers = 0;
     for (int d = 0; d < 4; d++) {
         uint64_t movers = (d & 2) == men_d0 ? own : kings;
-        steps[d] = movers & STEP_ON[d] & toward(empty, DELTA[d]);
-        steppers |= steps[d];
-        jumpers |= movers & JUMP_ON[d] & toward(opp, DELTA[d])
-                   & toward(empty, 2 * DELTA[d]);
+        mv->steps[d] = movers & STEP_ON[d] & toward(empty, DELTA[d]);
+        mv->steppers |= mv->steps[d];
+        mv->jumpers |= movers & JUMP_ON[d] & toward(opp, DELTA[d])
+                       & toward(empty, 2 * DELTA[d]);
     }
+    /* the row before the far row: x = 6 (squares 48-55) or x = 1 (8-15) */
+    uint64_t last_step = color == WHITE ? 0xFFULL << 48 : 0xFFULL << 8;
+    mv->crowners = (mv->steps[men_d0] | mv->steps[men_d0 + 1]) & ~kings & last_step;
+}
+
+/* Pushes every legal move of `color`, whose movable pieces are mv: per
+ * piece in ascending board index its capture chains, then its quiet steps,
+ * each in direction order; with forced capture and any capture available
+ * only the captures.  That is _pykernel.gen_moves's order, but the squares
+ * are not scanned one by one: only the pieces in mv's masks are visited,
+ * in ascending index by count-trailing-zeros, and only a jump starter
+ * enters extend_chains.  A jump starter has a chain, so with forced
+ * capture and any jump starter no quiet step is built.  Returns the number
+ * of moves pushed, or -1 on error. */
+static Py_ssize_t
+gen_movers(Call *c, const unsigned char *state, int color, const Movers *mv)
+{
+    Py_ssize_t base = c->n;
+    uint64_t jumpers = mv->jumpers;
+    int far_x = FAR_X(color), men_d0 = MEN_D0(color);
     int quiet = !(c->forced && jumpers);
     Chain ch;
     ch.color = color;
     ch.far_x = far_x;
     if (jumpers)
         memcpy(ch.work, state, 64);
-    for (uint64_t walk = jumpers | (quiet ? steppers : 0); walk; walk &= walk - 1) {
+    for (uint64_t walk = jumpers | (quiet ? mv->steppers : 0); walk; walk &= walk - 1) {
         int idx = __builtin_ctzll(walk);
         unsigned char piece = state[idx];
         int king = (piece & KING_FLAG) != 0;
@@ -306,7 +332,7 @@ gen(Call *c, const unsigned char *state, int color)
             ch.work[idx] = piece;
         }
         for (int d = 0; quiet && d < 4; d++) {
-            if (!((steps[d] >> idx) & 1))
+            if (!((mv->steps[d] >> idx) & 1))
                 continue;
             int to = idx + DELTA[d], crowned = !king && (to >> 3) == far_x;
             Move *m = push(c);
@@ -324,6 +350,14 @@ gen(Call *c, const unsigned char *state, int color)
         }
     }
     return c->n - base;
+}
+
+static Py_ssize_t
+gen(Call *c, const unsigned char *state, int color)
+{
+    Movers mv;
+    find_movers(state, color, &mv);
+    return gen_movers(c, state, color, &mv);
 }
 
 /* A board's material: its white men, white kings, red men and red kings. */
@@ -374,7 +408,16 @@ evaluate(const long mat[4], long color, double king_weight)
  * `mat` is the material of `state`, and each child's is derived from it by
  * child_material, so a leaf is scored by evaluate from counts without
  * scanning its board: a depth-1 node scores its children that way, with no
- * copy of their states and no call below it. */
+ * copy of their states and no call below it.
+ *
+ * A depth-1 node below the root whose side has no jump starter and no man
+ * that can step onto its far row returns evaluate(mat) without generating
+ * a move.  That is its exact score: every move is then a quiet step that
+ * crowns nothing, so every child has the material mat; the first child
+ * sets best_score to evaluate(mat), no later one improves on it strictly
+ * and a cutoff returns it unchanged, and a node with no move returns it
+ * too.  Only a NaN score (an infinite or NaN king weight) is never set by
+ * a child, so that node takes the full loop. */
 static double
 minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, long agent,
         long depth, double alpha, double beta, Move *best, int *found)
@@ -383,7 +426,14 @@ minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, lo
         *found = 0;
     if (depth == 0)
         return evaluate(mat, agent, c->kw);
-    Py_ssize_t base = c->n, n = gen(c, state, (int)to_move);
+    Movers mv;
+    find_movers(state, (int)to_move, &mv);
+    if (depth == 1 && best == NULL && !(mv.jumpers | mv.crowners)) {
+        double score = evaluate(mat, agent, c->kw);
+        if (!isnan(score))
+            return score;
+    }
+    Py_ssize_t base = c->n, n = gen_movers(c, state, (int)to_move, &mv);
     if (n < 0)
         return 0.0;
     if (n == 0)

@@ -122,6 +122,15 @@ class TestGameBoardInvariants:
         with pytest.raises(ValueError):
             GameBoard.from_pieces(pieces, pieces_per_side=3)
 
+    @pytest.mark.parametrize("n", [0, 13, 40])
+    def test_out_of_range_count(self, n):
+        """An explicit count is held to initial_board's range and message."""
+        with pytest.raises(ValueError) as want:
+            initial_board(n)
+        with pytest.raises(ValueError) as got:
+            GameBoard.from_pieces([GamePiece(Color.RED, 1, 0, 2)], pieces_per_side=n)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("field, value", [("state", bytes(64)),
                                               ("pieces_per_side", 12)],
                              ids=["state", "pieces_per_side"])

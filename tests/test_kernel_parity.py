@@ -127,6 +127,88 @@ def test_minimax_leaf_scores_identical():
                 assert pk.minimax(*args) == compiled.minimax(*args), args
 
 
+def _mirrored(pieces):
+    """The same position with the colours swapped and the board turned."""
+    return [(1 - color, 7 - x, 7 - y, king) for color, x, y, king in pieces]
+
+
+# 12 a side: white on x = 4-6 and red on x = 1-3, every dark square of those
+# rows; no piece can jump, and the men on x = 6 and x = 1 can crown
+DENSE = ([(pk.WHITE, x, y, False) for x in (4, 5, 6) for y in range(x % 2, 8, 2)]
+         + [(pk.RED, x, y, False) for x in (1, 2, 3) for y in range(x % 2, 8, 2)])
+# one side's position, given for white to move and, mirrored, for red
+QUIET_OR_CROWNING = {
+    # a man one row short of crowning with its crown squares open
+    "crown_open": [(pk.WHITE, 6, 2, False), (pk.WHITE, 2, 2, False), (pk.RED, 2, 6, False)],
+    # the same man with both crown squares taken by its own kings
+    "crown_blocked": [(pk.WHITE, 6, 2, False), (pk.WHITE, 7, 1, True),
+                      (pk.WHITE, 7, 3, True), (pk.RED, 2, 6, False)],
+    # a king on that row, which steps onto the far row without crowning
+    "king_on_last_step": [(pk.WHITE, 6, 2, True), (pk.WHITE, 2, 2, False),
+                          (pk.RED, 2, 6, False)],
+    # only the king can take the man behind it; the man beside it cannot
+    "king_only_jump": [(pk.WHITE, 4, 4, True), (pk.WHITE, 4, 2, False),
+                       (pk.RED, 3, 3, False), (pk.RED, 1, 7, False)],
+    "dense_men": DENSE,
+    # the same with white's x = 6 men made kings
+    "dense_kings_on_last_step": [(color, x, y, color == pk.WHITE and x == 6)
+                                 for color, x, y, _ in DENSE],
+}
+PREMISE_STATES = ([_pieces(p) for pieces in QUIET_OR_CROWNING.values()
+                   for p in (pieces, _mirrored(pieces))] + FULL[:4])
+
+
+def test_premise_of_the_depth1_shortcut():
+    """The compiled minimax scores a depth-1 node below the root from its
+    material when its side can neither capture nor crown.  On hand-built
+    boards of both colours (a man one step from crowning, open and blocked,
+    a king on that row, a jump only a king can start, 12 a side) both twins
+    agree at depths 1-4, forced capture on and off; and whenever gen_moves
+    lists no capture and no crowning, a depth-1 minimax scores the board's
+    own material on both twins.  A crowning-only node scores more for its
+    mover, so the crowning men must be excluded."""
+    quiet = crowning_only = 0
+    for state, to_move, forced in product(PREMISE_STATES, (0, 1), (True, False)):
+        for agent, depth, king_weight in product((0, 1), (1, 2, 3, 4), (0.5, 1.5)):
+            args = (state, to_move, agent, depth, forced, 7, 7, king_weight)
+            assert pk.minimax(*args) == compiled.minimax(*args), args
+        moves = pk.gen_moves(state, to_move, forced, 7, 7)
+        if any(m[2] for m in moves):
+            continue
+        for agent, king_weight, twin in product((0, 1), (0.5, 1.5), (pk, compiled)):
+            score = twin.minimax(state, to_move, agent, 1, forced, 7, 7, king_weight)[0]
+            material = pk.evaluate(state, agent, king_weight)
+            if not any(m[3] for m in moves):
+                assert score == material, (state, to_move, agent)
+            elif agent == to_move:
+                assert score == material + king_weight, (state, to_move)
+        if any(m[3] for m in moves):
+            crowning_only += 1
+        else:
+            quiet += 1
+    assert quiet >= 16 and crowning_only >= 8, (quiet, crowning_only)
+    pieces = QUIET_OR_CROWNING["king_only_jump"]
+    for side, state in enumerate((_pieces(pieces), _pieces(_mirrored(pieces)))):
+        jumps = [m for m in pk.gen_moves(state, side, False, 7, 7) if m[2]]
+        assert jumps and all(state[m[0]] & pk.KING_FLAG for m in jumps)
+
+
+def _same_score(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_depth1_shortcut_with_non_finite_king_weight():
+    """An infinite king weight with equal kings, or a NaN one, scores the
+    material NaN.  A NaN never compares better than the starting -inf or
+    +inf, so a node whose children all score NaN returns that infinity, not
+    the NaN of its material, and the shortcut must leave it to the loop."""
+    for state, to_move, agent in product(PREMISE_STATES, (0, 1), (0, 1)):
+        for depth, king_weight in product((1, 2, 3), (math.inf, -math.inf, math.nan)):
+            args = (state, to_move, agent, depth, True, 7, 7, king_weight)
+            (want, want_move), (got, got_move) = pk.minimax(*args), compiled.minimax(*args)
+            assert _same_score(want, got) and want_move == got_move, args
+
+
 def test_rollout_identical_at_minimax_depths_1_and_3():
     for state in MATERIAL_BOARDS:
         for color, mm_depth, king_weight, forced in product((0, 1), (1, 3), (0.5, 1.5),

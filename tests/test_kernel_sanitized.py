@@ -75,7 +75,9 @@ def test_sanitized_kernel_matches_pure_twin(tmp_path):
            "UBSAN_OPTIONS": "print_stacktrace=1",
            "PYTHONMALLOC": "malloc",
            "PLAYMINE_PURE": "1",
-           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+           # ahead of the parent's entries, which may be where pytest is found
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(Path(__file__)), str(binary), str(FUZZ_SEED)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
