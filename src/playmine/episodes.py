@@ -50,11 +50,10 @@ class EpisodeResult:
 
 
 def abstract_move(frm: tuple[int, int], to: tuple[int, int]) -> tuple:
-    """Signs of the displacement as direction words; zero components drop."""
+    """Signs of the displacement as direction words; zero components drop,
+    so a king's capture loop back to its own square is ``()``."""
     dx = to[0] - frm[0]
     dy = to[1] - frm[1]
-    if dx == 0 and dy == 0:
-        raise ValueError("move must change position")
     labels = []
     if dx > 0:
         labels.append("right")

@@ -7,24 +7,25 @@
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
  * the two to identical outputs.  Five things differ inside: gen finds the
- * movable pieces from 64-bit masks of the board (own pieces, opponent
- * pieces, empty squares) where _pykernel scans the squares, and emits the
- * same moves in the same order; minimax scores a leaf from material counts
- * carried down the search (a move changes them only by its captures and
- * its crowning) where _pykernel counts the leaf's board, the same float
- * expression on the same counts, so it is bit-identical on every board;
- * minimax scores a depth-1 node below the root whose side can neither
- * capture nor crown from its own material without generating its moves,
- * since every child has that material (minimax's comment says why the
- * score is the same); the memo is an open-addressed table where _pykernel
- * keeps a dict; and each memo entry links to the entry of the step after
- * it, so a rollout walking entries it has linked neither hashes nor copies
- * a board, yet counts each followed link as the step and the hit its
- * lookup would be.
+ * movable pieces from 64-bit masks of the board (white pieces, red pieces,
+ * kings) where _pykernel scans the squares, and emits the same moves in the
+ * same order; minimax reads the masks and the material counts off the board
+ * at its root only and carries both down the search, deriving a child's
+ * from its parent's and the move (its from and to squares, its captures,
+ * its crowning), where _pykernel scans each node's board and counts each
+ * leaf's, the same float expression on the same counts, so it is
+ * bit-identical on every board; minimax scores a depth-1 node below the
+ * root whose side can neither capture nor crown from its own material
+ * without generating its moves, since every child has that material
+ * (minimax's comment says why the score is the same); the memo is an
+ * open-addressed table where _pykernel keeps a dict; and each memo entry
+ * links to the entry of the step after it, so a rollout walking entries it
+ * has linked neither hashes nor copies a board, yet counts each followed
+ * link as the step and the hit its lookup would be.
  * search calls no Python code.  playmine/kernel/__init__.py compiles this
- * file on first import; gen needs the GCC/Clang builtin __builtin_ctzll,
- * and a compiler without it fails the build, so the pure kernel is used
- * and the reason logged.
+ * file on first import; the kernel needs the GCC/Clang builtins
+ * __builtin_ctzll and __builtin_popcountll, and a compiler without them
+ * fails the build, so the pure kernel is used and the reason logged.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -35,7 +36,6 @@
 
 #define WHITE 0
 #define KING_FLAG 0x20
-#define RED_FLAG 0x40
 #define ID_MASK 0x1F
 
 /* Longest capture chain on any 64-byte state.  A jump moves the piece by
@@ -79,8 +79,9 @@ init_tables(void)
 typedef struct {
     unsigned char frm, to, ncap, crowned;
     unsigned char kcap; /* how many of the ncap captured pieces were kings */
-    long reward;
     unsigned char caps[MAXCAPS];
+    long reward;
+    uint64_t capmask; /* the squares of the captured pieces */
     unsigned char state[64];
 } Move;
 
@@ -158,11 +159,12 @@ push(Call *c)
     return &c->moves[c->n++];
 }
 
-/* Jump search for one piece: the board without the mover, and the ids
- * captured so far. */
+/* Jump search for one piece: the board without the mover, and the ids and
+ * squares captured so far. */
 typedef struct {
     unsigned char work[64];
     unsigned char caps[MAXCAPS];
+    uint64_t capmask;
     unsigned char piece;
     int from, color, king, far_x, d0, d1;
 } Chain;
@@ -179,6 +181,7 @@ emit_chain(Call *c, const Chain *ch, int land, int ncap, int kcap, int crowned)
     m->kcap = (unsigned char)kcap;
     m->crowned = (unsigned char)crowned;
     m->reward = c->cap_pts * ncap + (crowned ? c->crown_pts : 0);
+    m->capmask = ch->capmask;
     memcpy(m->caps, ch->caps, (size_t)ncap);
     memcpy(m->state, ch->work, 64);
     m->state[land] = crowned ? (ch->piece | KING_FLAG) : ch->piece;
@@ -203,6 +206,7 @@ extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
             continue;
         jumped = 1;
         ch->work[mid] = 0;
+        ch->capmask ^= 1ULL << mid;
         ch->caps[ncap] = mv & ID_MASK;
         int nk = kcap + ((mv & KING_FLAG) != 0), rc;
         if (!ch->king && (land >> 3) == ch->far_x) {
@@ -217,6 +221,7 @@ extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
         if (rc < 0)
             return -1;
         ch->work[mid] = mv;
+        ch->capmask ^= 1ULL << mid;
     }
     return jumped;
 }
@@ -228,15 +233,21 @@ byte_tops(uint64_t w)
     return (((w >> 7) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
 }
 
-/* The squares of `color`'s pieces, of its kings and of the opponent's
- * pieces, as masks whose bit idx is square idx.  The state is read 8
- * squares to a 64-bit word, byte k of word i being square 8 i + k. */
+/* A board as masks whose bit idx is square idx: the squares of the white
+ * pieces (side[WHITE]), of the red pieces (side[1 - WHITE]) and of all
+ * kings. */
+typedef struct {
+    uint64_t side[2], kings;
+} Masks;
+
+/* The masks of a state, read 8 squares to a 64-bit word, byte k of word i
+ * being square 8 i + k.  Only a search root reads them so: minimax derives
+ * each child's masks from its parent's by child_masks. */
 static void
-board_masks(const unsigned char *state, int color, uint64_t *own, uint64_t *kings,
-            uint64_t *opp)
+board_masks(const unsigned char *state, Masks *bm)
 {
     const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
-    *own = *kings = *opp = 0;
+    bm->side[0] = bm->side[1] = bm->kings = 0;
     for (int i = 0; i < 8; i++) {
         uint64_t w;
         memcpy(&w, state + 8 * i, 8);
@@ -246,10 +257,9 @@ board_masks(const unsigned char *state, int color, uint64_t *own, uint64_t *king
         /* top bit of each byte: the square is not empty, the piece is red,
          * the piece is a king */
         uint64_t busy = ((w & low7) + low7) | w, red = w << 1, king = w << 2;
-        uint64_t mine = busy & (color == WHITE ? ~red : red);
-        *own |= byte_tops(mine) << (8 * i);
-        *kings |= byte_tops(mine & king) << (8 * i);
-        *opp |= byte_tops(busy & ~mine) << (8 * i);
+        bm->side[WHITE] |= byte_tops(busy & ~red) << (8 * i);
+        bm->side[1 - WHITE] |= byte_tops(busy & red) << (8 * i);
+        bm->kings |= byte_tops(busy & king) << (8 * i);
     }
 }
 
@@ -274,12 +284,12 @@ typedef struct {
 #define FAR_X(color) ((color) == WHITE ? 7 : 0)
 #define MEN_D0(color) ((color) == WHITE ? 0 : 2)
 
-/* The one home of the rules for which pieces of `color` can move. */
+/* The one home of the rules for which pieces of `color` can move, on the
+ * board whose masks are bm. */
 static void
-find_movers(const unsigned char *state, int color, Movers *mv)
+find_movers(const Masks *bm, int color, Movers *mv)
 {
-    uint64_t own, kings, opp;
-    board_masks(state, color, &own, &kings, &opp);
+    uint64_t own = bm->side[color], opp = bm->side[1 - color], kings = bm->kings & own;
     uint64_t empty = ~(own | opp);
     int men_d0 = MEN_D0(color);
     mv->steppers = mv->jumpers = 0;
@@ -314,6 +324,7 @@ gen_movers(Call *c, const unsigned char *state, int color, const Movers *mv)
     Chain ch;
     ch.color = color;
     ch.far_x = far_x;
+    ch.capmask = 0;
     if (jumpers)
         memcpy(ch.work, state, 64);
     for (uint64_t walk = jumpers | (quiet ? mv->steppers : 0); walk; walk &= walk - 1) {
@@ -344,6 +355,7 @@ gen_movers(Call *c, const unsigned char *state, int color, const Movers *mv)
             m->kcap = 0;
             m->crowned = (unsigned char)crowned;
             m->reward = crowned ? c->crown_pts : 0;
+            m->capmask = 0;
             memcpy(m->state, state, 64);
             m->state[idx] = 0;
             m->state[to] = crowned ? (piece | KING_FLAG) : piece;
@@ -352,29 +364,45 @@ gen_movers(Call *c, const unsigned char *state, int color, const Movers *mv)
     return c->n - base;
 }
 
+/* Every legal move of `color` on a state no search has masks of. */
 static Py_ssize_t
 gen(Call *c, const unsigned char *state, int color)
 {
+    Masks bm;
     Movers mv;
-    find_movers(state, color, &mv);
+    board_masks(state, &bm);
+    find_movers(&bm, color, &mv);
     return gen_movers(c, state, color, &mv);
 }
 
-/* A board's material: its white men, white kings, red men and red kings. */
+/* The masks after `color` plays m on the board of masks bm, as board_masks
+ * of m->state reads them: the mover leaves its square, then lands (a king's
+ * capture loop may land on the square it left), a king if it was one or
+ * crowns; the captured pieces and kings leave. */
 static void
-count_material(const unsigned char *state, long mat[4])
+child_masks(const Masks *bm, const Move *m, int color, Masks *out)
 {
-    mat[0] = mat[1] = mat[2] = mat[3] = 0;
-    for (int idx = 0; idx < 64; idx++) {
-        unsigned char v = state[idx];
-        if (v != 0)
-            mat[((v & RED_FLAG) ? 2 : 0) + ((v & KING_FLAG) ? 1 : 0)]++;
+    uint64_t frm = 1ULL << m->frm, to = 1ULL << m->to;
+    uint64_t king = ((bm->kings >> m->frm) & 1) | m->crowned;
+    out->side[color] = (bm->side[color] & ~frm) | to;
+    out->side[1 - color] = bm->side[1 - color] & ~m->capmask;
+    out->kings = (bm->kings & ~(frm | m->capmask)) | (king << m->to);
+}
+
+/* A board's material from its masks: its white men, white kings, red men
+ * and red kings. */
+static void
+board_material(const Masks *bm, long mat[4])
+{
+    for (int side = 0; side < 2; side++) {
+        mat[2 * side] = __builtin_popcountll(bm->side[side] & ~bm->kings);
+        mat[2 * side + 1] = __builtin_popcountll(bm->side[side] & bm->kings);
     }
 }
 
 /* The material after `color` plays m: the captured men and kings leave,
  * and a crowning turns one of the mover's men into a king.  It equals
- * count_material of m->state. */
+ * board_material of m->state. */
 static void
 child_material(const long mat[4], const Move *m, long color, long out[4])
 {
@@ -405,29 +433,31 @@ evaluate(const long mat[4], long color, double king_weight)
  * leaf; that is _pykernel.winner's test.  When `best` is given the
  * chosen move is copied there and *found says whether there was one.
  *
- * `mat` is the material of `state`, and each child's is derived from it by
- * child_material, so a leaf is scored by evaluate from counts without
- * scanning its board: a depth-1 node scores its children that way, with no
- * copy of their states and no call below it.
+ * `bm` holds the masks of `state` and `mat` its material.  A root derives
+ * them from its board (board_masks, board_material); minimax derives each
+ * child's from them and the move (child_masks, child_material), so no node
+ * below a root reads its board into masks or counts it.  A leaf is scored by
+ * evaluate from counts: a depth-1 node scores its children that way, with no
+ * copy of their states or masks and no call below it.
  *
  * A depth-1 node below the root whose side has no jump starter and no man
- * that can step onto its far row returns evaluate(mat) without generating
- * a move.  That is its exact score: every move is then a quiet step that
- * crowns nothing, so every child has the material mat; the first child
- * sets best_score to evaluate(mat), no later one improves on it strictly
- * and a cutoff returns it unchanged, and a node with no move returns it
- * too.  Only a NaN score (an infinite or NaN king weight) is never set by
- * a child, so that node takes the full loop. */
+ * that can step onto its far row, a test on its masks, returns
+ * evaluate(mat) without generating a move.  That is its exact score: every
+ * move is then a quiet step that crowns nothing, so every child has the
+ * material mat; the first child sets best_score to evaluate(mat), no later
+ * one improves on it strictly and a cutoff returns it unchanged, and a node
+ * with no move returns it too.  Only a NaN score (an infinite or NaN king
+ * weight) is never set by a child, so that node takes the full loop. */
 static double
-minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, long agent,
-        long depth, double alpha, double beta, Move *best, int *found)
+minimax(Call *c, const unsigned char *state, const Masks *bm, const long mat[4], long to_move,
+        long agent, long depth, double alpha, double beta, Move *best, int *found)
 {
     if (found != NULL)
         *found = 0;
     if (depth == 0)
         return evaluate(mat, agent, c->kw);
     Movers mv;
-    find_movers(state, (int)to_move, &mv);
+    find_movers(bm, (int)to_move, &mv);
     if (depth == 1 && best == NULL && !(mv.jumpers | mv.crowners)) {
         double score = evaluate(mat, agent, c->kw);
         if (!isnan(score))
@@ -442,6 +472,7 @@ minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, lo
     double best_score = maximizing ? -INFINITY : INFINITY;
     Py_ssize_t best_i = -1;
     unsigned char child[64];
+    Masks child_bm;
     long child_mat[4];
     for (Py_ssize_t i = 0; i < n; i++) {
         child_material(mat, &c->moves[base + i], to_move, child_mat);
@@ -451,8 +482,9 @@ minimax(Call *c, const unsigned char *state, const long mat[4], long to_move, lo
         }
         else {
             memcpy(child, c->moves[base + i].state, 64);
-            score = minimax(c, child, child_mat, 1 - to_move, agent, depth - 1, alpha, beta,
-                            NULL, NULL);
+            child_masks(bm, &c->moves[base + i], (int)to_move, &child_bm);
+            score = minimax(c, child, &child_bm, child_mat, 1 - to_move, agent, depth - 1,
+                            alpha, beta, NULL, NULL);
             if (c->failed)
                 break;
         }
@@ -819,9 +851,11 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth,
                     memo->hits++;
                 }
                 else {
+                    Masks bm;
                     long mat[4];
-                    count_material(cur, mat);
-                    minimax(c, cur, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best,
+                    board_masks(cur, &bm);
+                    board_material(&bm, mat);
+                    minimax(c, cur, &bm, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best,
                             &found);
                     if (!c->failed)
                         k = memo_insert(c, cur, turn, hash, slot, found, &best);
@@ -978,10 +1012,12 @@ py_minimax(PyObject *self, PyObject *args)
         return PyErr_Format(PyExc_ValueError, "minimax requires depth >= 0");
     Move best;
     int found;
+    Masks bm;
     long mat[4];
-    count_material(BOARD(state), mat);
-    double score = minimax(&c, BOARD(state), mat, to_move, agent, depth, -INFINITY, INFINITY,
-                           &best, &found);
+    board_masks(BOARD(state), &bm);
+    board_material(&bm, mat);
+    double score = minimax(&c, BOARD(state), &bm, mat, to_move, agent, depth, -INFINITY,
+                           INFINITY, &best, &found);
     call_free(&c);
     if (c.failed)
         return NULL;

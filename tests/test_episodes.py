@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from playmine.board import Color, RewardConfig, winner as board_winner
+from playmine.board import (Color, GameBoard, GamePiece, RewardConfig, legal_moves,
+                            winner as board_winner)
 from playmine import episodes
 from playmine.episodes import (
     abstract_move,
@@ -13,6 +14,7 @@ from playmine.episodes import (
     red_white_distance,
 )
 from playmine.board import apply_move, initial_board
+from playmine.eventlog import format_label, parse_label
 from playmine.search import SearchConfig
 from oracles import oracle_grid_distance
 
@@ -48,9 +50,29 @@ class TestAbstractMove:
                 assert labels == tuple(expect)
                 assert 1 <= len(labels) <= 2
 
-    def test_null_move_rejected(self):
-        with pytest.raises(ValueError):
-            abstract_move((3, 3), (3, 3))
+    def test_null_move_is_empty(self):
+        """A king's capture loop ends on its own square: every component is
+        zero, so every word drops."""
+        assert abstract_move((3, 3), (3, 3)) == ()
+
+    def test_capture_loop_is_legal_and_its_label_round_trips(self):
+        """A white king on (2, 2) takes the four red men around it and lands
+        back on (2, 2), either way round; the move abstracts to ``()`` and
+        its label parses back to what was written."""
+        board = GameBoard.from_pieces(
+            [GamePiece(Color.WHITE, 1, 2, 2, king=True)]
+            + [GamePiece(Color.RED, i, x, y) for i, (x, y)
+               in enumerate([(3, 3), (5, 3), (5, 1), (3, 1)], start=1)],
+            pieces_per_side=4)
+        loops = [m for m in legal_moves(board, Color.WHITE) if m.from_pos == m.to_pos]
+        assert len(loops) == 2
+        for move in loops:
+            assert move.to_pos == (2, 2) and sorted(move.captured_ids) == [1, 2, 3, 4]
+            assert move.reward == 28
+            movement = abstract_move(move.from_pos, move.to_pos)
+            assert movement == ()
+            label = format_label(4, ("right", "up"), move.piece_id, movement, move.reward)
+            assert parse_label(label) == ((4, ("right", "up")), (1, ()), 28)
 
 
 class TestBfsDistance:
@@ -98,7 +120,6 @@ class TestPlayEpisode:
         cfg = RewardConfig()
         for _ in range(ep.turns):
             rec = traces[color].pop(0)
-            from playmine.board import legal_moves
             move = next(m for m in legal_moves(board, color, cfg)
                         if m.piece_id == rec.piece_id
                         and m.reward == rec.reward

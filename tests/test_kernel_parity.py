@@ -103,8 +103,25 @@ def test_minimax_identical_on_full_and_king_heavy_boards():
                         == compiled.minimax(state, color, 1 - color, 2, forced, 7, 7, 0.5))
 
 
-# boards whose lines of play capture kings and crown men, many mid-chain
-MATERIAL_BOARDS = KINGS[:4] + FULL[:4] + [LONGEST_CHAIN, CROWDED, CROWNING]
+def _mirrored(pieces):
+    """The same position with the colours swapped and the board turned."""
+    return [(1 - color, 7 - x, 7 - y, king) for color, x, y, king in pieces]
+
+
+# a white king on (2, 2) takes the red men on (3, 3), (5, 3), (5, 1) and
+# (3, 1), either way round, and lands back on (2, 2); with red kings on
+# (1, 3) and (0, 4) the loop ends there too, and red's king on (1, 3) can
+# then take white's on the square it left and came back to.  Each also with
+# the colours swapped, red's king looping.
+LOOP_MEN = [(pk.RED, x, y, False) for x, y in ((3, 3), (5, 3), (5, 1), (3, 1))]
+LOOPS = [_pieces(p) for pieces in ([(pk.WHITE, 2, 2, True)] + LOOP_MEN,
+                                   [(pk.WHITE, 2, 2, True), (pk.RED, 1, 3, True),
+                                    (pk.RED, 0, 4, True)] + LOOP_MEN)
+         for p in (pieces, _mirrored(pieces))]
+
+# boards whose lines of play capture kings and crown men, many mid-chain,
+# and whose kings' capture loops land on the square they left
+MATERIAL_BOARDS = KINGS[:4] + FULL[:4] + [LONGEST_CHAIN, CROWDED, CROWNING] + LOOPS
 
 
 def test_crowning_board_crowns_by_capturing_kings():
@@ -112,6 +129,21 @@ def test_crowning_board_crowns_by_capturing_kings():
         moves = pk.gen_moves(CROWNING, color, False, 7, 7)
         assert any(m[3] and len(m[2]) == 2 for m in moves), color
         assert any(m[3] and not m[2] for m in moves), color
+
+
+def test_capture_loops_land_on_their_own_square():
+    """The compiled minimax derives a child's masks from its parent's and
+    the move: the mover leaves its square, then lands.  On LOOPS the side
+    whose king loops has two 4-capture moves that land where they started,
+    the best at depth 1; MATERIAL_BOARDS plays them deeper."""
+    for state, side in zip(LOOPS, (0, 1, 0, 1)):
+        for forced in (True, False):
+            moves = compiled.gen_moves(state, side, forced, 7, 7)
+            assert moves == pk.gen_moves(state, side, forced, 7, 7)
+            loops = [m for m in moves if m[0] == m[1]]
+            assert len(loops) == 2 and all(len(m[2]) == 4 and m[4] == 28 for m in loops)
+        best = compiled.minimax(state, side, side, 1, True, 7, 7, 0.5)[1]
+        assert best[0] == best[1]
 
 
 def test_minimax_leaf_scores_identical():
@@ -125,11 +157,6 @@ def test_minimax_leaf_scores_identical():
                                                       (True, False)):
                 args = (state, to_move, agent, depth, forced, 7, 7, king_weight)
                 assert pk.minimax(*args) == compiled.minimax(*args), args
-
-
-def _mirrored(pieces):
-    """The same position with the colours swapped and the board turned."""
-    return [(1 - color, 7 - x, 7 - y, king) for color, x, y, king in pieces]
 
 
 # 12 a side: white on x = 4-6 and red on x = 1-3, every dark square of those
@@ -301,6 +328,10 @@ def test_minimax_and_rollout_identical_on_arbitrary_bytes():
         for color, depth in product((0, 1), (1, 2, 3)):
             args = (state, color, 1 - color, depth, True, 7, 7, 0.5)
             assert pk.minimax(*args) == compiled.minimax(*args), args
+    # three plies below the root, on masks derived move by move
+    for state, color in product(ARBITRARY[:100], (0, 1)):
+        args = (state, color, 1 - color, 4, True, 7, 7, 0.5)
+        assert pk.minimax(*args) == compiled.minimax(*args), args
     for state in ARBITRARY[:100]:
         for color, forced in product((0, 1), (True, False)):
             args = (state, color, 10, 2, forced, 7, 7, 0.5)

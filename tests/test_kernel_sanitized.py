@@ -6,7 +6,9 @@ sanitizer runtimes: a seeded fuzz of every op the compiled module exports
 against the pure twin on random, 12-a-side, all-king, jump-only, lost and
 wrong-length boards and on arbitrary bytes (pieces on any square, each any
 nonzero byte, so the board masks' shifts and count-trailing-zeros run at
-every edge), with negative depths, depths at and past ``MAX_DEPTH``
+every edge), with depths up to 3, so that the masks a minimax derives
+from its parent's and the move run two plies below its root, negative
+depths, depths at and past ``MAX_DEPTH``
 and past a C long, sides outside {0, 1}, points at and past
 ``MAX_POINTS``, floats for each side, point, depth, simulation depth and
 iteration count, and ``search`` given seeds at and past the ends of the
@@ -137,12 +139,12 @@ def _side(rng, side):
 
 
 def _depth(rng, kind):
-    """A depth from -1 to 2, or one of ``EDGE_DEPTHS`` one time in ten;
+    """A depth from -1 to 3, or one of ``EDGE_DEPTHS`` one time in ten;
     half the time ``MAX_DEPTH`` on a lost board, where any depth ends at
     once."""
     if kind == "lost" and rng.random() < 0.5:
         return pk.MAX_DEPTH
-    return rng.choice(EDGE_DEPTHS) if rng.random() < 0.1 else rng.randrange(-1, 3)
+    return rng.choice(EDGE_DEPTHS) if rng.random() < 0.1 else rng.randrange(-1, 4)
 
 
 def _points(rng):
