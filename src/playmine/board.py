@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from typing import Iterable, Optional
 
 from . import kernel
@@ -17,6 +18,18 @@ from . import kernel
 KING_WEIGHT_DEFAULT = 0.5
 PIECES_PER_SIDE_DEFAULT = 3  # the paper's 3-a-side game
 MAX_PIECES_PER_SIDE = 12  # a full back field, and the largest piece id
+
+
+def check_counts(**counts) -> None:
+    """TypeError naming the first of ``counts`` that is not an int as
+    ``operator.index`` decides (``True`` is 1, as the kernel takes it), so a
+    config refuses a count of 2.5 when it is built, not when a kernel call or
+    a ``range`` meets it."""
+    for name, value in counts.items():
+        try:
+            index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
 
 
 def check_pieces_per_side(pieces_per_side: int) -> None:
@@ -54,6 +67,7 @@ class RewardConfig:
     forced_capture: bool = True
 
     def __post_init__(self):
+        check_counts(capture_points=self.capture_points, crown_points=self.crown_points)
         if self.capture_points < 0 or self.crown_points < 0:
             raise ValueError("reward points must be non-negative")
         if max(self.capture_points, self.crown_points) > kernel.MAX_POINTS:

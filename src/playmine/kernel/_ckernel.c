@@ -8,7 +8,9 @@
  * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
  * the two to identical outputs.  Five things differ inside: gen finds the
  * movable pieces from 64-bit masks of the board (white pieces, red pieces,
- * kings) where _pykernel scans the squares, and emits the same moves in the
+ * kings) where _pykernel scans the squares, and its capture chains test
+ * each jump on the same masks by the one jump test (jumps) where _pykernel
+ * reads the squares of a scratch board, and emits the same moves in the
  * same order; minimax reads the masks and the material counts off the board
  * at its root only and carries both down the search, deriving a child's
  * from its parent's and the move (its from and to squares, its captures,
@@ -21,11 +23,13 @@
  * open-addressed table where _pykernel keeps a dict; and each memo entry
  * links to the entry of the step after it, so a rollout walking entries it
  * has linked neither hashes nor copies a board, yet counts each followed
- * link as the step and the hit its lookup would be.
- * search calls no Python code.  playmine/kernel/__init__.py compiles this
- * file on first import; the kernel needs the GCC/Clang builtins
- * __builtin_ctzll and __builtin_popcountll, and a compiler without them
- * fails the build, so the pure kernel is used and the reason logged.
+ * link as the step and the hit its lookup would be.  As in _pykernel, one
+ * writer (emit) builds every chain and step; one Rules record is what a call
+ * plays by and what its memo is bound to.  search calls no Python code.
+ * playmine/kernel/__init__.py compiles this file on first import; the
+ * kernel needs the GCC/Clang builtins __builtin_ctzll and
+ * __builtin_popcountll, and a compiler without them fails the build, so the
+ * pure kernel is used and the reason logged.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -85,6 +89,15 @@ typedef struct {
     unsigned char state[64];
 } Move;
 
+/* The rules a call plays by and a memo's entries were made under: forced
+ * capture, the points of a capture and of a crowning, the king weight and
+ * the minimax depth of the rollout steps. */
+typedef struct {
+    int forced;
+    long cap_pts, crown_pts, mm_depth;
+    double kw;
+} Rules;
+
 /* One rollout step's outcome, as the memo keeps it: the side `side` to move
  * on `state` has no legal move (found 0), or its minimax move earns
  * `reward` and leads to `next`.  `link` is 0 until a rollout takes the step
@@ -108,16 +121,15 @@ typedef struct {
 /* A rollout memo: an open-addressed table of nslots (a power of two) uint32
  * slots, 0 for empty and k for entries[k - 1], over a dense array of
  * entries; both are allocated on the first insert and freed by memo_free.
- * `bound` says whether a search has fixed the rules, points, king weight
- * and minimax depth the entries hold steps of.  steps counts the rollout
- * steps looked up, hits those found, clears the times it was emptied. */
+ * `bound` says whether a search has fixed the rules its entries hold steps
+ * of.  steps counts the rollout steps looked up, hits those found, clears
+ * the times it was emptied. */
 typedef struct {
     uint32_t *slots;
     Entry *entries;
     size_t nslots, nentries, entry_cap;
-    int bound, forced;
-    long cap_pts, crown_pts, mm_depth;
-    double kw;
+    int bound;
+    Rules rules;
     long long steps, hits, clears;
 } Memo;
 
@@ -127,9 +139,7 @@ typedef struct {
  * moves are addressed by index because growing the stack may move it, and
  * no state argument ever points into it. */
 typedef struct {
-    int forced;
-    long cap_pts, crown_pts;
-    double kw;
+    Rules rules;
     Move *moves;
     Py_ssize_t n, cap;
     Memo *memo;
@@ -157,73 +167,6 @@ push(Call *c)
         c->cap = cap;
     }
     return &c->moves[c->n++];
-}
-
-/* Jump search for one piece: the board without the mover, and the ids and
- * squares captured so far. */
-typedef struct {
-    unsigned char work[64];
-    unsigned char caps[MAXCAPS];
-    uint64_t capmask;
-    unsigned char piece;
-    int from, color, king, far_x, d0, d1;
-} Chain;
-
-static int
-emit_chain(Call *c, const Chain *ch, int land, int ncap, int kcap, int crowned)
-{
-    Move *m = push(c);
-    if (m == NULL)
-        return -1;
-    m->frm = (unsigned char)ch->from;
-    m->to = (unsigned char)land;
-    m->ncap = (unsigned char)ncap;
-    m->kcap = (unsigned char)kcap;
-    m->crowned = (unsigned char)crowned;
-    m->reward = c->cap_pts * ncap + (crowned ? c->crown_pts : 0);
-    m->capmask = ch->capmask;
-    memcpy(m->caps, ch->caps, (size_t)ncap);
-    memcpy(m->state, ch->work, 64);
-    m->state[land] = crowned ? (ch->piece | KING_FLAG) : ch->piece;
-    return 0;
-}
-
-/* DFS over jump continuations from square sq, ncap pieces captured so far,
- * kcap of them kings; emits every chain that cannot be extended.  Returns 1
- * if a jump was found, 0 if none, -1 on error. */
-static int
-extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
-{
-    int jumped = 0;
-    for (int d = ch->d0; d < ch->d1; d++) {
-        if (!((JUMP_ON[d] >> sq) & 1))
-            continue;
-        int mid = sq + DELTA[d], land = mid + DELTA[d];
-        unsigned char mv = ch->work[mid];
-        if (mv == 0 || ((mv >> 6) & 1) == ch->color)
-            continue;
-        if (ch->work[land] != 0)
-            continue;
-        jumped = 1;
-        ch->work[mid] = 0;
-        ch->capmask ^= 1ULL << mid;
-        ch->caps[ncap] = mv & ID_MASK;
-        int nk = kcap + ((mv & KING_FLAG) != 0), rc;
-        if (!ch->king && (land >> 3) == ch->far_x) {
-            /* crowning ends a man's chain */
-            rc = emit_chain(c, ch, land, ncap + 1, nk, 1);
-        }
-        else {
-            rc = extend_chains(c, ch, land, ncap + 1, nk);
-            if (rc == 0)
-                rc = emit_chain(c, ch, land, ncap + 1, nk, 0);
-        }
-        if (rc < 0)
-            return -1;
-        ch->work[mid] = mv;
-        ch->capmask ^= 1ULL << mid;
-    }
-    return jumped;
 }
 
 /* The top bit of each byte of w, as an 8-bit mask: byte k's is bit k. */
@@ -270,6 +213,16 @@ toward(uint64_t m, int delta)
     return delta > 0 ? m >> delta : m << -delta;
 }
 
+/* The squares from which a jump in direction d takes a piece on a square
+ * of opp and lands on a square of empty, JUMP_ON keeping the landing square
+ * on the board: the one home of the jump rule, which find_movers applies to
+ * the board and extend_chains to the board as a chain has left it. */
+static inline uint64_t
+jumps(int d, uint64_t opp, uint64_t empty)
+{
+    return JUMP_ON[d] & toward(opp, DELTA[d]) & toward(empty, 2 * DELTA[d]);
+}
+
 /* The pieces of one side that can move, as masks whose bit idx is square
  * idx: steps[d] holds those that can step in direction d, steppers all of
  * them, jumpers those that can start a jump (an opponent next to them, an
@@ -297,69 +250,127 @@ find_movers(const Masks *bm, int color, Movers *mv)
         uint64_t movers = (d & 2) == men_d0 ? own : kings;
         mv->steps[d] = movers & STEP_ON[d] & toward(empty, DELTA[d]);
         mv->steppers |= mv->steps[d];
-        mv->jumpers |= movers & JUMP_ON[d] & toward(opp, DELTA[d])
-                       & toward(empty, 2 * DELTA[d]);
+        mv->jumpers |= movers & jumps(d, opp, empty);
     }
     /* the row before the far row: x = 6 (squares 48-55) or x = 1 (8-15) */
     uint64_t last_step = color == WHITE ? 0xFFULL << 48 : 0xFFULL << 8;
     mv->crowners = (mv->steps[men_d0] | mv->steps[men_d0 + 1]) & ~kings & last_step;
 }
 
-/* Pushes every legal move of `color`, whose movable pieces are mv: per
- * piece in ascending board index its capture chains, then its quiet steps,
- * each in direction order; with forced capture and any capture available
- * only the captures.  That is _pykernel.gen_moves's order, but the squares
- * are not scanned one by one: only the pieces in mv's masks are visited,
- * in ascending index by count-trailing-zeros, and only a jump starter
- * enters extend_chains.  A jump starter has a chain, so with forced
- * capture and any jump starter no quiet step is built.  Returns the number
- * of moves pushed, or -1 on error. */
+/* Pushes the move of the piece on square `from` of `state` to square `to`,
+ * taking the ncap pieces with ids caps on the squares capmask, kcap of them
+ * kings, and crowning when `crowned`: the one writer of every chain and
+ * step.  The mover leaves `from` before it lands, since a king's capture
+ * loop may end where it started.  0, or -1 on error. */
+static inline int
+emit(Call *c, const unsigned char *state, int from, int to, const unsigned char *caps,
+     uint64_t capmask, int ncap, int kcap, int crowned)
+{
+    Move *m = push(c);
+    if (m == NULL)
+        return -1;
+    unsigned char piece = state[from];
+    m->frm = (unsigned char)from;
+    m->to = (unsigned char)to;
+    m->ncap = (unsigned char)ncap;
+    m->kcap = (unsigned char)kcap;
+    m->crowned = (unsigned char)crowned;
+    m->reward = c->rules.cap_pts * ncap + (crowned ? c->rules.crown_pts : 0);
+    m->capmask = capmask;
+    if (ncap > 0)
+        memcpy(m->caps, caps, (size_t)ncap);
+    memcpy(m->state, state, 64);
+    for (uint64_t w = capmask; w; w &= w - 1)
+        m->state[__builtin_ctzll(w)] = 0;
+    m->state[from] = 0;
+    m->state[to] = crowned ? (piece | KING_FLAG) : piece;
+    return 0;
+}
+
+/* Jump search for one piece of `state`: the opponent's pieces and the empty
+ * squares, the mover's own among them, as masks; and the ids and squares
+ * captured so far. */
+typedef struct {
+    const unsigned char *state;
+    uint64_t opp, empty, capmask;
+    unsigned char caps[MAXCAPS];
+    int from, king, far_x, d0, d1;
+} Chain;
+
+/* DFS over jump continuations from square sq, ncap pieces captured so far,
+ * kcap of them kings; emits every chain that cannot be extended.  A captured
+ * piece cannot be taken again.  No chain lands on a captured piece's square,
+ * which has the other parities of x and y than the mover's (see MAXCAPS), so
+ * a chain lands only on squares that were empty once the mover left its
+ * own.  Returns 1 if a jump was found, 0 if none, -1 on error. */
+static int
+extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
+{
+    int jumped = 0;
+    uint64_t opp = ch->opp & ~ch->capmask;
+    for (int d = ch->d0; d < ch->d1; d++) {
+        if (!((jumps(d, opp, ch->empty) >> sq) & 1))
+            continue;
+        int mid = sq + DELTA[d], land = mid + DELTA[d];
+        unsigned char mv = ch->state[mid];
+        jumped = 1;
+        ch->capmask ^= 1ULL << mid;
+        ch->caps[ncap] = mv & ID_MASK;
+        int nk = kcap + ((mv & KING_FLAG) != 0), rc;
+        if (!ch->king && (land >> 3) == ch->far_x) {
+            /* crowning ends a man's chain */
+            rc = emit(c, ch->state, ch->from, land, ch->caps, ch->capmask, ncap + 1, nk, 1);
+        }
+        else {
+            rc = extend_chains(c, ch, land, ncap + 1, nk);
+            if (rc == 0)
+                rc = emit(c, ch->state, ch->from, land, ch->caps, ch->capmask, ncap + 1, nk, 0);
+        }
+        if (rc < 0)
+            return -1;
+        ch->capmask ^= 1ULL << mid;
+    }
+    return jumped;
+}
+
+/* Pushes every legal move of `color` on the board `state` of masks bm, whose
+ * movable pieces are mv: per piece in ascending board index its capture
+ * chains, then its quiet steps, each in direction order; with forced capture
+ * and any capture available only the captures.  That is
+ * _pykernel.gen_moves's order, but the squares are not scanned one by one:
+ * only the pieces in mv's masks are visited, in ascending index by
+ * count-trailing-zeros, and only a jump starter enters extend_chains.  A jump
+ * starter has a chain, so with forced capture and any jump starter no quiet
+ * step is built.  A step crowns when its piece is one of mv's crowners.
+ * Returns the number of moves pushed, or -1 on error. */
 static Py_ssize_t
-gen_movers(Call *c, const unsigned char *state, int color, const Movers *mv)
+gen_movers(Call *c, const unsigned char *state, const Masks *bm, int color, const Movers *mv)
 {
     Py_ssize_t base = c->n;
-    uint64_t jumpers = mv->jumpers;
-    int far_x = FAR_X(color), men_d0 = MEN_D0(color);
-    int quiet = !(c->forced && jumpers);
+    uint64_t jumpers = mv->jumpers, empty = ~(bm->side[0] | bm->side[1]);
+    int men_d0 = MEN_D0(color);
+    int quiet = !(c->rules.forced && jumpers);
     Chain ch;
-    ch.color = color;
-    ch.far_x = far_x;
+    ch.state = state;
+    ch.opp = bm->side[1 - color];
     ch.capmask = 0;
-    if (jumpers)
-        memcpy(ch.work, state, 64);
+    ch.far_x = FAR_X(color);
     for (uint64_t walk = jumpers | (quiet ? mv->steppers : 0); walk; walk &= walk - 1) {
         int idx = __builtin_ctzll(walk);
-        unsigned char piece = state[idx];
-        int king = (piece & KING_FLAG) != 0;
         if ((jumpers >> idx) & 1) {
             ch.from = idx;
-            ch.piece = piece;
-            ch.king = king;
-            ch.d0 = king ? 0 : men_d0;
-            ch.d1 = king ? 4 : men_d0 + 2;
-            ch.work[idx] = 0;
+            ch.king = (bm->kings >> idx) & 1;
+            ch.empty = empty | 1ULL << idx;
+            ch.d0 = ch.king ? 0 : men_d0;
+            ch.d1 = ch.king ? 4 : men_d0 + 2;
             if (extend_chains(c, &ch, idx, 0, 0) < 0)
                 return -1;
-            ch.work[idx] = piece;
         }
-        for (int d = 0; quiet && d < 4; d++) {
-            if (!((mv->steps[d] >> idx) & 1))
-                continue;
-            int to = idx + DELTA[d], crowned = !king && (to >> 3) == far_x;
-            Move *m = push(c);
-            if (m == NULL)
+        for (int d = 0; quiet && d < 4; d++)
+            if (((mv->steps[d] >> idx) & 1)
+                    && emit(c, state, idx, idx + DELTA[d], NULL, 0, 0, 0,
+                            (mv->crowners >> idx) & 1) < 0)
                 return -1;
-            m->frm = (unsigned char)idx;
-            m->to = (unsigned char)to;
-            m->ncap = 0;
-            m->kcap = 0;
-            m->crowned = (unsigned char)crowned;
-            m->reward = crowned ? c->crown_pts : 0;
-            m->capmask = 0;
-            memcpy(m->state, state, 64);
-            m->state[idx] = 0;
-            m->state[to] = crowned ? (piece | KING_FLAG) : piece;
-        }
     }
     return c->n - base;
 }
@@ -372,7 +383,7 @@ gen(Call *c, const unsigned char *state, int color)
     Movers mv;
     board_masks(state, &bm);
     find_movers(&bm, color, &mv);
-    return gen_movers(c, state, color, &mv);
+    return gen_movers(c, state, &bm, color, &mv);
 }
 
 /* The masks after `color` plays m on the board of masks bm, as board_masks
@@ -455,19 +466,19 @@ minimax(Call *c, const unsigned char *state, const Masks *bm, const long mat[4],
     if (found != NULL)
         *found = 0;
     if (depth == 0)
-        return evaluate(mat, agent, c->kw);
+        return evaluate(mat, agent, c->rules.kw);
     Movers mv;
     find_movers(bm, (int)to_move, &mv);
     if (depth == 1 && best == NULL && !(mv.jumpers | mv.crowners)) {
-        double score = evaluate(mat, agent, c->kw);
+        double score = evaluate(mat, agent, c->rules.kw);
         if (!isnan(score))
             return score;
     }
-    Py_ssize_t base = c->n, n = gen_movers(c, state, (int)to_move, &mv);
+    Py_ssize_t base = c->n, n = gen_movers(c, state, bm, (int)to_move, &mv);
     if (n < 0)
         return 0.0;
     if (n == 0)
-        return evaluate(mat, agent, c->kw);
+        return evaluate(mat, agent, c->rules.kw);
     int maximizing = to_move == agent;
     double best_score = maximizing ? -INFINITY : INFINITY;
     Py_ssize_t best_i = -1;
@@ -478,7 +489,7 @@ minimax(Call *c, const unsigned char *state, const Masks *bm, const long mat[4],
         child_material(mat, &c->moves[base + i], to_move, child_mat);
         double score;
         if (depth == 1) {
-            score = evaluate(child_mat, agent, c->kw);
+            score = evaluate(child_mat, agent, c->rules.kw);
         }
         else {
             memcpy(child, c->moves[base + i].state, 64);
@@ -618,24 +629,21 @@ memo_free(Memo *m)
     "memo holds rollout steps of other rules: forced capture, points, king weight " \
     "or minimax depth differ"
 
-/* Readies memo m for a search with c's rules at minimax depth mm_depth: the
- * first search binds m to them and a later one with any other value sets
- * ValueError and returns -1.  Then a memo more than half full is emptied,
+/* Readies memo m for a search under rules r: the first search binds m to
+ * them and a later one with any other value (a NaN king weight matches
+ * none) sets ValueError and returns -1.  Then a memo more than half full is emptied,
  * keeping its allocations, so every search has room for at least half of
  * MEMO_MAX new entries. */
 static int
-memo_start(Memo *m, const Call *c, long mm_depth)
+memo_start(Memo *m, const Rules *r)
 {
     if (!m->bound) {
         m->bound = 1;
-        m->forced = c->forced;
-        m->cap_pts = c->cap_pts;
-        m->crown_pts = c->crown_pts;
-        m->kw = c->kw;
-        m->mm_depth = mm_depth;
+        m->rules = *r;
     }
-    else if (m->forced != c->forced || m->cap_pts != c->cap_pts
-             || m->crown_pts != c->crown_pts || m->kw != c->kw || m->mm_depth != mm_depth) {
+    else if (m->rules.forced != r->forced || m->rules.cap_pts != r->cap_pts
+             || m->rules.crown_pts != r->crown_pts || m->rules.kw != r->kw
+             || m->rules.mm_depth != r->mm_depth) {
         PyErr_SetString(PyExc_ValueError, MEMO_RULES_MSG);
         return -1;
     }
@@ -797,9 +805,9 @@ splitmix64(uint64_t *state)
 }
 
 /* The rollout from (state, turn), as _pykernel._playout: up to sim_depth
- * steps, each the side to move's memo'd depth-mm_depth minimax move at
- * mm_depth >= 1, else the (splitmix64(rng) % len(moves))-th of its moves,
- * until a side has no legal move.  Adds the rewards to delta[white],
+ * steps, each the side to move's memo'd minimax move when the rules' minimax
+ * depth is at least 1, else the (splitmix64(rng) % len(moves))-th of its
+ * moves, until a side has no legal move.  Adds the rewards to delta[white],
  * delta[red]; 0, or -1 on error.  rng is read only at depth 0 and the memo
  * only at depth >= 1.
  *
@@ -810,8 +818,8 @@ splitmix64(uint64_t *state)
  * to its entry.  A step that a full memo does not store links nothing, and
  * the step after it looks its position up again. */
 static int
-playout(Call *c, const unsigned char *state, long turn, long sim_depth,
-        long mm_depth, uint64_t *rng, long delta[2])
+playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t *rng,
+        long delta[2])
 {
     Memo *memo = c->memo;
     unsigned char cur[64];
@@ -822,7 +830,7 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth,
         const unsigned char *next = NULL; /* stays NULL when the side has no move */
         long reward = 0;
         Move best;
-        if (mm_depth < 1) {
+        if (c->rules.mm_depth < 1) {
             Py_ssize_t n = gen(c, cur, (int)turn);
             if (n < 0)
                 return -1;
@@ -855,8 +863,8 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth,
                     long mat[4];
                     board_masks(cur, &bm);
                     board_material(&bm, mat);
-                    minimax(c, cur, &bm, mat, turn, turn, mm_depth, -INFINITY, INFINITY, &best,
-                            &found);
+                    minimax(c, cur, &bm, mat, turn, turn, c->rules.mm_depth, -INFINITY,
+                            INFINITY, &best, &found);
                     if (!c->failed)
                         k = memo_insert(c, cur, turn, hash, slot, found, &best);
                     if (c->failed)
@@ -956,11 +964,11 @@ bad_seed(PyObject *o, uint64_t *out)
 }
 
 static int
-bad_points(PyObject *cap, PyObject *crown, Call *c)
+bad_points(PyObject *cap, PyObject *crown, Rules *r)
 {
     const char *msg = "capture_points and crown_points must be in 0..2147483647";
-    return bad_int(cap, 0, MAX_POINTS, msg, &c->cap_pts)
-           || bad_int(crown, 0, MAX_POINTS, msg, &c->crown_pts);
+    return bad_int(cap, 0, MAX_POINTS, msg, &r->cap_pts)
+           || bad_int(crown, 0, MAX_POINTS, msg, &r->crown_pts);
 }
 
 #define BOARD(s) ((const unsigned char *)(s))
@@ -973,10 +981,10 @@ py_gen_moves(PyObject *self, PyObject *args)
     long color;
     PyObject *o_color, *cap, *crown;
     Call c = {0};
-    if (!PyArg_ParseTuple(args, "y#OpOO:gen_moves", &state, &len, &o_color, &c.forced,
+    if (!PyArg_ParseTuple(args, "y#OpOO:gen_moves", &state, &len, &o_color, &c.rules.forced,
                           &cap, &crown)
             || bad_state(len) || bad_int(o_color, 0, 1, SIDE_MSG, &color)
-            || bad_points(cap, crown, &c))
+            || bad_points(cap, crown, &c.rules))
         return NULL;
     PyObject *out = NULL;
     Py_ssize_t n = gen(&c, BOARD(state), (int)color);
@@ -1002,9 +1010,9 @@ py_minimax(PyObject *self, PyObject *args)
     PyObject *o_to_move, *o_agent, *o_depth, *cap, *crown;
     Call c = {0};
     if (!PyArg_ParseTuple(args, "y#OOOpOOd:minimax", &state, &len, &o_to_move, &o_agent,
-                          &o_depth, &c.forced, &cap, &crown, &c.kw)
+                          &o_depth, &c.rules.forced, &cap, &crown, &c.rules.kw)
             || bad_state(len) || bad_int(o_to_move, 0, 1, SIDE_MSG, &to_move)
-            || bad_int(o_agent, 0, 1, SIDE_MSG, &agent) || bad_points(cap, crown, &c)
+            || bad_int(o_agent, 0, 1, SIDE_MSG, &agent) || bad_points(cap, crown, &c.rules)
             || bad_int(o_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &depth))
         return NULL;
     /* the recursion stops only at depth 0 */
@@ -1031,21 +1039,21 @@ py_rollout(PyObject *self, PyObject *args)
 {
     const char *state;
     Py_ssize_t len;
-    long to_move, sim_depth, mm_depth;
+    long to_move, sim_depth;
     PyObject *o_to_move, *o_mm_depth, *cap, *crown;
     Call c = {0};
     if (!PyArg_ParseTuple(args, "y#OlOpOOd:rollout", &state, &len, &o_to_move, &sim_depth,
-                          &o_mm_depth, &c.forced, &cap, &crown, &c.kw)
+                          &o_mm_depth, &c.rules.forced, &cap, &crown, &c.rules.kw)
             || bad_state(len) || bad_int(o_to_move, 0, 1, SIDE_MSG, &to_move)
-            || bad_points(cap, crown, &c)
-            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &mm_depth))
+            || bad_points(cap, crown, &c.rules)
+            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &c.rules.mm_depth))
         return NULL;
-    if (mm_depth < 1)
+    if (c.rules.mm_depth < 1)
         return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
     long delta[2] = {0, 0};
     Memo memo = {0};
     c.memo = &memo;
-    int rc = playout(&c, BOARD(state), to_move, sim_depth, mm_depth, NULL, delta);
+    int rc = playout(&c, BOARD(state), to_move, sim_depth, NULL, delta);
     memo_free(&memo);
     call_free(&c);
     if (rc < 0)
@@ -1108,7 +1116,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
                             "discount", "pruning", "seed", "memo", NULL};
     const char *state;
     Py_ssize_t len, iterations;
-    long side, sim_depth, mm_depth;
+    long side, sim_depth;
     double explore, discount;
     PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed, *o_memo = Py_None;
     Call c = {0};
@@ -1117,12 +1125,12 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     uint64_t rng;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y#OnlOpOOdddpO|O:search", names, &state,
                                      &len, &o_side, &iterations, &sim_depth, &o_mm_depth,
-                                     &c.forced, &cap, &crown, &c.kw, &explore, &discount,
-                                     &t.pruning, &o_seed, &o_memo)
+                                     &c.rules.forced, &cap, &crown, &c.rules.kw, &explore,
+                                     &discount, &t.pruning, &o_seed, &o_memo)
             || bad_seed(o_seed, &rng) || bad_state(len)
             || bad_int(o_side, 0, 1, SIDE_MSG, &side)
-            || bad_points(cap, crown, &c)
-            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &mm_depth))
+            || bad_points(cap, crown, &c.rules)
+            || bad_int(o_mm_depth, LONG_MIN, MAX_DEPTH, DEPTH_MSG, &c.rules.mm_depth))
         return NULL;
     if (iterations < 1)
         return PyErr_Format(PyExc_ValueError, "iterations must be >= 1");
@@ -1137,7 +1145,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         c.memo = &((MemoObject *)o_memo)->memo;
     else
         return PyErr_Format(PyExc_TypeError, "memo must be None or this kernel's new_memo()");
-    if (memo_start(c.memo, &c, mm_depth) < 0)
+    if (memo_start(c.memo, &c.rules) < 0)
         return NULL;
     PyObject *out = NULL;
     t.nodes = PyMem_Calloc(1, sizeof(Node));
@@ -1175,8 +1183,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         /* the leaf is never the root, so it always has an entry move; the
          * playout does not grow the arena, so its state may point into it */
         long delta[2] = {0, 0};
-        if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, mm_depth,
-                    &rng, delta) < 0)
+        if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
         backup(&t, i, delta);

@@ -148,13 +148,18 @@ def _piece_dirs(color, king):
     return DIRS[:2] if color == WHITE else DIRS[2:]
 
 
-def _emit_chain(work, from_idx, land_idx, piece, crowned, captured, chains):
+def _emit(out, work, frm, to, piece, captured, crowned, points):
+    """Appends the move of ``piece`` from ``frm`` to ``to`` on ``work`` (the
+    board without the mover and its captures), ``crowned`` or not, with its
+    reward at ``points`` (capture, crown): the one writer of every chain and
+    step."""
     new = bytearray(work)
-    new[land_idx] = (piece | KING_FLAG) if crowned else piece
-    chains.append((from_idx, land_idx, tuple(captured), crowned, bytes(new)))
+    new[to] = (piece | KING_FLAG) if crowned else piece
+    out.append((frm, to, tuple(captured), crowned,
+                points[0] * len(captured) + (points[1] if crowned else 0), bytes(new)))
 
 
-def _extend_chains(work, from_idx, cx, cy, piece, color, king, far_x, dirs, captured, chains):
+def _extend_chains(work, frm, cx, cy, piece, color, king, far_x, dirs, captured, points, out):
     """DFS over jump continuations; emits every chain that cannot be extended."""
     jumped = False
     for dx, dy in dirs:
@@ -174,9 +179,10 @@ def _extend_chains(work, from_idx, cx, cy, piece, color, king, far_x, dirs, capt
         captured.append(mv & ID_MASK)
         if not king and lx == far_x:
             # crowning ends a man's chain
-            _emit_chain(work, from_idx, land, piece, True, captured, chains)
-        elif not _extend_chains(work, from_idx, lx, ly, piece, color, king, far_x, dirs, captured, chains):
-            _emit_chain(work, from_idx, land, piece, False, captured, chains)
+            _emit(out, work, frm, land, piece, captured, True, points)
+        elif not _extend_chains(work, frm, lx, ly, piece, color, king, far_x, dirs, captured,
+                                points, out):
+            _emit(out, work, frm, land, piece, captured, False, points)
         captured.pop()
         work[mid] = mv
     return jumped
@@ -192,6 +198,7 @@ def gen_moves(state, color, forced, capture_points, crown_points):
     """
     _check_args(state, (color,), capture_points, crown_points)
     far_x = 7 if color == WHITE else 0
+    points = (capture_points, crown_points)
     out = []
     have_capture = False
     for idx in range(64):
@@ -202,31 +209,15 @@ def gen_moves(state, color, forced, capture_points, crown_points):
         y = idx & 7
         king = bool(piece & KING_FLAG)
         dirs = _piece_dirs(color, king)
-
-        chains = []
         work = bytearray(state)
         work[idx] = 0
-        _extend_chains(work, idx, x, y, piece, color, king, far_x, dirs, [], chains)
-        for frm, to, caps, crowned, new in chains:
+        if _extend_chains(work, idx, x, y, piece, color, king, far_x, dirs, [], points, out):
             have_capture = True
-            reward = capture_points * len(caps) + (crown_points if crowned else 0)
-            out.append((frm, to, caps, crowned, reward, new))
-
         for dx, dy in dirs:
             nx = x + dx
             ny = y + dy
-            if nx < 0 or nx > 7 or ny < 0 or ny > 7:
-                continue
-            nidx = (nx << 3) | ny
-            if state[nidx] != 0:
-                continue
-            crowned = (not king) and nx == far_x
-            new = bytearray(state)
-            new[idx] = 0
-            new[nidx] = (piece | KING_FLAG) if crowned else piece
-            reward = crown_points if crowned else 0
-            out.append((idx, nidx, (), crowned, reward, bytes(new)))
-
+            if 0 <= nx <= 7 and 0 <= ny <= 7 and state[(nx << 3) | ny] == 0:
+                _emit(out, work, idx, (nx << 3) | ny, piece, (), not king and nx == far_x, points)
     if forced and have_capture:
         return [m for m in out if m[2]]
     return out

@@ -29,6 +29,7 @@ from .board import (
     GameBoard,
     RewardConfig,
     _to_concrete,
+    check_counts,
 )
 # unused here; perfbench/tracing.py patches both names on this module
 from .board import moves_with_boards, winner  # noqa: F401
@@ -47,6 +48,8 @@ class SearchConfig:
     king_weight: float = KING_WEIGHT_DEFAULT
 
     def __post_init__(self):
+        check_counts(iterations=self.iterations, simulation_depth=self.simulation_depth,
+                     minimax_depth=self.minimax_depth, rng_seed=self.rng_seed)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.simulation_depth < 0 or not 0 <= self.minimax_depth <= kernel.MAX_DEPTH:

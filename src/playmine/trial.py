@@ -9,13 +9,12 @@ leaves every other cell's outputs untouched.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .board import PIECES_PER_SIDE_DEFAULT, RewardConfig, check_pieces_per_side
+from .board import PIECES_PER_SIDE_DEFAULT, RewardConfig, check_counts, check_pieces_per_side
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
 from .discovery import alpha_miner, inductive_miner, tree_to_net
 from .episodes import MAX_TURNS_DEFAULT, EpisodeResult, derive_seed, play_episode
@@ -91,7 +90,10 @@ def check_batch_settings(episodes: int, workers: int, pieces_per_side: int,
     """Raises ValueError unless a batch can run: ``episodes`` games on
     ``workers`` processes (both at least 1), each starting with
     ``pieces_per_side`` pieces a side (``check_pieces_per_side``) and
-    capped at ``max_turns`` turns (at least 1)."""
+    capped at ``max_turns`` turns (at least 1); TypeError unless each is
+    an int."""
+    check_counts(episodes=episodes, workers=workers, pieces_per_side=pieces_per_side,
+                 max_turns=max_turns)
     if episodes < 1 or workers < 1:
         raise ValueError("episodes and workers must be >= 1")
     check_pieces_per_side(pieces_per_side)
@@ -111,6 +113,9 @@ def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,
     cfgs = [replace(base_cfg, rng_seed=derive_seed(*seed_key, i)) for i in ids]
     if workers == 1:
         return list(map(play, cfgs, ids))
+    # imported here: only a batch on several processes needs the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(play, cfgs, ids))
 

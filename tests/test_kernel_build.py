@@ -97,3 +97,12 @@ def test_falls_back_to_pure_kernel_with_one_logged_reason(tmp_path, obstacle):
     lines = [line for line in proc.stderr.splitlines() if line.strip()]
     assert len(lines) == 1
     assert "compiled kernel unavailable" in lines[0]
+
+
+def test_every_kernel_mutant_matches_the_source_once():
+    """``kernel_mutants.py`` mutates ``_ckernel.c`` by (search, replace)
+    pairs, so an edit to the kernel that moves a search text must update
+    that mutant, not lose it."""
+    import kernel_mutants
+
+    assert kernel_mutants.mismatched(Path(kernel.SOURCE).read_text()) == []

@@ -99,6 +99,25 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("simulation_depth", math.inf), ("minimax_depth", 1.0),
+        ("rng_seed", 0.5),
+    ])
+    def test_non_integer_count_is_refused_by_name(self, field, value):
+        """Accepted, these failed only in the kernel, with operator.index's
+        TypeError naming no field."""
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not float$"):
+            SearchConfig(**{field: value})
+
+    def test_true_is_a_count(self):
+        """The kernel takes True as 1, so the config does too."""
+        assert SearchConfig(iterations=True, minimax_depth=True).iterations == 1
+
+    @pytest.mark.parametrize("field", ["capture_points", "crown_points"])
+    def test_non_integer_points_are_refused_by_name(self, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not float$"):
+            RewardConfig(**{field: 1.5})
+
 
 class TestMinimax:
     def test_depth_zero_returns_static_eval(self):

@@ -61,6 +61,25 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             tiny_spec(trial=4)
 
+    @pytest.mark.parametrize("field", ["episodes", "workers", "pieces_per_side", "max_turns"])
+    def test_non_integer_count_is_refused_by_name(self, field):
+        """Accepted, ``episodes=2.5`` failed only in ``range``, naming no
+        field; ``True`` is a count, as in the kernel."""
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not float$"):
+            TrialSpec.smoke(1, **{field: 2.5})
+        assert getattr(TrialSpec.smoke(1, **{field: True}), field) == 1
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        """Only a batch on several workers needs the process pool, so
+        importing playmine does not import it."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(playmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, playmine; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["False"]
+
 
 @pytest.fixture(scope="module")
 def trial_out(tmp_path_factory):
