@@ -5,27 +5,51 @@
  * _pykernel.py's module docstring states the contract the twins keep: board
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
- * (uct_child at exploration 0) and the rollout memo.  The parity tests hold
- * the two to identical outputs.  Five things differ inside: gen finds the
- * movable pieces from 64-bit masks of the board (white pieces, red pieces,
- * kings) where _pykernel scans the squares, and its capture chains test
- * each jump on the same masks by the one jump test (jumps) where _pykernel
- * reads the squares of a scratch board, and emits the same moves in the
- * same order; minimax reads the masks and the material counts off the board
- * at its root only and carries both down the search, deriving a child's
- * from its parent's and the move (its from and to squares, its captures,
- * its crowning), where _pykernel scans each node's board and counts each
- * leaf's, the same float expression on the same counts, so it is
- * bit-identical on every board; minimax scores a depth-1 node below the
- * root whose side can neither capture nor crown from its own material
- * without generating its moves, since every child has that material
- * (minimax's comment says why the score is the same); the memo is an
- * open-addressed table where _pykernel keeps a dict; and each memo entry
- * links to the entry of the step after it, so a rollout walking entries it
- * has linked neither hashes nor copies a board, yet counts each followed
- * link as the step and the hit its lookup would be.  As in _pykernel, one
- * writer (emit) builds every chain and step; one Rules record is what a call
+ * (uct_child at exploration 0), the one rules record (Rules here) and the
+ * rollout memo.  The parity tests hold the two to identical outputs.  As in
+ * _pykernel, each rule has one home: MAN_DIR and FAR_ROW say where a man
+ * moves and crowns, one jump test (jumps) finds every jump, one writer
+ * (emit) builds every chain and step, and one Rules record is what a call
  * plays by and what its memo is bound to.  search calls no Python code.
+ *
+ * This is the one list of how the twins differ inside.  Each difference
+ * gives the same outputs and pays on a workload: perfbench's search-deep or
+ * trial-smoke, or the paper game (README's 3000/30/3 game, seed 1, episode
+ * 0).  What turning each off costs, in alternating pairs on a 2-core x86-64
+ * host, is in CHANGES.md; the largest cost is given here.
+ *
+ * 1. Masks.  find_movers finds the pieces that can step, jump or crown from
+ *    64-bit masks of the board (white pieces, red pieces, kings; board_masks
+ *    reads them 8 squares to a word), and a capture chain tests each jump
+ *    on the same masks, where _pykernel scans the squares and a scratch
+ *    board.  With the movers found by a square scan, search-deep took 2.8
+ *    times as long.
+ * 2. Carried masks and material.  minimax reads the masks and the material
+ *    counts off the board at its root only and derives each child's from
+ *    its parent's and the move (child_masks, child_material: its from and
+ *    to squares, captures and crowning), so a leaf is scored from counts
+ *    where _pykernel counts each leaf's board: the same float expression on
+ *    the same counts, so bit-identical.  Read off each node's board instead,
+ *    search-deep took 82% longer.
+ * 3. The depth-1 quiet shortcut.  A depth-1 node below the root whose side
+ *    can neither capture nor crown is scored from its own material without
+ *    generating its moves; minimax's comment says why that is the score the
+ *    full loop gives.  Without it, search-deep took 35% longer.
+ * 4. The memo is an open-addressed table where _pykernel keeps a dict.  C
+ *    has no dict, so this is the memo itself, whose behaviour the contract
+ *    fixes (what it stores, when it inserts and clears, what it counts).
+ *    With no memo, every rollout step runs minimax and the paper game took
+ *    about 45 times as long.
+ * 5. Linked memo entries.  Each entry links to the entry of the step after
+ *    it, so a rollout walking entries it has linked neither hashes nor
+ *    copies a board, yet counts each followed link as the step and the hit
+ *    its lookup would be.  Looking each step up instead, the paper game
+ *    took 85% longer (search-deep, whose steps mostly miss, did not change).
+ * 6. The power table.  backup reads pow(discount, dist) from a table that
+ *    each search fills as its tree deepens (tree_pows), where _pykernel
+ *    computes discount ** dist, the same pow call, at every step.  With a
+ *    pow call per step, the paper game took 5% longer.
+ *
  * playmine/kernel/__init__.py compiles this file on first import; the
  * kernel needs the GCC/Clang builtins __builtin_ctzll and
  * __builtin_popcountll, and a compiler without them fails the build, so the
@@ -51,8 +75,8 @@
 #define MAXCAPS 9
 
 /* A step in direction d moves a piece from square idx to idx + DELTA[d],
- * by (dx, dy) = (1, 1), (1, -1), (-1, 1) and (-1, -1) in turn: white men
- * use the first two directions, red men the last two. */
+ * by (dx, dy) = (1, 1), (1, -1), (-1, 1) and (-1, -1) in turn; MAN_DIR
+ * says which of them a man moves in. */
 static const int DELTA[4] = {9, 7, -7, -9};
 
 /* Bit idx of STEP_ON[d] (JUMP_ON[d]) is set when a step (a jump) in
@@ -233,9 +257,12 @@ typedef struct {
     uint64_t steps[4], steppers, jumpers, crowners;
 } Movers;
 
-/* white men move toward x = 7 (dirs 0-1), red men toward x = 0 */
-#define FAR_X(color) ((color) == WHITE ? 7 : 0)
-#define MEN_D0(color) ((color) == WHITE ? 0 : 2)
+/* The one home of where men go: a man of `color` moves in direction d when
+ * MAN_DIR holds (white men in 0-1, toward x = 7; red men in 2-3, toward
+ * x = 0; WHITE is 0), a king in all four, and a man crowns on the squares
+ * of FAR_ROW, x = 7 (squares 56-63) for white and x = 0 (0-7) for red. */
+#define MAN_DIR(color, d) (((d) >> 1) == (color))
+#define FAR_ROW(color) ((color) == WHITE ? 0xFFULL << 56 : 0xFFULL)
 
 /* The one home of the rules for which pieces of `color` can move, on the
  * board whose masks are bm. */
@@ -244,17 +271,16 @@ find_movers(const Masks *bm, int color, Movers *mv)
 {
     uint64_t own = bm->side[color], opp = bm->side[1 - color], kings = bm->kings & own;
     uint64_t empty = ~(own | opp);
-    int men_d0 = MEN_D0(color);
     mv->steppers = mv->jumpers = 0;
     for (int d = 0; d < 4; d++) {
-        uint64_t movers = (d & 2) == men_d0 ? own : kings;
+        uint64_t movers = MAN_DIR(color, d) ? own : kings;
         mv->steps[d] = movers & STEP_ON[d] & toward(empty, DELTA[d]);
         mv->steppers |= mv->steps[d];
         mv->jumpers |= movers & jumps(d, opp, empty);
     }
-    /* the row before the far row: x = 6 (squares 48-55) or x = 1 (8-15) */
-    uint64_t last_step = color == WHITE ? 0xFFULL << 48 : 0xFFULL << 8;
-    mv->crowners = (mv->steps[men_d0] | mv->steps[men_d0 + 1]) & ~kings & last_step;
+    /* a man's step goes one row forward, so from the row next to FAR_ROW
+     * (only one of the two shifts stays on the board) onto FAR_ROW */
+    mv->crowners = mv->steppers & ~kings & (FAR_ROW(color) >> 8 | FAR_ROW(color) << 8);
 }
 
 /* Pushes the move of the piece on square `from` of `state` to square `to`,
@@ -287,29 +313,31 @@ emit(Call *c, const unsigned char *state, int from, int to, const unsigned char 
     return 0;
 }
 
-/* Jump search for one piece of `state`: the opponent's pieces and the empty
- * squares, the mover's own among them, as masks; and the ids and squares
- * captured so far. */
+/* Jump search for one piece of `state`, of `color`: the opponent's pieces
+ * and the empty squares, the mover's own among them, as masks; and the ids
+ * and squares captured so far. */
 typedef struct {
     const unsigned char *state;
     uint64_t opp, empty, capmask;
     unsigned char caps[MAXCAPS];
-    int from, king, far_x, d0, d1;
+    int from, king, color;
 } Chain;
 
 /* DFS over jump continuations from square sq, ncap pieces captured so far,
- * kcap of them kings; emits every chain that cannot be extended.  A captured
- * piece cannot be taken again.  No chain lands on a captured piece's square,
- * which has the other parities of x and y than the mover's (see MAXCAPS), so
- * a chain lands only on squares that were empty once the mover left its
- * own.  Returns 1 if a jump was found, 0 if none, -1 on error. */
+ * kcap of them kings; emits every chain that cannot be extended.  A man
+ * jumps only in its MAN_DIR directions, and landing on FAR_ROW crowns it
+ * and ends its chain.  A captured piece cannot be taken again.  No chain
+ * lands on a captured piece's square, which has the other parities of x and
+ * y than the mover's (see MAXCAPS), so a chain lands only on squares that
+ * were empty once the mover left its own.  Returns 1 if a jump was found, 0
+ * if none, -1 on error. */
 static int
 extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
 {
     int jumped = 0;
     uint64_t opp = ch->opp & ~ch->capmask;
-    for (int d = ch->d0; d < ch->d1; d++) {
-        if (!((jumps(d, opp, ch->empty) >> sq) & 1))
+    for (int d = 0; d < 4; d++) {
+        if (!(ch->king || MAN_DIR(ch->color, d)) || !((jumps(d, opp, ch->empty) >> sq) & 1))
             continue;
         int mid = sq + DELTA[d], land = mid + DELTA[d];
         unsigned char mv = ch->state[mid];
@@ -317,8 +345,7 @@ extend_chains(Call *c, Chain *ch, int sq, int ncap, int kcap)
         ch->capmask ^= 1ULL << mid;
         ch->caps[ncap] = mv & ID_MASK;
         int nk = kcap + ((mv & KING_FLAG) != 0), rc;
-        if (!ch->king && (land >> 3) == ch->far_x) {
-            /* crowning ends a man's chain */
+        if (!ch->king && ((FAR_ROW(ch->color) >> land) & 1)) {
             rc = emit(c, ch->state, ch->from, land, ch->caps, ch->capmask, ncap + 1, nk, 1);
         }
         else {
@@ -348,21 +375,18 @@ gen_movers(Call *c, const unsigned char *state, const Masks *bm, int color, cons
 {
     Py_ssize_t base = c->n;
     uint64_t jumpers = mv->jumpers, empty = ~(bm->side[0] | bm->side[1]);
-    int men_d0 = MEN_D0(color);
     int quiet = !(c->rules.forced && jumpers);
     Chain ch;
     ch.state = state;
     ch.opp = bm->side[1 - color];
     ch.capmask = 0;
-    ch.far_x = FAR_X(color);
+    ch.color = color;
     for (uint64_t walk = jumpers | (quiet ? mv->steppers : 0); walk; walk &= walk - 1) {
         int idx = __builtin_ctzll(walk);
         if ((jumpers >> idx) & 1) {
             ch.from = idx;
             ch.king = (bm->kings >> idx) & 1;
             ch.empty = empty | 1ULL << idx;
-            ch.d0 = ch.king ? 0 : men_d0;
-            ch.d1 = ch.king ? 4 : men_d0 + 2;
             if (extend_chains(c, &ch, idx, 0, 0) < 0)
                 return -1;
         }

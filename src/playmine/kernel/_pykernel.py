@@ -45,7 +45,14 @@ choices in one place:
   steps or at a side with no legal move.  ``rollout`` runs the same loop
   with a memo of its own and no stream;
 * final pick: ``uct_child`` of the root at exploration 0.0, the root child
-  of highest mean reward for the side to move.
+  of highest mean reward for the side to move;
+* one rules record per call, the tuple ``(forced, capture_points,
+  crown_points, king_weight, mm_depth)`` (``Rules`` in C): ``search`` and
+  ``rollout`` build it once, and the tree's move generation, ``_playout``
+  and ``Memo.start`` all read that one record;
+* where a piece goes, ``_piece_moves`` (``MAN_DIR`` and ``FAR_ROW`` in C):
+  its directions and the row where it crowns, which its capture chains and
+  its steps both read.
 
 A rollout step at minimax depth >= 1 is a pure function of (state, side to
 move): the rules, points, king weight and depth are fixed, and ties go to
@@ -104,7 +111,7 @@ MEMO_MAX = 32768
 MEMO_RULES_MSG = ("memo holds rollout steps of other rules: forced capture, points, "
                   "king weight or minimax depth differ")
 
-# Diagonal directions; white men use the first two, red men the last two.
+# Diagonal directions; _piece_moves says which of them a piece moves in.
 DIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -142,10 +149,12 @@ def _check_args(state, sides, capture_points, crown_points, depth=0):
         raise ValueError(f"minimax depth must be <= {MAX_DEPTH}")
 
 
-def _piece_dirs(color, king):
+def _piece_moves(color, king):
+    """Where a piece goes: its directions, and the row x where it crowns
+    (-1 for a king), which both its chains and its steps read."""
     if king:
-        return DIRS
-    return DIRS[:2] if color == WHITE else DIRS[2:]
+        return DIRS, -1
+    return (DIRS[:2], 7) if color == WHITE else (DIRS[2:], 0)
 
 
 def _emit(out, work, frm, to, piece, captured, crowned, points):
@@ -159,8 +168,9 @@ def _emit(out, work, frm, to, piece, captured, crowned, points):
                 points[0] * len(captured) + (points[1] if crowned else 0), bytes(new)))
 
 
-def _extend_chains(work, frm, cx, cy, piece, color, king, far_x, dirs, captured, points, out):
-    """DFS over jump continuations; emits every chain that cannot be extended."""
+def _extend_chains(work, frm, cx, cy, piece, color, crown_x, dirs, captured, points, out):
+    """DFS over jump continuations; emits every chain that cannot be extended.
+    A landing on row ``crown_x`` crowns and ends the chain."""
     jumped = False
     for dx, dy in dirs:
         lx = cx + 2 * dx
@@ -177,10 +187,9 @@ def _extend_chains(work, frm, cx, cy, piece, color, king, far_x, dirs, captured,
         jumped = True
         work[mid] = 0
         captured.append(mv & ID_MASK)
-        if not king and lx == far_x:
-            # crowning ends a man's chain
+        if lx == crown_x:
             _emit(out, work, frm, land, piece, captured, True, points)
-        elif not _extend_chains(work, frm, lx, ly, piece, color, king, far_x, dirs, captured,
+        elif not _extend_chains(work, frm, lx, ly, piece, color, crown_x, dirs, captured,
                                 points, out):
             _emit(out, work, frm, land, piece, captured, False, points)
         captured.pop()
@@ -197,7 +206,6 @@ def gen_moves(state, color, forced, capture_points, crown_points):
     capture moves are returned.
     """
     _check_args(state, (color,), capture_points, crown_points)
-    far_x = 7 if color == WHITE else 0
     points = (capture_points, crown_points)
     out = []
     have_capture = False
@@ -207,17 +215,16 @@ def gen_moves(state, color, forced, capture_points, crown_points):
             continue
         x = idx >> 3
         y = idx & 7
-        king = bool(piece & KING_FLAG)
-        dirs = _piece_dirs(color, king)
+        dirs, crown_x = _piece_moves(color, piece & KING_FLAG)
         work = bytearray(state)
         work[idx] = 0
-        if _extend_chains(work, idx, x, y, piece, color, king, far_x, dirs, [], points, out):
+        if _extend_chains(work, idx, x, y, piece, color, crown_x, dirs, [], points, out):
             have_capture = True
         for dx, dy in dirs:
             nx = x + dx
             ny = y + dy
             if 0 <= nx <= 7 and 0 <= ny <= 7 and state[(nx << 3) | ny] == 0:
-                _emit(out, work, idx, (nx << 3) | ny, piece, (), not king and nx == far_x, points)
+                _emit(out, work, idx, (nx << 3) | ny, piece, (), nx == crown_x, points)
     if forced and have_capture:
         return [m for m in out if m[2]]
     return out
@@ -359,8 +366,8 @@ def rollout(state, to_move, sim_depth, mm_depth, forced, capture_points, crown_p
     _check_args(state, (to_move,), capture_points, crown_points, mm_depth)
     if mm_depth < 1:
         raise ValueError("rollout requires mm_depth >= 1")
-    return tuple(_playout(state, to_move, sim_depth, mm_depth, forced, capture_points,
-                          crown_points, king_weight, None, Memo()))
+    rules = (bool(forced), capture_points, crown_points, king_weight, mm_depth)
+    return tuple(_playout(state, to_move, sim_depth, rules, None, Memo()))
 
 
 def prune_by_reward(moves):
@@ -395,9 +402,9 @@ class _Stream:
         return (z ^ (z >> 31)) % n
 
 
-def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_points,
-             king_weight, stream, memo):
-    """The rollout from (state, turn): ``[white, red]`` rewards.
+def _playout(state, turn, sim_depth, rules, stream, memo):
+    """The rollout from (state, turn) under ``rules``, the call's rules
+    record: ``[white, red]`` rewards.
 
     Each of up to ``sim_depth`` steps plays, for the side to move, its
     depth-``mm_depth`` minimax move looked up in and added to ``memo`` (a
@@ -405,6 +412,7 @@ def _playout(state, turn, sim_depth, mm_depth, forced, capture_points, crown_poi
     ``moves[stream.below(len(moves))]``.  It stops at a side with no legal
     move.  ``stream`` is read only at depth 0 and ``memo`` only at depth >= 1.
     """
+    forced, capture_points, crown_points, king_weight, mm_depth = rules
     table = memo.table
     delta = [0, 0]
     for _ in range(sim_depth):
@@ -440,11 +448,12 @@ class _Tree:
     has ``visits[i]`` and a ``reward[i]`` of [white, red].  Its actions are
     generated once, when selection first stops at it, as the ``nact[i]``
     consecutive nodes from ``first[i]`` on (``nact[i]`` is -1 before); the
-    first ``nkids[i]`` of them are in the tree.
+    first ``nkids[i]`` of them are in the tree.  ``rules`` is the call's
+    rules record, of which move generation reads the first three fields.
     """
 
-    def __init__(self, state, side, forced, capture_points, crown_points, pruning):
-        self.rules = (forced, capture_points, crown_points)
+    def __init__(self, state, side, rules, pruning):
+        self.rules = rules
         self.pruning = pruning
         self.state = [state]
         self.turn = [side]
@@ -460,7 +469,7 @@ class _Tree:
         """The number of node i's actions: its legal moves, with pruning
         only those of the top reward; generated on the first call."""
         if self.nact[i] < 0:
-            moves = gen_moves(self.state[i], self.turn[i], *self.rules)
+            moves = gen_moves(self.state[i], self.turn[i], *self.rules[:3])
             if self.pruning and moves:
                 moves = prune_by_reward(moves)
             n = len(moves)
@@ -546,8 +555,9 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
         memo = Memo()
     elif type(memo) is not Memo:
         raise TypeError("memo must be None or this kernel's new_memo()")
-    memo.start((bool(forced), capture_points, crown_points, king_weight, mm_depth))
-    tree = _Tree(state, side, forced, capture_points, crown_points, pruning)
+    rules = (bool(forced), capture_points, crown_points, king_weight, mm_depth)
+    memo.start(rules)
+    tree = _Tree(state, side, rules, pruning)
     if not tree.actions(0):
         return None
     nodes = 0
@@ -559,8 +569,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
             i = tree.expand(i)
             nodes += 1
         # the leaf is never the root, so it always has an entry move
-        delta = _playout(tree.state[i], tree.turn[i], sim_depth, mm_depth, forced,
-                         capture_points, crown_points, king_weight, stream, memo)
+        delta = _playout(tree.state[i], tree.turn[i], sim_depth, rules, stream, memo)
         delta[1 - tree.turn[i]] += tree.move[i][4]
         tree.backup(i, delta, discount)
     return tree.move[tree.uct_child(0, 0.0)], nodes

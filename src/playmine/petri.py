@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -19,22 +20,48 @@ class Transition:
         return self.label is None
 
 
+def _tokens(marking: Counter) -> Counter:
+    """The places of ``marking`` that hold tokens; a count that is not an
+    int >= 0 is a ValueError."""
+    tokens = Counter()
+    for p, n in marking.items():
+        try:
+            count = index(n)
+        except TypeError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"place {p} holds {n!r} tokens, not an int >= 0")
+        if count:
+            tokens[p] = count
+    return tokens
+
+
 class PetriNet:
-    """Immutable net; markings are Counters over place names."""
+    """Immutable net; markings are Counters over place names.  Token counts
+    are ints >= 0, transition names are unique and labels are strings or
+    None; anything else is a ValueError."""
 
     def __init__(self, places: Iterable[str], transitions: Iterable[Transition],
                  arcs: Iterable[tuple[str, str]], initial_marking: Counter,
                  final_marking: Counter):
+        transitions = list(transitions)
+        for t in transitions:
+            if t.label is not None and not isinstance(t.label, str):
+                raise ValueError(f"transition {t.name} has label {t.label!r}, not a string")
         self.places = tuple(sorted(set(places)))
         self.transitions = tuple(sorted(set(transitions), key=lambda t: t.name))
         self.arcs = tuple(sorted(set(arcs)))
-        self.initial_marking = Counter({p: n for p, n in initial_marking.items() if n > 0})
-        self.final_marking = Counter({p: n for p, n in final_marking.items() if n > 0})
+        self.initial_marking = _tokens(initial_marking)
+        self.final_marking = _tokens(final_marking)
         if not self.initial_marking or not self.final_marking:
             raise ValueError("initial and final markings must be non-empty")
 
         place_set = set(self.places)
-        trans_names = {t.name for t in self.transitions}
+        names = [t.name for t in self.transitions]
+        trans_names = set(names)
+        for a, b in zip(names, names[1:]):  # sorted, so a shared name is adjacent
+            if a == b:
+                raise ValueError(f"two transitions are named {a}")
         if place_set & trans_names:
             raise ValueError("place and transition names must be disjoint")
         self.preset: dict[str, tuple[str, ...]] = {t.name: () for t in self.transitions}

@@ -52,6 +52,9 @@ class TrialSpec:
             raise ValueError("trial must be 1, 2 or 3")
         check_batch_settings(self.episodes, self.workers, self.pieces_per_side,
                              self.max_turns)
+        # a bad sweep value fails here, not after the cells before it ran
+        for value in self.sweep_values:
+            self.cell_config(value)
 
     @property
     def sweep_param(self) -> str:

@@ -44,8 +44,8 @@ MUTANTS = {
         "return JUMP_ON[d] & toward(opp, DELTA[d]) & toward(empty, 2 * DELTA[d]);",
         "return toward(opp, DELTA[d]) & toward(empty, 2 * DELTA[d]);"),
     "chain_jump_test_without_jump_on": (
-        "if (!((jumps(d, opp, ch->empty) >> sq) & 1))",
-        "if (!(((toward(opp, DELTA[d]) & toward(ch->empty, 2 * DELTA[d])) >> sq) & 1))"),
+        "|| !((jumps(d, opp, ch->empty) >> sq) & 1))",
+        "|| !(((toward(opp, DELTA[d]) & toward(ch->empty, 2 * DELTA[d])) >> sq) & 1))"),
     # the linked memo walk
     "insert_keeps_stale_link": (
         "    e->link = 0;\n",
@@ -70,8 +70,8 @@ MUTANTS = {
         "!(mv.jumpers | mv.crowners)",
         "!mv.crowners"),
     "crowners_on_wrong_row": (
-        "color == WHITE ? 0xFFULL << 48 : 0xFFULL << 8;",
-        "color == WHITE ? 0xFFULL << 40 : 0xFFULL << 16;"),
+        "(FAR_ROW(color) >> 8 | FAR_ROW(color) << 8)",
+        "(FAR_ROW(color) >> 16 | FAR_ROW(color) << 16)"),
     "shortcut_at_the_root": (
         "if (depth == 1 && best == NULL && ",
         "if (depth == 1 && "),
@@ -111,7 +111,32 @@ MUTANTS = {
         "    m->state[to] = crowned ? (piece | KING_FLAG) : piece;\n",
         "    m->state[to] = crowned ? (piece | KING_FLAG) : piece;\n"
         "    m->state[from] = 0;\n"),
-    # one rules record for a call and its memo
+    # where men go and crown, read by find_movers and the chain search
+    "far_row_one_row_short": (
+        "#define FAR_ROW(color) ((color) == WHITE ? 0xFFULL << 56 : 0xFFULL)",
+        "#define FAR_ROW(color) ((color) == WHITE ? 0xFFULL << 48 : 0xFFULL << 8)"),
+    "crowners_keep_kings": (
+        "mv->crowners = mv->steppers & ~kings & ",
+        "mv->crowners = mv->steppers & "),
+    "chain_men_jump_backwards": (
+        "if (!(ch->king || MAN_DIR(ch->color, d)) || ",
+        "if ("),
+    "chain_never_crowns": (
+        "if (!ch->king && ((FAR_ROW(ch->color) >> land) & 1)) {",
+        "if (0) {"),
+    # one rules record for a call and its memo: each field is compared
+    "memo_ignores_forced_capture": (
+        "(m->rules.forced != r->forced || m->rules.cap_pts",
+        "(m->rules.cap_pts"),
+    "memo_ignores_capture_points": (
+        " || m->rules.cap_pts != r->cap_pts\n",
+        "\n"),
+    "memo_ignores_crown_points": (
+        "|| m->rules.crown_pts != r->crown_pts || ",
+        "|| "),
+    "memo_ignores_king_weight": (
+        " || m->rules.kw != r->kw\n",
+        "\n"),
     "memo_ignores_minimax_depth": (
         "\n             || m->rules.mm_depth != r->mm_depth) {",
         ") {"),

@@ -151,7 +151,8 @@ def reference_tree(state, side, iterations, sim_depth, mm_depth, forced, capture
     shares the pure twin's tree and minimax on purpose: what it checks is
     the rollout memo.  Takes ``kernel.search``'s arguments; returns the tree
     and the number of nodes the iterations expanded."""
-    tree = _pykernel._Tree(state, side, forced, capture_points, crown_points, pruning)
+    tree = _pykernel._Tree(state, side, (forced, capture_points, crown_points, king_weight,
+                                         mm_depth), pruning)
     stream = _pykernel._Stream(seed)
     nodes = 0
     if not tree.actions(0):

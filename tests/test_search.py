@@ -41,12 +41,17 @@ def mv(reward):
     return (0, 9, (), False, reward, bytes(64))
 
 
+def rules(cfg):
+    """The pure twin's rules record of a search under ``cfg``."""
+    rw = cfg.reward
+    return (rw.forced_capture, rw.capture_points, rw.crown_points, cfg.king_weight,
+            cfg.minimax_depth)
+
+
 def tree(board, color, cfg=CFG):
     """The pure twin's search tree with ``board`` at its root (node 0) and
     ``color`` to move."""
-    rw = cfg.reward
-    return _pykernel._Tree(board.state, color.value, rw.forced_capture,
-                           rw.capture_points, rw.crown_points, cfg.pruning_enabled)
+    return _pykernel._Tree(board.state, color.value, rules(cfg), cfg.pruning_enabled)
 
 
 def fully_expanded(t, i):
@@ -58,11 +63,9 @@ def playout(state, turn, cfg, stream=None):
     """The pure twin's rollout for the search, [white, red] rewards; random
     moves come from ``stream``, by default a fresh one seeded with
     ``cfg.rng_seed``."""
-    rw = cfg.reward
     stream = stream or _pykernel._Stream(cfg.rng_seed)
-    return _pykernel._playout(state, turn, cfg.simulation_depth, cfg.minimax_depth,
-                              rw.forced_capture, rw.capture_points, rw.crown_points,
-                              cfg.king_weight, stream, _pykernel.Memo())
+    return _pykernel._playout(state, turn, cfg.simulation_depth, rules(cfg), stream,
+                              _pykernel.Memo())
 
 
 def search_args(board, color, cfg):

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -33,6 +34,29 @@ def tiny_spec(**overrides):
     return TrialSpec(**{**TINY, **overrides})
 
 
+def saved_net(**fields):
+    """The text of a saved one-transition net from p0 to p1, with ``fields``
+    of its JSON replaced."""
+    payload = {"places": ["p0", "p1"], "transitions": [["t0", "A"]],
+               "arcs": [["p0", "t0"], ["t0", "p1"]],
+               "initial_marking": {"p0": 1}, "final_marking": {"p1": 1}}
+    return json.dumps({**payload, **fields})
+
+
+# saved nets that PetriNet refuses, each with its message
+BAD_NETS = {
+    # 1.5 tokens kept fitness_metrics running: 0.5 and -0.5 stay truthy
+    "fractional-tokens": (saved_net(initial_marking={"p0": 1.5}),
+                          "place p0 holds 1.5 tokens, not an int >= 0"),
+    "negative-tokens": (saved_net(initial_marking={"p0": 1, "p1": -1}),
+                        "place p1 holds -1 tokens, not an int >= 0"),
+    "duplicate-transition": (saved_net(transitions=[["t0", "A"], ["t0", "B"]]),
+                             "two transitions are named t0"),
+    "label-not-string": (saved_net(transitions=[["t0", 5]]),
+                         "transition t0 has label 5, not a string"),
+}
+
+
 class TestTrialSpec:
     def test_paper_profiles_match_published_sweeps(self):
         t1 = TrialSpec.paper(1)
@@ -60,6 +84,15 @@ class TestTrialSpec:
     def test_invalid_trial_number(self):
         with pytest.raises(ValueError):
             tiny_spec(trial=4)
+
+    def test_bad_sweep_value_fails_before_any_file(self, tmp_path):
+        """Every cell's config is built with the spec: a bad sweep value
+        used to fail only once the cells before it had run and been
+        written."""
+        out = tmp_path / "trial"
+        with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+            run_trial(tiny_spec(sweep_values=(5, 0)), out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["episodes", "workers", "pieces_per_side", "max_turns"])
     def test_non_integer_count_is_refused_by_name(self, field):
@@ -394,6 +427,19 @@ class TestCli:
             Path(name).write_text(text)
         assert main(argv) == 1
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("name", BAD_NETS)
+    def test_bad_saved_net_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        """A saved net that no PetriNet can be: ``load_net`` raises
+        ValueError, and ``playmine check`` prints one line and exits 1."""
+        text, message = BAD_NETS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("net.json").write_text(text)
+        export_log(mklog([("A",)]), "log.csv", "csv")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_net("net.json")
+        assert main(["check", "--log", "log.csv", "--net", "net.json"]) == 1
+        assert capsys.readouterr().err == f"cannot replay: {message}\n"
 
     def test_bfs_feature_flag(self, tmp_path):
         out = tmp_path / "bfs"
