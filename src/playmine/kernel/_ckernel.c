@@ -15,40 +15,34 @@
  * This is the one list of how the twins differ inside.  Each difference
  * gives the same outputs and pays on a workload: perfbench's search-deep or
  * trial-smoke, or the paper game (README's 3000/30/3 game, seed 1, episode
- * 0).  What turning each off costs, in alternating pairs on a 2-core x86-64
- * host, is in CHANGES.md; the largest cost is given here.
+ * 0).  What turning each off costs is measured in CHANGES.md.
  *
  * 1. Masks.  find_movers finds the pieces that can step, jump or crown from
  *    64-bit masks of the board (white pieces, red pieces, kings; board_masks
  *    reads them 8 squares to a word), and a capture chain tests each jump
  *    on the same masks, where _pykernel scans the squares and a scratch
- *    board.  With the movers found by a square scan, search-deep took 2.8
- *    times as long.
+ *    board.  Pays on search-deep, trial-smoke and the paper game.
  * 2. Carried masks and material.  minimax reads the masks and the material
  *    counts off the board at its root only and derives each child's from
  *    its parent's and the move (child_masks, child_material: its from and
  *    to squares, captures and crowning), so a leaf is scored from counts
  *    where _pykernel counts each leaf's board: the same float expression on
- *    the same counts, so bit-identical.  Read off each node's board instead,
- *    search-deep took 82% longer.
+ *    the same counts, so bit-identical.  Pays on search-deep and the paper
+ *    game.
  * 3. The depth-1 quiet shortcut.  A depth-1 node below the root whose side
  *    can neither capture nor crown is scored from its own material without
  *    generating its moves; minimax's comment says why that is the score the
- *    full loop gives.  Without it, search-deep took 35% longer.
+ *    full loop gives.  Pays on search-deep and the paper game.
  * 4. The memo is an open-addressed table where _pykernel keeps a dict.  C
  *    has no dict, so this is the memo itself, whose behaviour the contract
  *    fixes (what it stores, when it inserts and clears, what it counts).
- *    With no memo, every rollout step runs minimax and the paper game took
- *    about 45 times as long.
+ *    Without it every rollout step runs minimax; pays on every workload
+ *    that plays rollouts, the paper game most.
  * 5. Linked memo entries.  Each entry links to the entry of the step after
  *    it, so a rollout walking entries it has linked neither hashes nor
  *    copies a board, yet counts each followed link as the step and the hit
- *    its lookup would be.  Looking each step up instead, the paper game
- *    took 85% longer (search-deep, whose steps mostly miss, did not change).
- * 6. The power table.  backup reads pow(discount, dist) from a table that
- *    each search fills as its tree deepens (tree_pows), where _pykernel
- *    computes discount ** dist, the same pow call, at every step.  With a
- *    pow call per step, the paper game took 5% longer.
+ *    its lookup would be.  Pays on trial-smoke and the paper game, whose
+ *    rollouts repeat; not on search-deep, whose steps mostly miss.
  *
  * playmine/kernel/__init__.py compiles this file on first import; the
  * kernel needs the GCC/Clang builtins __builtin_ctzll and
@@ -694,14 +688,11 @@ typedef struct {
 } Node;
 
 /* One search call's tree: an arena that grows by whole blocks of child
- * slots.  Nodes are addressed by index, since growing may move it.  pows[k]
- * is pow(discount, k) for k < npows, grown as the tree deepens. */
+ * slots.  Nodes are addressed by index, since growing may move it. */
 typedef struct {
     Node *nodes;
     Py_ssize_t n, cap;
     int pruning;
-    double *pows;
-    Py_ssize_t npows;
 } Tree;
 
 /* Generates node i's actions once, reserving their slots as one block;
@@ -780,35 +771,14 @@ uct_child(const Tree *t, Py_ssize_t i, double explore)
     return best;
 }
 
-/* Makes t->pows hold pow(discount, k) for every k <= depth; 0, or -1 with
- * MemoryError set. */
-static int
-tree_pows(Tree *t, Py_ssize_t depth, double discount)
-{
-    Py_ssize_t n = t->npows ? t->npows : 16;
-    while (n <= depth)
-        n *= 2;
-    double *pows = PyMem_Realloc(t->pows, (size_t)n * sizeof(double));
-    if (pows == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t k = t->npows; k < n; k++)
-        pows[k] = pow(discount, (double)k);
-    t->pows = pows;
-    t->npows = n;
-    return 0;
-}
-
 /* Adds pow(discount, dist) * delta and one visit to node i and to each
- * ancestor, dist steps above i; the powers come from the tree's table
- * t->pows, which must reach node i's depth. */
+ * ancestor, dist steps above i. */
 static void
-backup(Tree *t, Py_ssize_t i, const long delta[2])
+backup(Tree *t, Py_ssize_t i, const long delta[2], double discount)
 {
     for (Py_ssize_t dist = 0; i >= 0; dist++) {
         Node *nd = &t->nodes[i];
-        double factor = t->pows[dist];
+        double factor = pow(discount, (double)dist);
         nd->visits++;
         nd->reward[0] += factor * (double)delta[0];
         nd->reward[1] += factor * (double)delta[1];
@@ -1189,34 +1159,28 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     for (Py_ssize_t it = 0; it < iterations; it++) {
         if (PyErr_CheckSignals() < 0)
             goto done;
-        Py_ssize_t i = 0, depth = 0;
-        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact) {
+        Py_ssize_t i = 0;
+        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact)
             i = uct_child(&t, i, explore);
-            depth++;
-        }
         Py_ssize_t n = tree_actions(&t, &c, i);
         if (n < 0)
             goto done;
         if (n > 0) {
             i = t.nodes[i].first + t.nodes[i].nkids++;
             nodes++;
-            depth++;
         }
-        if (depth >= t.npows && tree_pows(&t, depth, discount) < 0)
-            goto done;
         /* the leaf is never the root, so it always has an entry move; the
          * playout does not grow the arena, so its state may point into it */
         long delta[2] = {0, 0};
         if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
-        backup(&t, i, delta);
+        backup(&t, i, delta, discount);
     }
     Py_ssize_t best = uct_child(&t, 0, 0.0);
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);
-    PyMem_Free(t.pows);
     memo_free(&local);
     call_free(&c);
     return out;

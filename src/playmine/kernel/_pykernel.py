@@ -448,12 +448,12 @@ class _Tree:
     has ``visits[i]`` and a ``reward[i]`` of [white, red].  Its actions are
     generated once, when selection first stops at it, as the ``nact[i]``
     consecutive nodes from ``first[i]`` on (``nact[i]`` is -1 before); the
-    first ``nkids[i]`` of them are in the tree.  ``rules`` is the call's
-    rules record, of which move generation reads the first three fields.
+    first ``nkids[i]`` of them are in the tree.  ``gen_rules`` holds the
+    fields of the call's rules record that move generation reads.
     """
 
     def __init__(self, state, side, rules, pruning):
-        self.rules = rules
+        self.gen_rules = rules[:3]
         self.pruning = pruning
         self.state = [state]
         self.turn = [side]
@@ -469,7 +469,7 @@ class _Tree:
         """The number of node i's actions: its legal moves, with pruning
         only those of the top reward; generated on the first call."""
         if self.nact[i] < 0:
-            moves = gen_moves(self.state[i], self.turn[i], *self.rules[:3])
+            moves = gen_moves(self.state[i], self.turn[i], *self.gen_rules)
             if self.pruning and moves:
                 moves = prune_by_reward(moves)
             n = len(moves)

@@ -45,9 +45,13 @@ class PetriNet:
                  arcs: Iterable[tuple[str, str]], initial_marking: Counter,
                  final_marking: Counter):
         transitions = list(transitions)
+        trans_names = set()
         for t in transitions:
+            if t.name in trans_names:
+                raise ValueError(f"two transitions are named {t.name}")
             if t.label is not None and not isinstance(t.label, str):
                 raise ValueError(f"transition {t.name} has label {t.label!r}, not a string")
+            trans_names.add(t.name)
         self.places = tuple(sorted(set(places)))
         self.transitions = tuple(sorted(set(transitions), key=lambda t: t.name))
         self.arcs = tuple(sorted(set(arcs)))
@@ -57,11 +61,6 @@ class PetriNet:
             raise ValueError("initial and final markings must be non-empty")
 
         place_set = set(self.places)
-        names = [t.name for t in self.transitions]
-        trans_names = set(names)
-        for a, b in zip(names, names[1:]):  # sorted, so a shared name is adjacent
-            if a == b:
-                raise ValueError(f"two transitions are named {a}")
         if place_set & trans_names:
             raise ValueError("place and transition names must be disjoint")
         self.preset: dict[str, tuple[str, ...]] = {t.name: () for t in self.transitions}

@@ -60,8 +60,8 @@ MUTANTS = {
         "k = memo->entries[prev].link - 1;\n                memo->hits++;",
         "k = memo->entries[prev].link - 1;\n                memo->steps--;"),
     "backup_power_off_by_one": (
-        "double factor = t->pows[dist];",
-        "double factor = t->pows[dist + 1];"),
+        "double factor = pow(discount, (double)dist);",
+        "double factor = pow(discount, (double)(dist + 1));"),
     # the depth-1 quiet shortcut
     "shortcut_ignores_crowners": (
         "!(mv.jumpers | mv.crowners)",

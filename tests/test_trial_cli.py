@@ -52,6 +52,8 @@ BAD_NETS = {
                         "place p1 holds -1 tokens, not an int >= 0"),
     "duplicate-transition": (saved_net(transitions=[["t0", "A"], ["t0", "B"]]),
                              "two transitions are named t0"),
+    "repeated-transition": (saved_net(transitions=[["t0", "A"], ["t0", "A"]]),
+                            "two transitions are named t0"),
     "label-not-string": (saved_net(transitions=[["t0", 5]]),
                          "transition t0 has label 5, not a string"),
 }
