@@ -19,9 +19,18 @@ trace position``.
 The order in which states are explored is fixed: ties in cost are broken by
 push order, which is, for each transition in ``net.transitions`` order, the
 synchronous move and then the model (or silent) move, with the log move
-last.  Marking numbers take no part in it, so a graph grown by earlier
-alignments leaves each alignment as a fresh graph would.  Among several
-optimal alignments, this order picks the one that is returned.  It also
+last.  Every move costs 0 or 1, so the search keeps two FIFO lists (Dial,
+"Shortest-path forest with topological ordering", CACM 12(11), 1969) in
+place of a heap keyed ``(cost, push order)``, and pops in that key's order:
+the first list holds the states pushed at the cost being expanded, the
+second those pushed one higher, each in push order.  A state of cost c
+pushes only at c (a 0-cost move, appended to the first list, behind the
+state being read) or at c + 1 (appended to the second).  So when the first
+list is read to its end no state of cost c is left, and the second list
+takes its place.  Marking numbers take no part in the order, so a graph
+grown by earlier alignments leaves each alignment as a fresh graph would.
+Among several optimal alignments, this order picks the one that is
+returned.  It also
 fixes ``states_explored``, which ``global_statistics.csv`` reports as
 ``Num. States`` and ``Approx. mem. used``, so a change to the order
 changes trial outputs even when every cost stays the same.
@@ -30,7 +39,6 @@ changes trial outputs even when every cost stays the same.
 from __future__ import annotations
 
 import csv
-import heapq
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +49,13 @@ from .petri import PetriNet
 
 
 class ModelUnsoundError(RuntimeError):
-    """The net cannot reach its final marking by model moves alone."""
+    """The net cannot reach its final marking by model moves alone;
+    ``states_explored`` counts the states the exhausted search expanded.
+    It is not an argument, so ``repr`` shows the message only."""
+
+    def __init__(self, message: str, states_explored: int = 0):
+        super().__init__(message)
+        self.states_explored = states_explored
 
 
 SYNC = "sync"
@@ -150,7 +164,8 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
     its cap is the one used.
 
     Raises ModelUnsoundError when no goal state exists (the final marking is
-    unreachable), detected once the bounded search space is exhausted.
+    unreachable), detected once the bounded search space is exhausted; its
+    ``states_explored`` counts the states expanded on the way.
     """
     t0 = time.perf_counter()
     trace = tuple(trace)
@@ -165,58 +180,57 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
     start = graph.initial * width
     dist = {start: 0}
     parent: dict = {start: None}
-    heappop, heappush = heapq.heappop, heapq.heappush
-    heap = [(0, 0, start)]
-    tick = 0
+    cost = 0
+    level, above = [start], []  # the states pushed at cost and at cost + 1
     explored = 0
 
-    while heap:
-        cost, _, state = heappop(heap)
-        if cost > dist[state]:
-            continue  # a cheaper push of this state was expanded already
-        explored += 1
-        if state == goal:
-            moves = []
-            cur = state
-            while parent[cur] is not None:
-                cur, move = parent[cur]
-                moves.append(move)
-            moves.reverse()
-            return AlignmentResult(tuple(moves), cost, explored,
-                                   time.perf_counter() - t0)
-        mid, i = divmod(state, width)
-        succ = successors[mid]
-        if succ is None:
-            succ = graph.expand(mid)
-        # push order breaks cost ties: per transition the synchronous move,
-        # then the model or silent move; the log move last
-        event = trace[i] if i < n else None
-        for nid, label, sync, model, model_cost in succ:
-            nstate = nid * width + i
-            if label is not None and label == event:
-                old = dist.get(nstate + 1)
-                if old is None or cost < old:
-                    dist[nstate + 1] = cost
-                    parent[nstate + 1] = (state, sync)
-                    tick += 1
-                    heappush(heap, (cost, tick, nstate + 1))
-            ncost = cost + model_cost
-            old = dist.get(nstate)
-            if old is None or ncost < old:
-                dist[nstate] = ncost
-                parent[nstate] = (state, model)
-                tick += 1
-                heappush(heap, (ncost, tick, nstate))
-        if i < n:
-            ncost = cost + 1
-            old = dist.get(state + 1)
-            if old is None or ncost < old:
-                dist[state + 1] = ncost
-                parent[state + 1] = (state, log_moves[i])
-                tick += 1
-                heappush(heap, (ncost, tick, state + 1))
+    while level:
+        # the loop also reads what the 0-cost moves below append to level
+        for state in level:
+            if dist[state] < cost:
+                continue  # a cheaper push of this state was expanded already
+            explored += 1
+            if state == goal:
+                moves = []
+                cur = state
+                while parent[cur] is not None:
+                    cur, move = parent[cur]
+                    moves.append(move)
+                moves.reverse()
+                return AlignmentResult(tuple(moves), cost, explored,
+                                       time.perf_counter() - t0)
+            mid, i = divmod(state, width)
+            succ = successors[mid]
+            if succ is None:
+                succ = graph.expand(mid)
+            # push order breaks cost ties: per transition the synchronous
+            # move, then the model or silent move; the log move last
+            event = trace[i] if i < n else None
+            for nid, label, sync, model, model_cost in succ:
+                nstate = nid * width + i
+                if label is not None and label == event:
+                    old = dist.get(nstate + 1)
+                    if old is None or cost < old:
+                        dist[nstate + 1] = cost
+                        parent[nstate + 1] = (state, sync)
+                        level.append(nstate + 1)
+                ncost = cost + model_cost
+                old = dist.get(nstate)
+                if old is None or ncost < old:
+                    dist[nstate] = ncost
+                    parent[nstate] = (state, model)
+                    (above if model_cost else level).append(nstate)
+            if i < n:
+                ncost = cost + 1
+                old = dist.get(state + 1)
+                if old is None or ncost < old:
+                    dist[state + 1] = ncost
+                    parent[state + 1] = (state, log_moves[i])
+                    above.append(state + 1)
+        level, above = above, []
+        cost += 1
 
-    raise ModelUnsoundError("final marking unreachable; cannot align")
+    raise ModelUnsoundError("final marking unreachable; cannot align", explored)
 
 
 @dataclass

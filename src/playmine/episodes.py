@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import kernel
@@ -101,7 +101,10 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     distinct from decided games.  Each move is recorded as its direction
     words, or with ``bfs_feature`` as the change of the least red-white
     distance it makes.  All turns of both colours share one rollout memo,
-    whose key holds the side to move; the result carries its counts.
+    whose key holds the side to move; the result carries its counts.  Turn
+    ``t`` searches with the seed ``derive_seed(cfg.rng_seed, episode_id,
+    t)``, passed to ``mcts_search`` as its ``seed``; it reaches only
+    minimax-depth-0 rollouts.
     """
     board = initial_board(pieces_per_side)
     memo = kernel.new_memo()
@@ -112,8 +115,8 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     turns = 0
 
     while turns < max_turns:
-        turn_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, episode_id, turns))
-        result = mcts_search(board, turn_color, turn_cfg, memo)
+        result = mcts_search(board, turn_color, cfg, memo,
+                             seed=derive_seed(cfg.rng_seed, episode_id, turns))
         if result is None:
             game_winner = turn_color.opponent
             break

@@ -43,6 +43,13 @@
  *    copies a board, yet counts each followed link as the step and the hit
  *    its lookup would be.  Pays on trial-smoke and the paper game, whose
  *    rollouts repeat; not on search-deep, whose steps mostly miss.
+ * 6. The power table.  backup reads pow(discount, dist) from a table of the
+ *    search's iteration count + 1 entries (the deepest a node can lie),
+ *    each filled by the same pow call the first time the tree reaches its
+ *    depth, where _pykernel computes discount ** dist at every backup step.
+ *    Pays on trial-smoke and the paper game, whose rollouts are mostly
+ *    memo walks, so the backup is a large share of an iteration; not on
+ *    search-deep, whose 2-iteration searches are minimax-bound.
  *
  * playmine/kernel/__init__.py compiles this file on first import; the
  * kernel needs the GCC/Clang builtins __builtin_ctzll and
@@ -688,11 +695,16 @@ typedef struct {
 } Node;
 
 /* One search call's tree: an arena that grows by whole blocks of child
- * slots.  Nodes are addressed by index, since growing may move it. */
+ * slots.  Nodes are addressed by index, since growing may move it.  Each
+ * iteration adds at most one node, so no node lies deeper than the
+ * iteration count; pows, of that count + 1 entries, holds pow(discount, k)
+ * for every k < npows, filled as the tree deepens. */
 typedef struct {
     Node *nodes;
     Py_ssize_t n, cap;
     int pruning;
+    double *pows;
+    Py_ssize_t npows;
 } Tree;
 
 /* Generates node i's actions once, reserving their slots as one block;
@@ -772,13 +784,14 @@ uct_child(const Tree *t, Py_ssize_t i, double explore)
 }
 
 /* Adds pow(discount, dist) * delta and one visit to node i and to each
- * ancestor, dist steps above i. */
+ * ancestor, dist steps above i; the powers come from t->pows, which must
+ * reach node i's depth. */
 static void
-backup(Tree *t, Py_ssize_t i, const long delta[2], double discount)
+backup(Tree *t, Py_ssize_t i, const long delta[2])
 {
     for (Py_ssize_t dist = 0; i >= 0; dist++) {
         Node *nd = &t->nodes[i];
-        double factor = pow(discount, (double)dist);
+        double factor = t->pows[dist];
         nd->visits++;
         nd->reward[0] += factor * (double)delta[0];
         nd->reward[1] += factor * (double)delta[1];
@@ -1143,8 +1156,13 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     PyObject *out = NULL;
     t.nodes = PyMem_Calloc(1, sizeof(Node));
-    if (t.nodes == NULL)
-        return PyErr_NoMemory();
+    /* zeroed, so that a power read before it is filled (a bug) reads 0, not
+     * a power an earlier search left in the block */
+    t.pows = PyMem_Calloc((size_t)iterations + 1, sizeof(double));
+    if (t.nodes == NULL || t.pows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
     t.n = t.cap = 1;
     memcpy(t.nodes[0].move.state, state, 64);
     t.nodes[0].parent = -1;
@@ -1159,28 +1177,34 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     for (Py_ssize_t it = 0; it < iterations; it++) {
         if (PyErr_CheckSignals() < 0)
             goto done;
-        Py_ssize_t i = 0;
-        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact)
+        Py_ssize_t i = 0, depth = 0;
+        while (t.nodes[i].nkids > 0 && t.nodes[i].nkids == t.nodes[i].nact) {
             i = uct_child(&t, i, explore);
+            depth++;
+        }
         Py_ssize_t n = tree_actions(&t, &c, i);
         if (n < 0)
             goto done;
         if (n > 0) {
             i = t.nodes[i].first + t.nodes[i].nkids++;
             nodes++;
+            depth++;
         }
+        for (; t.npows <= depth; t.npows++)
+            t.pows[t.npows] = pow(discount, (double)t.npows);
         /* the leaf is never the root, so it always has an entry move; the
          * playout does not grow the arena, so its state may point into it */
         long delta[2] = {0, 0};
         if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;
-        backup(&t, i, delta, discount);
+        backup(&t, i, delta);
     }
     Py_ssize_t best = uct_child(&t, 0, 0.0);
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
 done:
     PyMem_Free(t.nodes);
+    PyMem_Free(t.pows);
     memo_free(&local);
     call_free(&c);
     return out;

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import index
 from pathlib import Path
 from typing import Iterable, Optional
@@ -37,22 +38,29 @@ def _tokens(marking: Counter) -> Counter:
 
 
 class PetriNet:
-    """Immutable net; markings are Counters over place names.  Token counts
-    are ints >= 0, transition names are unique and labels are strings or
-    None; anything else is a ValueError."""
+    """Immutable net; markings are Counters over place names.  Place and
+    transition names are strings, token counts are ints >= 0, transition
+    names are unique and labels are strings or None; anything else is a
+    ValueError."""
 
     def __init__(self, places: Iterable[str], transitions: Iterable[Transition],
                  arcs: Iterable[tuple[str, str]], initial_marking: Counter,
                  final_marking: Counter):
+        places = set(places)
+        for p in places:
+            if not isinstance(p, str):
+                raise ValueError(f"place name {p!r} is not a string")
         transitions = list(transitions)
         trans_names = set()
         for t in transitions:
+            if not isinstance(t.name, str):
+                raise ValueError(f"transition name {t.name!r} is not a string")
             if t.name in trans_names:
                 raise ValueError(f"two transitions are named {t.name}")
             if t.label is not None and not isinstance(t.label, str):
                 raise ValueError(f"transition {t.name} has label {t.label!r}, not a string")
             trans_names.add(t.name)
-        self.places = tuple(sorted(set(places)))
+        self.places = tuple(sorted(places))
         self.transitions = tuple(sorted(set(transitions), key=lambda t: t.name))
         self.arcs = tuple(sorted(set(arcs)))
         self.initial_marking = _tokens(initial_marking)
@@ -130,20 +138,48 @@ def to_dot(net: PetriNet) -> str:
 
 
 def net_to_json(net: PetriNet) -> str:
-    payload = {
-        "places": list(net.places),
-        "transitions": [[t.name, t.label] for t in net.transitions],
-        "arcs": [list(a) for a in net.arcs],
-        "initial_marking": dict(net.initial_marking),
-        "final_marking": dict(net.final_marking),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The net as the text ``json.dumps(payload, indent=2, sort_keys=True)``
+    gives for ``payload`` = {"places": [name, ...], "transitions": [[name,
+    label], ...], "arcs": [[src, dst], ...], "initial_marking": {place:
+    tokens}, "final_marking": {place: tokens}}, written directly: every name
+    and label is a string (a label may be None), every token count an int,
+    and the places, transitions and arcs are sorted already."""
+    q = encode_basestring_ascii
+
+    def array(rows):
+        return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+    def pairs(rows):
+        return array([f"    [\n      {q(a)},\n      {'null' if b is None else q(b)}\n    ]"
+                      for a, b in rows])
+
+    def marking(m):
+        return "{\n" + ",\n".join(f"    {q(p)}: {int.__repr__(n)}"
+                                   for p, n in sorted(m.items())) + "\n  }"
+
+    return (f'{{\n  "arcs": {pairs(net.arcs)},\n'
+            f'  "final_marking": {marking(net.final_marking)},\n'
+            f'  "initial_marking": {marking(net.initial_marking)},\n'
+            f'  "places": {array([f"    {q(p)}" for p in net.places])},\n'
+            f'  "transitions": {pairs((t.name, t.label) for t in net.transitions)}\n}}')
+
+
+# what net_to_json writes under each key
+_SAVED_SHAPE = {"places": list, "transitions": list, "arcs": list,
+                "initial_marking": dict, "final_marking": dict}
 
 
 def net_from_json(text: str) -> PetriNet:
     """The net ``net_to_json`` wrote; any other text is a ValueError."""
     payload = json.loads(text)
     try:
+        for key, kind in _SAVED_SHAPE.items():
+            if not isinstance(payload[key], kind):
+                raise ValueError(f"not a saved net: {key} is not a {kind.__name__}")
+        for key in ("transitions", "arcs"):
+            for entry in payload[key]:
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise ValueError(f"not a saved net: {key} entry {entry!r} is not a pair")
         return PetriNet(
             places=payload["places"],
             transitions=[Transition(name, label) for name, label in payload["transitions"]],

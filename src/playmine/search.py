@@ -62,11 +62,14 @@ class SearchConfig:
             raise ValueError("king_weight must be finite")
 
 
-def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None
-                ) -> Optional[tuple[ConcreteMove, GameBoard]]:
+def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None,
+                seed: Optional[int] = None) -> Optional[tuple[ConcreteMove, GameBoard]]:
     """Runs ``cfg.iterations`` MCTS iterations for ``agent`` in one
     ``kernel.search`` call, its rollout steps through ``memo`` (a
     ``kernel.new_memo()`` handle, or None for a memo of the call's own).
+    ``seed`` (any int, taken mod 2**64 by the kernel) starts the random
+    moves of minimax-depth-0 rollouts in place of ``cfg.rng_seed``, so a
+    caller that draws a seed per turn passes it without building a config.
 
     Returns (move, next_board) for the root child with the highest mean
     reward on the agent's index, or None when the agent has no move; the
@@ -80,7 +83,8 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None
                           cfg.simulation_depth, cfg.minimax_depth,
                           rw.forced_capture, rw.capture_points, rw.crown_points,
                           cfg.king_weight, cfg.exploration, cfg.discount,
-                          cfg.pruning_enabled, cfg.rng_seed, memo)
+                          cfg.pruning_enabled, cfg.rng_seed if seed is None else seed,
+                          memo)
     if found is None:
         return None
     move = found[0]

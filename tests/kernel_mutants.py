@@ -59,9 +59,18 @@ MUTANTS = {
     "followed_link_not_counted": (
         "k = memo->entries[prev].link - 1;\n                memo->hits++;",
         "k = memo->entries[prev].link - 1;\n                memo->steps--;"),
+    # the power table of backup: its fill, its index and how deep it is
+    # filled (a fill one entry short is no mutant: the last entry weighs only
+    # the root's reward, which no output reads)
     "backup_power_off_by_one": (
-        "double factor = pow(discount, (double)dist);",
-        "double factor = pow(discount, (double)(dist + 1));"),
+        "t.pows[t.npows] = pow(discount, (double)t.npows);",
+        "t.pows[t.npows] = pow(discount, (double)(t.npows + 1));"),
+    "power_table_index_off_by_one": (
+        "double factor = t->pows[dist];",
+        "double factor = t->pows[dist + 1];"),
+    "power_table_fill_ignores_selection_depth": (
+        "            i = uct_child(&t, i, explore);\n            depth++;\n",
+        "            i = uct_child(&t, i, explore);\n"),
     # the depth-1 quiet shortcut
     "shortcut_ignores_crowners": (
         "!(mv.jumpers | mv.crowners)",

@@ -3,13 +3,16 @@ check the package.
 
 These are deliberately written against different data structures than the
 library (position dicts instead of byte boards, relaxation DP instead of
-best-first search, name sets walked by depth-first search, all-pairs scans
+best-first search, a heap over Counter markings instead of two FIFO lists
+over numbered ones, name sets walked by depth-first search, all-pairs scans
 and a union-find instead of bitsets and decisions made during a search) so a
 shared bug is unlikely.
 """
 
 import ast
 import csv
+import heapq
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -27,6 +30,7 @@ from playmine.board import (
     legal_moves,
     winner,
 )
+from playmine.conformance import LOG, MODEL, SYNC, TAU, AlignmentMove
 from playmine.episodes import StepRecord
 from playmine.eventlog import EPISODE_COLUMNS, XES_NS
 from playmine.explain import NoObservationError, Recommendation, WhyNotReport
@@ -228,14 +232,32 @@ def has_unique_source_and_sink(net: PetriNet) -> bool:
     return len(source_places(net)) == 1 and len(sink_places(net)) == 1
 
 
+def oracle_net_to_json(net: PetriNet) -> str:
+    """The saved-net text as the standard encoder writes the payload, which
+    ``petri.net_to_json`` wrote before it wrote the text itself."""
+    payload = {
+        "places": list(net.places),
+        "transitions": [[t.name, t.label] for t in net.transitions],
+        "arcs": [list(a) for a in net.arcs],
+        "initial_marking": dict(net.initial_marking),
+        "final_marking": dict(net.final_marking),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def oracle_token_cap(net: PetriNet, trace_len: int) -> int:
+    """The most tokens an alignment's markings may hold: the initial and
+    final tokens, plus the places, plus the trace length, plus 4."""
+    return (sum(net.initial_marking.values()) + sum(net.final_marking.values())
+            + len(net.places) + trace_len + 4)
+
+
 def oracle_alignment_cost(trace, net, token_cap=None):
     """Bellman-style relaxation over the explicit product graph."""
     trace = tuple(trace)
     n = len(trace)
     if token_cap is None:
-        token_cap = (sum(net.initial_marking.values())
-                     + sum(net.final_marking.values())
-                     + len(net.places) + n + 4)
+        token_cap = oracle_token_cap(net, n)
 
     start = (0, marking_key(net.initial_marking))
     markings = {start[1]: Counter(net.initial_marking)}
@@ -276,6 +298,60 @@ def oracle_alignment_cost(trace, net, token_cap=None):
                 dist[dst] = dist[src] + cost
                 changed = True
     return dist.get((n, marking_key(net.final_marking)), inf)
+
+
+def oracle_alignment(trace, net, token_cap=None):
+    """``(moves, raw_cost, states_explored)`` of uniform-cost search over
+    Counter markings with a binary heap keyed ``(cost, push order)``, the
+    search ``optimal_alignment`` ran before its two-level queue.  Push order
+    is, per transition in ``net.transitions`` order, the synchronous move and
+    then the model or silent move, with the log move last.  When the final
+    marking is unreachable under the cap, moves is None and raw_cost inf."""
+    trace = tuple(trace)
+    n = len(trace)
+    if token_cap is None:
+        token_cap = oracle_token_cap(net, n)
+    start = (marking_key(net.initial_marking), 0)
+    goal = (marking_key(net.final_marking), n)
+    markings = {start[0]: Counter(net.initial_marking)}
+    dist = {start: 0}
+    parent = {start: None}
+    heap = [(0, 0, start)]
+    tick = explored = 0
+    while heap:
+        cost, _, state = heapq.heappop(heap)
+        if cost > dist[state]:
+            continue
+        explored += 1
+        if state == goal:
+            moves = []
+            while parent[state] is not None:
+                state, move = parent[state]
+                moves.append(move)
+            return tuple(reversed(moves)), cost, explored
+        mkey, i = state
+        pushes = []
+        for t in enabled_transitions(net, markings[mkey]):
+            nm = net.fire(markings[mkey], t.name)
+            if sum(nm.values()) > token_cap:
+                continue
+            nkey = marking_key(nm)
+            markings.setdefault(nkey, nm)
+            if t.silent:
+                pushes.append(((nkey, i), cost, AlignmentMove(TAU, None, t.name)))
+                continue
+            if i < n and t.label == trace[i]:
+                pushes.append(((nkey, i + 1), cost, AlignmentMove(SYNC, t.label, t.name)))
+            pushes.append(((nkey, i), cost + 1, AlignmentMove(MODEL, t.label, t.name)))
+        if i < n:
+            pushes.append(((mkey, i + 1), cost + 1, AlignmentMove(LOG, trace[i], None)))
+        for nstate, ncost, move in pushes:
+            if ncost < dist.get(nstate, math.inf):
+                dist[nstate] = ncost
+                parent[nstate] = (state, move)
+                tick += 1
+                heapq.heappush(heap, (ncost, tick, nstate))
+    return None, math.inf, explored
 
 
 def sample_complete_trace(net: PetriNet, rng: random.Random,

@@ -1,9 +1,7 @@
-import heapq
 import json
 import random
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +28,18 @@ from playmine.discovery import (
     seq,
     tau,
     tree_to_net,
+    xor,
 )
 from playmine.episodes import StepRecord, abstract_move
 from playmine.eventlog import build_event_log
 from playmine.petri import PetriNet, Transition
 from helpers import mklog
-from oracles import oracle_alignment_cost, sample_complete_trace
+from oracles import (
+    oracle_alignment,
+    oracle_alignment_cost,
+    oracle_token_cap,
+    sample_complete_trace,
+)
 
 
 def chain_net(labels):
@@ -447,25 +451,73 @@ class TestExplorationOrder:
         for cid, want in golden.items():
             assert got[cid] == want, cid
 
-    def test_token_cap_bounds_unreachable_search(self, monkeypatch):
+    def test_token_cap_bounds_unreachable_search(self):
         # t keeps p marked and adds a token to q, so a final marking of q
         # alone is unreachable and only the token cap ends the search
         net = token_cap_net({"q": 1})
         trace = ("A",) * 6
         cap = 1 + 1 + len(net.places) + len(trace) + 4  # the default cap
-        popped = set()
-
-        def heappop(heap):
-            item = heapq.heappop(heap)
-            popped.add(item[-1])
-            return item
-
-        monkeypatch.setattr(conformance, "heapq", SimpleNamespace(
-            heappop=heappop, heappush=heapq.heappush))
-        with pytest.raises(ModelUnsoundError):
+        with pytest.raises(ModelUnsoundError) as info:
             optimal_alignment(trace, net)
         # p + k*q for every k with 1 + k <= cap, at every trace position
-        assert len(popped) == (len(trace) + 1) * cap
+        assert info.value.states_explored == (len(trace) + 1) * cap
+
+
+# silent transitions everywhere: skips, silent loop bodies and silent
+# branches, so 0-cost moves chain and cost ties are common
+TAU_TREES = [
+    seq(xor(act("A"), tau()), loop(tau(), act("B")), xor(tau(), act("C"))),
+    loop(seq(tau(), act("A")), tau()),
+    par(xor(tau(), act("A")), loop(act("B"), tau()), seq(tau(), tau(), act("C"))),
+]
+
+
+def oracle_nets():
+    """``(kind, net)``: alpha and inductive nets of random play logs, the
+    tau-heavy trees and an unsound net whose search only the cap ends."""
+    rng = random.Random(13)
+    for k in range(3):
+        log = random_play_log(rng, Color.RED if k % 2 else Color.WHITE, cases=4, events=5)
+        yield "alpha", alpha_miner(log)
+        yield "inductive", tree_to_net(inductive_miner(log))
+    for tree in TAU_TREES:
+        yield "tau", tree_to_net(tree)
+    yield "unsound", token_cap_net({"q": 1})
+
+
+class TestHeapOracle:
+    """The two-level queue pops states in the order of the heap keyed
+    ``(cost, push order)`` that ``oracle_alignment`` runs over Counter
+    markings, so the alignment, its cost and ``states_explored`` agree on
+    random traces, fitting or not, on a fresh graph and on one shared at a
+    single cap, as ``fitness_metrics`` shares it."""
+
+    def test_matches_heap_order(self):
+        rng = random.Random(3)
+        kinds = set()
+        for kind, net in oracle_nets():
+            labels = sorted({t.label for t in net.transitions if not t.silent})
+            traces = [()]
+            for _ in range(6):
+                traces.append(tuple(rng.choice(labels + ["X"])
+                                    for _ in range(rng.randrange(1, 6))))
+                if kind != "unsound":
+                    traces.append(tuple(sample_complete_trace(net, rng)))
+            cap = oracle_token_cap(net, max(map(len, traces)))
+            shared = conformance._MarkingGraph(net, cap)
+            for trace in traces:
+                for used_cap, graph in ((None, None), (cap, shared)):
+                    moves, cost, explored = oracle_alignment(trace, net, used_cap)
+                    try:
+                        res = optimal_alignment(trace, net, _graph=graph)
+                    except ModelUnsoundError as exc:
+                        assert (moves, exc.states_explored) == (None, explored), (kind, trace)
+                        kinds.add(kind + " unsound")
+                    else:
+                        assert (res.moves, res.raw_cost, res.states_explored) == (
+                            moves, cost, explored), (kind, trace)
+                        kinds.add(kind)
+        assert kinds >= {"alpha", "inductive", "tau", "unsound unsound"}, kinds
 
 
 if __name__ == "__main__":

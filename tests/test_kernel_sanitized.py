@@ -17,10 +17,13 @@ one rollout memo, so those with other rules than the first are refused,
 and one in ten is passed the other twin's memo.  Then searches at minimax
 depths 1 and 2 share one memo per depth, long enough to grow its slot
 table six times, to fill it to the memo's ``MEMO_MAX`` bound and to have
-the next search empty it.  Each op must return what ``_pykernel`` returns
-or raise the same exception, and the twins' memos must count alike; a
-memory error or undefined behaviour aborts the child, and so does an
-exported op that the fuzz has no inputs for.
+the next search empty it.  Last, searches at exploration 0 from the 1- and
+2-a-side openings grow trees more than 20 plies deep, so backup's power
+table is filled that far, and a one-iteration search from the 3-a-side
+opening fills the table's last entry (depth 1 of 2).  Each op must return
+what ``_pykernel`` returns or raise the same exception, and the twins'
+memos must count alike; a memory error or undefined behaviour aborts the
+child, and so does an exported op that the fuzz has no inputs for.
 
 To fuzz a build by hand (``PYTHONMALLOC=malloc`` lets ASan see the
 kernel's allocations, which pymalloc would otherwise serve)::
@@ -42,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from playmine import kernel
+from playmine.board import initial_board
 from playmine.kernel import _pykernel as pk
 from helpers import memo_searches, random_board, random_bytes_state
 
@@ -210,6 +214,30 @@ def fuzz(ck, seed):
             ("search", args[1:])
         assert c_memo.counts() == p_memo.counts(), ("memo counts", args[1:])
         calls += 1
+    # deep trees: the pure twin's backups report the deepest leaf
+    deepest = 0
+    backup = pk._Tree.backup
+
+    def recording(tree, i, delta, discount):
+        nonlocal deepest
+        depth, j = 0, i
+        while tree.parent[j] >= 0:
+            depth, j = depth + 1, tree.parent[j]
+        deepest = max(deepest, depth)
+        backup(tree, i, delta, discount)
+
+    pk._Tree.backup = recording
+    try:
+        for pieces, side, iterations, pruning in ((1, 0, 1000, False), (1, 1, 1000, True),
+                                                  (2, 0, 1000, True), (2, 1, 1000, False),
+                                                  (3, 0, 1, False)):
+            args = (initial_board(pieces).state, side, iterations, 4, 1, True, 7, 7, 0.5, 0.0,
+                    0.8, pruning, 0)
+            assert ck.search(*args) == pk.search(*args), ("deep search", args[1:])
+            calls += 1
+    finally:
+        pk._Tree.backup = backup
+    assert deepest > 20, f"the deep searches reached only depth {deepest}"
     # the compiled rollout runs search's loop with no stream, so it must
     # refuse random (depth-0) rollouts as the pure twin does
     assert shallow_rollouts, "no rollout below minimax depth 1 was fuzzed"

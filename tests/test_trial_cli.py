@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,11 +20,18 @@ from playmine.board import RewardConfig
 from playmine.episodes import MAX_TURNS_DEFAULT, EpisodeResult
 from playmine.eventlog import export_log, format_label, import_log
 from playmine.explain import LOOKAHEAD_DEFAULT
-from playmine.petri import PetriNet, Transition, load_net, save_dot
+from playmine.petri import (
+    PetriNet,
+    Transition,
+    load_net,
+    net_from_json,
+    net_to_json,
+    save_dot,
+)
 from playmine.search import SearchConfig
 from playmine.trial import TrialSpec, run_trial
 from helpers import mklog
-from oracles import has_unique_source_and_sink
+from oracles import has_unique_source_and_sink, oracle_net_to_json
 
 
 TINY = dict(trial=1, sweep_values=(5, 8), iterations=0, simulation_depth=3,
@@ -56,7 +64,68 @@ BAD_NETS = {
                             "two transitions are named t0"),
     "label-not-string": (saved_net(transitions=[["t0", 5]]),
                          "transition t0 has label 5, not a string"),
+    # before these were refused, render ended in a traceback or an unpacking
+    # message that named no entry
+    "transition-name-not-string": (saved_net(transitions=[[5, "A"]],
+                                             arcs=[["p0", 5], [5, "p1"]]),
+                                   "transition name 5 is not a string"),
+    "place-name-not-string": (saved_net(places=["p0", "p1", 2]),
+                              "place name 2 is not a string"),
+    "transition-entry-too-long": (saved_net(transitions=[["t0", "A", "B"]]),
+                                  "not a saved net: transitions entry ['t0', 'A', 'B'] "
+                                  "is not a pair"),
+    "arc-entry-too-long": (saved_net(arcs=[["p0", "t0", "p1"], ["t0", "p1"]]),
+                           "not a saved net: arcs entry ['p0', 't0', 'p1'] is not a pair"),
+    "arc-entry-not-a-list": (saved_net(arcs=["pt", ["t0", "p1"]]),
+                             "not a saved net: arcs entry 'pt' is not a pair"),
+    "marking-not-an-object": (saved_net(final_marking=["p1"]),
+                              "not a saved net: final_marking is not a dict"),
 }
+
+
+# name characters the encoder escapes: quotes, backslashes, control
+# characters, non-ASCII letters and a character outside the BMP
+NAME_CHARS = ("a", "Z", "0", " ", '"', "\\", "/", "\x01", "\n", "\t", "\x7f", "é", "€",
+              "\U0001F600")
+
+
+def random_net(rng):
+    """A valid net whose names and labels mix ``NAME_CHARS``; labels may be
+    None or empty, and a net may have no transitions or arcs."""
+    def name(prefix):
+        return prefix + "".join(rng.choice(NAME_CHARS) for _ in range(rng.randrange(4)))
+
+    places = sorted({name("p") for _ in range(rng.randrange(1, 6))})
+    names = sorted({name("t") for _ in range(rng.randrange(5))})
+    transitions = [Transition(t, rng.choice((None, "", name("")))) for t in names]
+    arcs = []
+    for _ in range(rng.randrange(7) if names else 0):
+        p, t = rng.choice(places), rng.choice(names)
+        arcs.append((p, t) if rng.random() < 0.5 else (t, p))
+    def marking():
+        marked = rng.sample(places, rng.randrange(1, len(places) + 1))
+        return Counter({p: rng.randrange(1, 4) for p in marked})
+
+    return PetriNet(places, transitions, arcs, marking(), marking())
+
+
+class TestSavedNetText:
+    """``net_to_json`` writes the text itself; the standard encoder's output
+    for the same payload is the oracle."""
+
+    def test_bytes_match_the_encoder(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            net = random_net(rng)
+            text = net_to_json(net)
+            assert text == oracle_net_to_json(net), net
+            assert net_from_json(text) == net
+
+    @pytest.mark.parametrize("transitions,arcs", [([], []), ([Transition("t", None)], [])])
+    def test_empty_lists(self, transitions, arcs):
+        net = PetriNet(["p"], transitions, arcs, Counter({"p": 1}), Counter({"p": 2}))
+        assert net_to_json(net) == oracle_net_to_json(net)
+        assert net_from_json(net_to_json(net)) == net
 
 
 class TestTrialSpec:
@@ -442,6 +511,17 @@ class TestCli:
             load_net("net.json")
         assert main(["check", "--log", "log.csv", "--net", "net.json"]) == 1
         assert capsys.readouterr().err == f"cannot replay: {message}\n"
+
+    @pytest.mark.parametrize("name", BAD_NETS)
+    def test_bad_saved_net_is_not_rendered(self, tmp_path, monkeypatch, capsys, name):
+        """``playmine render`` refuses what ``net_to_json`` cannot write on
+        one line, before it writes a dot file."""
+        text, message = BAD_NETS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("net.json").write_text(text)
+        assert main(["render", "--net", "net.json", "--out", "net.dot"]) == 1
+        assert capsys.readouterr().err == f"cannot render: {message}\n"
+        assert not Path("net.dot").exists()
 
     def test_bfs_feature_flag(self, tmp_path):
         out = tmp_path / "bfs"
