@@ -89,10 +89,11 @@ def _cmd_play(args) -> int:
                             args.max_turns, args.bfs_feature, args.workers)
     for ep in episodes:
         outcome = "draw" if ep.winner is None else f"{ep.winner.name.lower()} won"
+        # the episode's own share of its chunk's memo
         steps, hits, _, _ = ep.memo_counts
         share = hits / steps if steps else 0.0
         print(f"episode {ep.episode_id} finished after {ep.turns} turns: {outcome}; "
-              f"memo answered {share:.1%} of {steps} rollout steps")
+              f"memo answered {share:.1%} of its {steps} rollout steps")
     episode_logs(episodes, out, (args.format,))
     print(f"wrote episode tables and event logs to {out}")
     return 0

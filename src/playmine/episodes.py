@@ -1,7 +1,8 @@
 """Self-play episode runner and the movement feature engineering.
 
 Each turn the side to move gets a fresh hybrid search, whose rollout steps
-go through one memo that the game's turns share; its chosen move is
+go through one memo that the game's turns share (and the caller's later
+games, when it passes one); its chosen move is
 abstracted from exact coordinates into direction words (or, in the optional
 distance feature mode, into the change of the shortest red-white distance)
 and recorded together with the opponent's previous move.
@@ -41,7 +42,8 @@ class EpisodeResult:
     white_trace: list
     winner: Optional[Color]
     turns: int
-    # the game's rollout memo: (steps, hits, entries, clears)
+    # the game's share of its rollout memo: the steps, hits and clears
+    # during its turns, and the entries held at its end
     memo_counts: tuple = (0, 0, 0, 0)
 
     @property
@@ -91,7 +93,7 @@ def derive_seed(base: int, *parts) -> int:
 def play_episode(cfg: SearchConfig, episode_id: int = 0,
                  pieces_per_side: int = PIECES_PER_SIDE_DEFAULT,
                  max_turns: int = MAX_TURNS_DEFAULT,
-                 bfs_feature: bool = False) -> EpisodeResult:
+                 bfs_feature: bool = False, memo=None) -> EpisodeResult:
     """Plays one self-play game, red first; returns both traces.
 
     The side to move loses when its search finds no legal move.  When the
@@ -101,13 +103,19 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     distinct from decided games.  Each move is recorded as its direction
     words, or with ``bfs_feature`` as the change of the least red-white
     distance it makes.  All turns of both colours share one rollout memo,
-    whose key holds the side to move; the result carries its counts.  Turn
+    whose key holds the side to move: ``memo``, a ``kernel.new_memo()``
+    handle that the caller may pass to the games of one chunk in one
+    process, or with None a memo of the game's own.  The result carries the
+    game's share of its counts, so the first game through a handle counts
+    what a memo of its own would.  Turn
     ``t`` searches with the seed ``derive_seed(cfg.rng_seed, episode_id,
     t)``, passed to ``mcts_search`` as its ``seed``; it reaches only
     minimax-depth-0 rollouts.
     """
     board = initial_board(pieces_per_side)
-    memo = kernel.new_memo()
+    if memo is None:
+        memo = kernel.new_memo()
+    before = memo.counts()
     traces = {Color.RED: [], Color.WHITE: []}
     last_id = -1
     last_movement: Movement = ()
@@ -141,5 +149,7 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     else:  # the cap ended the game, maybe on a winning move
         game_winner = winner(board, turn_color)
 
+    steps, hits, entries, clears = memo.counts()
     return EpisodeResult(episode_id, traces[Color.RED], traces[Color.WHITE],
-                         game_winner, turns, memo.counts())
+                         game_winner, turns,
+                         (steps - before[0], hits - before[1], entries, clears - before[3]))

@@ -33,11 +33,12 @@
  *    can neither capture nor crown is scored from its own material without
  *    generating its moves; minimax's comment says why that is the score the
  *    full loop gives.  Pays on search-deep and the paper game.
- * 4. The memo is an open-addressed table where _pykernel keeps a dict.  C
- *    has no dict, so this is the memo itself, whose behaviour the contract
- *    fixes (what it stores, when it inserts and clears, what it counts).
- *    Without it every rollout step runs minimax; pays on every workload
- *    that plays rollouts, the paper game most.
+ * 4. The memo is an open-addressed table where _pykernel keeps a dict, and
+ *    each entry holds the whole-rollout result that _pykernel keeps in a
+ *    second dict.  C has no dict, so this is the memo itself, whose
+ *    behaviour the contract fixes (what it stores, when it inserts and
+ *    clears, what it counts).  Without it every rollout step runs minimax;
+ *    pays on every workload that plays rollouts, the paper game most.
  * 5. Linked memo entries.  Each entry links to the entry of the step after
  *    it, so a rollout walking entries it has linked neither hashes nor
  *    copies a board, yet counts each followed link as the step and the hit
@@ -127,17 +128,21 @@ typedef struct {
  * on `state` has no legal move (found 0), or its minimax move earns
  * `reward` and leads to `next`.  `link` is 0 until a rollout takes the step
  * from (next, 1 - side) after this one; then it is k + 1 for the entry
- * entries[k] of that step.  Entries are never removed but all at once, and
- * memo_insert zeroes the link, so a link once set stays right. */
+ * entries[k] of that step.  `walked` is 0 until a rollout whose first step
+ * this is has been walked; then that rollout went `depth` steps deep
+ * (its sim_depth), made `walked` memo lookups and earned `sum` [white,
+ * red].  Entries are never removed but all at once, and memo_insert zeroes
+ * the link and `walked`, so a link or a result once set stays right. */
 typedef struct {
     unsigned char state[64];
     unsigned char next[64];
     long reward;
+    long sum[2], depth, walked;
     uint32_t hash, link;
     unsigned char side, found;
 } Entry;
 
-/* A rollout memo holds at most this many entries: 5.0 MB of entries (152
+/* A rollout memo holds at most this many entries: 6.0 MB of entries (184
  * bytes each on x86-64) and 256 KB of slots.  Past it the memo answers
  * lookups and inserts no more; _pykernel.MEMO_MAX is the same bound on its
  * dict. */
@@ -629,6 +634,7 @@ memo_insert(Call *c, const unsigned char *state, long side, uint32_t hash, size_
     memcpy(e->state, state, 64);
     e->hash = hash;
     e->link = 0;
+    e->walked = 0;
     e->side = (unsigned char)side;
     e->found = (unsigned char)found;
     if (found) {
@@ -814,8 +820,8 @@ splitmix64(uint64_t *state)
 /* The rollout from (state, turn), as _pykernel._playout: up to sim_depth
  * steps, each the side to move's memo'd minimax move when the rules' minimax
  * depth is at least 1, else the (splitmix64(rng) % len(moves))-th of its
- * moves, until a side has no legal move.  Adds the rewards to delta[white],
- * delta[red]; 0, or -1 on error.  rng is read only at depth 0 and the memo
+ * moves, until a side has no legal move.  Sets delta[white], delta[red] to
+ * the rewards; 0, or -1 on error.  rng is read only at depth 0 and the memo
  * only at depth >= 1.
  *
  * While a step's entry is stored, the walk keeps its index in prev and the
@@ -823,7 +829,13 @@ splitmix64(uint64_t *state)
  * prev's link when it is set; otherwise it copies the position to cur (an
  * insert may move the entries), looks it up or inserts it, and links prev
  * to its entry.  A step that a full memo does not store links nothing, and
- * the step after it looks its position up again. */
+ * the step after it looks its position up again.
+ *
+ * The first step's entry keeps the whole rollout (Entry's walked, depth
+ * and sum): a walk stores it there when every one of its steps is stored,
+ * so that each of them would hit again, and a later rollout from that entry
+ * at the same sim_depth returns its sum and counts its lookups, each a hit,
+ * as its walk would. */
 static int
 playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t *rng,
         long delta[2])
@@ -831,7 +843,10 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t
     Memo *memo = c->memo;
     unsigned char cur[64];
     memcpy(cur, state, 64);
+    delta[0] = delta[1] = 0;
     Py_ssize_t prev = -1; /* -1: the position is in cur */
+    Py_ssize_t first = -1; /* the first step's entry, while every step is stored */
+    long long lookups = memo->steps;
     for (long steps = 0; steps < sim_depth; steps++) {
         Py_ssize_t base = c->n;
         const unsigned char *next = NULL; /* stays NULL when the side has no move */
@@ -880,8 +895,18 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t
                 if (prev >= 0 && k >= 0)
                     memo->entries[prev].link = (uint32_t)k + 1;
             }
+            if (steps == 0 || k < 0)
+                first = k;
             if (k >= 0) {
                 const Entry *e = &memo->entries[k];
+                if (steps == 0 && e->walked > 0 && e->depth == sim_depth) {
+                    /* this lookup, a hit, was the first of e->walked */
+                    memo->steps += e->walked - 1;
+                    memo->hits += e->walked - 1;
+                    delta[0] = e->sum[0];
+                    delta[1] = e->sum[1];
+                    return 0;
+                }
                 if (e->found) {
                     reward = e->reward;
                     next = e->next;
@@ -900,6 +925,13 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t
             memcpy(cur, next, 64);
         c->n = base;
         turn = 1 - turn;
+    }
+    if (first >= 0) {
+        Entry *e = &memo->entries[first];
+        e->walked = (long)(memo->steps - lookups);
+        e->depth = sim_depth;
+        e->sum[0] = delta[0];
+        e->sum[1] = delta[1];
     }
     return 0;
 }
@@ -1057,7 +1089,7 @@ py_rollout(PyObject *self, PyObject *args)
         return NULL;
     if (c.rules.mm_depth < 1)
         return PyErr_Format(PyExc_ValueError, "rollout requires mm_depth >= 1");
-    long delta[2] = {0, 0};
+    long delta[2];
     Memo memo = {0};
     c.memo = &memo;
     int rc = playout(&c, BOARD(state), to_move, sim_depth, NULL, delta);
@@ -1194,7 +1226,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
             t.pows[t.npows] = pow(discount, (double)t.npows);
         /* the leaf is never the root, so it always has an entry move; the
          * playout does not grow the arena, so its state may point into it */
-        long delta[2] = {0, 0};
+        long delta[2];
         if (playout(&c, t.nodes[i].move.state, t.nodes[i].turn, sim_depth, &rng, delta) < 0)
             goto done;
         delta[1 - t.nodes[i].turn] += t.nodes[i].move.reward;

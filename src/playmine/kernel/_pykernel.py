@@ -60,16 +60,23 @@ the first move in order.  So rollout steps are looked up in a memo, a
 transposition table (Greenblatt et al., 1967) keyed on the 64-byte state
 and the side and compared by the full key: a dict here (``Memo``), an
 open-addressed table in C.  Only a step the memo has not seen runs minimax,
-and a hit returns what minimax returned, so every result is exact.  A
-caller may pass one ``new_memo()`` handle to many searches (a game passes
-one to all its turns); ``rollout``, and ``search`` without a handle, make a
-memo for the call.  A handle is bound to the rules, points, king weight and
-minimax depth of its first search and refuses any other with a ValueError;
-each twin accepts only its own handles, else TypeError.  A search that
+and a hit returns what minimax returned, so every result is exact.  So is a
+whole rollout at minimax depth >= 1, a pure function of its first step and
+its simulation depth: the memo keeps, for the first step of each rollout
+whose every step it stores, that rollout's ``[white, red]`` rewards,
+simulation depth and lookups (the final one that finds no move included),
+and a later rollout from that step at the same depth returns the rewards
+and adds the lookups to both ``steps`` and ``hits``, as its walk would.  A
+caller may pass one ``new_memo()`` handle to many searches in one process
+(a batch passes one to every turn of a chunk of games); ``rollout``, and
+``search`` without a handle, make a memo for the call.  A handle is bound
+to the rules, points, king weight and minimax depth of its first search
+and refuses any other with a ValueError; each twin accepts only its own
+handles, else TypeError.  A search that
 finds its memo more than half full (over ``MEMO_MAX // 2`` entries) empties
-it first, and a memo stops inserting at ``MEMO_MAX`` entries, so both twins
-insert, hit and clear at the same steps.  Depth-0 rollouts never touch the
-memo.
+it first, with the rollouts it keeps, and a memo stops inserting at
+``MEMO_MAX`` entries, so both twins insert, hit and clear at the same steps.
+Depth-0 rollouts never touch the memo.
 """
 
 from __future__ import annotations
@@ -104,8 +111,8 @@ MAX_DEPTH = 64
 
 # The most entries a rollout memo holds (``_ckernel.c``'s MEMO_MAX, with the
 # same meaning): a full memo answers lookups but stops inserting, so both
-# twins insert and hit at the same steps.  In C that is 5.0 MB of entries
-# (152 bytes each on x86-64) and 256 KB of slots.
+# twins insert and hit at the same steps.  In C that is 6.0 MB of entries
+# (184 bytes each on x86-64) and 256 KB of slots.
 MEMO_MAX = 32768
 
 MEMO_RULES_MSG = ("memo holds rollout steps of other rules: forced capture, points, "
@@ -316,15 +323,18 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
 
 class Memo:
     """A rollout memo: ``table`` maps (state, turn) to None (no legal move)
-    or (reward, next_state).  ``rules`` is None until a search binds it;
-    ``steps`` counts the rollout steps looked up, ``hits`` those found and
-    ``clears`` the times the memo was emptied.  ``_ckernel``'s Memo is its
-    twin."""
+    or (reward, next_state), and ``results`` maps the key of a rollout's
+    first step to that whole rollout, ``(sim_depth, white, red, lookups)``.
+    ``rules`` is None until a search binds it; ``steps`` counts the rollout
+    steps looked up, ``hits`` those found and ``clears`` the times the memo
+    was emptied.  ``_ckernel``'s Memo is its twin, with the results in its
+    entries."""
 
-    __slots__ = ("table", "rules", "steps", "hits", "clears")
+    __slots__ = ("table", "results", "rules", "steps", "hits", "clears")
 
     def __init__(self):
         self.table = {}
+        self.results = {}
         self.rules = None
         self.steps = self.hits = self.clears = 0
 
@@ -344,6 +354,7 @@ class Memo:
             raise ValueError(MEMO_RULES_MSG)
         if len(self.table) > MEMO_MAX // 2:
             self.table.clear()
+            self.results.clear()
             self.clears += 1
 
 
@@ -411,9 +422,22 @@ def _playout(state, turn, sim_depth, rules, stream, memo):
     ``Memo``; a full one inserts nothing) at mm_depth >= 1, else
     ``moves[stream.below(len(moves))]``.  It stops at a side with no legal
     move.  ``stream`` is read only at depth 0 and ``memo`` only at depth >= 1.
+
+    A walk whose every step is stored, so that each would hit again, is
+    kept in ``memo.results`` under its first key; a later rollout from that
+    key at the same ``sim_depth`` returns its rewards and counts its lookups,
+    each a hit, as its walk would.
     """
     forced, capture_points, crown_points, king_weight, mm_depth = rules
+    first = (state, turn)
+    result = memo.results.get(first) if mm_depth >= 1 else None
+    if result is not None and result[0] == sim_depth:
+        memo.steps += result[3]
+        memo.hits += result[3]
+        return [result[1], result[2]]
     table = memo.table
+    lookups = memo.steps
+    whole = True  # every step so far is stored
     delta = [0, 0]
     for _ in range(sim_depth):
         if mm_depth < 1:
@@ -431,11 +455,15 @@ def _playout(state, turn, sim_depth, rules, stream, memo):
                 step = None if mv is None else mv[4:]
                 if len(table) < MEMO_MAX:
                     table[key] = step
+                else:
+                    whole = False
         if step is None:  # the side to move has no legal move
             break
         delta[turn] += step[0]
         state = step[1]
         turn = 1 - turn
+    if whole and memo.steps > lookups:
+        memo.results[first] = (sim_depth, delta[0], delta[1], memo.steps - lookups)
     return delta
 
 

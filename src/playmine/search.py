@@ -9,10 +9,11 @@ their order, the rollout loop and its memo, and the final pick.  So a given
 (board, config) pair always yields the same move, and at minimax depth 1 or
 more ``cfg.rng_seed`` does not change it.  ``mcts_search`` is the one place
 that converts, building a ``ConcreteMove`` and a ``GameBoard`` for the
-chosen root child; the move carries that child's reward.  It passes the caller's ``kernel.new_memo()`` handle
-through, so a game's turns share one memo (``play_episode`` makes one per
-game); with none, the call makes its own.  A handle belongs to one game in
-one process; independent searches may run in parallel processes.
+chosen root child; the move carries that child's reward.  It passes the
+caller's ``kernel.new_memo()`` handle through, so a game's turns share one
+memo (``trial.run_episodes`` passes one to each chunk of games); with none,
+the call makes its own.  A handle serves one chunk of games in one process;
+independent searches may run in parallel processes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 One cell per swept parameter value.  Episodes are independently seeded from
 (seed, trial, parameter, value, episode), so results are byte-identical
 regardless of worker count or scheduling, and removing one sweep value
-leaves every other cell's outputs untouched.
+leaves every other cell's outputs untouched.  Only the rollout memo counts
+of the episodes depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
+from . import kernel
 from .board import PIECES_PER_SIDE_DEFAULT, RewardConfig, check_counts, check_pieces_per_side
 from .conformance import classify_fitting, fitness_metrics, write_report_csv
 from .discovery import alpha_miner, inductive_miner, tree_to_net
@@ -104,23 +106,36 @@ def check_batch_settings(episodes: int, workers: int, pieces_per_side: int,
         raise ValueError("max_turns must be >= 1")
 
 
+def _play_chunk(play, cfgs, ids) -> list[EpisodeResult]:
+    """Plays the episodes ``ids`` with ``cfgs`` in order through one rollout
+    memo."""
+    memo = kernel.new_memo()
+    return [play(cfg, i, memo=memo) for cfg, i in zip(cfgs, ids)]
+
+
 def run_episodes(base_cfg: SearchConfig, seed_key: tuple, episodes: int,
                  pieces: int, max_turns: int, bfs_feature: bool,
                  workers: int) -> list[EpisodeResult]:
-    """Plays episodes 1..``episodes`` in order on ``workers`` processes;
-    episode i is seeded with ``derive_seed(*seed_key, i)``, so the results
-    do not depend on ``workers``."""
+    """Plays episodes 1..``episodes`` in order as ``workers`` contiguous
+    chunks, each on one process through one rollout memo (with one worker,
+    one chunk in this process).  Episode i is seeded with
+    ``derive_seed(*seed_key, i)`` and the memo is exact, so the games do not
+    depend on ``workers``; each episode's ``memo_counts`` (its share of its
+    chunk's memo) does."""
     play = partial(play_episode, pieces_per_side=pieces, max_turns=max_turns,
                    bfs_feature=bfs_feature)
     ids = range(1, episodes + 1)
     cfgs = [replace(base_cfg, rng_seed=derive_seed(*seed_key, i)) for i in ids]
+    bounds = [episodes * k // workers for k in range(workers + 1)]
+    chunks = [(cfgs[a:b], ids[a:b]) for a, b in zip(bounds, bounds[1:])]
     if workers == 1:
-        return list(map(play, cfgs, ids))
+        return _play_chunk(play, *chunks[0])
     # imported here: only a batch on several processes needs the pool
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(play, cfgs, ids))
+        done = pool.map(partial(_play_chunk, play), *zip(*chunks))
+        return [ep for chunk in done for ep in chunk]
 
 
 def episode_logs(episodes: Sequence[EpisodeResult], out_dir: Path,

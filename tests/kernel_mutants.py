@@ -59,6 +59,25 @@ MUTANTS = {
     "followed_link_not_counted": (
         "k = memo->entries[prev].link - 1;\n                memo->hits++;",
         "k = memo->entries[prev].link - 1;\n                memo->steps--;"),
+    # whole-rollout results in the first step's entry
+    "result_ignores_depth": (
+        "if (steps == 0 && e->walked > 0 && e->depth == sim_depth) {",
+        "if (steps == 0 && e->walked > 0) {"),
+    "result_depth_truncated": (
+        "e->depth == sim_depth) {",
+        "(uint32_t)e->depth == (uint32_t)sim_depth) {"),
+    "result_stored_after_unstored_step": (
+        "if (steps == 0 || k < 0)\n",
+        "if (steps == 0)\n"),
+    "replay_counts_no_hits": (
+        "                    memo->hits += e->walked - 1;\n",
+        ""),
+    "replay_sum_to_wrong_side": (
+        "delta[0] = e->sum[0];\n                    delta[1] = e->sum[1];",
+        "delta[0] = e->sum[1];\n                    delta[1] = e->sum[0];"),
+    "insert_keeps_stale_result": (
+        "    e->walked = 0;\n",
+        ""),
     # the power table of backup: its fill, its index and how deep it is
     # filled (a fill one entry short is no mutant: the last entry weighs only
     # the root's reward, which no output reads)

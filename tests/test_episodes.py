@@ -16,6 +16,7 @@ from playmine.episodes import (
 from playmine.board import apply_move, initial_board
 from playmine.eventlog import format_label, parse_label
 from playmine.search import SearchConfig
+from playmine.trial import run_episodes
 from oracles import oracle_grid_distance
 
 FAST = SearchConfig(iterations=12, simulation_depth=4, minimax_depth=1, rng_seed=0)
@@ -182,6 +183,44 @@ class TestPlayEpisode:
         # distance recomputed on the post-move board is always >= 0
         board = initial_board(3)
         assert red_white_distance(board) >= 0
+
+
+class TestBatchMemo:
+    """``run_episodes`` plays its episodes as ``workers`` contiguous chunks,
+    each through one rollout memo."""
+
+    SEED_KEY = (4, "batch")
+
+    @staticmethod
+    def games(eps):
+        return [(ep.red_trace, ep.white_trace, ep.winner, ep.turns) for ep in eps]
+
+    def test_chunks_share_a_memo_and_count_their_own_share(self):
+        """The games do not depend on the worker count, and neither do the
+        rollout steps each game looks up.  The first game of a chunk
+        counts what a memo of its own counts.  At minimax depth 1 the seeds
+        reach no rollout, so the games of a batch are one game, and a later
+        game of a chunk finds every step in the memo: it hits at each
+        lookup, adds no entry and reports the entries held at its end."""
+        cfg = SearchConfig(iterations=20, simulation_depth=6, minimax_depth=1)
+        alone = [play_episode(SearchConfig(20, 6, 1, rng_seed=derive_seed(*self.SEED_KEY, i)),
+                              i, pieces_per_side=3, max_turns=12) for i in (1, 2, 3)]
+        one = run_episodes(cfg, self.SEED_KEY, 3, 3, 12, False, 1)
+        two = run_episodes(cfg, self.SEED_KEY, 3, 3, 12, False, 2)
+        assert self.games(one) == self.games(two) == self.games(alone)
+        # one worker: chunk 1-3; two workers: chunks 1 and 2-3
+        assert one[0].memo_counts == two[0].memo_counts == alone[0].memo_counts
+        assert two[1].memo_counts == alone[1].memo_counts
+        steps, hits, entries, clears = alone[0].memo_counts
+        assert hits < steps and clears == 0
+        for shared in (one[1], one[2], two[2]):
+            assert shared.memo_counts == (steps, steps, entries, 0)
+
+    def test_more_workers_than_episodes(self):
+        """Workers past the episode count get empty chunks."""
+        cfg = SearchConfig(iterations=5, simulation_depth=2, minimax_depth=1)
+        eps = run_episodes(cfg, self.SEED_KEY, 1, 3, 4, False, 3)
+        assert [ep.episode_id for ep in eps] == [1]
 
 
 class TestSeedDerivation:

@@ -24,6 +24,7 @@ from playmine.episodes import play_episode
 from playmine.eventlog import label_for
 from playmine.kernel import _pykernel, prune_by_reward
 from playmine.search import SearchConfig, mcts_search
+from playmine.trial import run_episodes
 from helpers import memo_searches, random_endgame
 from oracles import (
     as_oracle_shape,
@@ -559,6 +560,111 @@ class TestGameMemo:
         monkeypatch.setattr(kernel, "search", _pykernel.search)
         monkeypatch.setattr(kernel, "new_memo", _pykernel.new_memo)
         assert play_episode(self.CFG, episode_id=1, max_turns=8).memo_counts == ep.memo_counts
+
+
+class TestRolloutResults:
+    """The memo entry of a rollout's first step keeps that whole rollout:
+    its ``[white, red]`` rewards, simulation depth and memo lookups.  A
+    later rollout from there at the same depth returns the rewards and
+    counts the lookups as hits, exactly as its walk would.  Each case runs
+    searches through one handle per twin and compares, after every search,
+    the twins' ``(move, nodes)`` and ``counts()``."""
+
+    @staticmethod
+    def through_one_memo(impl, searches, own_memo=True):
+        """``((move, nodes), counts())`` after each search through one
+        handle; with ``own_memo`` each search must also choose what it
+        chooses through a memo of its own."""
+        memo, got = impl.new_memo(), []
+        for args in searches:
+            found = impl.search(*args, memo=memo)
+            if own_memo:
+                assert found == impl.search(*args), (impl.__name__, args[1:5])
+            got.append((found, memo.counts()))
+        return got
+
+    def twins_agree(self, searches, own_memo=True):
+        """The pure twin's ``through_one_memo``, which the compiled twin
+        must give too."""
+        want = self.through_one_memo(_pykernel, searches, own_memo)
+        got = self.through_one_memo(twin_module("compiled"), searches, own_memo)
+        assert got == want
+        return want
+
+    def test_simulation_depths_share_one_memo(self):
+        """Searches at simulation depths 10 and 30 through one memo, each
+        run twice, so that each repeated rollout meets a result of the other
+        depth as well as of its own."""
+        cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1)
+        board = initial_board(3)
+        searches = [search_args(board, color, replace(cfg, simulation_depth=depth))
+                    for depth in (10, 30, 10, 30) for color in (Color.RED, Color.WHITE)]
+        got = self.twins_agree(searches)
+        # the repeats walk or replay only stored steps: each is a hit
+        (steps, hits, entries, _), (last_steps, last_hits, last_entries, _) = \
+            got[3][1], got[-1][1]
+        assert last_steps - steps == last_hits - hits > 0 and last_entries == entries
+
+    # a 3-against-1 ending of men only, white to move, in which every
+    # rollout at minimax depth 1 stops within a few dozen steps where a side
+    # has no move, so a search at simulation depth 2**32 + 10 finishes
+    ENDING = GameBoard.from_pieces([GamePiece(Color.WHITE, 1, 6, 6, False),
+                                    GamePiece(Color.WHITE, 2, 2, 2, False),
+                                    GamePiece(Color.WHITE, 3, 5, 3, False),
+                                    GamePiece(Color.RED, 1, 6, 0, False)], 3)
+
+    def test_depth_past_32_bits_is_another_depth(self):
+        """Depths 10 and 2**32 + 10 agree in their low 32 bits, so a depth
+        kept or compared in 32 bits would answer the deep rollouts with the
+        shallow ones' results; they walk further, so their counts differ."""
+        args = search_args(self.ENDING, Color.WHITE,
+                           SearchConfig(iterations=40, simulation_depth=10, minimax_depth=1))
+        deep = 2**32 + 10
+        searches = [args[:3] + (depth,) + args[4:] for depth in (10, deep, 10, deep)]
+        got = self.twins_agree(searches)
+        shallow_steps, deep_steps = got[0][1][0], got[1][1][0] - got[0][1][0]
+        assert deep_steps > shallow_steps + 100
+
+    def test_walk_past_a_full_memo_is_not_stored(self):
+        """Once a search fills the memo, its walks go on through steps the
+        memo no longer stores, and none of those walks may be kept: a replay
+        would count such a step as a hit where its walk misses.  In the pure
+        twin, every kept result replays through the table hitting at each
+        lookup, with its rewards; the twins count alike through the fill,
+        the search that empties the memo and the one after it."""
+        searches = [args for args in memo_searches() if args[4] == 1]
+        searches.append((initial_board(12).state, 0, *searches[-1][2:]))
+        memo = _pykernel.new_memo()
+        for args in searches[:5]:
+            _pykernel.search(*args, memo=memo)
+        assert memo.counts()[2] == _pykernel.MEMO_MAX and memo.results
+        for (state, turn), (depth, white, red, lookups) in memo.results.items():
+            delta, walked = [0, 0], 0
+            for _ in range(depth):
+                walked += 1
+                step = memo.table[state, turn]
+                if step is None:
+                    break
+                delta[turn] += step[0]
+                state, turn = step[1], 1 - turn
+            assert (walked, delta) == (lookups, [white, red])
+        self.twins_agree(searches, own_memo=False)
+
+    def test_twelve_a_side_batch_fills_and_clears(self, monkeypatch):
+        """A batch of two 12-a-side games through one memo, a 3000-iteration
+        turn each: the first fills the memo and the second's empties and
+        refills it.  Both twins play the same games and report the same
+        share of the memo for each game."""
+        cfg = SearchConfig(iterations=3000, simulation_depth=30, minimax_depth=1)
+        got = []
+        for impl in (_pykernel, twin_module("compiled")):
+            monkeypatch.setattr(kernel, "search", impl.search)
+            monkeypatch.setattr(kernel, "new_memo", impl.new_memo)
+            got.append([(ep.red_trace, ep.memo_counts)
+                        for ep in run_episodes(cfg, (1, "twelve"), 2, 12, 1, False, 1)])
+        assert got[0] == got[1]
+        (_, first), (_, second) = got[0]
+        assert first[2:] == (_pykernel.MEMO_MAX, 0) and second[2:] == (_pykernel.MEMO_MAX, 1)
 
 
 class TestMemoRefusals:

@@ -345,6 +345,18 @@ class TestCli:
         assert len(outs[0]) == 3 * 2 + 2
         assert outs[0] == outs[1]
 
+    def test_play_prints_each_episode_share_of_the_memo(self, tmp_path, capsys):
+        """The episodes of one worker share a memo, and each line reports
+        the episode's own steps and hits.  At minimax depth 1 both games are
+        the same game, so the second finds every step of the first."""
+        rc = main(["play", "--episodes", "2", "--iterations", "8", "--sim-depth", "3",
+                   "--minimax-depth", "1", "--max-turns", "10", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        first, second = (re.search(r"memo answered ([0-9.]+)% of its (\d+) rollout steps$",
+                                   line).groups() for line in lines[:2])
+        assert float(first[0]) < 100.0 and second == ("100.0", first[1])
+
     def test_explain_command(self, tmp_path, capsys):
         out = tmp_path / "play"
         main(["play", "--episodes", "2", "--iterations", "8", "--sim-depth", "3",
