@@ -6,7 +6,9 @@
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0), the one rules record (Rules here) and the
- * rollout memo.  The parity tests hold the two to identical outputs.  As in
+ * rollout memo, with the searches a memo handle keeps and replays (a dict
+ * in each twin, MemoObject here, so contract, not an inside difference).
+ * The parity tests hold the two to identical outputs.  As in
  * _pykernel, each rule has one home: MAN_DIR and FAR_ROW say where a man
  * moves and crowns, one jump test (jumps) finds every jump, one writer
  * (emit) builds every chain and step, and one Rules record is what a call
@@ -153,7 +155,8 @@ typedef struct {
  * entries; both are allocated on the first insert and freed by memo_free.
  * `bound` says whether a search has fixed the rules its entries hold steps
  * of.  steps counts the rollout steps looked up, hits those found, clears
- * the times it was emptied. */
+ * the times it was emptied.  `searches` is NULL, or a handle's dict of the
+ * searches it keeps (see MemoObject). */
 typedef struct {
     uint32_t *slots;
     Entry *entries;
@@ -161,6 +164,7 @@ typedef struct {
     int bound;
     Rules rules;
     long long steps, hits, clears;
+    PyObject *searches;
 } Memo;
 
 /* One kernel call: its rules, the stack that every move it generates is
@@ -654,6 +658,7 @@ memo_free(Memo *m)
 {
     PyMem_Free(m->slots);
     PyMem_Free(m->entries);
+    Py_XDECREF(m->searches);
 }
 
 #define MEMO_RULES_MSG \
@@ -663,8 +668,8 @@ memo_free(Memo *m)
 /* Readies memo m for a search under rules r: the first search binds m to
  * them and a later one with any other value (a NaN king weight matches
  * none) sets ValueError and returns -1.  Then a memo more than half full is emptied,
- * keeping its allocations, so every search has room for at least half of
- * MEMO_MAX new entries. */
+ * with the searches it keeps, keeping its allocations, so every search has
+ * room for at least half of MEMO_MAX new entries. */
 static int
 memo_start(Memo *m, const Rules *r)
 {
@@ -681,6 +686,8 @@ memo_start(Memo *m, const Rules *r)
     if (m->nentries > MEMO_MAX / 2) {
         memset(m->slots, 0, m->nslots * sizeof(uint32_t));
         m->nentries = 0;
+        if (m->searches != NULL)
+            PyDict_Clear(m->searches);
         m->clears++;
     }
     return 0;
@@ -1101,11 +1108,49 @@ py_rollout(PyObject *self, PyObject *args)
 }
 
 /* A Memo handle: the Python object around a Memo that a caller passes to
- * many searches.  Only new_memo makes one. */
+ * many searches.  Only new_memo makes one.
+ *
+ * A handle keeps the searches made through it at minimax depth >= 1, as
+ * the contract says (_pykernel's Memo.searches): a dict from a SearchKey's
+ * bytes to ((move, nodes), lookups), the boxed result and the memo
+ * lookups the search made.  That is contract, not an inside difference.
+ * memo_start empties the dict with the table, and a search that met a
+ * full memo leaves it more than half full, so no such search is ever
+ * replayed.  The dict holds only tuples of ints, bools, floats and bytes, which
+ * never refer back to the handle, so the handle needs no GC support. */
 typedef struct {
     PyObject_HEAD
     Memo memo;
 } MemoObject;
+
+/* A search's key in its handle's dict: its root and the settings its memo
+ * is not bound to, packed with no padding and compared as bytes, so an
+ * exploration of -0.0 and one of 0.0 are two keys and the second only
+ * searches again. */
+typedef struct {
+    unsigned char state[64];
+    long side, sim_depth;
+    Py_ssize_t iterations;
+    double explore, discount;
+    long pruning;
+} SearchKey;
+
+/* Keeps search result `out`, found with `lookups` memo lookups, under `key`
+ * in memo m, unless m keeps MEMO_MAX searches already; 0, or -1 on error. */
+static int
+memo_keep(Memo *m, PyObject *key, PyObject *out, long long lookups)
+{
+    if (m->searches == NULL && (m->searches = PyDict_New()) == NULL)
+        return -1;
+    if (PyDict_GET_SIZE(m->searches) >= MEMO_MAX)
+        return 0;
+    PyObject *value = Py_BuildValue("(OL)", out, lookups);
+    if (value == NULL)
+        return -1;
+    int rc = PyDict_SetItem(m->searches, key, value);
+    Py_DECREF(value);
+    return rc;
+}
 
 static void
 memo_dealloc(PyObject *self)
@@ -1157,7 +1202,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t len, iterations;
     long side, sim_depth;
     double explore, discount;
-    PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed, *o_memo = Py_None;
+    PyObject *o_side, *o_mm_depth, *cap, *crown, *o_seed, *o_memo = Py_None, *key = NULL;
     Call c = {0};
     Tree t = {0};
     Memo local = {0};
@@ -1186,6 +1231,35 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         return PyErr_Format(PyExc_TypeError, "memo must be None or this kernel's new_memo()");
     if (memo_start(c.memo, &c.rules) < 0)
         return NULL;
+    if (c.memo != &local && c.rules.mm_depth >= 1) {
+        SearchKey k;
+        memset(&k, 0, sizeof k);
+        memcpy(k.state, state, 64);
+        k.side = side;
+        k.sim_depth = sim_depth;
+        k.iterations = iterations;
+        k.explore = explore;
+        k.discount = discount;
+        k.pruning = t.pruning;
+        key = PyBytes_FromStringAndSize((const char *)&k, sizeof k);
+        if (key == NULL)
+            return NULL;
+        PyObject *kept = NULL;
+        if (c.memo->searches != NULL
+                && (kept = PyDict_GetItemWithError(c.memo->searches, key)) == NULL
+                && PyErr_Occurred()) {
+            Py_DECREF(key);
+            return NULL;
+        }
+        if (kept != NULL) {
+            long long lookups = PyLong_AsLongLong(PyTuple_GET_ITEM(kept, 1));
+            c.memo->steps += lookups;
+            c.memo->hits += lookups;
+            Py_DECREF(key);
+            return Py_NewRef(PyTuple_GET_ITEM(kept, 0));
+        }
+    }
+    long long lookups = c.memo->steps;
     PyObject *out = NULL;
     t.nodes = PyMem_Calloc(1, sizeof(Node));
     /* zeroed, so that a power read before it is filled (a bug) reads 0, not
@@ -1234,7 +1308,10 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     Py_ssize_t best = uct_child(&t, 0, 0.0);
     out = Py_BuildValue("(Nn)", box_move(&t.nodes[best].move), nodes);
+    if (out != NULL && key != NULL && memo_keep(c.memo, key, out, c.memo->steps - lookups) < 0)
+        Py_CLEAR(out);
 done:
+    Py_XDECREF(key);
     PyMem_Free(t.nodes);
     PyMem_Free(t.pows);
     memo_free(&local);
@@ -1257,7 +1334,8 @@ static PyMethodDef methods[] = {
      "crown_points, king_weight, exploration, discount, pruning, seed, memo=None) -> "
      "(move, nodes) or None when side has no legal move; seed (any int, taken "
      "mod 2**64) starts the splitmix64 stream of the minimax-depth-0 random moves; "
-     "memo, from new_memo(), holds rollout steps across searches"},
+     "memo, from new_memo(), holds rollout steps, and at minimax depth >= 1 whole "
+     "searches, across searches"},
     {"new_memo", py_new_memo, METH_NOARGS,
      "new_memo() -> an empty rollout memo for search's memo argument"},
     {NULL, NULL, 0, NULL},

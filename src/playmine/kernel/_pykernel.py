@@ -74,9 +74,25 @@ to the rules, points, king weight and minimax depth of its first search
 and refuses any other with a ValueError; each twin accepts only its own
 handles, else TypeError.  A search that
 finds its memo more than half full (over ``MEMO_MAX // 2`` entries) empties
-it first, with the rollouts it keeps, and a memo stops inserting at
-``MEMO_MAX`` entries, so both twins insert, hit and clear at the same steps.
-Depth-0 rollouts never touch the memo.
+it first, with the rollouts and searches it keeps, and a memo stops
+inserting at ``MEMO_MAX`` entries, so both twins insert, hit and clear at
+the same steps.  Depth-0 rollouts never touch the memo.
+
+At minimax depth >= 1 a whole search is a pure function of its root and
+settings too, since the seed reaches only depth-0 rollouts.  So a handle
+keeps each search made through it at that depth that returns a move: under
+the key ``(state, side, iterations, sim_depth, exploration, discount,
+pruning)``, the settings the handle is not bound to, it keeps ``(move,
+nodes)`` and the memo lookups the search made.  A later search with that
+key through the handle, once the handle is readied (and perhaps emptied),
+returns the kept ``(move, nodes)`` and adds the lookups to both ``steps``
+and ``hits``, inserting nothing.  That is what the search would count:
+entries go only all at once, with the searches, so its every lookup would
+hit.  A search that meets a full memo, whose later lookups would miss
+again, leaves the memo more than half full, so the next search's start
+empties it before any lookup.  A search that raises is not kept, and a
+handle keeps at most ``MEMO_MAX`` searches, then no more.  ``search``
+without a handle keeps nothing.
 """
 
 from __future__ import annotations
@@ -323,18 +339,22 @@ def minimax(state, to_move, agent, depth, forced, capture_points, crown_points, 
 
 class Memo:
     """A rollout memo: ``table`` maps (state, turn) to None (no legal move)
-    or (reward, next_state), and ``results`` maps the key of a rollout's
-    first step to that whole rollout, ``(sim_depth, white, red, lookups)``.
-    ``rules`` is None until a search binds it; ``steps`` counts the rollout
-    steps looked up, ``hits`` those found and ``clears`` the times the memo
-    was emptied.  ``_ckernel``'s Memo is its twin, with the results in its
-    entries."""
+    or (reward, next_state), ``results`` maps the key of a rollout's first
+    step to that whole rollout, ``(sim_depth, white, red, lookups)``, and
+    ``searches`` maps a kept search's key, ``(state, side, iterations,
+    sim_depth, exploration, discount, pruning)``, to ``((move, nodes),
+    lookups)``.  ``rules`` is None until a search binds it; ``steps``
+    counts the rollout steps looked up, ``hits`` those found and
+    ``clears`` the times the memo was emptied.  ``_ckernel``'s Memo is its
+    twin, with the results in its entries and the searches in a dict of
+    the handle's."""
 
-    __slots__ = ("table", "results", "rules", "steps", "hits", "clears")
+    __slots__ = ("table", "results", "searches", "rules", "steps", "hits", "clears")
 
     def __init__(self):
         self.table = {}
         self.results = {}
+        self.searches = {}
         self.rules = None
         self.steps = self.hits = self.clears = 0
 
@@ -346,8 +366,9 @@ class Memo:
         """Readies the memo for a search under ``rules`` (forced capture,
         capture points, crown points, king weight, minimax depth): the first
         search binds it to them, a later one with any other value is a
-        ValueError.  Then a memo more than half full is emptied, so every
-        search has room for at least half of ``MEMO_MAX`` new entries."""
+        ValueError.  Then a memo more than half full is emptied, with its
+        results and searches, so every search has room for at least half of
+        ``MEMO_MAX`` new entries."""
         if self.rules is None:
             self.rules = rules
         elif any(a != b for a, b in zip(self.rules, rules)):  # a NaN never matches
@@ -355,6 +376,7 @@ class Memo:
         if len(self.table) > MEMO_MAX // 2:
             self.table.clear()
             self.results.clear()
+            self.searches.clear()
             self.clears += 1
 
 
@@ -568,7 +590,9 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     seeded with ``seed``, read on from rollout to rollout.  The rollout
     steps of all iterations go through ``memo``, a ``new_memo()`` handle the
     caller may pass to many searches under the same rules, or with None
-    through a memo of the call's own (see the module docstring).
+    through a memo of the call's own.  At minimax depth >= 1 a search
+    through a handle is kept there, and a later one with the same root and
+    settings replays it (see the module docstring).
     """
     index(iterations), index(sim_depth)
     stream = _Stream(seed)
@@ -579,12 +603,21 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
         raise ValueError("exploration must be finite and >= 0")
     if not 0 < discount <= 1:
         raise ValueError("discount must be in (0, 1]")
+    key = None
     if memo is None:
         memo = Memo()
     elif type(memo) is not Memo:
         raise TypeError("memo must be None or this kernel's new_memo()")
+    elif mm_depth >= 1:
+        key = (bytes(state), side, iterations, sim_depth, exploration, discount, bool(pruning))
     rules = (bool(forced), capture_points, crown_points, king_weight, mm_depth)
     memo.start(rules)
+    kept = memo.searches.get(key)
+    if kept is not None:
+        memo.steps += kept[1]
+        memo.hits += kept[1]
+        return kept[0]
+    lookups = memo.steps
     tree = _Tree(state, side, rules, pruning)
     if not tree.actions(0):
         return None
@@ -600,4 +633,7 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
         delta = _playout(tree.state[i], tree.turn[i], sim_depth, rules, stream, memo)
         delta[1 - tree.turn[i]] += tree.move[i][4]
         tree.backup(i, delta, discount)
-    return tree.move[tree.uct_child(0, 0.0)], nodes
+    found = tree.move[tree.uct_child(0, 0.0)], nodes
+    if key is not None and len(memo.searches) < MEMO_MAX:
+        memo.searches[key] = (found, memo.steps - lookups)
+    return found

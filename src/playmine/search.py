@@ -12,8 +12,12 @@ that converts, building a ``ConcreteMove`` and a ``GameBoard`` for the
 chosen root child; the move carries that child's reward.  It passes the
 caller's ``kernel.new_memo()`` handle through, so a game's turns share one
 memo (``trial.run_episodes`` passes one to each chunk of games); with none,
-the call makes its own.  A handle serves one chunk of games in one process;
-independent searches may run in parallel processes.
+the call makes its own.  At minimax depth 1 or more the handle also keeps
+each search, so a search repeated through it (a root a game reaches again,
+or a chunk's later games, which at that depth are the first game again)
+costs one lookup and counts what searching again would.  A handle serves
+one chunk of games in one process; independent searches may run in
+parallel processes.
 """
 
 from __future__ import annotations

@@ -78,6 +78,40 @@ MUTANTS = {
     "insert_keeps_stale_result": (
         "    e->walked = 0;\n",
         ""),
+    # searches kept by a handle: the replay's counts, each field of the key,
+    # the clear and the minimax depth (a search that met a full memo leaves
+    # it more than half full, so the next search's start empties it before
+    # any lookup: keeping such a search is no mutant, for nothing replays it)
+    "replay_adds_no_hits": (
+        "            c.memo->hits += lookups;\n",
+        ""),
+    "replay_adds_no_steps": (
+        "            c.memo->steps += lookups;\n",
+        ""),
+    "key_ignores_side": (
+        "        k.side = side;\n",
+        ""),
+    "key_ignores_iterations": (
+        "        k.iterations = iterations;\n",
+        ""),
+    "key_ignores_sim_depth": (
+        "        k.sim_depth = sim_depth;\n",
+        ""),
+    "key_ignores_exploration": (
+        "        k.explore = explore;\n",
+        ""),
+    "key_ignores_discount": (
+        "        k.discount = discount;\n",
+        ""),
+    "key_ignores_pruning": (
+        "        k.pruning = t.pruning;\n",
+        ""),
+    "searches_kept_across_clear": (
+        "        if (m->searches != NULL)\n            PyDict_Clear(m->searches);\n",
+        ""),
+    "replay_at_minimax_depth_0": (
+        "if (c.memo != &local && c.rules.mm_depth >= 1) {",
+        "if (c.memo != &local) {"),
     # the power table of backup: its fill, its index and how deep it is
     # filled (a fill one entry short is no mutant: the last entry weighs only
     # the root's reward, which no output reads)

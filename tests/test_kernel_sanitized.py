@@ -15,8 +15,10 @@ iteration count, and ``search`` given seeds at and past the ends of the
 64-bit range, negative seeds and a float seed.  A position's searches share
 one rollout memo, so those with other rules than the first are refused,
 and one in ten is passed the other twin's memo; then a second memo takes
-searches at minimax depth 1 and three simulation depths, each twice, so
-that whole-rollout results are stored, replayed and met at another depth.
+searches at minimax depth 1 and three simulation depths, each three times:
+the second time the handle replays the kept search, and the third, with one
+iteration more, searches again, so that whole-rollout results are stored,
+replayed and met at another depth.
 Then searches at minimax
 depths 1 and 2 share one memo per depth, long enough to grow its slot
 table six times, to fill it to the memo's ``MEMO_MAX`` bound and to have
@@ -211,13 +213,15 @@ def fuzz(ck, seed):
             assert memos[0].counts() == memos[1].counts(), (kind, "memo counts", args)
             calls += 1
         # one memo across simulation depths at one minimax depth: each depth
-        # runs twice, so its rollouts replay the whole-rollout results or
-        # meet those of another depth
+        # runs three times, the second time replaying the kept search and the
+        # third, with one iteration more, searching again, so that its
+        # rollouts replay the whole-rollout results or meet those of another
+        # depth
         memos = (ck.new_memo(), pk.new_memo())
         sims = [rng.choice((0, 1, 4, 10)) for _ in range(3)]
-        for sim in sims + sims:
-            args = (state, side, 20, sim, 1, forced, cap, crown, kw, 1 / math.sqrt(2), 0.8,
-                    False, 0)
+        for iterations, sim in [(20, sim) for sim in sims * 2] + [(21, sim) for sim in sims]:
+            args = (state, side, iterations, sim, 1, forced, cap, crown, kw, 1 / math.sqrt(2),
+                    0.8, False, 0)
             want = _outcome(pk.search, (*args, memos[1]))
             got = _outcome(ck.search, (*args, memos[0]))
             assert got == want, (kind, "search across depths", args, got, want)

@@ -25,7 +25,7 @@ from playmine.eventlog import label_for
 from playmine.kernel import _pykernel, prune_by_reward
 from playmine.search import SearchConfig, mcts_search
 from playmine.trial import run_episodes
-from helpers import memo_searches, random_endgame
+from helpers import memo_searches, random_board, random_endgame
 from oracles import (
     as_oracle_shape,
     oracle_best_move,
@@ -592,15 +592,15 @@ class TestRolloutResults:
         return want
 
     def test_simulation_depths_share_one_memo(self):
-        """Searches at simulation depths 10 and 30 through one memo, each
-        run twice, so that each repeated rollout meets a result of the other
-        depth as well as of its own."""
+        """Searches at simulation depths 10 and 30 through one memo, so that
+        the depth-30 rollouts meet results of depth 10 as well as their own;
+        each is run twice, and the second time replays the kept search."""
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1)
         board = initial_board(3)
         searches = [search_args(board, color, replace(cfg, simulation_depth=depth))
                     for depth in (10, 30, 10, 30) for color in (Color.RED, Color.WHITE)]
         got = self.twins_agree(searches)
-        # the repeats walk or replay only stored steps: each is a hit
+        # the replays count only stored steps: each is a hit
         (steps, hits, entries, _), (last_steps, last_hits, last_entries, _) = \
             got[3][1], got[-1][1]
         assert last_steps - steps == last_hits - hits > 0 and last_entries == entries
@@ -665,6 +665,114 @@ class TestRolloutResults:
         assert got[0] == got[1]
         (_, first), (_, second) = got[0]
         assert first[2:] == (_pykernel.MEMO_MAX, 0) and second[2:] == (_pykernel.MEMO_MAX, 1)
+
+
+class TestSearchReplay:
+    """At minimax depth >= 1 a handle keeps each search made through it,
+    and a later search with the same root and settings, since the handle
+    was last emptied, returns the kept ``(move, nodes)`` and counts the
+    kept search's memo lookups as steps and hits, as searching again
+    would.  Where a case pins ``counts()`` after every search, the counts
+    were recorded from a kernel that kept no searches."""
+
+    CFG = SearchConfig(iterations=60, simulation_depth=8, minimax_depth=1)
+    TURNS = 6
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        """The searches of a game from the 3-a-side opening, red first, each
+        turn's seed its number and each turn played on the memo-free
+        oracle's move: ``(arguments, oracle's (move, nodes))`` per turn."""
+        board, color, turns = initial_board(3), Color.RED, []
+        for k in range(self.TURNS):
+            args = search_args(board, color, replace(self.CFG, rng_seed=k))
+            want = reference_search(*args)
+            turns.append((args, want))
+            board, color = GameBoard(want[0][5], 3), color.opponent
+        return turns
+
+    # counts() after each search of the game and of its replay
+    GAME_TWICE = [(480, 290, 190, 0), (960, 629, 331, 0), (1440, 1046, 394, 0),
+                  (1913, 1365, 548, 0), (2386, 1774, 612, 0), (2855, 2191, 664, 0),
+                  (3335, 2671, 664, 0), (3815, 3151, 664, 0), (4295, 3631, 664, 0),
+                  (4768, 4104, 664, 0), (5241, 4577, 664, 0), (5710, 5046, 664, 0)]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_second_game_replays_the_first(self, twin, game):
+        """Two games of one chunk through one handle, the second with other
+        seeds, which minimax-depth-1 rollouts never read: each of the second
+        game's searches returns the very result its twin in the first
+        returned, each is the memo-free oracle's, and the counts are those
+        of searching again."""
+        impl = twin_module(twin)
+        memo, first, got = impl.new_memo(), [], []
+        for args, want in game:
+            first.append(impl.search(*args, memo=memo))
+            got.append(memo.counts())
+            assert first[-1] == want, len(first)
+        for k, (args, _) in enumerate(game):
+            assert impl.search(*args[:-1], 100 + k, memo=memo) is first[k], k
+            got.append(memo.counts())
+        assert got == self.GAME_TWICE
+
+    # argument position and another value of each setting in a search's
+    # key, on a position where each changes the search's (move, nodes)
+    KEY = {"side": (1, 1), "iterations": (2, 41), "sim_depth": (3, 3),
+           "exploration": (9, 2.0), "discount": (10, 0.3), "pruning": (11, True)}
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_each_key_field_parts_searches(self, twin):
+        """Through one handle, a search that differs from a kept one in one
+        setting of its key returns what it returns through a memo of its
+        own, not the kept search's result."""
+        impl = twin_module(twin)
+        board = random_board(random.Random(8), n_pieces=8, kings=False)
+        base = search_args(board, Color.WHITE, SearchConfig(
+            iterations=40, simulation_depth=6, minimax_depth=1,
+            reward=RewardConfig(forced_capture=False)))
+        for name, (at, value) in self.KEY.items():
+            other = base[:at] + (value,) + base[at + 1:]
+            fresh = impl.search(*base), impl.search(*other)
+            assert fresh[0] != fresh[1], name
+            memo = impl.new_memo()
+            assert (impl.search(*base, memo=memo), impl.search(*other, memo=memo)) == fresh, name
+
+    # counts() after each search: memo_searches()'s four 300-iteration
+    # depth-1 searches, its 3000-iteration one, which fills the memo, then
+    # that one again and the first again, each finding the memo full and
+    # emptying it first
+    EMPTIED = [(2975, 1730, 1245, 0), (5950, 3477, 2473, 0), (8950, 4560, 4390, 0),
+               (11950, 5823, 6127, 0), (101920, 52397, 32768, 0), (191890, 99225, 32768, 1),
+               (194865, 100955, 1245, 2)]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_emptied_memo_replays_nothing(self, twin):
+        """A search that fills the memo meets steps it no longer stores, so
+        searching again would miss them; the memo it leaves is more than
+        half full, so the next search empties it, with the kept searches,
+        before looking one up.  Repeats after that search again and count
+        what a kernel without kept searches counts."""
+        impl = twin_module(twin)
+        searches = [args for args in memo_searches() if args[4] == 1][:5]
+        memo, got = impl.new_memo(), []
+        for args in searches + [searches[4], searches[0]]:
+            impl.search(*args, memo=memo)
+            got.append(memo.counts())
+        assert got == self.EMPTIED
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_depth_zero_searches_are_not_kept(self, twin):
+        """Minimax-depth-0 rollouts draw their moves from the seed, which is
+        not in the key: searches with two seeds through one handle each
+        return the memo-free oracle's result, and the two differ."""
+        impl = twin_module(twin)
+        cfg = replace(self.CFG, minimax_depth=0)
+        searches = [search_args(initial_board(3), Color.RED, replace(cfg, rng_seed=seed))
+                    for seed in (1, 3)]
+        want = [reference_search(*args) for args in searches]
+        assert want[0] != want[1]
+        memo = impl.new_memo()
+        assert [impl.search(*args, memo=memo) for args in searches] == want
 
 
 class TestMemoRefusals:
