@@ -1124,9 +1124,9 @@ typedef struct {
 } MemoObject;
 
 /* A search's key in its handle's dict: its root and the settings its memo
- * is not bound to, packed with no padding and compared as bytes, so an
- * exploration of -0.0 and one of 0.0 are two keys and the second only
- * searches again. */
+ * is not bound to, packed with no padding and compared as bytes.  An
+ * exploration of -0.0 is packed as 0.0, so the two are one key, as in the
+ * pure twin. */
 typedef struct {
     unsigned char state[64];
     long side, sim_depth;
@@ -1238,7 +1238,7 @@ py_search(PyObject *self, PyObject *args, PyObject *kwargs)
         k.side = side;
         k.sim_depth = sim_depth;
         k.iterations = iterations;
-        k.explore = explore;
+        k.explore = explore + 0.0;
         k.discount = discount;
         k.pruning = t.pruning;
         key = PyBytes_FromStringAndSize((const char *)&k, sizeof k);

@@ -66,6 +66,9 @@ MUTANTS = {
     "result_depth_truncated": (
         "e->depth == sim_depth) {",
         "(uint32_t)e->depth == (uint32_t)sim_depth) {"),
+    "result_depth_at_least": (
+        "e->depth == sim_depth) {",
+        "e->depth >= sim_depth) {"),
     "result_stored_after_unstored_step": (
         "if (steps == 0 || k < 0)\n",
         "if (steps == 0)\n"),
@@ -79,9 +82,10 @@ MUTANTS = {
         "    e->walked = 0;\n",
         ""),
     # searches kept by a handle: the replay's counts, each field of the key,
-    # the clear and the minimax depth (a search that met a full memo leaves
-    # it more than half full, so the next search's start empties it before
-    # any lookup: keeping such a search is no mutant, for nothing replays it)
+    # the sign of a zero exploration, the MEMO_MAX cap, the clear and the
+    # minimax depth (a search that met a full memo leaves it more than half
+    # full, so the next search's start empties it before any lookup: keeping
+    # such a search is no mutant, for nothing replays it)
     "replay_adds_no_hits": (
         "            c.memo->hits += lookups;\n",
         ""),
@@ -98,13 +102,19 @@ MUTANTS = {
         "        k.sim_depth = sim_depth;\n",
         ""),
     "key_ignores_exploration": (
-        "        k.explore = explore;\n",
+        "        k.explore = explore + 0.0;\n",
         ""),
+    "key_keeps_sign_of_zero_exploration": (
+        "        k.explore = explore + 0.0;\n",
+        "        k.explore = explore;\n"),
     "key_ignores_discount": (
         "        k.discount = discount;\n",
         ""),
     "key_ignores_pruning": (
         "        k.pruning = t.pruning;\n",
+        ""),
+    "searches_kept_past_memo_max": (
+        "    if (PyDict_GET_SIZE(m->searches) >= MEMO_MAX)\n        return 0;\n",
         ""),
     "searches_kept_across_clear": (
         "        if (m->searches != NULL)\n            PyDict_Clear(m->searches);\n",

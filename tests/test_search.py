@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -592,18 +593,24 @@ class TestRolloutResults:
         return want
 
     def test_simulation_depths_share_one_memo(self):
-        """Searches at simulation depths 10 and 30 through one memo, so that
-        the depth-30 rollouts meet results of depth 10 as well as their own;
-        each is run twice, and the second time replays the kept search."""
+        """Searches at simulation depths 10 and 30 through one memo, each
+        run again with one iteration more, so that each repeated rollout
+        meets a result of the other depth as well as of its own; a search
+        with one iteration more is not a kept one, so it walks its rollouts.
+        Last, the final search once more, which replays the kept search."""
         cfg = SearchConfig(iterations=200, simulation_depth=10, minimax_depth=1)
         board = initial_board(3)
-        searches = [search_args(board, color, replace(cfg, simulation_depth=depth))
-                    for depth in (10, 30, 10, 30) for color in (Color.RED, Color.WHITE)]
-        got = self.twins_agree(searches)
-        # the replays count only stored steps: each is a hit
-        (steps, hits, entries, _), (last_steps, last_hits, last_entries, _) = \
-            got[3][1], got[-1][1]
-        assert last_steps - steps == last_hits - hits > 0 and last_entries == entries
+        searches = [search_args(board, color, replace(cfg, iterations=n, simulation_depth=depth))
+                    for n, depth in ((200, 10), (200, 30), (201, 10), (201, 30))
+                    for color in (Color.RED, Color.WHITE)]
+        counts = [(0, 0, 0, 0)] + [c for _, c in self.twins_agree(searches + searches[-1:])]
+        # each search's (steps, hits, entries) added
+        added = [tuple(b - a for a, b in zip(before[:3], after[:3]))
+                 for before, after in zip(counts, counts[1:])]
+        # the first 200 iterations of a repeat walk only stored steps, each a
+        # hit, and the replay counts its kept search's lookups as hits
+        assert all(added[4 + k][1] >= added[k][0] for k in range(4))
+        assert added[-1] == (added[-2][0], added[-2][0], 0)
 
     # a 3-against-1 ending of men only, white to move, in which every
     # rollout at minimax depth 1 stops within a few dozen steps where a side
@@ -616,11 +623,14 @@ class TestRolloutResults:
     def test_depth_past_32_bits_is_another_depth(self):
         """Depths 10 and 2**32 + 10 agree in their low 32 bits, so a depth
         kept or compared in 32 bits would answer the deep rollouts with the
-        shallow ones' results; they walk further, so their counts differ."""
+        shallow ones' results, or a kept search of one depth replay for the
+        other; they walk further, so their counts differ.  Each depth is run
+        again with one iteration more, then the last search once more."""
         args = search_args(self.ENDING, Color.WHITE,
                            SearchConfig(iterations=40, simulation_depth=10, minimax_depth=1))
         deep = 2**32 + 10
-        searches = [args[:3] + (depth,) + args[4:] for depth in (10, deep, 10, deep)]
+        searches = [args[:2] + (n, depth) + args[4:]
+                    for n, depth in ((40, 10), (40, deep), (41, 10), (41, deep), (41, deep))]
         got = self.twins_agree(searches)
         shallow_steps, deep_steps = got[0][1][0], got[1][1][0] - got[0][1][0]
         assert deep_steps > shallow_steps + 100
@@ -773,6 +783,57 @@ class TestSearchReplay:
         assert want[0] != want[1]
         memo = impl.new_memo()
         assert [impl.search(*args, memo=memo) for args in searches] == want
+
+    # 1-iteration searches from one root, each with its own exploration,
+    # which one iteration never reads: the first stores its rollout's 4
+    # steps and the rest only look them up, so the memo is never emptied
+    ONE_ROOT = search_args(initial_board(3), Color.RED,
+                           SearchConfig(iterations=1, simulation_depth=4, minimax_depth=1))
+
+    def explored(self, impl, memo, first, stop):
+        """Searches ``ONE_ROOT`` at explorations ``k / 1024`` for ``k`` in
+        ``range(first, stop)`` through ``memo``."""
+        for k in range(first, stop):
+            impl.search(*self.ONE_ROOT[:9], k / 1024, *self.ONE_ROOT[10:], memo=memo)
+
+    def test_pure_twin_keeps_at_most_memo_max_searches(self, monkeypatch):
+        """Past ``MEMO_MAX`` kept searches a handle keeps no more, and the
+        searches it no longer keeps count what searching counts."""
+        monkeypatch.setattr(_pykernel, "MEMO_MAX", 8)
+        memo = _pykernel.new_memo()
+        self.explored(_pykernel, memo, 0, 12)
+        assert sorted(key[4] for key in memo.searches) == [k / 1024 for k in range(8)]
+        assert memo.counts() == (48, 44, 4, 0)
+
+    def test_compiled_twin_keeps_at_most_memo_max_searches(self):
+        """The compiled twin's kept searches are out of reach of Python, so
+        this reads what they allocate: a thousand new searches just short of
+        ``MEMO_MAX`` kept ones grow the traced memory, and a thousand past
+        it do not."""
+        impl = twin_module("compiled")
+        memo = impl.new_memo()
+        n = _pykernel.MEMO_MAX
+        self.explored(impl, memo, 0, n - 1000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            self.explored(impl, memo, n - 1000, n)
+            kept = tracemalloc.get_traced_memory()[0]
+            self.explored(impl, memo, n, n + 1000)
+            past = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept - start > 100_000 and past - kept < 10_000
+        assert memo.counts() == (4 * (n + 1000), 4 * (n + 1000) - 4, 4, 0)
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_negative_zero_exploration_is_zero(self, twin):
+        """Exploration -0.0 equals 0.0, so a search at one replays the kept
+        search at the other and returns its very result."""
+        impl = twin_module(twin)
+        memo = impl.new_memo()
+        zero = impl.search(*self.ONE_ROOT[:9], 0.0, *self.ONE_ROOT[10:], memo=memo)
+        assert impl.search(*self.ONE_ROOT[:9], -0.0, *self.ONE_ROOT[10:], memo=memo) is zero
 
 
 class TestMemoRefusals:
