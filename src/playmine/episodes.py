@@ -107,10 +107,11 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     handle that the caller may pass to the games of one chunk in one
     process, or with None a memo of the game's own.  The result carries the
     game's share of its counts, so the first game through a handle counts
-    what a memo of its own would.  Turn
-    ``t`` searches with the seed ``derive_seed(cfg.rng_seed, episode_id,
-    t)``, passed to ``mcts_search`` as its ``seed``; it reaches only
-    minimax-depth-0 rollouts.
+    what a memo of its own would.  The turn seed is derived only at
+    minimax depth 0, the one depth whose rollouts read it: there turn ``t``
+    searches with the seed ``derive_seed(cfg.rng_seed, episode_id, t)``,
+    passed to ``mcts_search`` as its ``seed``.  At depth >= 1 no seed is
+    passed, and the search, which reads none, is the same.
     """
     board = initial_board(pieces_per_side)
     if memo is None:
@@ -121,10 +122,11 @@ def play_episode(cfg: SearchConfig, episode_id: int = 0,
     last_movement: Movement = ()
     turn_color = Color.RED
     turns = 0
+    seeded = cfg.minimax_depth == 0
 
     while turns < max_turns:
-        result = mcts_search(board, turn_color, cfg, memo,
-                             seed=derive_seed(cfg.rng_seed, episode_id, turns))
+        seed = derive_seed(cfg.rng_seed, episode_id, turns) if seeded else None
+        result = mcts_search(board, turn_color, cfg, memo, seed)
         if result is None:
             game_winner = turn_color.opponent
             break

@@ -118,6 +118,7 @@ RED_FLAG = _pykernel.RED_FLAG
 ID_MASK = _pykernel.ID_MASK
 MAX_DEPTH = _pykernel.MAX_DEPTH
 MAX_POINTS = _pykernel.MAX_POINTS
+MEMO_MAX = _pykernel.MEMO_MAX
 
 encode_cell = _pykernel.encode_cell
 cell_color = _pykernel.cell_color
@@ -137,7 +138,7 @@ new_memo = _impl.new_memo
 
 __all__ = [
     "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK", "MAX_DEPTH",
-    "MAX_POINTS", "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
+    "MAX_POINTS", "MEMO_MAX", "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
     "gen_moves", "side_has_moves", "piece_counts", "evaluate",
     "winner", "minimax", "rollout", "search", "new_memo",
 ]

@@ -6,8 +6,9 @@
  * encoding, move order, the first-in-order tie rule, the float operations
  * and their order, the one rollout loop (playout here), the final pick
  * (uct_child at exploration 0), the one rules record (Rules here) and the
- * rollout memo, with the searches a memo handle keeps and replays (a dict
- * in each twin, MemoObject here, so contract, not an inside difference).
+ * rollout memo, with the searches a memo handle keeps and replays and the
+ * caller's `converted` dict that it empties with them (dicts in each twin,
+ * MemoObject here, so contract, not inside differences).
  * The parity tests hold the two to identical outputs.  As in
  * _pykernel, each rule has one home: MAN_DIR and FAR_ROW say where a man
  * moves and crowns, one jump test (jumps) finds every jump, one writer
@@ -156,7 +157,8 @@ typedef struct {
  * `bound` says whether a search has fixed the rules its entries hold steps
  * of.  steps counts the rollout steps looked up, hits those found, clears
  * the times it was emptied.  `searches` is NULL, or a handle's dict of the
- * searches it keeps (see MemoObject). */
+ * searches it keeps, and `converted` NULL, or a handle's dict of their
+ * converted moves (see MemoObject). */
 typedef struct {
     uint32_t *slots;
     Entry *entries;
@@ -164,7 +166,7 @@ typedef struct {
     int bound;
     Rules rules;
     long long steps, hits, clears;
-    PyObject *searches;
+    PyObject *searches, *converted;
 } Memo;
 
 /* One kernel call: its rules, the stack that every move it generates is
@@ -659,6 +661,7 @@ memo_free(Memo *m)
     PyMem_Free(m->slots);
     PyMem_Free(m->entries);
     Py_XDECREF(m->searches);
+    Py_XDECREF(m->converted);
 }
 
 #define MEMO_RULES_MSG \
@@ -668,8 +671,9 @@ memo_free(Memo *m)
 /* Readies memo m for a search under rules r: the first search binds m to
  * them and a later one with any other value (a NaN king weight matches
  * none) sets ValueError and returns -1.  Then a memo more than half full is emptied,
- * with the searches it keeps, keeping its allocations, so every search has
- * room for at least half of MEMO_MAX new entries. */
+ * with the searches it keeps and their converted moves, keeping its
+ * allocations, so every search has room for at least half of MEMO_MAX new
+ * entries. */
 static int
 memo_start(Memo *m, const Rules *r)
 {
@@ -688,6 +692,8 @@ memo_start(Memo *m, const Rules *r)
         m->nentries = 0;
         if (m->searches != NULL)
             PyDict_Clear(m->searches);
+        if (m->converted != NULL)
+            PyDict_Clear(m->converted);
         m->clears++;
     }
     return 0;
@@ -1116,8 +1122,16 @@ py_rollout(PyObject *self, PyObject *args)
  * lookups the search made.  That is contract, not an inside difference.
  * memo_start empties the dict with the table, and a search that met a
  * full memo leaves it more than half full, so no such search is ever
- * replayed.  The dict holds only tuples of ints, bools, floats and bytes, which
- * never refer back to the handle, so the handle needs no GC support. */
+ * replayed.
+ *
+ * Its `converted` attribute is a second dict, made with the handle, in
+ * which search.py's mcts_search keeps the (ConcreteMove, GameBoard) it
+ * built from each kept move, so that a replayed turn builds nothing.  The
+ * kernel never reads it; memo_start empties it in the same clear as the
+ * kept searches, and mcts_search puts at most MEMO_MAX entries in it.
+ * Neither dict holds anything that refers back to the handle (tuples of
+ * ints, bools, floats and bytes; frozen moves and boards), so the handle
+ * needs no GC support. */
 typedef struct {
     PyObject_HEAD
     Memo memo;
@@ -1166,11 +1180,24 @@ memo_counts(PyObject *self, PyObject *unused)
     return Py_BuildValue("(LLnL)", m->steps, m->hits, (Py_ssize_t)m->nentries, m->clears);
 }
 
+static PyObject *
+memo_converted(PyObject *self, void *unused)
+{
+    return Py_NewRef(((MemoObject *)self)->memo.converted);
+}
+
 static PyMethodDef memo_methods[] = {
     {"counts", memo_counts, METH_NOARGS,
      "counts() -> (steps, hits, entries, clears): the rollout steps looked up, "
      "those found, the entries held and the times the memo was emptied"},
     {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef memo_getset[] = {
+    {"converted", memo_converted, NULL,
+     "dict of the caller's conversions of kept moves, emptied with the kept searches",
+     NULL},
+    {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyTypeObject MemoType = {
@@ -1181,14 +1208,20 @@ static PyTypeObject MemoType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "A rollout memo that searches share; made by new_memo().",
     .tp_methods = memo_methods,
+    .tp_getset = memo_getset,
 };
 
 static PyObject *
 py_new_memo(PyObject *self, PyObject *unused)
 {
     MemoObject *m = PyObject_New(MemoObject, &MemoType);
-    if (m != NULL)
-        memset(&m->memo, 0, sizeof(Memo));
+    if (m == NULL)
+        return NULL;
+    memset(&m->memo, 0, sizeof(Memo));
+    if ((m->memo.converted = PyDict_New()) == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
     return (PyObject *)m;
 }
 

@@ -93,6 +93,13 @@ again, leaves the memo more than half full, so the next search's start
 empties it before any lookup.  A search that raises is not kept, and a
 handle keeps at most ``MEMO_MAX`` searches, then no more.  ``search``
 without a handle keeps nothing.
+
+A handle also has a ``converted`` dict that the kernel never reads and
+empties in the same clear as its kept searches: ``search.py``'s
+``mcts_search`` keeps there the ``(ConcreteMove, GameBoard)`` it built from
+each move a search through the handle returned at minimax depth >= 1, at
+most ``MEMO_MAX`` of them, so a replayed turn builds nothing.  A search
+after the clear returns a new tuple, whose move is converted anew.
 """
 
 from __future__ import annotations
@@ -343,18 +350,22 @@ class Memo:
     step to that whole rollout, ``(sim_depth, white, red, lookups)``, and
     ``searches`` maps a kept search's key, ``(state, side, iterations,
     sim_depth, exploration, discount, pruning)``, to ``((move, nodes),
-    lookups)``.  ``rules`` is None until a search binds it; ``steps``
-    counts the rollout steps looked up, ``hits`` those found and
-    ``clears`` the times the memo was emptied.  ``_ckernel``'s Memo is its
-    twin, with the results in its entries and the searches in a dict of
-    the handle's."""
+    lookups)``.  ``converted`` is the caller's: the kernel never reads it
+    and empties it with ``searches`` (``search.py`` keeps there the
+    ``(ConcreteMove, GameBoard)`` it built from each kept move).  ``rules``
+    is None until a search binds it; ``steps`` counts the rollout steps
+    looked up, ``hits`` those found and ``clears`` the times the memo was
+    emptied.  ``_ckernel``'s Memo is its twin, with the results in its
+    entries and the searches and conversions in dicts of the handle's."""
 
-    __slots__ = ("table", "results", "searches", "rules", "steps", "hits", "clears")
+    __slots__ = ("table", "results", "searches", "converted", "rules", "steps", "hits",
+                 "clears")
 
     def __init__(self):
         self.table = {}
         self.results = {}
         self.searches = {}
+        self.converted = {}
         self.rules = None
         self.steps = self.hits = self.clears = 0
 
@@ -367,8 +378,8 @@ class Memo:
         capture points, crown points, king weight, minimax depth): the first
         search binds it to them, a later one with any other value is a
         ValueError.  Then a memo more than half full is emptied, with its
-        results and searches, so every search has room for at least half of
-        ``MEMO_MAX`` new entries."""
+        results, searches and conversions, so every search has room for at
+        least half of ``MEMO_MAX`` new entries."""
         if self.rules is None:
             self.rules = rules
         elif any(a != b for a, b in zip(self.rules, rules)):  # a NaN never matches
@@ -377,6 +388,7 @@ class Memo:
             self.table.clear()
             self.results.clear()
             self.searches.clear()
+            self.converted.clear()
             self.clears += 1
 
 

@@ -15,9 +15,13 @@ memo (``trial.run_episodes`` passes one to each chunk of games); with none,
 the call makes its own.  At minimax depth 1 or more the handle also keeps
 each search, so a search repeated through it (a root a game reaches again,
 or a chunk's later games, which at that depth are the first game again)
-costs one lookup and counts what searching again would.  A handle serves
-one chunk of games in one process; independent searches may run in
-parallel processes.
+costs one lookup and counts what searching again would, and the handle's
+``converted`` dict keeps the conversion of each move, so the repeat builds
+nothing either: it returns the very ``(move, board)`` pair the first
+search returned.  The kernel empties that dict in the same clear as the
+kept searches; without a handle, or at minimax depth 0, nothing is kept,
+and this module holds no state of its own.  A handle serves one chunk of
+games in one process; independent searches may run in parallel processes.
 """
 
 from __future__ import annotations
@@ -78,7 +82,10 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None,
 
     Returns (move, next_board) for the root child with the highest mean
     reward on the agent's index, or None when the agent has no move; the
-    move's own reward is ``move.reward``.
+    move's own reward is ``move.reward``.  Through a handle at minimax
+    depth >= 1 the pair is built once per kernel move and kept in
+    ``memo.converted`` (at most ``kernel.MEMO_MAX`` pairs, emptied with the
+    handle's kept searches), so a replayed search returns the same pair.
     The reward of the move that enters each iteration's leaf is added to the
     backup delta, so immediately winning moves keep their value even though
     the rollout from a terminal child is empty.
@@ -93,4 +100,13 @@ def mcts_search(board: GameBoard, agent: Color, cfg: SearchConfig, memo=None,
     if found is None:
         return None
     move = found[0]
-    return _to_concrete(move, board.state), GameBoard(move[5], board.pieces_per_side)
+    converted = memo.converted if memo is not None and cfg.minimax_depth else None
+    if converted is not None:
+        kept = converted.get(move)
+        # the kept board carries a declared size, which the move does not
+        if kept is not None and kept[1].pieces_per_side == board.pieces_per_side:
+            return kept
+    result = _to_concrete(move, board.state), GameBoard(move[5], board.pieces_per_side)
+    if converted is not None and len(converted) < kernel.MEMO_MAX:
+        converted[move] = result
+    return result

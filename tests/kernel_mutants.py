@@ -8,12 +8,16 @@ For each mutant the script copies ``src/playmine`` to a temporary
 directory, applies the pair, and checks in a child process that the copy
 imports with the compiled backend: a mutant that does not build is an
 error, not a kill.  Then it runs ``pytest -x`` on the parity, golden and
-search test files against the copy in a child process.  A failing test, a
-crash or the per-mutant timeout kills the mutant; a mutant that passes
-every test survives, and any survivor or error makes the script exit
-non-zero.  The unmutated source goes first and must pass, or a broken
-harness would read as every mutant killed.  pytest does not collect this
-file.  Run it from anywhere::
+search test files against the copy in a child process, without the cases
+parametrized for the pure twin (``-k "not python"``): a mutant of the C
+source cannot change what those compute.  A failing test, a crash or the
+per-mutant timeout kills the mutant, and the script prints the test that
+killed it; a mutant that passes every test survives, and any survivor or
+error makes the script exit non-zero.  The unmutated source goes first,
+through every case of the three files, and must pass, or a broken harness
+would read as every mutant killed.  Then the mutants run ``WORKERS`` at a
+time, each in its own copy, and are reported in their order here.  pytest
+does not collect this file.  Run it from anywhere::
 
     python tests/kernel_mutants.py [name ...]
 
@@ -27,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -34,6 +39,10 @@ PACKAGE = TESTS.parent / "src" / "playmine"
 SOURCE = PACKAGE / "kernel" / "_ckernel.c"
 TEST_FILES = ("test_kernel_parity.py", "test_kernel_golden.py", "test_search.py")
 TIMEOUT_S = 900
+# deselects the cases whose id names the pure twin, [python] or [...-python]
+COMPILED_CASES = ("-k", "not python")
+# the mutants tested at once, each by a pytest process of its own
+WORKERS = min(2, os.cpu_count() or 1)
 
 MUTANTS = {
     # the on-board tables
@@ -118,6 +127,19 @@ MUTANTS = {
         ""),
     "searches_kept_across_clear": (
         "        if (m->searches != NULL)\n            PyDict_Clear(m->searches);\n",
+        ""),
+    # the handle's converted moves: emptied by the clear that drops the kept
+    # searches, and by no other start, and released with the handle
+    "conversions_kept_across_clear": (
+        "        if (m->converted != NULL)\n            PyDict_Clear(m->converted);\n",
+        ""),
+    "conversions_emptied_every_start": (
+        "        if (m->converted != NULL)\n            PyDict_Clear(m->converted);\n"
+        "        m->clears++;\n    }\n",
+        "        m->clears++;\n    }\n"
+        "    if (m->converted != NULL)\n        PyDict_Clear(m->converted);\n"),
+    "conversions_not_released": (
+        "    Py_XDECREF(m->converted);\n",
         ""),
     "replay_at_minimax_depth_0": (
         "if (c.memo != &local && c.rules.mm_depth >= 1) {",
@@ -221,10 +243,11 @@ def mismatched(source):
     return [name for name, (search, _) in MUTANTS.items() if source.count(search) != 1]
 
 
-def run_tests(source):
+def run_tests(source, compiled_only=True):
     """Builds ``source`` in a copy of the package and runs the tests against
-    it: ``"passed"``, ``"failed ..."``, ``"crashed ..."``, ``"timed out"``,
-    or ``"error: ..."`` when the copy does not build or pytest could not
+    it, with ``compiled_only`` without the pure twin's cases:
+    ``"passed"``, ``"failed ..."``, ``"crashed ..."``, ``"timed out"``, or
+    ``"error: ..."`` when the copy does not build or pytest could not
     run."""
     with tempfile.TemporaryDirectory(prefix="kernel-mutant-") as tmp:
         root = Path(tmp)
@@ -243,6 +266,7 @@ def run_tests(source):
         if not Path(path).resolve().is_relative_to(root.resolve()):
             return f"error: the tests would import {path}, not the copy"
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *(COMPILED_CASES if compiled_only else ()),
                *(str(TESTS / f) for f in TEST_FILES)]
         try:
             proc = subprocess.run(cmd, env=env, cwd=root, capture_output=True, text=True,
@@ -274,20 +298,24 @@ def main(names):
     # a harness that fails on the unmutated kernel would read every mutant
     # as killed
     start = time.perf_counter()
-    baseline = run_tests(source)
+    baseline = run_tests(source, compiled_only=False)
     print(f"unmutated: {baseline} ({time.perf_counter() - start:.1f} s)", flush=True)
     if baseline != "passed":
         return 1
-    survivors = []
-    for name in names or MUTANTS:
-        search, replace = MUTANTS[name]
+
+    def timed(name):
         start = time.perf_counter()
-        outcome = run_tests(source.replace(search, replace))
-        if outcome == "passed" or outcome.startswith("error"):
-            survivors.append(name)
-        verdict = "SURVIVED" if outcome == "passed" else outcome
-        print(f"{name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
-    total = len(names or MUTANTS)
+        return run_tests(source.replace(*MUTANTS[name])), time.perf_counter() - start
+
+    survivors = []
+    todo = names or list(MUTANTS)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for name, (outcome, seconds) in zip(todo, pool.map(timed, todo)):
+            if outcome == "passed" or outcome.startswith("error"):
+                survivors.append(name)
+            verdict = "SURVIVED" if outcome == "passed" else outcome
+            print(f"{name}: {verdict} ({seconds:.1f} s)", flush=True)
+    total = len(todo)
     print(f"{total - len(survivors)} of {total} mutants killed"
           + (f"; not killed: {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0

@@ -15,7 +15,7 @@ from playmine.episodes import (
 )
 from playmine.board import apply_move, initial_board
 from playmine.eventlog import format_label, parse_label
-from playmine.search import SearchConfig
+from playmine.search import SearchConfig, mcts_search
 from playmine.trial import run_episodes
 from oracles import oracle_grid_distance
 
@@ -230,3 +230,37 @@ class TestSeedDerivation:
     def test_sensitive_to_parts(self):
         seeds = {derive_seed(1, part, 2) for part in ("a", "b", "c")}
         assert len(seeds) == 3
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_turn_seed_derived_only_at_depth_zero(self, monkeypatch, depth):
+        """Only minimax-depth-0 rollouts read the seed, so only a depth-0
+        game derives one per turn, ``derive_seed(cfg.rng_seed, episode_id,
+        turn)``, and passes it to its search; a deeper game derives none
+        and passes none, so its searches use ``cfg.rng_seed``."""
+        derived, seeds = [], []
+
+        def derive(*parts):
+            derived.append(parts)
+            return derive_seed(*parts)
+
+        def search(board, color, cfg, memo=None, seed=None):
+            seeds.append(seed)
+            return mcts_search(board, color, cfg, memo, seed)
+
+        monkeypatch.setattr(episodes, "derive_seed", derive)
+        monkeypatch.setattr(episodes, "mcts_search", search)
+        cfg = SearchConfig(iterations=12, simulation_depth=4, minimax_depth=depth, rng_seed=7)
+        ep = play_episode(cfg, episode_id=3, max_turns=6)
+        assert ep.turns == len(seeds) == 6
+        if depth:
+            assert derived == [] and seeds == [None] * 6
+        else:
+            assert derived == [(7, 3, t) for t in range(6)]
+            assert seeds == [derive_seed(7, 3, t) for t in range(6)]
+
+    def test_depth_zero_games_differ_by_episode(self):
+        """At minimax depth 0 the episode id reaches the turn seeds, so two
+        games that differ only in it play different games."""
+        cfg = SearchConfig(iterations=30, simulation_depth=8, minimax_depth=0, rng_seed=1)
+        games = [play_episode(cfg, episode_id=i, max_turns=40) for i in (1, 2)]
+        assert games[0].red_trace + games[0].white_trace != games[1].red_trace + games[1].white_trace

@@ -2,13 +2,16 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from playmine import kernel
+import playmine.search as search_module
+from playmine import episodes, kernel, trial
 from playmine.board import (
     Color,
     GameBoard,
@@ -453,6 +456,293 @@ def twin_module(twin):
     return pytest.importorskip("playmine.kernel._ckernel", reason="compiled kernel not built")
 
 
+# The cheap twin-parity classes come before the ones that wait on a
+# pure-Python oracle: tests/kernel_mutants.py stops at the first failure,
+# so a mutant they kill is not kept waiting.
+class TestSearchReplay:
+    """At minimax depth >= 1 a handle keeps each search made through it,
+    and a later search with the same root and settings, since the handle
+    was last emptied, returns the kept ``(move, nodes)`` and counts the
+    kept search's memo lookups as steps and hits, as searching again
+    would.  Where a case pins ``counts()`` after every search, the counts
+    were recorded from a kernel that kept no searches."""
+
+    CFG = SearchConfig(iterations=60, simulation_depth=8, minimax_depth=1)
+    TURNS = 6
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        """The searches of a game from the 3-a-side opening, red first, each
+        turn's seed its number and each turn played on the memo-free
+        oracle's move: ``(arguments, oracle's (move, nodes))`` per turn."""
+        board, color, turns = initial_board(3), Color.RED, []
+        for k in range(self.TURNS):
+            args = search_args(board, color, replace(self.CFG, rng_seed=k))
+            want = reference_search(*args)
+            turns.append((args, want))
+            board, color = GameBoard(want[0][5], 3), color.opponent
+        return turns
+
+    # counts() after each search of the game and of its replay
+    GAME_TWICE = [(480, 290, 190, 0), (960, 629, 331, 0), (1440, 1046, 394, 0),
+                  (1913, 1365, 548, 0), (2386, 1774, 612, 0), (2855, 2191, 664, 0),
+                  (3335, 2671, 664, 0), (3815, 3151, 664, 0), (4295, 3631, 664, 0),
+                  (4768, 4104, 664, 0), (5241, 4577, 664, 0), (5710, 5046, 664, 0)]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_second_game_replays_the_first(self, twin, game):
+        """Two games of one chunk through one handle, the second with other
+        seeds, which minimax-depth-1 rollouts never read: each of the second
+        game's searches returns the very result its twin in the first
+        returned, each is the memo-free oracle's, and the counts are those
+        of searching again."""
+        impl = twin_module(twin)
+        memo, first, got = impl.new_memo(), [], []
+        for args, want in game:
+            first.append(impl.search(*args, memo=memo))
+            got.append(memo.counts())
+            assert first[-1] == want, len(first)
+        for k, (args, _) in enumerate(game):
+            assert impl.search(*args[:-1], 100 + k, memo=memo) is first[k], k
+            got.append(memo.counts())
+        assert got == self.GAME_TWICE
+
+    # argument position and another value of each setting in a search's
+    # key, on a position where each changes the search's (move, nodes)
+    KEY = {"side": (1, 1), "iterations": (2, 41), "sim_depth": (3, 3),
+           "exploration": (9, 2.0), "discount": (10, 0.3), "pruning": (11, True)}
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_each_key_field_parts_searches(self, twin):
+        """Through one handle, a search that differs from a kept one in one
+        setting of its key returns what it returns through a memo of its
+        own, not the kept search's result."""
+        impl = twin_module(twin)
+        board = random_board(random.Random(8), n_pieces=8, kings=False)
+        base = search_args(board, Color.WHITE, SearchConfig(
+            iterations=40, simulation_depth=6, minimax_depth=1,
+            reward=RewardConfig(forced_capture=False)))
+        for name, (at, value) in self.KEY.items():
+            other = base[:at] + (value,) + base[at + 1:]
+            fresh = impl.search(*base), impl.search(*other)
+            assert fresh[0] != fresh[1], name
+            memo = impl.new_memo()
+            assert (impl.search(*base, memo=memo), impl.search(*other, memo=memo)) == fresh, name
+
+    # counts() after each search: memo_searches()'s four 300-iteration
+    # depth-1 searches, its 3000-iteration one, which fills the memo, then
+    # that one again and the first again, each finding the memo full and
+    # emptying it first
+    EMPTIED = [(2975, 1730, 1245, 0), (5950, 3477, 2473, 0), (8950, 4560, 4390, 0),
+               (11950, 5823, 6127, 0), (101920, 52397, 32768, 0), (191890, 99225, 32768, 1),
+               (194865, 100955, 1245, 2)]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_emptied_memo_replays_nothing(self, twin):
+        """A search that fills the memo meets steps it no longer stores, so
+        searching again would miss them; the memo it leaves is more than
+        half full, so the next search empties it, with the kept searches,
+        before looking one up.  Repeats after that search again and count
+        what a kernel without kept searches counts."""
+        impl = twin_module(twin)
+        searches = [args for args in memo_searches() if args[4] == 1][:5]
+        memo, got = impl.new_memo(), []
+        for args in searches + [searches[4], searches[0]]:
+            impl.search(*args, memo=memo)
+            got.append(memo.counts())
+        assert got == self.EMPTIED
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_depth_zero_searches_are_not_kept(self, twin):
+        """Minimax-depth-0 rollouts draw their moves from the seed, which is
+        not in the key: searches with two seeds through one handle each
+        return the memo-free oracle's result, and the two differ."""
+        impl = twin_module(twin)
+        cfg = replace(self.CFG, minimax_depth=0)
+        searches = [search_args(initial_board(3), Color.RED, replace(cfg, rng_seed=seed))
+                    for seed in (1, 3)]
+        want = [reference_search(*args) for args in searches]
+        assert want[0] != want[1]
+        memo = impl.new_memo()
+        assert [impl.search(*args, memo=memo) for args in searches] == want
+
+    # 1-iteration searches from one root, each with its own exploration,
+    # which one iteration never reads: the first stores its rollout's 4
+    # steps and the rest only look them up, so the memo is never emptied
+    ONE_ROOT = search_args(initial_board(3), Color.RED,
+                           SearchConfig(iterations=1, simulation_depth=4, minimax_depth=1))
+
+    def explored(self, impl, memo, first, stop):
+        """Searches ``ONE_ROOT`` at explorations ``k / 1024`` for ``k`` in
+        ``range(first, stop)`` through ``memo``."""
+        for k in range(first, stop):
+            impl.search(*self.ONE_ROOT[:9], k / 1024, *self.ONE_ROOT[10:], memo=memo)
+
+    def test_pure_twin_keeps_at_most_memo_max_searches(self, monkeypatch):
+        """Past ``MEMO_MAX`` kept searches a handle keeps no more, and the
+        searches it no longer keeps count what searching counts."""
+        monkeypatch.setattr(_pykernel, "MEMO_MAX", 8)
+        memo = _pykernel.new_memo()
+        self.explored(_pykernel, memo, 0, 12)
+        assert sorted(key[4] for key in memo.searches) == [k / 1024 for k in range(8)]
+        assert memo.counts() == (48, 44, 4, 0)
+
+    def test_compiled_twin_keeps_at_most_memo_max_searches(self):
+        """The compiled twin's kept searches are out of reach of Python, so
+        this reads what they allocate: a thousand new searches just short of
+        ``MEMO_MAX`` kept ones grow the traced memory, and a thousand past
+        it do not."""
+        impl = twin_module("compiled")
+        memo = impl.new_memo()
+        n = _pykernel.MEMO_MAX
+        self.explored(impl, memo, 0, n - 1000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            self.explored(impl, memo, n - 1000, n)
+            kept = tracemalloc.get_traced_memory()[0]
+            self.explored(impl, memo, n, n + 1000)
+            past = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept - start > 100_000 and past - kept < 10_000
+        assert memo.counts() == (4 * (n + 1000), 4 * (n + 1000) - 4, 4, 0)
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_negative_zero_exploration_is_zero(self, twin):
+        """Exploration -0.0 equals 0.0, so a search at one replays the kept
+        search at the other and returns its very result."""
+        impl = twin_module(twin)
+        memo = impl.new_memo()
+        zero = impl.search(*self.ONE_ROOT[:9], 0.0, *self.ONE_ROOT[10:], memo=memo)
+        assert impl.search(*self.ONE_ROOT[:9], -0.0, *self.ONE_ROOT[10:], memo=memo) is zero
+
+
+class TestConvertedMoves:
+    """At minimax depth >= 1 ``mcts_search`` keeps the ``(ConcreteMove,
+    GameBoard)`` pair it builds from a move in the handle's ``converted``
+    dict, which the kernel empties in the same clear as the kept searches,
+    so a replayed turn returns the very pair again and builds nothing.
+    Without a handle, or at minimax depth 0, nothing is kept."""
+
+    # the smoke cell: 100 iterations, simulation depth 10, minimax depth 1,
+    # 3 a side, 10 games in one chunk (one worker), and each game's share of
+    # the chunk's memo, as CI pins it
+    SMOKE = SearchConfig(100, 10, 1)
+    SMOKE_COUNTS = [(65155, 55619, 9536, 0)] + [(65155, 65155, 9536, 0)] * 9
+
+    def test_smoke_chunk_replays_build_nothing(self, search_twin):
+        """Games 2-10 of the smoke chunk replay game 1's searches: each
+        returns the very pair game 1's search returned, none builds a move
+        or a board, and each game counts what CI pins."""
+        with turns_and_builds() as games:
+            eps = run_episodes(self.SMOKE, (1, 1, "iterations", 100), 10, 3, 200, False, 1)
+        assert [ep.memo_counts for ep in eps] == self.SMOKE_COUNTS
+        first = games[0]
+        assert len(games) == 10 and first[0][1] == 2
+        for k, game in enumerate(games[1:], start=2):
+            assert len(game) == len(first), k
+            assert all(pair is want for (pair, _), (want, _) in zip(game, first)), k
+            assert all(built == first[-1][1] for _, built in game), k
+
+    def test_at_most_memo_max_conversions(self, search_twin, monkeypatch):
+        """A handle holds at most ``kernel.MEMO_MAX`` conversions: past the
+        cap a move is converted at each search, kept ones are still
+        returned."""
+        monkeypatch.setattr(kernel, "MEMO_MAX", 2)
+        cfg = SearchConfig(iterations=20, simulation_depth=4, minimax_depth=1)
+        board, color, roots = initial_board(3), Color.RED, []
+        for _ in range(4):
+            roots.append((board, color))
+            board, color = mcts_search(board, color, cfg)[1], color.opponent
+        memo = kernel.new_memo()
+        pairs = [mcts_search(*root, cfg, memo) for root in roots]
+        assert len(memo.converted) == 2
+        again = [mcts_search(*root, cfg, memo) for root in roots]
+        assert again == pairs
+        assert [a is b for a, b in zip(again, pairs)] == [True, True, False, False]
+
+    def test_pair_keeps_the_declared_size(self, search_twin):
+        """The kept search is keyed on the state alone, but the pair's board
+        carries the declared size: the same state at another size gets its
+        own board."""
+        memo = kernel.new_memo()
+        state = initial_board(3).state
+        small = mcts_search(GameBoard(state, 3), Color.RED, CFG, memo)
+        large = mcts_search(GameBoard(state, 12), Color.RED, CFG, memo)
+        assert small[0] == large[0]
+        assert (small[1].pieces_per_side, large[1].pieces_per_side) == (3, 12)
+        assert mcts_search(GameBoard(state, 12), Color.RED, CFG, memo) is large
+
+    def test_memoless_and_depth_zero_searches_keep_nothing(self, search_twin):
+        """Two searches without a handle return equal pairs of distinct
+        objects; depth-0 searches through a handle convert nothing into it;
+        ``search.py`` holds no state of its own to keep pairs in."""
+        board = initial_board(3)
+        first, again = (mcts_search(board, Color.RED, CFG) for _ in range(2))
+        assert first == again
+        assert first is not again and first[0] is not again[0] and first[1] is not again[1]
+        memo = kernel.new_memo()
+        depth0 = replace(CFG, minimax_depth=0)
+        assert mcts_search(board, Color.RED, depth0, memo) == mcts_search(board, Color.RED, depth0)
+        assert memo.converted == {}
+        assert not [name for name, value in vars(search_module).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_handle_releases_its_conversions(self, twin):
+        """A handle that goes releases what its ``converted`` dict holds."""
+        impl = twin_module(twin)
+        memo, value = impl.new_memo(), object()
+        memo.converted["key"] = value
+        held = sys.getrefcount(value)
+        del memo
+        assert sys.getrefcount(value) == held - 1
+
+
+class TestMemoRefusals:
+    ARGS = search_args(initial_board(3), Color.WHITE,
+                       SearchConfig(iterations=30, simulation_depth=6, minimax_depth=1))
+    # argument positions of forced, capture points, crown points, king
+    # weight and minimax depth, each with another value
+    RULES = {"forced": (5, False), "capture": (6, 8), "crown": (7, 6),
+             "king_weight": (8, 0.25), "depth": (4, 2)}
+    # what a search may change between the searches that share a memo
+    FREE = {"side": (1, 1), "iterations": (2, 40), "sim_depth": (3, 9),
+            "exploration": (9, 1.5), "discount": (10, 0.5), "pruning": (11, True),
+            "seed": (12, 5)}
+
+    @staticmethod
+    def changed(args, at, value):
+        return args[:at] + (value,) + args[at + 1:]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_other_rules_are_refused_before_any_work(self, twin):
+        """A memo is bound to the rules, points, king weight and depth of
+        its first search; a later search with any other value raises the
+        same ValueError on both twins and leaves the memo as it was."""
+        impl = twin_module(twin)
+        memo = impl.new_memo()
+        impl.search(*self.ARGS, memo=memo)
+        before = memo.counts()
+        for name, (at, value) in self.RULES.items():
+            with pytest.raises(ValueError, match=re.escape(_pykernel.MEMO_RULES_MSG)):
+                impl.search(*self.changed(self.ARGS, at, value), memo=memo)
+            assert memo.counts() == before, name
+        for name, (at, value) in self.FREE.items():
+            impl.search(*self.changed(self.ARGS, at, value), memo=memo)
+        assert memo.counts()[0] > before[0]
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_foreign_handle_is_a_type_error(self, twin):
+        impl = twin_module(twin)
+        other = twin_module("compiled" if twin == "python" else "python")
+        for handle in ({}, object(), other.new_memo()):
+            with pytest.raises(TypeError, match=re.escape(
+                    "memo must be None or this kernel's new_memo()")):
+                impl.search(*self.ARGS, memo=handle)
+
+
 class TestRolloutMemo:
     @pytest.fixture(scope="class")
     def references(self):
@@ -664,219 +954,25 @@ class TestRolloutResults:
         """A batch of two 12-a-side games through one memo, a 3000-iteration
         turn each: the first fills the memo and the second's empties and
         refills it.  Both twins play the same games and report the same
-        share of the memo for each game."""
+        share of the memo for each game.  The clear drops the kept search
+        and its converted move with it, so the second game searches again
+        and builds its move and board anew: equal to the first game's, not
+        the same objects."""
         cfg = SearchConfig(iterations=3000, simulation_depth=30, minimax_depth=1)
         got = []
         for impl in (_pykernel, twin_module("compiled")):
             monkeypatch.setattr(kernel, "search", impl.search)
             monkeypatch.setattr(kernel, "new_memo", impl.new_memo)
-            got.append([(ep.red_trace, ep.memo_counts)
-                        for ep in run_episodes(cfg, (1, "twelve"), 2, 12, 1, False, 1)])
+            with turns_and_builds() as games:
+                eps = run_episodes(cfg, (1, "twelve"), 2, 12, 1, False, 1)
+            (first_pair, first_built), (second_pair, second_built) = [g[0] for g in games]
+            assert (first_built, second_built) == (2, 4)
+            assert second_pair == first_pair
+            assert second_pair[0] is not first_pair[0] and second_pair[1] is not first_pair[1]
+            got.append([(ep.red_trace, ep.memo_counts) for ep in eps])
         assert got[0] == got[1]
         (_, first), (_, second) = got[0]
         assert first[2:] == (_pykernel.MEMO_MAX, 0) and second[2:] == (_pykernel.MEMO_MAX, 1)
-
-
-class TestSearchReplay:
-    """At minimax depth >= 1 a handle keeps each search made through it,
-    and a later search with the same root and settings, since the handle
-    was last emptied, returns the kept ``(move, nodes)`` and counts the
-    kept search's memo lookups as steps and hits, as searching again
-    would.  Where a case pins ``counts()`` after every search, the counts
-    were recorded from a kernel that kept no searches."""
-
-    CFG = SearchConfig(iterations=60, simulation_depth=8, minimax_depth=1)
-    TURNS = 6
-
-    @pytest.fixture(scope="class")
-    def game(self):
-        """The searches of a game from the 3-a-side opening, red first, each
-        turn's seed its number and each turn played on the memo-free
-        oracle's move: ``(arguments, oracle's (move, nodes))`` per turn."""
-        board, color, turns = initial_board(3), Color.RED, []
-        for k in range(self.TURNS):
-            args = search_args(board, color, replace(self.CFG, rng_seed=k))
-            want = reference_search(*args)
-            turns.append((args, want))
-            board, color = GameBoard(want[0][5], 3), color.opponent
-        return turns
-
-    # counts() after each search of the game and of its replay
-    GAME_TWICE = [(480, 290, 190, 0), (960, 629, 331, 0), (1440, 1046, 394, 0),
-                  (1913, 1365, 548, 0), (2386, 1774, 612, 0), (2855, 2191, 664, 0),
-                  (3335, 2671, 664, 0), (3815, 3151, 664, 0), (4295, 3631, 664, 0),
-                  (4768, 4104, 664, 0), (5241, 4577, 664, 0), (5710, 5046, 664, 0)]
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_second_game_replays_the_first(self, twin, game):
-        """Two games of one chunk through one handle, the second with other
-        seeds, which minimax-depth-1 rollouts never read: each of the second
-        game's searches returns the very result its twin in the first
-        returned, each is the memo-free oracle's, and the counts are those
-        of searching again."""
-        impl = twin_module(twin)
-        memo, first, got = impl.new_memo(), [], []
-        for args, want in game:
-            first.append(impl.search(*args, memo=memo))
-            got.append(memo.counts())
-            assert first[-1] == want, len(first)
-        for k, (args, _) in enumerate(game):
-            assert impl.search(*args[:-1], 100 + k, memo=memo) is first[k], k
-            got.append(memo.counts())
-        assert got == self.GAME_TWICE
-
-    # argument position and another value of each setting in a search's
-    # key, on a position where each changes the search's (move, nodes)
-    KEY = {"side": (1, 1), "iterations": (2, 41), "sim_depth": (3, 3),
-           "exploration": (9, 2.0), "discount": (10, 0.3), "pruning": (11, True)}
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_each_key_field_parts_searches(self, twin):
-        """Through one handle, a search that differs from a kept one in one
-        setting of its key returns what it returns through a memo of its
-        own, not the kept search's result."""
-        impl = twin_module(twin)
-        board = random_board(random.Random(8), n_pieces=8, kings=False)
-        base = search_args(board, Color.WHITE, SearchConfig(
-            iterations=40, simulation_depth=6, minimax_depth=1,
-            reward=RewardConfig(forced_capture=False)))
-        for name, (at, value) in self.KEY.items():
-            other = base[:at] + (value,) + base[at + 1:]
-            fresh = impl.search(*base), impl.search(*other)
-            assert fresh[0] != fresh[1], name
-            memo = impl.new_memo()
-            assert (impl.search(*base, memo=memo), impl.search(*other, memo=memo)) == fresh, name
-
-    # counts() after each search: memo_searches()'s four 300-iteration
-    # depth-1 searches, its 3000-iteration one, which fills the memo, then
-    # that one again and the first again, each finding the memo full and
-    # emptying it first
-    EMPTIED = [(2975, 1730, 1245, 0), (5950, 3477, 2473, 0), (8950, 4560, 4390, 0),
-               (11950, 5823, 6127, 0), (101920, 52397, 32768, 0), (191890, 99225, 32768, 1),
-               (194865, 100955, 1245, 2)]
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_emptied_memo_replays_nothing(self, twin):
-        """A search that fills the memo meets steps it no longer stores, so
-        searching again would miss them; the memo it leaves is more than
-        half full, so the next search empties it, with the kept searches,
-        before looking one up.  Repeats after that search again and count
-        what a kernel without kept searches counts."""
-        impl = twin_module(twin)
-        searches = [args for args in memo_searches() if args[4] == 1][:5]
-        memo, got = impl.new_memo(), []
-        for args in searches + [searches[4], searches[0]]:
-            impl.search(*args, memo=memo)
-            got.append(memo.counts())
-        assert got == self.EMPTIED
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_depth_zero_searches_are_not_kept(self, twin):
-        """Minimax-depth-0 rollouts draw their moves from the seed, which is
-        not in the key: searches with two seeds through one handle each
-        return the memo-free oracle's result, and the two differ."""
-        impl = twin_module(twin)
-        cfg = replace(self.CFG, minimax_depth=0)
-        searches = [search_args(initial_board(3), Color.RED, replace(cfg, rng_seed=seed))
-                    for seed in (1, 3)]
-        want = [reference_search(*args) for args in searches]
-        assert want[0] != want[1]
-        memo = impl.new_memo()
-        assert [impl.search(*args, memo=memo) for args in searches] == want
-
-    # 1-iteration searches from one root, each with its own exploration,
-    # which one iteration never reads: the first stores its rollout's 4
-    # steps and the rest only look them up, so the memo is never emptied
-    ONE_ROOT = search_args(initial_board(3), Color.RED,
-                           SearchConfig(iterations=1, simulation_depth=4, minimax_depth=1))
-
-    def explored(self, impl, memo, first, stop):
-        """Searches ``ONE_ROOT`` at explorations ``k / 1024`` for ``k`` in
-        ``range(first, stop)`` through ``memo``."""
-        for k in range(first, stop):
-            impl.search(*self.ONE_ROOT[:9], k / 1024, *self.ONE_ROOT[10:], memo=memo)
-
-    def test_pure_twin_keeps_at_most_memo_max_searches(self, monkeypatch):
-        """Past ``MEMO_MAX`` kept searches a handle keeps no more, and the
-        searches it no longer keeps count what searching counts."""
-        monkeypatch.setattr(_pykernel, "MEMO_MAX", 8)
-        memo = _pykernel.new_memo()
-        self.explored(_pykernel, memo, 0, 12)
-        assert sorted(key[4] for key in memo.searches) == [k / 1024 for k in range(8)]
-        assert memo.counts() == (48, 44, 4, 0)
-
-    def test_compiled_twin_keeps_at_most_memo_max_searches(self):
-        """The compiled twin's kept searches are out of reach of Python, so
-        this reads what they allocate: a thousand new searches just short of
-        ``MEMO_MAX`` kept ones grow the traced memory, and a thousand past
-        it do not."""
-        impl = twin_module("compiled")
-        memo = impl.new_memo()
-        n = _pykernel.MEMO_MAX
-        self.explored(impl, memo, 0, n - 1000)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            self.explored(impl, memo, n - 1000, n)
-            kept = tracemalloc.get_traced_memory()[0]
-            self.explored(impl, memo, n, n + 1000)
-            past = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert kept - start > 100_000 and past - kept < 10_000
-        assert memo.counts() == (4 * (n + 1000), 4 * (n + 1000) - 4, 4, 0)
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_negative_zero_exploration_is_zero(self, twin):
-        """Exploration -0.0 equals 0.0, so a search at one replays the kept
-        search at the other and returns its very result."""
-        impl = twin_module(twin)
-        memo = impl.new_memo()
-        zero = impl.search(*self.ONE_ROOT[:9], 0.0, *self.ONE_ROOT[10:], memo=memo)
-        assert impl.search(*self.ONE_ROOT[:9], -0.0, *self.ONE_ROOT[10:], memo=memo) is zero
-
-
-class TestMemoRefusals:
-    ARGS = search_args(initial_board(3), Color.WHITE,
-                       SearchConfig(iterations=30, simulation_depth=6, minimax_depth=1))
-    # argument positions of forced, capture points, crown points, king
-    # weight and minimax depth, each with another value
-    RULES = {"forced": (5, False), "capture": (6, 8), "crown": (7, 6),
-             "king_weight": (8, 0.25), "depth": (4, 2)}
-    # what a search may change between the searches that share a memo
-    FREE = {"side": (1, 1), "iterations": (2, 40), "sim_depth": (3, 9),
-            "exploration": (9, 1.5), "discount": (10, 0.5), "pruning": (11, True),
-            "seed": (12, 5)}
-
-    @staticmethod
-    def changed(args, at, value):
-        return args[:at] + (value,) + args[at + 1:]
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_other_rules_are_refused_before_any_work(self, twin):
-        """A memo is bound to the rules, points, king weight and depth of
-        its first search; a later search with any other value raises the
-        same ValueError on both twins and leaves the memo as it was."""
-        impl = twin_module(twin)
-        memo = impl.new_memo()
-        impl.search(*self.ARGS, memo=memo)
-        before = memo.counts()
-        for name, (at, value) in self.RULES.items():
-            with pytest.raises(ValueError, match=re.escape(_pykernel.MEMO_RULES_MSG)):
-                impl.search(*self.changed(self.ARGS, at, value), memo=memo)
-            assert memo.counts() == before, name
-        for name, (at, value) in self.FREE.items():
-            impl.search(*self.changed(self.ARGS, at, value), memo=memo)
-        assert memo.counts()[0] > before[0]
-
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_foreign_handle_is_a_type_error(self, twin):
-        impl = twin_module(twin)
-        other = twin_module("compiled" if twin == "python" else "python")
-        for handle in ({}, object(), other.new_memo()):
-            with pytest.raises(TypeError, match=re.escape(
-                    "memo must be None or this kernel's new_memo()")):
-                impl.search(*self.ARGS, memo=handle)
 
 
 class TestPruneByReward:
@@ -1064,6 +1160,37 @@ def search_twin(request, monkeypatch):
     impl = twin_module(request.param)
     monkeypatch.setattr(kernel, "search", impl.search)
     monkeypatch.setattr(kernel, "new_memo", impl.new_memo)
+
+
+@contextmanager
+def turns_and_builds():
+    """Records, while open, each game ``run_episodes`` plays: yields a list
+    that gets, per game, a list of ``(result, builds)`` per search, its
+    ``mcts_search`` result and the moves and boards ``mcts_search`` had
+    built by then."""
+    games, built = [], [0]
+
+    def counted(make):
+        def build(*args):
+            built[0] += 1
+            return make(*args)
+        return build
+
+    def play(*args, **kwargs):
+        games.append([])
+        return play_episode(*args, **kwargs)
+
+    def searched(*args, **kwargs):
+        result = mcts_search(*args, **kwargs)
+        games[-1].append((result, built[0]))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_to_concrete", counted(_to_concrete))
+        patch.setattr(search_module, "GameBoard", counted(GameBoard))
+        patch.setattr(trial, "play_episode", play)
+        patch.setattr(episodes, "mcts_search", searched)
+        yield games
 
 
 class TestGolden:
