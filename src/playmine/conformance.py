@@ -5,35 +5,28 @@ of trace and net: synchronous and silent-model moves cost 0, log-only and
 visible-model-only moves cost 1, so the first goal state popped carries the
 optimal (minimal) cost.
 
-The search never calls the ``Counter`` API of ``PetriNet``.  It runs on a
-marking graph of the net at one token cap: each transition compiled to its
-preset and postset place indices, each distinct marking (a tuple of token
-counts indexed like ``net.places``) stored once and numbered, and each
-marking's successors computed when the search first reaches it.
+The search runs in the kernel twins (``kernel.new_marking_graph`` and
+``kernel.align``; ``_pykernel.align``'s docstring states its order), and
+this module holds none of it.  It runs on a marking graph of the net at one
+token cap: each transition compiled to its preset and postset place
+indices and a label code, each distinct marking stored once and numbered,
+and each marking's successors computed when the search first reaches it.
 ``fitness_metrics`` builds one such graph and shares it across all of its
 alignments, the empty trace's and each variant's, so a successor list is
-computed once per ``fitness_metrics`` call, not once per alignment.  A
-search state is the single int ``marking number * (trace length + 1) +
-trace position``.
+computed once per ``fitness_metrics`` call, not once per alignment.
+``kernel.align`` returns the path as codes, and ``_MarkingGraph.moves``
+turns them into ``AlignmentMove``s, building a transition's moves the first
+time an alignment of the graph holds them.
 
 The order in which states are explored is fixed: ties in cost are broken by
 push order, which is, for each transition in ``net.transitions`` order, the
 synchronous move and then the model (or silent) move, with the log move
-last.  Every move costs 0 or 1, so the search keeps two FIFO lists (Dial,
-"Shortest-path forest with topological ordering", CACM 12(11), 1969) in
-place of a heap keyed ``(cost, push order)``, and pops in that key's order:
-the first list holds the states pushed at the cost being expanded, the
-second those pushed one higher, each in push order.  A state of cost c
-pushes only at c (a 0-cost move, appended to the first list, behind the
-state being read) or at c + 1 (appended to the second).  So when the first
-list is read to its end no state of cost c is left, and the second list
-takes its place.  Marking numbers take no part in the order, so a graph
-grown by earlier alignments leaves each alignment as a fresh graph would.
-Among several optimal alignments, this order picks the one that is
-returned.  It also
-fixes ``states_explored``, which ``global_statistics.csv`` reports as
-``Num. States`` and ``Approx. mem. used``, so a change to the order
-changes trial outputs even when every cost stays the same.
+last, and marking numbers take no part in it.  Among several optimal
+alignments, this order picks the one that is returned.  It also fixes
+``states_explored``, which ``global_statistics.csv`` reports as ``Num.
+States`` and, as an estimate of 200 bytes a state, ``Approx. mem. used``,
+so a change to the order changes trial outputs even when every cost stays
+the same.
 """
 
 from __future__ import annotations
@@ -44,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import kernel
 from .eventlog import EventLog
 from .petri import PetriNet
 
@@ -92,65 +86,42 @@ def _default_token_cap(net: PetriNet, trace_len: int) -> int:
 
 
 class _MarkingGraph:
-    """The markings of one net that respect one token cap, grown on demand.
-
-    Each marking is stored once and numbered in the order it is first met.
-    ``successors[mid]`` is None until ``expand(mid)`` fires every
-    transition of ``net.transitions`` at that marking, in that order.
-    """
+    """A kernel marking graph of ``net`` at one token cap, and the alignment
+    moves of its transitions, each built the first time an alignment
+    returns it."""
 
     def __init__(self, net: PetriNet, cap: int):
         self.cap = cap
+        self.transitions = net.transitions
         index = {p: k for k, p in enumerate(net.places)}
-        # per transition: preset and postset indices (arcs form a set, so no
-        # place repeats), token delta, visible label, synchronous move, model
-        # or silent move and its cost
-        self.steps = []
-        for t in net.transitions:
-            pre = tuple(index[p] for p in net.preset[t.name])
-            post = tuple(index[p] for p in net.postset[t.name])
-            if t.silent:
-                self.steps.append((pre, post, len(post) - len(pre), None, None,
-                                   AlignmentMove(TAU, None, t.name), 0))
-            else:
-                self.steps.append((pre, post, len(post) - len(pre), t.label,
-                                   AlignmentMove(SYNC, t.label, t.name),
-                                   AlignmentMove(MODEL, t.label, t.name), 1))
-        self.markings: list = []
-        self.ids: dict = {}
-        self.successors: list = []
-        self.initial = self.intern(tuple(net.initial_marking[p] for p in net.places))
-        self.final = self.intern(tuple(net.final_marking[p] for p in net.places))
+        steps = tuple((tuple(index[p] for p in net.preset[t.name]),
+                       tuple(index[p] for p in net.postset[t.name]),
+                       None if t.silent else t.label) for t in net.transitions)
+        self.handle = kernel.new_marking_graph(
+            steps, tuple(net.initial_marking[p] for p in net.places),
+            tuple(net.final_marking[p] for p in net.places), cap)
+        self.built = [None] * (2 * len(net.transitions))
 
-    def intern(self, marking: tuple) -> int:
-        mid = self.ids.get(marking)
-        if mid is None:
-            mid = self.ids[marking] = len(self.markings)
-            self.markings.append(marking)
-            self.successors.append(None)
-        return mid
-
-    def expand(self, mid: int) -> list:
-        """``(marking id, label, sync move, model move, model cost)`` of
-        each transition enabled at ``mid`` whose firing keeps the cap."""
-        marking = self.markings[mid]
-        room = self.cap - sum(marking)
+    def moves(self, path: tuple, trace: tuple) -> tuple:
+        """The alignment moves of ``kernel.align``'s path codes."""
+        built = self.built
         out = []
-        for pre, post, delta, label, sync, model, model_cost in self.steps:
-            if delta > room:
+        for code in path:
+            if code < 0:
+                out.append(AlignmentMove(LOG, trace[~code], None))
                 continue
-            for p in pre:
-                if not marking[p]:
-                    break
-            else:
-                nm = list(marking)
-                for p in pre:
-                    nm[p] -= 1
-                for p in post:
-                    nm[p] += 1
-                out.append((self.intern(tuple(nm)), label, sync, model, model_cost))
-        self.successors[mid] = out
-        return out
+            move = built[code]
+            if move is None:
+                t = self.transitions[code >> 1]
+                if not code & 1:
+                    move = AlignmentMove(SYNC, t.label, t.name)
+                elif t.silent:
+                    move = AlignmentMove(TAU, None, t.name)
+                else:
+                    move = AlignmentMove(MODEL, t.label, t.name)
+                built[code] = move
+            out.append(move)
+        return tuple(out)
 
 
 def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
@@ -169,72 +140,21 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
     """
     t0 = time.perf_counter()
     trace = tuple(trace)
-    n = len(trace)
-    graph = _graph or _MarkingGraph(net, _default_token_cap(net, n))
-    successors = graph.successors
-    log_moves = [AlignmentMove(LOG, a, None) for a in trace]
-
-    # a state is ``marking id * width + trace position``
-    width = n + 1
-    goal = graph.final * width + n
-    start = graph.initial * width
-    dist = {start: 0}
-    parent: dict = {start: None}
-    cost = 0
-    level, above = [start], []  # the states pushed at cost and at cost + 1
-    explored = 0
-
-    while level:
-        # the loop also reads what the 0-cost moves below append to level
-        for state in level:
-            if dist[state] < cost:
-                continue  # a cheaper push of this state was expanded already
-            explored += 1
-            if state == goal:
-                moves = []
-                cur = state
-                while parent[cur] is not None:
-                    cur, move = parent[cur]
-                    moves.append(move)
-                moves.reverse()
-                return AlignmentResult(tuple(moves), cost, explored,
-                                       time.perf_counter() - t0)
-            mid, i = divmod(state, width)
-            succ = successors[mid]
-            if succ is None:
-                succ = graph.expand(mid)
-            # push order breaks cost ties: per transition the synchronous
-            # move, then the model or silent move; the log move last
-            event = trace[i] if i < n else None
-            for nid, label, sync, model, model_cost in succ:
-                nstate = nid * width + i
-                if label is not None and label == event:
-                    old = dist.get(nstate + 1)
-                    if old is None or cost < old:
-                        dist[nstate + 1] = cost
-                        parent[nstate + 1] = (state, sync)
-                        level.append(nstate + 1)
-                ncost = cost + model_cost
-                old = dist.get(nstate)
-                if old is None or ncost < old:
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, model)
-                    (above if model_cost else level).append(nstate)
-            if i < n:
-                ncost = cost + 1
-                old = dist.get(state + 1)
-                if old is None or ncost < old:
-                    dist[state + 1] = ncost
-                    parent[state + 1] = (state, log_moves[i])
-                    above.append(state + 1)
-        level, above = above, []
-        cost += 1
-
-    raise ModelUnsoundError("final marking unreachable; cannot align", explored)
+    graph = _graph or _MarkingGraph(net, _default_token_cap(net, len(trace)))
+    cost, explored, path = kernel.align(graph.handle, trace)
+    if path is None:
+        raise ModelUnsoundError("final marking unreachable; cannot align", explored)
+    return AlignmentResult(graph.moves(path, trace), cost, explored,
+                           time.perf_counter() - t0)
 
 
 @dataclass
 class FitnessReport:
+    """The per-trace alignment metrics of ``fitness_metrics``, averaged over
+    the log's cases.  ``approx_memory_kb`` is an estimate, not a
+    measurement: the states explored per case times 200 bytes, in KB
+    (``num_states * 200 / 1024``)."""
+
     trace_fitness: float
     move_model_fitness: float
     move_log_fitness: float
@@ -291,7 +211,8 @@ def fitness_metrics(log: EventLog, net: PetriNet) -> FitnessReport:
         states += res.states_explored
         ms += res.calc_time * 1000.0
         count += 1
-    # rough footprint of the search structures, reported for orientation only
+    # an estimate of the search's footprint, 200 bytes per state explored,
+    # not a measurement
     approx_kb = (states / count) * 200 / 1024.0
     return FitnessReport(
         trace_fitness=tf / count,

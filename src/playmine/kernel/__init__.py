@@ -3,9 +3,12 @@
 ``_ckernel.c`` is a CPython extension with twins of the four ``_pykernel``
 ops the search spends its time in: ``gen_moves``, ``minimax``, ``rollout``
 and ``search``, and of ``new_memo``, which makes the rollout memo handle
-that ``search`` may share across calls.  The other ops (``side_has_moves``, ``piece_counts``,
-``evaluate``, ``winner``) and the constants are ``_pykernel``'s on every
-backend.  On import the extension is loaded from
+that ``search`` may share across calls; and twins of the alignment search
+that ``conformance`` runs: ``new_marking_graph``, which makes a marking
+graph handle, and ``align``, which searches it.  The other ops
+(``side_has_moves``, ``piece_counts``, ``evaluate``, ``winner``) and the
+constants are ``_pykernel``'s on every backend.  This module is the one
+place that picks a twin.  On import the extension is loaded from
 ``__pycache__/_ckernel.<sha256><extension suffix>`` next to this file; the
 hash covers the C source and the compile flags, so an edited source never
 loads a stale binary.  When that file is missing it is compiled once, by the
@@ -119,6 +122,7 @@ ID_MASK = _pykernel.ID_MASK
 MAX_DEPTH = _pykernel.MAX_DEPTH
 MAX_POINTS = _pykernel.MAX_POINTS
 MEMO_MAX = _pykernel.MEMO_MAX
+TOKENS_MAX = _pykernel.TOKENS_MAX
 
 encode_cell = _pykernel.encode_cell
 cell_color = _pykernel.cell_color
@@ -135,10 +139,13 @@ minimax = _impl.minimax
 rollout = _impl.rollout
 search = _impl.search
 new_memo = _impl.new_memo
+new_marking_graph = _impl.new_marking_graph
+align = _impl.align
 
 __all__ = [
     "BACKEND", "WHITE", "RED", "KING_FLAG", "RED_FLAG", "ID_MASK", "MAX_DEPTH",
-    "MAX_POINTS", "MEMO_MAX", "encode_cell", "cell_color", "cell_id", "cell_is_king", "prune_by_reward",
-    "gen_moves", "side_has_moves", "piece_counts", "evaluate",
-    "winner", "minimax", "rollout", "search", "new_memo",
+    "MAX_POINTS", "MEMO_MAX", "TOKENS_MAX", "encode_cell", "cell_color", "cell_id",
+    "cell_is_king", "prune_by_reward", "gen_moves", "side_has_moves", "piece_counts",
+    "evaluate", "winner", "minimax", "rollout", "search", "new_memo",
+    "new_marking_graph", "align",
 ]

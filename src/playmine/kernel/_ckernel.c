@@ -1,6 +1,7 @@
 /* Compiled twin of the four hot _pykernel ops: gen_moves, alpha-beta
- * minimax, rollout and search (the whole MCTS turn), and of new_memo.  The
- * other ops, winner among them, are _pykernel's on every backend.
+ * minimax, rollout and search (the whole MCTS turn), and of new_memo; and
+ * of the alignment search: new_marking_graph and align.  The other ops,
+ * winner among them, are _pykernel's on every backend.
  *
  * _pykernel.py's module docstring states the contract the twins keep: board
  * encoding, move order, the first-in-order tie rule, the float operations
@@ -16,8 +17,8 @@
  * plays by and what its memo is bound to.  search calls no Python code.
  *
  * This is the one list of how the twins differ inside.  Each difference
- * gives the same outputs and pays on a workload: perfbench's search-deep or
- * trial-smoke, or the paper game (README's 3000/30/3 game, seed 1, episode
+ * gives the same outputs and pays on a workload: perfbench's search-deep,
+ * trial-smoke or log-mine-align, or the paper game (README's 3000/30/3 game, seed 1, episode
  * 0).  What turning each off costs is measured in CHANGES.md.
  *
  * 1. Masks.  find_movers finds the pieces that can step, jump or crown from
@@ -54,6 +55,16 @@
  *    Pays on trial-smoke and the paper game, whose rollouts are mostly
  *    memo walks, so the backup is a large share of an iteration; not on
  *    search-deep, whose 2-iteration searches are minimax-bound.
+ * 7. The marking table.  A marking graph keeps each marking as a row of
+ *    16-bit token counts in one block, finds it through an open-addressed
+ *    table of its hash, and keeps every successor list in one array; align
+ *    keeps each reached state's cost, parent and move in one record found
+ *    through a second such table, where _pykernel keeps dicts keyed by
+ *    tuples and ints.  C has no dict, so this is the graph and the search
+ *    themselves, whose behaviour the contract fixes (numbering, expansion
+ *    order, push order, counts).  Pays on log-mine-align and trial-smoke,
+ *    which align: a log-mine-align batch's fitness_metrics took about 16 ms
+ *    on it, against about 67 ms with the pure search.
  *
  * playmine/kernel/__init__.py compiles this file on first import; the
  * kernel needs the GCC/Clang builtins __builtin_ctzll and
@@ -949,6 +960,352 @@ playout(Call *c, const unsigned char *state, long turn, long sim_depth, uint64_t
     return 0;
 }
 
+/* ---- alignment search ---- */
+
+/* _pykernel.TOKENS_MAX says why no token count of a marking graph wraps in
+ * 16 bits; SILENT and UNKNOWN are _pykernel's label codes of a silent
+ * transition and of an event no transition carries. */
+#define TOKENS_MAX 65535
+#define SILENT (-1)
+#define UNKNOWN (-2)
+
+typedef uint16_t Token;
+
+/* Transition k of a marking graph: its preset, the place indices
+ * places[pre .. pre + npre - 1], its postset, likewise from post, its
+ * token delta npost - npre and its label code. */
+typedef struct {
+    Py_ssize_t pre, npre, post, npost, delta;
+    int label;
+} Step;
+
+/* A successor of an expanded marking: firing transition k there leads to
+ * marking mid, and label is k's label code. */
+typedef struct {
+    uint32_t mid;
+    int label;
+    Py_ssize_t k;
+} Succ;
+
+/* A marking's hash, and its successors succ[first .. first + nsucc - 1];
+ * first is -1 until the marking is expanded. */
+typedef struct {
+    uint32_t hash, nsucc;
+    Py_ssize_t first;
+} Mark;
+
+/* The markings of one net that respect one cap, grown on demand, as
+ * _pykernel's MarkingGraph: marking k is the nplaces token counts
+ * tokens[k * nplaces ..], numbered in the order it is first met and found
+ * through an open-addressed table of nslots uint32 slots (0 for empty, k
+ * for marking k - 1), at most half full.  scratch holds two markings. */
+typedef struct {
+    Py_ssize_t nplaces, nsteps, cap;
+    Step *steps;
+    Py_ssize_t *places;
+    Token *tokens, *scratch;
+    Mark *marks;
+    uint32_t *slots;
+    Succ *succ;
+    size_t nmarks, mark_cap, nslots, nsucc, succ_cap;
+    uint32_t initial, final;
+    long long expansions;
+} Graph;
+
+/* Makes room for `need` items of `size` bytes in the block *p of *cap
+ * items, doubling it; 0, or -1 with MemoryError set. */
+static int
+reserve(void **p, size_t *cap, size_t need, size_t size)
+{
+    if (need <= *cap)
+        return 0;
+    size_t n = *cap ? *cap : 64;
+    while (n < need)
+        n *= 2;
+    void *q = n > (size_t)PY_SSIZE_T_MAX / size ? NULL : PyMem_Realloc(*p, n * size);
+    if (q == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *p = q;
+    *cap = n;
+    return 0;
+}
+
+static uint32_t
+marking_hash(const Token *m, Py_ssize_t nplaces)
+{
+    uint64_t h = 0x9E3779B97F4A7C15u;
+    for (Py_ssize_t p = 0; p < nplaces; p++) {
+        h = (h ^ m[p]) * 0xBF58476D1CE4E5B9u;
+        h ^= h >> 31;
+    }
+    return (uint32_t)(h ^ (h >> 32));
+}
+
+/* Doubles the slot table of g (from 256) and re-indexes every marking; 0,
+ * or -1 with MemoryError set. */
+static int
+graph_grow_slots(Graph *g)
+{
+    size_t nslots = g->nslots ? 2 * g->nslots : 256, mask = nslots - 1;
+    uint32_t *slots = PyMem_Calloc(nslots, sizeof(uint32_t));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t k = 0; k < g->nmarks; k++) {
+        size_t i = g->marks[k].hash & mask;
+        while (slots[i] != 0)
+            i = (i + 1) & mask;
+        slots[i] = (uint32_t)(k + 1);
+    }
+    PyMem_Free(g->slots);
+    g->slots = slots;
+    g->nslots = nslots;
+    return 0;
+}
+
+/* The number of marking m, which must not point into g->tokens, interned
+ * when it is new; -1 with MemoryError set. */
+static int64_t
+graph_intern(Graph *g, const Token *m)
+{
+    size_t row = (size_t)g->nplaces * sizeof(Token);
+    uint32_t hash = marking_hash(m, g->nplaces);
+    if (2 * (g->nmarks + 1) > g->nslots && graph_grow_slots(g) < 0)
+        return -1;
+    size_t mask = g->nslots - 1, i = hash & mask;
+    for (uint32_t k; (k = g->slots[i]) != 0; i = (i + 1) & mask)
+        if (g->marks[k - 1].hash == hash && memcmp(g->tokens + (k - 1) * g->nplaces, m, row) == 0)
+            return k - 1;
+    if (g->nmarks == UINT32_MAX - 1) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (g->nmarks == g->mark_cap) {
+        size_t cap = g->mark_cap;
+        if (reserve((void **)&g->marks, &cap, g->nmarks + 1, sizeof(Mark)) < 0)
+            return -1;
+        /* one byte more, so that a net without places allocates too */
+        Token *tokens = cap > ((size_t)PY_SSIZE_T_MAX - 1) / (row + 1)
+                        ? NULL : PyMem_Realloc(g->tokens, cap * row + 1);
+        if (tokens == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        g->tokens = tokens;
+        g->mark_cap = cap;
+    }
+    Mark *mk = &g->marks[g->nmarks];
+    mk->hash = hash;
+    mk->nsucc = 0;
+    mk->first = -1;
+    memcpy(g->tokens + g->nmarks * g->nplaces, m, row);
+    g->slots[i] = (uint32_t)++g->nmarks;
+    return (int64_t)g->nmarks - 1;
+}
+
+/* Fires every transition of g at marking mid, in order, and keeps as its
+ * successors those that leave at most the cap's tokens; 0, or -1 with
+ * MemoryError set, when mid stays unexpanded. */
+static int
+graph_expand(Graph *g, uint32_t mid)
+{
+    Py_ssize_t np = g->nplaces;
+    Token *cur = g->scratch, *next = g->scratch + np;
+    size_t row = (size_t)np * sizeof(Token), first = g->nsucc;
+    memcpy(cur, g->tokens + (size_t)mid * np, row);
+    Py_ssize_t room = g->cap;
+    for (Py_ssize_t p = 0; p < np; p++)
+        room -= cur[p];
+    for (Py_ssize_t k = 0; k < g->nsteps; k++) {
+        const Step *s = &g->steps[k];
+        const Py_ssize_t *pre = g->places + s->pre, *post = g->places + s->post;
+        if (s->delta > room)
+            continue;
+        Py_ssize_t j = 0;
+        while (j < s->npre && cur[pre[j]] != 0)
+            j++;
+        if (j < s->npre)
+            continue;
+        memcpy(next, cur, row);
+        for (j = 0; j < s->npre; j++)
+            next[pre[j]]--;
+        for (j = 0; j < s->npost; j++)
+            next[post[j]]++;
+        int64_t nid = graph_intern(g, next);
+        if (nid < 0 || reserve((void **)&g->succ, &g->succ_cap, g->nsucc + 1, sizeof(Succ)) < 0) {
+            g->nsucc = first;
+            return -1;
+        }
+        g->succ[g->nsucc++] = (Succ){(uint32_t)nid, s->label, k};
+    }
+    g->marks[mid].first = (Py_ssize_t)first;
+    g->marks[mid].nsucc = (uint32_t)(g->nsucc - first);
+    g->expansions++;
+    return 0;
+}
+
+static void
+graph_free(Graph *g)
+{
+    PyMem_Free(g->steps);
+    PyMem_Free(g->places);
+    PyMem_Free(g->tokens);
+    PyMem_Free(g->scratch);
+    PyMem_Free(g->marks);
+    PyMem_Free(g->slots);
+    PyMem_Free(g->succ);
+}
+
+/* A state align has reached: its number, marking id * (n + 1) + trace
+ * position, the cost it was last reached at, and the move (a path code)
+ * and visit it was last reached by; the start's parent is NO_PARENT. */
+typedef struct {
+    uint64_t state, dist;
+    Py_ssize_t move;
+    uint32_t parent;
+} Visit;
+
+#define NO_PARENT UINT32_MAX
+
+/* One align call's states: its visits in the order first reached, found by
+ * number through an open-addressed table of nslots uint32 slots (0 for
+ * empty, k for visits[k - 1]), at most half full, and the two FIFO lists
+ * of visit indices, those reached at the cost being expanded and those at
+ * one more. */
+typedef struct {
+    Visit *visits;
+    uint32_t *slots, *list[2];
+    size_t nvisits, visit_cap, nslots, n[2], list_cap[2];
+} Search;
+
+static size_t
+state_slot(uint64_t state, size_t mask)
+{
+    uint64_t h = state * 0x9E3779B97F4A7C15u;
+    return (size_t)(h ^ (h >> 32)) & mask;
+}
+
+/* Reaches `state` at cost `dist` by path code `move` from visit `from`:
+ * unless it was reached at a cost <= dist before, records that and appends
+ * its visit to list `q`; 0, or -1 with MemoryError set. */
+static int
+reach(Search *s, uint64_t state, uint64_t dist, Py_ssize_t move, uint32_t from, int q)
+{
+    if (2 * (s->nvisits + 1) > s->nslots) {
+        size_t nslots = s->nslots ? 2 * s->nslots : 256;
+        uint32_t *slots = PyMem_Calloc(nslots, sizeof(uint32_t));
+        if (slots == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (size_t k = 0; k < s->nvisits; k++) {
+            size_t i = state_slot(s->visits[k].state, nslots - 1);
+            while (slots[i] != 0)
+                i = (i + 1) & (nslots - 1);
+            slots[i] = (uint32_t)(k + 1);
+        }
+        PyMem_Free(s->slots);
+        s->slots = slots;
+        s->nslots = nslots;
+    }
+    size_t mask = s->nslots - 1, i = state_slot(state, mask);
+    uint32_t k;
+    while ((k = s->slots[i]) != 0 && s->visits[k - 1].state != state)
+        i = (i + 1) & mask;
+    if (k != 0 && s->visits[k - 1].dist <= dist)
+        return 0;
+    if (reserve((void **)&s->list[q], &s->list_cap[q], s->n[q] + 1, sizeof(uint32_t)) < 0)
+        return -1;
+    if (k == 0) {
+        if (s->nvisits == NO_PARENT - 1) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (reserve((void **)&s->visits, &s->visit_cap, s->nvisits + 1, sizeof(Visit)) < 0)
+            return -1;
+        s->visits[s->nvisits].state = state;
+        s->slots[i] = k = (uint32_t)++s->nvisits;
+    }
+    Visit *v = &s->visits[k - 1];
+    v->dist = dist;
+    v->move = move;
+    v->parent = from;
+    s->list[q][s->n[q]++] = k - 1;
+    return 0;
+}
+
+/* align's search (_pykernel.align's docstring states its order) over g for
+ * the label codes trace[0 .. n - 1]: 1 with *goal the goal's visit, 0 when
+ * no goal is reached under the cap, or -1 with an exception set.
+ * *explored counts the states expanded.  A state number fits 64 bits: a
+ * marking id is below 2**32, and so is n, or trace would not fit memory. */
+static int
+align_search(Graph *g, const int *trace, Py_ssize_t n, Search *s, long long *explored,
+             uint32_t *goal)
+{
+    uint64_t width = (uint64_t)n + 1, target = g->final * width + (uint64_t)n;
+    uint64_t cost = 0;
+    *explored = 0;
+    if (reach(s, g->initial * width, 0, 0, NO_PARENT, 0) < 0)
+        return -1;
+    while (s->n[0] > 0) {
+        /* the loop also reads what the 0-cost moves below append to list 0 */
+        for (size_t q = 0; q < s->n[0]; q++) {
+            uint32_t e = s->list[0][q];
+            if (s->visits[e].dist < cost)
+                continue; /* a cheaper push of this state was expanded already */
+            ++*explored;
+            if ((*explored & 0xFFFF) == 0 && PyErr_CheckSignals() < 0)
+                return -1;
+            uint64_t state = s->visits[e].state;
+            if (state == target) {
+                *goal = e;
+                return 1;
+            }
+            uint32_t mid = (uint32_t)(state / width);
+            Py_ssize_t i = (Py_ssize_t)(state % width);
+            if (g->marks[mid].first < 0 && graph_expand(g, mid) < 0)
+                return -1;
+            const Succ *succ = g->succ + g->marks[mid].first;
+            int event = i < n ? trace[i] : UNKNOWN;
+            /* push order breaks cost ties: per transition the synchronous
+             * move, then the model or silent move; the log move last */
+            for (uint32_t j = 0; j < g->marks[mid].nsucc; j++) {
+                uint64_t next = succ[j].mid * width + (uint64_t)i;
+                if (succ[j].label == event && reach(s, next + 1, cost, 2 * succ[j].k, e, 0) < 0)
+                    return -1;
+                int model = succ[j].label != SILENT;
+                if (reach(s, next, cost + model, 2 * succ[j].k + 1, e, model) < 0)
+                    return -1;
+            }
+            if (i < n && reach(s, state + 1, cost + 1, ~i, e, 1) < 0)
+                return -1;
+        }
+        uint32_t *list = s->list[0];
+        size_t list_cap = s->list_cap[0];
+        s->list[0] = s->list[1];
+        s->list_cap[0] = s->list_cap[1];
+        s->n[0] = s->n[1];
+        s->list[1] = list;
+        s->list_cap[1] = list_cap;
+        s->n[1] = 0;
+        cost++;
+    }
+    return 0;
+}
+
+static void
+search_free(Search *s)
+{
+    PyMem_Free(s->visits);
+    PyMem_Free(s->slots);
+    PyMem_Free(s->list[0]);
+    PyMem_Free(s->list[1]);
+}
+
 /* ---- Python boundary ---- */
 
 static PyObject *
@@ -1352,6 +1709,276 @@ done:
     return out;
 }
 
+/* A marking graph handle: the Python object around a Graph, and the dict
+ * that maps each visible label to its code.  Only new_marking_graph makes
+ * one.  The dict holds only str keys and int values, so the handle needs no
+ * GC support. */
+typedef struct {
+    PyObject_HEAD
+    Graph graph;
+    PyObject *codes;
+} GraphObject;
+
+static void
+graph_dealloc(PyObject *self)
+{
+    graph_free(&((GraphObject *)self)->graph);
+    Py_XDECREF(((GraphObject *)self)->codes);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *
+graph_counts(PyObject *self, PyObject *unused)
+{
+    const Graph *g = &((GraphObject *)self)->graph;
+    size_t expanded = 0;
+    for (size_t k = 0; k < g->nmarks; k++)
+        expanded += g->marks[k].first >= 0;
+    return Py_BuildValue("(nnL)", (Py_ssize_t)g->nmarks, (Py_ssize_t)expanded, g->expansions);
+}
+
+static PyMethodDef graph_methods[] = {
+    {"counts", graph_counts, METH_NOARGS,
+     "counts() -> (markings, expanded, expansions): the markings met, those whose "
+     "successors are computed, and the times a marking was expanded"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject GraphType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_ckernel.MarkingGraph",
+    .tp_basicsize = sizeof(GraphObject),
+    .tp_dealloc = graph_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The markings of one net under one token cap; made by new_marking_graph().",
+    .tp_methods = graph_methods,
+};
+
+#define TOKENS_MSG "a marking must hold 0..65535 tokens, none negative"
+#define PLACES_MSG "a preset or postset must hold distinct place indices in 0..places - 1"
+
+/* The token counts of marking o, a tuple, into the new block *out (freed
+ * by the caller) and its length into *n; 0, or -1 with the exception of
+ * _pykernel's checks, in their order, set. */
+static int
+bad_marking(PyObject *o, Token **out, Py_ssize_t *n)
+{
+    if (!PyTuple_Check(o)) {
+        PyErr_SetString(PyExc_TypeError, "a marking must be a tuple");
+        return -1;
+    }
+    *n = PyTuple_GET_SIZE(o);
+    long *counts = PyMem_Malloc((size_t)*n * sizeof(long) + 1);
+    if (counts == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int rc = 0;
+    for (Py_ssize_t p = 0; p < *n && rc == 0; p++)
+        rc = bad_int(PyTuple_GET_ITEM(o, p), LONG_MIN, LONG_MAX, "", &counts[p]);
+    long total = 0;
+    for (Py_ssize_t p = 0; p < *n && rc == 0; p++) {
+        if (counts[p] < 0 || counts[p] > TOKENS_MAX - total) {
+            PyErr_SetString(PyExc_ValueError, TOKENS_MSG);
+            rc = 1;
+        }
+        else
+            total += counts[p];
+    }
+    if (rc == 0 && (*out = PyMem_Malloc((size_t)*n * sizeof(Token) + 1)) == NULL) {
+        PyErr_NoMemory();
+        rc = 1;
+    }
+    for (Py_ssize_t p = 0; p < *n && rc == 0; p++)
+        (*out)[p] = (Token)counts[p];
+    PyMem_Free(counts);
+    return rc ? -1 : 0;
+}
+
+/* The place indices of preset or postset o, a tuple, appended to
+ * g->places from *at on; 0, or -1 with TypeError set, as _pykernel's
+ * _tuple_of_ints. */
+static int
+bad_places(PyObject *o, Graph *g, Py_ssize_t *at)
+{
+    if (!PyTuple_Check(o)) {
+        PyErr_SetString(PyExc_TypeError, "a preset or postset must be a tuple");
+        return -1;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(o);
+    size_t cap = (size_t)*at;
+    if (reserve((void **)&g->places, &cap, (size_t)(*at + n), sizeof(Py_ssize_t)) < 0)
+        return -1;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        long p;
+        if (bad_int(PyTuple_GET_ITEM(o, j), LONG_MIN, LONG_MAX, "", &p))
+            return -1;
+        g->places[*at + j] = p;
+    }
+    *at += n;
+    return 0;
+}
+
+/* Whether the n place indices at `places` are distinct and in 0..nplaces - 1. */
+static int
+good_places(const Py_ssize_t *places, Py_ssize_t n, Py_ssize_t nplaces)
+{
+    for (Py_ssize_t j = 0; j < n; j++) {
+        if (places[j] < 0 || places[j] >= nplaces)
+            return 0;
+        for (Py_ssize_t i = 0; i < j; i++)
+            if (places[i] == places[j])
+                return 0;
+    }
+    return 1;
+}
+
+static PyObject *
+py_new_marking_graph(PyObject *self, PyObject *args)
+{
+    PyObject *steps, *o_initial, *o_final, *o_cap;
+    long cap;
+    Token *initial = NULL, *final = NULL;
+    Py_ssize_t nplaces, nfinal;
+    if (!PyArg_ParseTuple(args, "OOOO:new_marking_graph", &steps, &o_initial, &o_final, &o_cap)
+            || bad_int(o_cap, 0, TOKENS_MAX, "cap must be in 0..65535", &cap))
+        return NULL;
+    GraphObject *go = PyObject_New(GraphObject, &GraphType);
+    if (go == NULL)
+        return NULL;
+    Graph *g = &go->graph;
+    memset(g, 0, sizeof(Graph));
+    g->cap = cap;
+    if ((go->codes = PyDict_New()) == NULL || bad_marking(o_initial, &initial, &nplaces) < 0
+            || bad_marking(o_final, &final, &nfinal) < 0)
+        goto fail;
+    if (nplaces != nfinal) {
+        PyErr_SetString(PyExc_ValueError,
+                        "initial and final markings must have one count per place");
+        goto fail;
+    }
+    if (!PyTuple_Check(steps)) {
+        PyErr_SetString(PyExc_TypeError, "steps must be a tuple");
+        goto fail;
+    }
+    g->nplaces = nplaces;
+    g->nsteps = PyTuple_GET_SIZE(steps);
+    g->steps = PyMem_Malloc((size_t)g->nsteps * sizeof(Step) + 1);
+    g->scratch = PyMem_Malloc(2 * (size_t)nplaces * sizeof(Token) + 1);
+    if (g->steps == NULL || g->scratch == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_ssize_t at = 0;
+    for (Py_ssize_t k = 0; k < g->nsteps; k++) {
+        PyObject *step = PyTuple_GET_ITEM(steps, k), *label;
+        Step *s = &g->steps[k];
+        if (!PyTuple_Check(step) || PyTuple_GET_SIZE(step) != 3) {
+            PyErr_SetString(PyExc_TypeError, "a step must be a tuple (preset, postset, label)");
+            goto fail;
+        }
+        s->pre = at;
+        if (bad_places(PyTuple_GET_ITEM(step, 0), g, &at) < 0)
+            goto fail;
+        s->post = at;
+        if (bad_places(PyTuple_GET_ITEM(step, 1), g, &at) < 0)
+            goto fail;
+        s->npre = s->post - s->pre;
+        s->npost = at - s->post;
+        s->delta = s->npost - s->npre;
+        if (!good_places(g->places + s->pre, s->npre, nplaces)
+                || !good_places(g->places + s->post, s->npost, nplaces)) {
+            PyErr_SetString(PyExc_ValueError, PLACES_MSG);
+            goto fail;
+        }
+        label = PyTuple_GET_ITEM(step, 2);
+        if (label == Py_None)
+            s->label = SILENT;
+        else if (PyUnicode_Check(label)) {
+            PyObject *code = PyDict_GetItemWithError(go->codes, label);
+            if (code == NULL) {
+                if (PyErr_Occurred()
+                        || (code = PyLong_FromSsize_t(PyDict_GET_SIZE(go->codes))) == NULL)
+                    goto fail;
+                int rc = PyDict_SetItem(go->codes, label, code);
+                Py_DECREF(code);
+                if (rc < 0)
+                    goto fail;
+            }
+            s->label = (int)PyLong_AsLong(code);
+        }
+        else {
+            PyErr_SetString(PyExc_TypeError, "a label must be a str or None");
+            goto fail;
+        }
+    }
+    int64_t mid = graph_intern(g, initial);
+    if (mid < 0)
+        goto fail;
+    g->initial = (uint32_t)mid;
+    if ((mid = graph_intern(g, final)) < 0)
+        goto fail;
+    g->final = (uint32_t)mid;
+    PyMem_Free(initial);
+    PyMem_Free(final);
+    return (PyObject *)go;
+fail:
+    PyMem_Free(initial);
+    PyMem_Free(final);
+    Py_DECREF(go);
+    return NULL;
+}
+
+static PyObject *
+py_align(PyObject *self, PyObject *args)
+{
+    PyObject *o_graph, *events, *out = NULL;
+    if (!PyArg_ParseTuple(args, "OO:align", &o_graph, &events))
+        return NULL;
+    if (!Py_IS_TYPE(o_graph, &GraphType))
+        return PyErr_Format(PyExc_TypeError, "graph must be this kernel's new_marking_graph()");
+    if (!PyTuple_Check(events))
+        return PyErr_Format(PyExc_TypeError, "events must be a tuple");
+    GraphObject *go = (GraphObject *)o_graph;
+    Py_ssize_t n = PyTuple_GET_SIZE(events);
+    int *trace = PyMem_Malloc((size_t)n * sizeof(int) + 1);
+    if (trace == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *code = PyDict_GetItemWithError(go->codes, PyTuple_GET_ITEM(events, i));
+        if (code == NULL && PyErr_Occurred()) {
+            PyMem_Free(trace);
+            return NULL;
+        }
+        trace[i] = code == NULL ? UNKNOWN : (int)PyLong_AsLong(code);
+    }
+    Search s = {0};
+    long long explored;
+    uint32_t goal;
+    int rc = align_search(&go->graph, trace, n, &s, &explored, &goal);
+    if (rc == 0)
+        out = Py_BuildValue("(OLO)", Py_None, explored, Py_None);
+    else if (rc > 0) {
+        Py_ssize_t len = 0;
+        for (uint32_t e = goal; s.visits[e].parent != NO_PARENT; e = s.visits[e].parent)
+            len++;
+        PyObject *path = PyTuple_New(len);
+        for (uint32_t e = goal; path != NULL && len > 0; e = s.visits[e].parent) {
+            PyObject *code = PyLong_FromSsize_t(s.visits[e].move);
+            if (code == NULL)
+                Py_CLEAR(path);
+            else
+                PyTuple_SET_ITEM(path, --len, code);
+        }
+        if (path != NULL)
+            out = Py_BuildValue("(KLN)", (unsigned long long)s.visits[goal].dist, explored,
+                                path);
+    }
+    search_free(&s);
+    PyMem_Free(trace);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"gen_moves", py_gen_moves, METH_VARARGS,
      "gen_moves(state, color, forced, capture_points, crown_points) -> list of "
@@ -1371,6 +1998,12 @@ static PyMethodDef methods[] = {
      "searches, across searches"},
     {"new_memo", py_new_memo, METH_NOARGS,
      "new_memo() -> an empty rollout memo for search's memo argument"},
+    {"new_marking_graph", py_new_marking_graph, METH_VARARGS,
+     "new_marking_graph(steps, initial, final, cap) -> an empty marking graph for align: "
+     "steps holds a (preset, postset, label) per transition, label None when silent"},
+    {"align", py_align, METH_VARARGS,
+     "align(graph, events) -> (raw_cost, states_explored, path codes), or (None, "
+     "states_explored, None) when no alignment exists under the graph's cap"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1383,7 +2016,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    if (PyType_Ready(&MemoType) < 0)
+    if (PyType_Ready(&MemoType) < 0 || PyType_Ready(&GraphType) < 0)
         return NULL;
     init_tables();
     return PyModule_Create(&module);

@@ -8,7 +8,8 @@ there; red men advance toward x = 0.  Dark squares have even x + y.
 The compiled backend (``_ckernel.c``, built on first import by
 ``kernel/__init__.py``) has twins of the four ops the search spends its
 time in, ``gen_moves``, ``minimax``, ``rollout`` and ``search``, and of
-``new_memo``, and they must stay behaviourally identical: move enumeration
+``new_memo`` (and of the alignment ops, below), and they must stay
+behaviourally identical: move enumeration
 order, tie-breaking, return types and the ValueErrors for bad arguments are
 part of the contract.  Each of the four checks its arguments on entry, in this order:
 a state of 64 bytes, sides (``color``, ``to_move``, ``agent``, ``side``) in
@@ -100,6 +101,18 @@ empties in the same clear as its kept searches: ``search.py``'s
 each move a search through the handle returned at minimax depth >= 1, at
 most ``MEMO_MAX`` of them, so a replayed turn builds nothing.  A search
 after the clear returns a new tuple, whose move is converted anew.
+
+The alignment search of ``conformance`` has twins too: ``new_marking_graph``
+makes a handle on one net's markings at one token cap, grown as searches
+reach them, and ``align`` runs one trace's uniform-cost search on it and
+returns the cost, the states explored and the path as codes.  The twins
+share the graph's contract (markings numbered in the order first met, each
+expanded once, firing ``steps`` in order; ``counts()`` reports the markings,
+the expanded ones and the expansions), the label codes (``SILENT`` and
+``UNKNOWN`` never match), the push order that breaks cost ties, stated in
+``align``'s docstring, and the argument checks, in one order.  A cap or a
+marking above ``TOKENS_MAX`` tokens is a ValueError on both, so no token
+count wraps in the compiled twin's 16 bits.
 """
 
 from __future__ import annotations
@@ -649,3 +662,246 @@ def search(state, side, iterations, sim_depth, mm_depth, forced, capture_points,
     if key is not None and len(memo.searches) < MEMO_MAX:
         memo.searches[key] = (found, memo.steps - lookups)
     return found
+
+
+# The most tokens a marking graph's cap, and its initial and final markings,
+# may hold: the compiled twin keeps each token count in 16 bits, and no
+# marking an alignment reaches holds more than the cap or the initial
+# tokens, whichever is more, so no count wraps.
+TOKENS_MAX = 65535
+
+# Label codes: a visible label's is its index among the graph's labels, in
+# the order its transitions first carry them; a silent transition's is
+# SILENT, and an event that no transition carries is UNKNOWN, so neither can
+# ever match the other or a visible label.
+SILENT = -1
+UNKNOWN = -2
+
+GRAPH_TYPE_MSG = "graph must be this kernel's new_marking_graph()"
+
+
+def _tuple_of_ints(value, what):
+    """``value``, a tuple, as a tuple of ints; TypeError for any other
+    type, and operator.index's TypeError for an item that is no int."""
+    if not isinstance(value, tuple):
+        raise TypeError(f"{what} must be a tuple")
+    for v in value:
+        if type(v) is not int:
+            return tuple(map(index, value))
+    return value
+
+
+def _marking(value):
+    """The token counts of ``value``, a tuple of ints that sum to at most
+    ``TOKENS_MAX``, none negative."""
+    marking = _tuple_of_ints(value, "a marking")
+    total = 0
+    for tokens in marking:
+        if tokens < 0 or tokens > TOKENS_MAX - total:
+            raise ValueError(f"a marking must hold 0..{TOKENS_MAX} tokens, none negative")
+        total += tokens
+    return marking
+
+
+class MarkingGraph:
+    """The markings of one net that respect one token cap, grown on demand:
+    the handle that ``new_marking_graph`` makes and ``align`` searches.
+
+    ``steps[k]`` is transition k's preset and postset place indices, its
+    token delta, its label code, the path codes of its synchronous and its
+    model (or silent) move and the model move's cost; ``codes`` maps each visible label to its
+    code.  Each marking, a tuple of token counts, is stored once and
+    numbered in the order it is first met.  ``successors[mid]`` is None
+    until ``expand(mid)`` fires every transition at that marking, in order.
+    ``expansions`` counts the calls of ``expand``.
+    """
+
+    __slots__ = ("cap", "steps", "codes", "markings", "ids", "successors", "initial", "final",
+                 "expansions")
+
+    def __init__(self, steps, codes, initial, final, cap):
+        self.cap = cap
+        self.steps = steps
+        self.codes = codes
+        self.markings: list = []
+        self.ids: dict = {}
+        self.successors: list = []
+        self.expansions = 0
+        self.initial = self.intern(initial)
+        self.final = self.intern(final)
+
+    def intern(self, marking: tuple) -> int:
+        mid = self.ids.get(marking)
+        if mid is None:
+            mid = self.ids[marking] = len(self.markings)
+            self.markings.append(marking)
+            self.successors.append(None)
+        return mid
+
+    def expand(self, mid: int) -> list:
+        """``(marking id, label code, path code of the synchronous move, of
+        the model move, cost of the model move)`` of each transition enabled
+        at ``mid`` whose firing keeps the cap."""
+        marking = self.markings[mid]
+        room = self.cap - sum(marking)
+        out = []
+        for pre, post, delta, label, sync, model, model_cost in self.steps:
+            if delta > room:
+                continue
+            for p in pre:
+                if not marking[p]:
+                    break
+            else:
+                nm = list(marking)
+                for p in pre:
+                    nm[p] -= 1
+                for p in post:
+                    nm[p] += 1
+                out.append((self.intern(tuple(nm)), label, sync, model, model_cost))
+        self.successors[mid] = out
+        self.expansions += 1
+        return out
+
+    def counts(self):
+        """``(markings, expanded, expansions)``: the markings met, those
+        whose successors are computed, and the calls of ``expand``."""
+        return (len(self.markings), sum(s is not None for s in self.successors),
+                self.expansions)
+
+
+def new_marking_graph(steps, initial, final, cap):
+    """An empty marking graph for ``align``: one net at one token cap.
+
+    ``steps`` holds, per transition in order, a tuple ``(preset, postset,
+    label)``: tuples of distinct place indices, and a str label, or None for
+    a silent transition.  ``initial`` and ``final`` are tuples of token
+    counts, one per place.  A firing that would leave a marking with more
+    than ``cap`` tokens is never made.  The cap and each marking's tokens
+    must be in ``0..TOKENS_MAX``.
+    """
+    if not 0 <= index(cap) <= TOKENS_MAX:
+        raise ValueError(f"cap must be in 0..{TOKENS_MAX}")
+    initial, final = _marking(initial), _marking(final)
+    if len(initial) != len(final):
+        raise ValueError("initial and final markings must have one count per place")
+    if not isinstance(steps, tuple):
+        raise TypeError("steps must be a tuple")
+    nplaces = len(initial)
+    codes: dict = {}
+    compiled = []
+    for k, step in enumerate(steps):
+        if not isinstance(step, tuple) or len(step) != 3:
+            raise TypeError("a step must be a tuple (preset, postset, label)")
+        pre = _tuple_of_ints(step[0], "a preset or postset")
+        post = _tuple_of_ints(step[1], "a preset or postset")
+        for places in (pre, post):
+            for p in places:
+                if not 0 <= p < nplaces:
+                    break
+            else:
+                if len(places) < 2 or len(set(places)) == len(places):
+                    continue
+            raise ValueError("a preset or postset must hold distinct place indices "
+                             "in 0..places - 1")
+        label = step[2]
+        if label is None:
+            code = SILENT
+        elif isinstance(label, str):
+            code = codes.setdefault(label, len(codes))
+        else:
+            raise TypeError("a label must be a str or None")
+        compiled.append((pre, post, len(post) - len(pre), code, 2 * k, 2 * k + 1,
+                         int(code != SILENT)))
+    return MarkingGraph(tuple(compiled), codes, initial, final, index(cap))
+
+
+def align(graph, events):
+    """An optimal alignment of the tuple ``events`` against ``graph``'s net:
+    ``(raw_cost, states_explored, path)``, or ``(None, states_explored,
+    None)`` when no alignment exists under the cap (the net is unsound).
+
+    ``path`` holds a code per move: ``2 * k`` for the synchronous move of
+    transition k, ``2 * k + 1`` for its model move (or silent move, if k is
+    silent) and ``~i`` for the log move of event ``i``.  Synchronous and
+    silent moves cost 0, log and visible model moves 1.
+
+    The search is uniform-cost over the states ``marking id * (len(events) +
+    1) + position``, in a fixed order: ties in cost break by push order,
+    which is, for each transition in order, the synchronous move and then
+    the model (or silent) move, with the log move last.  Every move costs 0
+    or 1, so two FIFO lists (Dial, "Shortest-path forest with topological
+    ordering", CACM 12(11), 1969) stand for a heap keyed ``(cost, push
+    order)`` and pop in that key's order: the first holds the states pushed
+    at the cost being expanded, the second those pushed one higher, each in
+    push order.  A state of cost c pushes only at c (a 0-cost move, appended
+    to the first list, behind the state being read) or at c + 1 (appended to
+    the second), so when the first list is read to its end no state of cost
+    c is left, and the second list takes its place.  Marking numbers take no
+    part in the order, so a graph grown by earlier alignments leaves each
+    alignment as a fresh graph would.  The order picks the alignment
+    returned among optimal ones, and fixes ``states_explored``, the states
+    popped and expanded (the goal included).
+    """
+    if type(graph) is not MarkingGraph:
+        raise TypeError(GRAPH_TYPE_MSG)
+    if not isinstance(events, tuple):
+        raise TypeError("events must be a tuple")
+    codes = graph.codes
+    trace = [codes.get(e, UNKNOWN) for e in events]
+    n = len(trace)
+    successors = graph.successors
+
+    # a state is ``marking id * width + trace position``
+    width = n + 1
+    goal = graph.final * width + n
+    start = graph.initial * width
+    dist = {start: 0}
+    parent: dict = {start: None}
+    cost = 0
+    level, above = [start], []  # the states pushed at cost and at cost + 1
+    explored = 0
+
+    while level:
+        # the loop also reads what the 0-cost moves below append to level
+        for state in level:
+            if dist[state] < cost:
+                continue  # a cheaper push of this state was expanded already
+            explored += 1
+            if state == goal:
+                path = []
+                cur = state
+                while parent[cur] is not None:
+                    cur, move = parent[cur]
+                    path.append(move)
+                path.reverse()
+                return cost, explored, tuple(path)
+            mid, i = divmod(state, width)
+            succ = successors[mid]
+            if succ is None:
+                succ = graph.expand(mid)
+            event = trace[i] if i < n else UNKNOWN
+            for nid, label, sync, model, model_cost in succ:
+                nstate = nid * width + i
+                if label == event:
+                    old = dist.get(nstate + 1)
+                    if old is None or cost < old:
+                        dist[nstate + 1] = cost
+                        parent[nstate + 1] = (state, sync)
+                        level.append(nstate + 1)
+                ncost = cost + model_cost
+                old = dist.get(nstate)
+                if old is None or ncost < old:
+                    dist[nstate] = ncost
+                    parent[nstate] = (state, model)
+                    (above if model_cost else level).append(nstate)
+            if i < n:
+                ncost = cost + 1
+                old = dist.get(state + 1)
+                if old is None or ncost < old:
+                    dist[state + 1] = ncost
+                    parent[state + 1] = (state, ~i)
+                    above.append(state + 1)
+        level, above = above, []
+        cost += 1
+
+    return None, explored, None

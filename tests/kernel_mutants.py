@@ -7,14 +7,15 @@ that, so an edit to the kernel has to update its mutants, not lose them).
 For each mutant the script copies ``src/playmine`` to a temporary
 directory, applies the pair, and checks in a child process that the copy
 imports with the compiled backend: a mutant that does not build is an
-error, not a kill.  Then it runs ``pytest -x`` on the parity, golden and
-search test files against the copy in a child process, without the cases
-parametrized for the pure twin (``-k "not python"``): a mutant of the C
-source cannot change what those compute.  A failing test, a crash or the
+error, not a kill.  Then it runs ``pytest -x`` on the conformance, parity,
+golden and search test files against the copy in a child process, without
+the cases that run the pure twin (``-k "not python"``, which also matches
+``...PythonTwin`` classes): a mutant of the C source cannot change what
+those compute.  A failing test, a crash or the
 per-mutant timeout kills the mutant, and the script prints the test that
 killed it; a mutant that passes every test survives, and any survivor or
 error makes the script exit non-zero.  The unmutated source goes first,
-through every case of the three files, and must pass, or a broken harness
+through every case of the four files, and must pass, or a broken harness
 would read as every mutant killed.  Then the mutants run ``WORKERS`` at a
 time, each in its own copy, and are reported in their order here.  pytest
 does not collect this file.  Run it from anywhere::
@@ -37,7 +38,10 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "playmine"
 SOURCE = PACKAGE / "kernel" / "_ckernel.c"
-TEST_FILES = ("test_kernel_parity.py", "test_kernel_golden.py", "test_search.py")
+# test_conformance.py first: it is the one file that aligns, and its
+# compiled cases take seconds, so the alignment mutants die early
+TEST_FILES = ("test_conformance.py", "test_kernel_parity.py", "test_kernel_golden.py",
+              "test_search.py")
 TIMEOUT_S = 900
 # deselects the cases whose id names the pure twin, [python] or [...-python]
 COMPILED_CASES = ("-k", "not python")
@@ -234,6 +238,53 @@ MUTANTS = {
     "memo_ignores_minimax_depth": (
         "\n             || m->rules.mm_depth != r->mm_depth) {",
         ") {"),
+    # the alignment search: its push order, the cap, the distance test, the
+    # unsound count, the label codes, the token width and the one expansion
+    # of each marking
+    # (a model move pushed before its own transition's sync move is no
+    # mutant: a visible transition's sync move goes to the list of the cost
+    # being expanded and its model move to the next one, and a silent
+    # transition has no sync move, so no list's order changes; pushing
+    # every model move before every sync move does change it)
+    "align_models_before_syncs": (
+        "                if (succ[j].label == event && reach(s, next + 1, cost, 2 * succ[j].k, e, 0) < 0)\n"
+        "                    return -1;\n"
+        "                int model = succ[j].label != SILENT;\n"
+        "                if (reach(s, next, cost + model, 2 * succ[j].k + 1, e, model) < 0)\n"
+        "                    return -1;\n"
+        "            }\n",
+        "                int model = succ[j].label != SILENT;\n"
+        "                if (reach(s, next, cost + model, 2 * succ[j].k + 1, e, model) < 0)\n"
+        "                    return -1;\n"
+        "            }\n"
+        "            for (uint32_t j = 0; j < g->marks[mid].nsucc; j++) {\n"
+        "                uint64_t next = succ[j].mid * width + (uint64_t)i;\n"
+        "                if (succ[j].label == event && reach(s, next + 1, cost, 2 * succ[j].k, e, 0) < 0)\n"
+        "                    return -1;\n"
+        "            }\n"),
+    "align_log_move_first": (
+        "            for (uint32_t j = 0; j < g->marks[mid].nsucc; j++) {\n",
+        "            if (i < n && reach(s, state + 1, cost + 1, ~i, e, 1) < 0)\n"
+        "                return -1;\n"
+        "            for (uint32_t j = 0; j < g->marks[mid].nsucc; j++) {\n"),
+    "align_cap_test_at_least": (
+        "if (s->delta > room)",
+        "if (s->delta >= room)"),
+    "align_dist_test_at_most": (
+        "if (k != 0 && s->visits[k - 1].dist <= dist)",
+        "if (k != 0 && s->visits[k - 1].dist < dist)"),
+    "align_unsound_count_off_by_one": (
+        'out = Py_BuildValue("(OLO)", Py_None, explored, Py_None);',
+        'out = Py_BuildValue("(OLO)", Py_None, explored + 1, Py_None);'),
+    "align_silent_matches_unknown": (
+        "#define UNKNOWN (-2)",
+        "#define UNKNOWN (-1)"),
+    "align_tokens_in_a_byte": (
+        "typedef uint16_t Token;",
+        "typedef uint8_t Token;"),
+    "align_expands_every_visit": (
+        "if (g->marks[mid].first < 0 && graph_expand(g, mid) < 0)",
+        "if (graph_expand(g, mid) < 0)"),
 }
 
 

@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from playmine import conformance
+from playmine import conformance, kernel
 from playmine.board import Color, apply_move, initial_board, legal_moves, winner
 from playmine.conformance import (
     FITTING,
@@ -32,6 +37,7 @@ from playmine.discovery import (
 )
 from playmine.episodes import StepRecord, abstract_move
 from playmine.eventlog import build_event_log
+from playmine.kernel import _pykernel
 from playmine.petri import PetriNet, Transition
 from helpers import mklog
 from oracles import (
@@ -44,6 +50,31 @@ from oracles import (
 
 def chain_net(labels):
     return tree_to_net(seq(*(act(a) for a in labels)))
+
+
+@pytest.fixture(params=["python", "compiled"])
+def align_twin(request, monkeypatch):
+    """Routes ``kernel.new_marking_graph`` and ``kernel.align``, and so every
+    alignment that ``conformance`` runs, to one kernel twin, which it
+    returns."""
+    if request.param == "python":
+        impl = _pykernel
+    else:
+        impl = pytest.importorskip("playmine.kernel._ckernel",
+                                   reason="compiled kernel not built")
+    monkeypatch.setattr(kernel, "new_marking_graph", impl.new_marking_graph)
+    monkeypatch.setattr(kernel, "align", impl.align)
+    return impl
+
+
+@pytest.fixture
+def python_twin(monkeypatch):
+    """Routes every alignment that ``conformance`` runs to the pure twin,
+    whatever backend ``kernel`` loaded.  A ``...PythonTwin`` class runs the
+    tests of its base class so; the base class runs the loaded backend, the
+    compiled twin unless it is unavailable."""
+    monkeypatch.setattr(kernel, "new_marking_graph", _pykernel.new_marking_graph)
+    monkeypatch.setattr(kernel, "align", _pykernel.align)
 
 
 def make_report(tf=1.0, mm=1.0, ml=1.0):
@@ -397,11 +428,11 @@ class TestSharedMarkingGraph:
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     def test_each_variant_matches_a_fresh_alignment(self, order, monkeypatch):
         align = conformance.optimal_alignment
-        expand = conformance._MarkingGraph.expand
+        make = kernel.new_marking_graph
         for net, variants, cap in golden_logs():
             if order == "reversed":
                 variants = variants[::-1]
-            calls, expanded = [], []
+            calls, handles = [], []
 
             def recording(trace, net, **kwargs):
                 res = align(trace, net, **kwargs)
@@ -409,13 +440,13 @@ class TestSharedMarkingGraph:
                 calls.append((tuple(trace), graph.cap, graph, res))
                 return res
 
-            def counting(graph, mid):
-                expanded.append((graph, mid))
-                return expand(graph, mid)
+            def making(*args):
+                handles.append(make(*args))
+                return handles[-1]
 
             with monkeypatch.context() as m:
                 m.setattr(conformance, "optimal_alignment", recording)
-                m.setattr(conformance._MarkingGraph, "expand", counting)
+                m.setattr(kernel, "new_marking_graph", making)
                 if cap is not None:
                     m.setattr(conformance, "_default_token_cap", lambda net, n: cap)
                 fitness_metrics(mklog(variants), net)
@@ -423,16 +454,21 @@ class TestSharedMarkingGraph:
             graph = calls[0][2]
             assert [c[0] for c in calls] == [()] + [tuple(v) for v in variants]
             assert all(c[2] is graph for c in calls)
-            # every marking is expanded at most once per call
-            assert len(set(expanded)) == len(expanded)
-            assert {g for g, _ in expanded} == {graph}
-            assert len(expanded) == sum(s is not None for s in graph.successors)
+            # one handle per call, and every marking is expanded at most once
+            assert handles == [graph.handle]
+            markings, expanded, expansions = graph.handle.counts()
+            assert 0 < expanded == expansions <= markings
             if cap is not None:
                 assert graph.cap == cap
             for trace, used_cap, _, res in calls:
                 fresh = align_at_cap(trace, net, used_cap)
                 assert (res.moves, res.raw_cost, res.states_explored) == (
                     fresh.moves, fresh.raw_cost, fresh.states_explored), (trace, net)
+
+
+@pytest.mark.usefixtures("python_twin")
+class TestSharedMarkingGraphPythonTwin(TestSharedMarkingGraph):
+    """``TestSharedMarkingGraph`` on the pure twin."""
 
 
 class TestExplorationOrder:
@@ -461,6 +497,11 @@ class TestExplorationOrder:
             optimal_alignment(trace, net)
         # p + k*q for every k with 1 + k <= cap, at every trace position
         assert info.value.states_explored == (len(trace) + 1) * cap
+
+
+@pytest.mark.usefixtures("python_twin")
+class TestExplorationOrderPythonTwin(TestExplorationOrder):
+    """``TestExplorationOrder`` on the pure twin."""
 
 
 # silent transitions everywhere: skips, silent loop bodies and silent
@@ -518,6 +559,190 @@ class TestHeapOracle:
                             moves, cost, explored), (kind, trace)
                         kinds.add(kind)
         assert kinds >= {"alpha", "inductive", "tau", "unsound unsound"}, kinds
+
+
+@pytest.mark.usefixtures("python_twin")
+class TestHeapOraclePythonTwin(TestHeapOracle):
+    """``TestHeapOracle`` on the pure twin."""
+
+
+def edge_net(places, transitions, arcs, initial, final):
+    return PetriNet(places=places, transitions=transitions, arcs=arcs,
+                    initial_marking=Counter(initial), final_marking=Counter(final))
+
+
+def edge_nets():
+    """``(name, net, traces)``: hand-built nets at the edges of the marking
+    graph, each with a trace holding an event that no transition carries."""
+    # g has an empty preset, so it is always enabled and only the cap bounds it
+    yield "empty-preset", edge_net(
+        ["p", "q"], [Transition("g", "G")], [("g", "q")], {"p": 1}, {"p": 1, "q": 2}), [
+        (), ("G",), ("G", "G", "G"), ("X", "G")]
+    # nothing fills r, so the search ends only when the cap is exhausted
+    yield "empty-preset-unsound", edge_net(
+        ["p", "q", "r"], [Transition("g", "G")], [("g", "q")], {"p": 1}, {"r": 1}), [
+        (), ("G", "X")]
+    # e has an empty postset: each firing takes a token for good
+    yield "empty-postset", edge_net(
+        ["d", "p"], [Transition("e", "E")], [("p", "e")], {"d": 1, "p": 2}, {"d": 1}), [
+        (), ("E",), ("E", "E"), ("E", "X", "E", "E")]
+    # two transitions carry A, and only the second leads on to C
+    yield "duplicate-labels", edge_net(
+        ["p", "q", "r", "s"],
+        [Transition("a1", "A"), Transition("a2", "A"), Transition("b", "B"),
+         Transition("c", "C")],
+        [("p", "a1"), ("a1", "q"), ("p", "a2"), ("a2", "r"), ("q", "b"), ("b", "s"),
+         ("r", "c"), ("c", "s")], {"p": 1}, {"s": 1}), [
+        ("A", "C"), ("A", "B"), ("C",), ("A", "X", "C")]
+    # silent transitions only: no event is carried, and none may sync
+    yield "silent-only", edge_net(
+        ["p", "q", "r"], [Transition("t1"), Transition("t2"), Transition("t3")],
+        [("p", "t1"), ("t1", "q"), ("q", "t2"), ("t2", "r"), ("q", "t3"), ("t3", "p")],
+        {"p": 1}, {"r": 1}), [
+        (), ("X",), ("X", "Y", "X")]
+
+
+def wide_net(others=52, tokens=260):
+    """``g`` (G, empty preset) puts a token on q, and ``a`` (A) takes one
+    token from each of ``others`` more places and gives it back; the final
+    marking holds ``tokens`` on q, more than 8 bits count."""
+    names = [f"s{k:02d}" for k in range(others)]
+    return edge_net(["q"] + names, [Transition("a", "A"), Transition("g", "G")],
+                    [("g", "q")] + [(s, "a") for s in names] + [("a", s) for s in names],
+                    {s: 1 for s in names}, {"q": tokens, **{s: 1 for s in names}})
+
+
+def aligned_by(impl, trace, net):
+    """``(moves, raw_cost, states_explored)`` of kernel twin ``impl``, with
+    moves None when the net is unsound."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "new_marking_graph", impl.new_marking_graph)
+        m.setattr(kernel, "align", impl.align)
+        try:
+            res = optimal_alignment(trace, net)
+        except ModelUnsoundError as exc:
+            return None, None, exc.states_explored
+    return res.moves, res.raw_cost, res.states_explored
+
+
+class TestEdgeNets:
+    """Both twins on nets that the miners do not make: empty presets and
+    postsets, duplicate labels, no visible transition, events that no
+    transition carries, and token counts past 8 bits."""
+
+    def test_match_heap_order(self, align_twin):
+        kinds = set()
+        for name, net, traces in edge_nets():
+            for trace in traces:
+                moves, cost, explored = oracle_alignment(trace, net)
+                got = aligned_by(align_twin, trace, net)
+                assert got == (moves, None if moves is None else cost, explored), (name, trace)
+                kinds.add(name if moves is not None else name + " unsound")
+        assert kinds == {"empty-preset", "empty-preset-unsound unsound", "empty-postset",
+                         "duplicate-labels", "silent-only"}, kinds
+
+    def test_unsound_search_spans_the_cap(self, align_twin):
+        # p stays marked and g adds tokens to q up to the cap, at every position
+        name, net, traces = list(edge_nets())[1]
+        trace = ("G", "X")
+        cap = oracle_token_cap(net, len(trace))
+        assert aligned_by(align_twin, trace, net) == (None, None, (len(trace) + 1) * cap)
+
+    def test_token_counts_past_a_byte(self, align_twin):
+        net = wide_net()
+        trace = ("G", "A") * 50
+        assert len(net.places) > 50
+        assert conformance._default_token_cap(net, len(trace)) > 255
+        moves, cost, explored = aligned_by(align_twin, trace, net)
+        assert cost == 260 - 50
+        marking = Counter(net.initial_marking)
+        for move in moves:
+            if move.kind != "log":
+                marking = net.fire(marking, move.transition)
+        assert marking == net.final_marking
+        assert (moves, cost, explored) == aligned_by(_pykernel, trace, net)
+
+    def test_cap_past_sixteen_bits_is_refused(self, align_twin):
+        net = chain_net("A")
+        assert align_at_cap(("A",), net, kernel.TOKENS_MAX).raw_cost == 0
+        for cap in (kernel.TOKENS_MAX + 1, -1, 2**64):
+            with pytest.raises(ValueError, match=r"^cap must be in 0\.\.65535$"):
+                align_at_cap(("A",), net, cap)
+        # the cap derived for a trace this long is past it too
+        with pytest.raises(ValueError, match=r"^cap must be in 0\.\.65535$"):
+            optimal_alignment(("A",) * kernel.TOKENS_MAX, net)
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", type(fn(*args)).__name__
+    except Exception as exc:  # the twins must raise alike
+        return type(exc).__name__, str(exc)
+
+
+def test_twins_refuse_bad_arguments_alike():
+    """``new_marking_graph`` and ``align`` check their arguments in one
+    order and raise the same exceptions on both twins."""
+    compiled = pytest.importorskip("playmine.kernel._ckernel", reason="compiled kernel not built")
+    step = ((0,), (1,), "A")
+    good = ((step,), (1, 0), (0, 1), 5)
+    bad = [
+        ((step,), (1, 0), (0, 1), 65536), ((step,), (1, 0), (0, 1), -1),
+        ((step,), (1, 0), (0, 1), 2.0), ((step,), [1, 0], (0, 1), 5),
+        ((step,), (1, -1), (0, 1), 5), ((step,), (65535, 1), (0, 1), 5),
+        ((step,), (1, 0.0), (-1, 1), 5), ((step,), (1, 0), (0, 1, 0), 5),
+        ([step], (1, 0), (0, 1), 5), ((((0,), (1,)),), (1, 0), (0, 1), 5),
+        ((([0], (1,), "A"),), (1, 0), (0, 1), 5), ((((0,), (2,), "A"),), (1, 0), (0, 1), 5),
+        ((((0, 0), (1,), "A"),), (1, 0), (0, 1), 5), ((((-1,), (1,), "A"),), (1, 0), (0, 1), 5),
+        ((((0,), (1.0,), "A"),), (1, 0), (0, 1), 5), ((((0,), (1,), 5),), (1, 0), (0, 1), 5),
+        ((step, ((0,), (5,), None)), (1, 0), (0, 1), 5),
+    ]
+    for args in [good] + bad:
+        want = _outcome(_pykernel.new_marking_graph, *args)
+        assert _outcome(compiled.new_marking_graph, *args) == want, args
+        assert (want[0] == "returned") == (args is good), (args, want)
+    for impl, other in ((_pykernel, compiled), (compiled, _pykernel)):
+        graph = impl.new_marking_graph(*good)
+        for call in (lambda: other.align(graph, ()), lambda: impl.align(graph, ["A"]),
+                     lambda: impl.align(graph, (["A"],)), lambda: impl.align(good, ())):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) in ("graph must be this kernel's new_marking_graph()",
+                                       "events must be a tuple", "unhashable type: 'list'")
+
+
+def test_allocation_failure_is_a_memory_error():
+    """The compiled search's allocations are checked: aligning a net whose
+    capped marking space has no end, under a low address-space limit set in
+    a child process, ends in MemoryError, not in a signal."""
+    pytest.importorskip("playmine.kernel._ckernel", reason="compiled kernel not built")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status to size the limit")
+    child = textwrap.dedent("""
+        import resource
+        import playmine.kernel as k
+        assert k.BACKEND == "compiled", k.BACKEND
+        with open("/proc/self/status") as f:
+            size = next(int(line.split()[1]) for line in f if line.startswith("VmSize:"))
+        limit = size * 1024 + (256 << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        # ten places, each filled by a transition with an empty preset; the
+        # eleventh, which the final marking holds, by none
+        steps = tuple(((), (p,), f"t{p}") for p in range(10))
+        graph = k.new_marking_graph(steps, (0,) * 11, (0,) * 10 + (1,), k.TOKENS_MAX)
+        k.align(graph, ())
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "PLAYMINE_PURE"}
+    # the source tree this test imported, ahead of the parent's entries
+    src = str(Path(conformance.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stderr.strip().splitlines()[-1] == "MemoryError", proc.stderr[-2000:]
+    assert seconds < 60, seconds
 
 
 if __name__ == "__main__":

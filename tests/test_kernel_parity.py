@@ -395,7 +395,8 @@ def _public(module):
 def test_state_of_wrong_length_is_rejected(backend, length):
     """Every op that takes a state, on each backend that has it, search
     also with a memo handle; the compiled module exports no op that this
-    leaves out but ``new_memo``, which takes no state."""
+    leaves out but ``new_memo`` and the alignment ops ``new_marking_graph``
+    and ``align``, which take no state."""
     state = bytes(length)
     calls = {
         "gen_moves": [lambda: backend.gen_moves(state, 0, True, 7, 7)],
@@ -411,7 +412,8 @@ def test_state_of_wrong_length_is_rejected(backend, length):
                    lambda: backend.search(state, 0, 1, 0, 1, True, 7, 7, 0.5, 0.5, 0.8,
                                           False, 0, backend.new_memo())],
     }
-    state_ops = [op for op in _public(compiled) if op != "new_memo"]
+    state_ops = [op for op in _public(compiled)
+                 if op not in ("new_memo", "new_marking_graph", "align")]
     assert set(state_ops) <= set(calls)
     for op in calls if backend is pk else state_ops:
         for call in calls[op]:
@@ -420,10 +422,11 @@ def test_state_of_wrong_length_is_rejected(backend, length):
 
 
 def test_compiled_module_has_only_the_hot_ops():
-    """The compiled twin exports gen_moves, minimax, rollout, search and
-    new_memo; the other ops and the constants are _pykernel's on every
-    backend."""
-    assert _public(compiled) == ["gen_moves", "minimax", "new_memo", "rollout", "search"]
+    """The compiled twin exports gen_moves, minimax, rollout, search,
+    new_memo, new_marking_graph and align; the other ops and the constants
+    are _pykernel's on every backend."""
+    assert _public(compiled) == ["align", "gen_moves", "minimax", "new_marking_graph",
+                                 "new_memo", "rollout", "search"]
     for op in ("side_has_moves", "piece_counts", "evaluate", "winner"):
         assert getattr(kernel, op) is getattr(pk, op)
     for op in _public(compiled):

@@ -25,7 +25,12 @@ table six times, to fill it to the memo's ``MEMO_MAX`` bound and to have
 the next search empty it.  Last, searches at exploration 0 from the 1- and
 2-a-side openings grow trees more than 20 plies deep, so backup's power
 table is filled that far, and a one-iteration search from the 3-a-side
-opening fills the table's last entry (depth 1 of 2).  Each op must return
+opening fills the table's last entry (depth 1 of 2).  Then the alignment
+ops run on 300 random nets of up to 5 places and 6 transitions (empty
+presets and postsets, duplicate and silent labels, bad arguments now and
+then), each graph shared by four random traces, fitting or not, sound or
+not, and on three larger graphs: one whose tables grow many times and two
+whose token counts reach ``TOKENS_MAX``.  Each op must return
 what ``_pykernel`` returns or raise the same exception, and the twins'
 memos must count alike; a memory error or undefined behaviour aborts the
 child, and so does an exported op that the fuzz has no inputs for.
@@ -187,7 +192,7 @@ def fuzz(ck, seed):
                            _depth(rng, kind), forced, cap, crown, kw),
                "rollout": (state, _side(rng, side), _count(rng, range(7)), _depth(rng, kind),
                            forced, cap, crown, kw)}
-        assert sorted([*ops, "new_memo", "search"]) == exported, \
+        assert sorted([*ops, "new_memo", "search", "new_marking_graph", "align"]) == exported, \
             f"fuzz ops != exported {exported}"
         for op, args in ops.items():
             want = _outcome(getattr(pk, op), args)
@@ -261,6 +266,84 @@ def fuzz(ck, seed):
     # the compiled rollout runs search's loop with no stream, so it must
     # refuse random (depth-0) rollouts as the pure twin does
     assert shallow_rollouts, "no rollout below minimax depth 1 was fuzzed"
+    return calls + fuzz_align(ck, rng)
+
+
+LABELS = ("A", "B", "C", None)  # None: a silent transition
+EVENTS = ("A", "B", "C", "X")  # X: an event that no transition carries
+EDGE_CAPS = (pk.TOKENS_MAX, pk.TOKENS_MAX + 1, -1, 2**64, 3.0)
+
+
+def _places(rng, nplaces):
+    """A preset or postset: distinct place indices, possibly none."""
+    return tuple(rng.sample(range(nplaces), rng.randrange(min(nplaces, 3) + 1)))
+
+
+def _net(rng):
+    """``new_marking_graph``'s arguments for a random net: up to 5 places
+    and 6 transitions, empty presets and postsets, duplicate and silent
+    labels, a cap up to 8 (one of ``EDGE_CAPS`` one time in twenty), and
+    now and then one bad argument."""
+    nplaces = rng.randrange(6)
+    steps = tuple((_places(rng, nplaces), _places(rng, nplaces), rng.choice(LABELS))
+                  for _ in range(rng.randrange(7)))
+    initial = tuple(rng.randrange(3) for _ in range(nplaces))
+    final = tuple(rng.randrange(3) for _ in range(nplaces))
+    cap = rng.choice(EDGE_CAPS) if rng.random() < 0.05 else rng.randrange(9)
+    roll = rng.random()
+    if roll < 0.03 and nplaces:
+        initial = initial[:-1] + (-1,)
+    elif roll < 0.06:
+        final = final + (0,)
+    elif roll < 0.09 and steps:
+        steps = steps[:-1] + (((nplaces,), (), "A"),)
+    elif roll < 0.12 and steps:
+        steps = steps[:-1] + (((), (), 7),)
+    return steps, initial, final, cap
+
+
+def fuzz_align(ck, rng):
+    """``new_marking_graph`` and ``align`` of both twins on random nets, each
+    graph shared by several random traces as ``fitness_metrics`` shares it,
+    fitting or not, sound or not; then graphs whose slot tables grow many
+    times and whose token counts reach ``TOKENS_MAX``.  Returns the number
+    of calls compared."""
+    calls = unsound = 0
+    for _ in range(300):
+        args = _net(rng)
+        want = _outcome(pk.new_marking_graph, args)
+        got = _outcome(ck.new_marking_graph, args)
+        calls += 1
+        if want[0] != "returned" or got[0] != "returned":
+            assert got == want, ("new_marking_graph", args, got, want)
+            continue
+        if args[3] == pk.TOKENS_MAX:
+            continue  # an empty preset would fill markings to the edge cap
+        graphs = (got[1], want[1])
+        for _ in range(4):
+            events = tuple(rng.choice(EVENTS) for _ in range(rng.randrange(6)))
+            if rng.random() < 0.03:
+                events = list(events)  # refused alike: not a tuple
+            got = _outcome(ck.align, (graphs[0], events))
+            want = _outcome(pk.align, (graphs[1], events))
+            assert got == want, ("align", args, events, got, want)
+            assert graphs[0].counts() == graphs[1].counts(), ("graph counts", args, events)
+            unsound += want[0] == "returned" and want[1][2] is None
+            calls += 1
+    assert unsound, "no unsound alignment was fuzzed"
+    # 4 places under a cap of 20 hold over 10,000 markings; then a token
+    # stream from p to q of TOKENS_MAX tokens, and one that the cap stops
+    # one token short
+    cycle = (((0,), (1,), "A"), ((1,), (2,), "B"), ((), (3,), None), ((3,), (0,), "C"))
+    big = [((cycle, (1, 0, 0, 0), (0, 0, 1, 0), 20), ("A", "B", "X", "C", "A")),
+           (((((0,), (1,), None),), (pk.TOKENS_MAX, 0), (0, pk.TOKENS_MAX), pk.TOKENS_MAX),
+            ()),
+           (((((), (1,), "A"),), (0, 0), (0, pk.TOKENS_MAX), pk.TOKENS_MAX - 1), ("A",))]
+    for args, events in big:
+        graphs = (ck.new_marking_graph(*args), pk.new_marking_graph(*args))
+        assert ck.align(graphs[0], events) == pk.align(graphs[1], events), ("big graph", args[3])
+        assert graphs[0].counts() == graphs[1].counts(), ("big graph counts", args[3])
+        calls += 1
     return calls
 
 
