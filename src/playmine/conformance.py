@@ -132,7 +132,8 @@ def optimal_alignment(trace: Sequence[str], net: PetriNet, *,
     from the net and the trace: the initial and final tokens, plus the
     places, plus the trace length, plus 4.  ``_graph`` is the marking graph
     of ``net`` that ``fitness_metrics`` shares across its alignments, and
-    its cap is the one used.
+    its cap is the one used.  A cap above ``kernel.TOKENS_MAX`` is a
+    ValueError.
 
     Raises ModelUnsoundError when no goal state exists (the final marking is
     unreachable), detected once the bounded search space is exhausted; its
