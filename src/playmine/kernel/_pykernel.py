@@ -677,9 +677,6 @@ TOKENS_MAX = 65535
 SILENT = -1
 UNKNOWN = -2
 
-GRAPH_TYPE_MSG = "graph must be this kernel's new_marking_graph()"
-
-
 def _tuple_of_ints(value, what):
     """``value``, a tuple, as a tuple of ints; TypeError for any other
     type, and operator.index's TypeError for an item that is no int."""
@@ -843,7 +840,7 @@ def align(graph, events):
     popped and expanded (the goal included).
     """
     if type(graph) is not MarkingGraph:
-        raise TypeError(GRAPH_TYPE_MSG)
+        raise TypeError("graph must be this kernel's new_marking_graph()")
     if not isinstance(events, tuple):
         raise TypeError("events must be a tuple")
     codes = graph.codes
