@@ -7,15 +7,24 @@ their activity names.
 
 The alpha miner builds the classic footprint construction (causal pairs,
 maximal independent pair sets, one place per maximal pair); it can and does
-produce non-fitting nets on looping logs.  The inductive miner is the basic
-noise-free variant: recursive cut detection in the order exclusive-choice,
-sequence, parallel, loop, with a flower-model fallback, which guarantees the
-resulting net replays every trace of its input log.
+produce non-fitting nets on looping logs.  Its (A, B) pairs are the cliques
+of a graph over the activities on two sides, and a maximal pair (one that
+no other pair holds on both sides) is a maximal clique.  A pivoted
+Bron-Kerbosch search finds each maximal pair once without visiting its
+subsets one by one, so a choice between k activities costs one path of the
+search, not 2**k pairs.
+
+The inductive miner is the basic noise-free variant: recursive cut
+detection in the order exclusive-choice, sequence, parallel, loop, with a
+flower-model fallback, which guarantees the resulting net replays every
+trace of its input log.  It reads each distinct trace once, and the
+sequence cut takes its reachability from one pass over the DFG's strongly
+connected components.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,12 +62,14 @@ class _BitDfg:
         self.linked = [s | p for s, p in zip(self.succ, self.pred)]
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list:
     """Indices of the set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,51 +82,7 @@ def alpha_miner(log: EventLog) -> PetriNet:
     traces = [labels for _, labels in log.traces()]
     activities = sorted({a for t in traces for a in t})
     dfg = _BitDfg(activities, traces)
-
-    # k is self-looped iff it is linked to itself, and k, j are unrelated
-    # (k # j) iff bit j of linked[k] is clear.  An (A, B) pair is a pair of
-    # bitsets.
-    linked = dfg.linked
-    succs = [s & ~p for s, p in zip(dfg.succ, dfg.pred)]  # causal k -> j
-    preds = [p & ~s for s, p in zip(dfg.succ, dfg.pred)]  # causal j -> k
-    looped = sum(1 << k for k, s in enumerate(dfg.succ) if s >> k & 1)
-
-    # Grow (A, B) pairs from causal seeds.  Seeds may hold a self-looped
-    # activity; an added one may not.  So the stored pairs are exactly those
-    # whose cross pairs are causal, whose members are pairwise unrelated,
-    # and whose A and B each hold at most one self-looped activity; every
-    # such pair is reachable by adding one activity at a time.  That set is
-    # closed under taking subsets, so a pair is maximal iff no single
-    # activity c extends it within the set: c passes the cross-causal and
-    # pairwise tests, and A + {c} (or B + {c}) still holds at most one
-    # self-looped activity.
-    def growth(grown, candidates):
-        """Whether some activity extends ``grown`` within the stored set, and
-        the activities the BFS adds to it (those that are not self-looped)."""
-        barred = looped if looped & grown else 0
-        valid = [c for c in _bits(candidates & ~grown & ~barred)
-                 if not linked[c] & grown]
-        return bool(valid), [c for c in valid if not looped >> c & 1]
-
-    # a queued pair carries the activities causal into all of B and out of
-    # all of A: the candidates for growing A and B
-    queue = deque((1 << a, 1 << b, preds[b], succs[a])
-                  for a in range(len(activities)) for b in _bits(succs[a]))
-    seen = {(a_set, b_set) for a_set, b_set, _, _ in queue}
-    maximal = []
-    while queue:
-        a_set, b_set, into_b, out_of_a = queue.popleft()
-        a_grows, a_adds = growth(a_set, into_b)
-        b_grows, b_adds = growth(b_set, out_of_a)
-        grown = ([(a_set | 1 << c, b_set, into_b, out_of_a & succs[c]) for c in a_adds]
-                 + [(a_set, b_set | 1 << c, into_b & preds[c], out_of_a) for c in b_adds])
-        for cand in grown:
-            if cand[:2] not in seen:
-                seen.add(cand[:2])
-                queue.append(cand)
-        if not (a_grows or b_grows):
-            maximal.append((a_set, b_set))
-    maximal.sort(key=lambda p: (list(_bits(p[0])), list(_bits(p[1]))))
+    maximal = sorted(_maximal_pairs(dfg), key=lambda p: (_bits(p[0]), _bits(p[1])))
 
     places = ["source", "sink"]
     transitions = [Transition(f"t{k}", a) for k, a in enumerate(activities)]
@@ -133,6 +100,64 @@ def alpha_miner(log: EventLog) -> PetriNet:
             arcs.append((p, f"t{k}"))
     return PetriNet(places, transitions, arcs,
                     Counter({"source": 1}), Counter({"sink": 1}))
+
+
+def _maximal_pairs(dfg: _BitDfg) -> list:
+    """The maximal (A, B) pairs of the alpha miner, as pairs of bitsets, in
+    no particular order.
+
+    A pair is stored when every a in A is causal to every b in B, the
+    members of A are pairwise unrelated and so are those of B, and A and B
+    each hold at most one self-looped activity.  Put each activity k on two
+    sides, vertex k for A and vertex n + k for B, and join two vertices of
+    one side when their activities are unrelated and not both self-looped,
+    and an A vertex to a B vertex when the pair is causal.  The stored pairs
+    are then exactly the cliques of this graph, and a stored pair is maximal
+    (no stored pair holds it on both sides) exactly when it is a maximal
+    clique.  So the maximal pairs are the maximal cliques with both sides
+    non-empty.
+
+    Each is found once, from its seed (min A, min B), a causal pair: a
+    Bron-Kerbosch search (CACM 16(9), 1973) with a Tomita pivot (Tomita,
+    Tanaka & Takahashi, TCS 363(1), 2006) from that seed, with the seed's neighbours that come
+    before it on their side excluded.  Each branch adds one activity, and
+    the pivot u drops the branches on u's neighbours, since every maximal
+    clique that holds the current one holds u or one of u's non-neighbours.
+    So the subsets of a maximal pair are not visited one by one, as growing
+    pairs one activity at a time would: a choice between k activities is
+    one path of k - 1 steps.  The search keeps its own stack, so its depth
+    in Python does not grow with a pair's size.
+    """
+    n = len(dfg.alphabet)
+    causal_out = [s & ~p for s, p in zip(dfg.succ, dfg.pred)]
+    causal_in = [p & ~s for s, p in zip(dfg.succ, dfg.pred)]
+    looped = sum(1 << k for k, s in enumerate(dfg.succ) if s >> k & 1)
+    # k is unrelated to j iff bit j of linked[k] is clear; a self-looped k
+    # is linked to itself
+    same_side = [dfg.every & ~linked & ~(1 << k) & ~(looped if looped >> k & 1 else 0)
+                 for k, linked in enumerate(dfg.linked)]
+    nbrs = ([same | out << n for same, out in zip(same_side, causal_out)]
+            + [into | same << n for same, into in zip(same_side, causal_in)])
+
+    stack = []  # (clique, candidates P, excluded X)
+    for a in range(n):
+        for b in _bits(causal_out[a]):
+            common = nbrs[a] & nbrs[n + b]
+            before = (1 << a) - 1 | ((1 << b) - 1) << n
+            stack.append((1 << a | 1 << (n + b), common & ~before, common & before))
+    found = []
+    while stack:
+        clique, cands, excluded = stack.pop()
+        if not cands:
+            if not excluded:
+                found.append((clique & dfg.every, clique >> n))
+            continue
+        pivot = max(_bits(cands | excluded), key=lambda u: (cands & nbrs[u]).bit_count())
+        for v in _bits(cands & ~nbrs[pivot]):
+            stack.append((clique | 1 << v, cands & nbrs[v], excluded & nbrs[v]))
+            cands ^= 1 << v
+            excluded |= 1 << v
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +219,8 @@ def inductive_miner(log: EventLog) -> ProcessTree:
 
 
 def _im(traces: list[Trace]) -> ProcessTree:
+    # the tree depends only on which traces occur, not on how often
+    traces = list(dict.fromkeys(traces))
     if not traces or all(len(t) == 0 for t in traces):
         return tau()
     if any(len(t) == 0 for t in traces):
@@ -242,27 +269,102 @@ def _xor_cut(dfg: _BitDfg):
     return "xor", groups
 
 
-def _closure(adj: list) -> list:
-    """Transitive closure of bitset adjacency rows (Warshall)."""
-    reach = list(adj)
-    for k in range(len(reach)):
-        bit, rk = 1 << k, reach[k]
-        for i, ri in enumerate(reach):
-            if ri & bit:
-                reach[i] = ri | rk
-    return reach
+def _reach(succ: list, pred: list) -> tuple[list, list]:
+    """``reach[k]``, the nodes reachable from k by one step or more along
+    the bitset rows ``succ``, and ``reached_by[k]``, those that reach k,
+    where ``pred`` holds the same edges reversed.
+
+    One iterative pass of Tarjan's algorithm (SIAM J. Comput. 1(2), 1972)
+    finds the strongly connected components, each after every component it
+    reaches.  All members of a component reach the same nodes: those their
+    edges lead to, and whatever those reach.  So ``reach`` is filled in the
+    order the components are found, and ``reached_by`` in the reverse order
+    along ``pred``.
+    """
+    n = len(succ)
+    num = [0] * n  # visit numbers, from 1
+    low = [0] * n
+    reach = [0] * n
+    reached_by = [0] * n
+    visited = on_path = count = 0
+    path: list = []
+    comps: list = []  # (bitset, members), each after every one it reaches
+    for root in range(n):
+        if visited >> root & 1:
+            continue
+        frames = [root]
+        v = root
+        while frames:
+            if not visited >> v & 1:
+                count += 1
+                num[v] = least = count
+                visited |= 1 << v
+                on_path |= 1 << v
+                path.append(v)
+                # a successor visited later, from another successor, is in a
+                # finished component or on the path after v: it cannot
+                # lower v's link
+                back = succ[v] & on_path
+                while back:
+                    seen = num[(back & -back).bit_length() - 1]
+                    if seen < least:
+                        least = seen
+                    back &= back - 1
+                low[v] = least
+            fresh = succ[v] & ~visited
+            if fresh:
+                v = (fresh & -fresh).bit_length() - 1
+                frames.append(v)
+                continue
+            frames.pop()
+            if low[v] == num[v]:
+                at = path.index(v)
+                members = path[at:]
+                del path[at:]
+                comp = 0
+                for w in members:
+                    comp |= 1 << w
+                on_path &= ~comp
+                comps.append((comp, members))
+                _fill(succ, reach, comp, members)
+            if frames:
+                u = frames[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                v = u
+    for comp, members in reversed(comps):
+        _fill(pred, reached_by, comp, members)
+    return reach, reached_by
+
+
+def _fill(rows: list, out: list, comp: int, members: list) -> None:
+    """Sets ``out[k]`` for each member k of the component ``comp``: the
+    nodes that ``rows`` lead to from it, and all that ``out`` already holds
+    for those outside it."""
+    got = 0
+    for k in members:
+        got |= rows[k]
+    rest = got & ~comp
+    while rest:
+        low = rest & -rest
+        k = low.bit_length() - 1
+        got |= out[k]
+        rest &= ~(out[k] | low)
+    for k in members:
+        out[k] = got
 
 
 def _seq_cut(dfg: _BitDfg):
     """Groups of activities that are mutually reachable or mutually
     unreachable, joined transitively, in the order the DFG reaches them.
 
-    Two activities in different groups are reachable one way only, and
-    every cross pair of two groups is reachable the same way, so the groups
-    are totally ordered: each has a distinct number of predecessor groups.
+    Reachability comes from one strongly-connected-component pass,
+    ``_reach``.  Two activities in different groups are reachable one way
+    only, and every cross pair of two groups is reachable the same way, so
+    the groups are totally ordered: each has a distinct number of
+    predecessor groups.
     """
-    reach = _closure(dfg.succ)  # reach[k]: activities reachable from k
-    reached_by = _closure(dfg.pred)  # reached_by[k]: activities reaching k
+    reach, reached_by = _reach(dfg.succ, dfg.pred)
 
     # same[k]: activities that k reaches exactly when they reach it (both
     # ways or neither)

@@ -498,6 +498,26 @@ def oracle_alpha_miner(log) -> PetriNet:
                     Counter({"source": 1}), Counter({"sink": 1}))
 
 
+def oracle_reachable(n: int, edges) -> list[set]:
+    """For each node of the digraph on ``range(n)`` with the ``(u, v)``
+    pairs ``edges``, the nodes reachable from it in one step or more, by a
+    breadth-first search from each node."""
+    succ: dict[int, set] = {u: set() for u in range(n)}
+    for u, v in edges:
+        succ[u].add(v)
+    out = []
+    for start in range(n):
+        seen: set = set()
+        queue = deque(succ[start])
+        while queue:
+            cur = queue.popleft()
+            if cur not in seen:
+                seen.add(cur)
+                queue.extend(succ[cur])
+        out.append(seen)
+    return out
+
+
 def oracle_seq_cut(dfg):
     """Sequence cut by per-activity DFS reachability and a union-find over
     activities, merged to a fixpoint; ``("seq", groups)`` or None."""

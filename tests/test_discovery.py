@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,11 @@ from playmine.conformance import (
 from playmine.discovery import (
     ProcessTree,
     _BitDfg,
+    _bits,
     _loop_cut,
+    _maximal_pairs,
     _par_cut,
+    _reach,
     _seq_cut,
     _xor_cut,
     act,
@@ -25,9 +30,10 @@ from playmine.discovery import (
     seq,
     tau,
     tree_to_net,
+    xor,
 )
 from playmine.eventlog import EventLog
-from playmine.petri import net_to_json
+from playmine.petri import PetriNet, Transition, net_to_json
 from helpers import mklog
 from oracles import (
     directly_follows,
@@ -35,6 +41,7 @@ from oracles import (
     oracle_alpha_miner,
     oracle_loop_cut,
     oracle_par_cut,
+    oracle_reachable,
     oracle_seq_cut,
     oracle_xor_cut,
     visible_language,
@@ -92,6 +99,47 @@ def random_traces(rng) -> list:
     if rng.random() < 0.1:
         traces.append(tuple(rng.choice(acts) for _ in range(rng.randrange(2, 6))))
     return traces
+
+
+def tree_dfg(tree):
+    """The start activities, end activities, directly-follows pairs and
+    activities of the language of ``random_tree``'s ``tree``, from its
+    operators: a sequence joins the left ends to the right starts, a
+    parallel joins every left activity to every right one both ways, and a
+    loop joins the body's ends to the redo's starts and back."""
+    if isinstance(tree, str):
+        return {tree}, {tree}, set(), {tree}
+    op, left, right = tree
+    s1, e1, d1, a1 = tree_dfg(left)
+    s2, e2, d2, a2 = tree_dfg(right)
+    acts = a1 | a2
+    if op == "s":
+        return s1, e2, d1 | d2 | {(a, b) for a in e1 for b in s2}, acts
+    if op == "x":
+        return s1 | s2, e1 | e2, d1 | d2, acts
+    if op == "p":
+        both = {(a, b) for a in a1 for b in a2}
+        return s1 | s2, e1 | e2, d1 | d2 | both | {(b, a) for a, b in both}, acts
+    return s1, e1, d1 | d2 | {(a, b) for a in e1 for b in s2} | {(b, a) for a in s1 for b in e2}, acts
+
+
+def rediscoverable(tree) -> bool:
+    """Whether no loop of ``random_tree``'s ``tree`` has a body that can
+    start and end with the same activity."""
+    if isinstance(tree, str):
+        return True
+    op, left, right = tree
+    body_starts, body_ends = tree_dfg(left)[:2]
+    return ((op != "l" or not body_starts & body_ends)
+            and rediscoverable(left) and rediscoverable(right))
+
+
+def as_tree(tree) -> ProcessTree:
+    """``random_tree``'s ``tree`` as a ``ProcessTree``."""
+    if isinstance(tree, str):
+        return act(tree)
+    op, left, right = tree
+    return {"s": seq, "x": xor, "p": par, "l": loop}[op](as_tree(left), as_tree(right))
 
 
 def bit_dfg(traces) -> _BitDfg:
@@ -201,6 +249,87 @@ class TestAlphaMiner:
             looped += any(a == b for t in traces for a, b in zip(t, t[1:]))
             assert net_to_json(alpha_miner(log)) == net_to_json(oracle_alpha_miner(log)), traces
         assert looped >= 100
+
+    def test_matches_oracle_when_looped_activities_share_a_successor(self):
+        # a side of a pair holds at most one self-looped activity, so each
+        # looped activity causal into b gets a pair of its own
+        rng = random.Random(11)
+        shared = 0
+        for _ in range(300):
+            alphabet = "abcdefgh"[:rng.randrange(3, 9)]
+            looped = rng.sample(alphabet, rng.randrange(2, min(4, len(alphabet))))
+            target = rng.choice([a for a in alphabet if a not in looped])
+            traces = [(a, a, target) for a in looped]
+            traces += [tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 7)))
+                       for _ in range(rng.randrange(0, 4))]
+            rng.shuffle(traces)
+            log = mklog(traces)
+            df = set(directly_follows(log).edges)
+            self_looped = {a for a in alphabet if (a, a) in df}
+            shared += any(sum((a, b) in df and (b, a) not in df for a in self_looped) >= 2
+                          for b in alphabet)
+            assert net_to_json(alpha_miner(log)) == net_to_json(oracle_alpha_miner(log)), traces
+        assert shared >= 150
+
+    def test_each_maximal_pair_is_found_once(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            traces = random_traces(rng)
+            if any(traces):
+                pairs = _maximal_pairs(bit_dfg(traces))
+                assert len(set(pairs)) == len(pairs), traces
+
+    @pytest.mark.parametrize("shape", ["choice", "fork"])
+    def test_sixty_four_way_choice_and_fork(self, shape):
+        # cases (x_i, y) or (x, y_i): all 64 ways share one place; growing
+        # pairs one activity at a time would store all 2**64 subsets
+        ways = [f"{'x' if shape == 'choice' else 'y'}{i:02d}" for i in range(64)]
+        traces = [(w, "y") if shape == "choice" else ("x", w) for w in ways]
+        activities = sorted({a for t in traces for a in t})
+        t = {a: f"t{k}" for k, a in enumerate(activities)}
+        firsts, lasts = (ways, ["y"]) if shape == "choice" else (["x"], ways)
+        want = PetriNet(["source", "sink", "p0"],
+                        [Transition(t[a], a) for a in activities],
+                        [("source", t[a]) for a in firsts]
+                        + [(t[a], "sink") for a in lasts]
+                        + [(t[a], "p0") for a in firsts]
+                        + [("p0", t[a]) for a in lasts],
+                        Counter({"source": 1}), Counter({"sink": 1}))
+        t0 = time.perf_counter()
+        got = alpha_miner(mklog(traces))
+        assert time.perf_counter() - t0 < 1.0
+        assert net_to_json(got) == net_to_json(want)
+
+
+class TestReach:
+    """``_reach``, the sequence cut's one pass over strongly connected
+    components, against a breadth-first search from every node."""
+
+    def test_matches_bfs_on_random_digraphs(self):
+        rng = random.Random(6)
+        wide = looped = cyclic = 0
+        for _ in range(200):
+            n = rng.choice((rng.randrange(1, 12), rng.randrange(65, 140)))
+            edges = {(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randrange(2 * n + 1))}
+            if rng.random() < 0.5:  # a DAG, and so long paths
+                edges = {(u, v) for u, v in edges if u < v}
+            for _ in range(rng.randrange(3)):  # planted cycles, of one node too
+                ring = rng.sample(range(n), rng.randrange(1, min(n, 6) + 1))
+                edges.update(zip(ring, ring[1:] + ring[:1]))
+            succ, pred = [0] * n, [0] * n
+            for u, v in edges:
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+            want = oracle_reachable(n, edges)
+            reach, reached_by = _reach(succ, pred)
+            assert reach == [sum(1 << j for j in r) for r in want]
+            assert reached_by == [sum(1 << j for j in range(n) if k in want[j])
+                                  for k in range(n)]
+            wide += n > 64
+            looped += any(u == v for u, v in edges)
+            cyclic += any(k in want[k] for k in range(n) if (k, k) not in edges)
+        assert wide >= 60 and looped >= 60 and cyclic >= 100
 
 
 class TestCuts:
@@ -314,6 +443,58 @@ class TestInductiveMiner:
         net = tree_to_net(inductive_miner(mklog(traces)))
         for trace in traces:
             assert optimal_alignment(trace, net).raw_cost == 0
+
+
+class TestMultiplicity:
+    """Both miners read only which traces occur, not how often or in which
+    order; ``_im`` mines each distinct trace once."""
+
+    def test_duplicated_and_shuffled_cases_mine_alike(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            traces = random_traces(rng)
+            more = traces + [rng.choice(traces) for _ in range(rng.randrange(1, 12))]
+            rng.shuffle(more)
+            log, again = mklog(traces), mklog(more)
+            assert inductive_miner(again) == inductive_miner(log), traces
+            assert net_to_json(alpha_miner(again)) == net_to_json(alpha_miner(log)), traces
+
+
+class TestInductiveRediscovery:
+    """The inductive miner rediscovers a block-structured tree without
+    duplicate or silent activities from any log that is directly-follows
+    complete against it (Leemans, Fahland & van der Aalst, Petri Nets 2013),
+    up to language.  The theorem's class also asks that no loop's body can
+    start and end with the same activity: ``loop(e, c)`` inside a parallel
+    is mined as a loop with c as redo and the parallel's other activities
+    in the body.  The trees are ``random_tree``'s in that class, and each
+    log grows by sampled traces until its DFG is the tree's own."""
+
+    def test_rediscovers_random_trees_from_complete_logs(self):
+        rng = random.Random(14)
+        trees = 0
+        holding = Counter()  # trees holding each operator
+        while trees < 200:
+            tree = random_tree(rng, rng.sample("abcdef", rng.randrange(1, 7)))
+            if not rediscoverable(tree):
+                continue
+            trees += 1
+            holding.update(set(repr(tree)) & set("sxpl"))
+            starts, ends, edges, acts = tree_dfg(tree)
+            traces, seen = [], (set(), set(), set())
+            while seen != (starts, ends, edges):
+                assert len(traces) < 5000, tree
+                trace = tuple(play(rng, tree))
+                traces.append(trace)
+                seen[0].add(trace[0])
+                seen[1].add(trace[-1])
+                seen[2].update(zip(trace, trace[1:]))
+                assert seen[2] <= edges, tree
+            mined = tree_to_net(inductive_miner(mklog(traces)))
+            bound = len(acts) + 2
+            assert visible_language(mined, bound) == visible_language(
+                tree_to_net(as_tree(tree)), bound), tree
+        assert min(holding[op] for op in "sxp") >= 60 and holding["l"] >= 10
 
 
 class TestTreeToNet:
