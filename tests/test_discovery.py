@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import time
 from collections import Counter
 
@@ -15,7 +17,6 @@ from playmine.conformance import (
 from playmine.discovery import (
     ProcessTree,
     _BitDfg,
-    _bits,
     _loop_cut,
     _maximal_pairs,
     _par_cut,
@@ -295,9 +296,16 @@ class TestAlphaMiner:
                         + [(t[a], "p0") for a in firsts]
                         + [("p0", t[a]) for a in lasts],
                         Counter({"source": 1}), Counter({"sink": 1}))
-        t0 = time.perf_counter()
-        got = alpha_miner(mklog(traces))
-        assert time.perf_counter() - t0 < 1.0
+        # a search that recursed once per member would need 63 more frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            t0 = time.perf_counter()
+            got = alpha_miner(mklog(traces))
+            elapsed = time.perf_counter() - t0
+        finally:
+            sys.setrecursionlimit(limit)
+        assert elapsed < 1.0
         assert net_to_json(got) == net_to_json(want)
 
 
